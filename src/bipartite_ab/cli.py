@@ -73,7 +73,7 @@ def _config_echo(config: AnalysisConfig) -> dict:
     }
 
 
-def _analysis_targets(assignments, config):
+def _analysis_targets(assignments):
     """Graph analyses to run: the straightforward two-variant case, or for
     multi-variant designs both the restricted-subgraph and the
     normalized full-graph exposure schemes."""
@@ -108,7 +108,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         try:
             graph, build_report = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
-            for scheme, _ in _analysis_targets(assignments, config):
+            for scheme, _ in _analysis_targets(assignments):
                 for est in config.estimators:
                     for method in config.methods:
                         report.entries.append(
@@ -124,7 +124,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                         )
             continue
 
-        for scheme, mode in _analysis_targets(assignments, config):
+        for scheme, mode in _analysis_targets(assignments):
             label = f"{group_label}/{scheme}" if multi else group_label
             if mode == "restricted":
                 try:

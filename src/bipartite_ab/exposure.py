@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import BipartiteGraph
-from .ingest import AssignmentTable, IngestError, OutcomeTable
+from .ingest import AssignmentTable, OutcomeTable
 
 EPS_VAR = 1e-12
 
@@ -62,8 +62,6 @@ def realized_exposure(
 ) -> np.ndarray:
     """h_i = weighted share of seller i's interactions from treated buyers."""
     z = assignments.indicator(graph.buyers, treatment)
-    if treatment not in assignments.labels:
-        raise IngestError(f"unknown variant {treatment!r}")
     return graph.matrix() @ z
 
 
@@ -157,8 +155,9 @@ def assemble_panel(
     bias the estimators).
     """
     h = realized_exposure(graph, assignments, treatment)
-    e_h, var_h = design_moments(graph, assignments, treatment, control)
     p = effective_treatment_prob(assignments, treatment, control)
+    e_h = p * graph.row_sums()
+    var_h = p * (1.0 - p) * graph.row_sumsq()
 
     missing = [s for s in graph.sellers if s not in outcomes]
     if missing and not allow_missing_outcomes:

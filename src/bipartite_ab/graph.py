@@ -120,14 +120,6 @@ class BipartiteGraph:
     def seller_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def edge_set(self) -> set[tuple[str, str, float]]:
-        out = set()
-        for i, seller in enumerate(self.sellers):
-            idx, w = self.row(i)
-            for j, weight in zip(idx, w):
-                out.add((seller, self.buyers[j], float(weight)))
-        return out
-
 
 @dataclass
 class GraphBuildReport:

@@ -6,11 +6,14 @@ Three methods:
 * randomization_ci: Monte Carlo re-draws of the assignment vector; the
   estimator is recomputed per draw with realized outcomes held fixed and
   the interval is point +/- z * sd(draws).
-* pairwise_variance: the O(n^2) design-based variance estimator
+* pairwise_variance: the design-based variance estimator
   V = (1/n^2) sum_ij Y_i Y_j R_ij(H_i, H_j), where each R_ij is the
   affine-in-(H_i H_j, H_i, H_j, 1) weighting whose design expectation
-  matches Cov(tau_i, tau_j) under the linear response model. Guarded by
-  an n_max limit; meant for validation at small n.
+  matches Cov(tau_i, tau_j) under the linear response model. The exposure
+  moments come from closed-form Bernoulli cumulants and sparse products
+  over the O(n + overlapping pairs) structure, and the weightings are
+  solved as batched 3x3 and 4x4 systems. An n_max limit guards the
+  quadratic worst case, in which every pair of units overlaps.
 
 All methods are pure functions of (inputs, seed, replications): each
 replicate derives its generator from (seed, replicate index).
@@ -18,11 +21,11 @@ replicate derives its generator from (seed, replicate index).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import norm
 
 from .estimators import (
@@ -40,6 +43,7 @@ MIN_REPLICATIONS = 200
 DEFAULT_REPLICATIONS = 1000
 PAIRWISE_N_MAX = 5000
 EPS_DET = 1e-12
+COND_MAX = 1e12
 
 
 class InferenceError(ValueError):
@@ -218,60 +222,24 @@ def randomization_ci(
 class JointMomentTable:
     """Exact exposure moments under independent Bernoulli(p) assignment.
 
-    `uni[i, k]` holds E[H_i^k] for k = 0..4 (panel-indexed); `pairs` maps
-    (i, j) with i < j to the 3x3 table T[a, b] = E[H_i^a H_j^b] and is
-    populated only for pairs with overlapping buyer neighborhoods — for
-    disjoint pairs the matched weighting is identically zero.
+    `uni[i, k]` holds E[H_i^k] for k = 0..4 (panel-indexed). The pairs of
+    units with overlapping buyer neighborhoods are (pair_i[t], pair_j[t]),
+    i < j, in (i, j) order, and `pairs[t]` is their 3x3 table
+    T[a, b] = E[H_i^a H_j^b]. Disjoint pairs are not stored: their matched
+    weighting is identically zero.
     """
 
     p: float
     uni: np.ndarray
-    pairs: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pairs: np.ndarray
 
 
-def _uni_moments(weights: np.ndarray, p: float) -> np.ndarray:
-    """E[(sum_r w_r Z_r)^k], k = 0..4, by per-buyer accumulation."""
-    mu = np.zeros(5)
-    mu[0] = 1.0
-    binom = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
-    for u in weights:
-        upow = [1.0, u, u * u, u**3, u**4]
-        new = np.zeros(5)
-        for k in range(5):
-            acc = mu[k]  # j = 0 term, E[Z^0] = 1
-            for j in range(1, k + 1):
-                acc += binom[k][j] * upow[j] * p * mu[k - j]
-            new[k] = acc
-        mu = new
-    return mu
-
-
-def _pair_moments(u: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    """T[a, b] = E[H_i^a H_j^b], a, b <= 2, over shared Bernoulli draws."""
-    T = np.zeros((3, 3))
-    T[0, 0] = 1.0
-    binom = [[1], [1, 1], [1, 2, 1]]
-    for ur, vr in zip(u, v):
-        upow = [1.0, ur, ur * ur]
-        vpow = [1.0, vr, vr * vr]
-        new = np.zeros((3, 3))
-        for a in range(3):
-            for b in range(3):
-                acc = 0.0
-                for k in range(a + 1):
-                    for l in range(b + 1):
-                        ez = 1.0 if k + l == 0 else p
-                        acc += (
-                            binom[a][k]
-                            * binom[b][l]
-                            * upow[k]
-                            * vpow[l]
-                            * ez
-                            * T[a - k, b - l]
-                        )
-                new[a, b] = acc
-        T = new
-    return T
+def _bernoulli_cumulants(p: float) -> np.ndarray:
+    """k_1..k_4 of a Bernoulli(p) draw (index 0 unused)."""
+    q = 1.0 - p
+    return np.array([0.0, p, p * q, p * q * (1 - 2 * p), p * q * (1 - 6 * p * q)])
 
 
 def exposure_moment_table(
@@ -281,83 +249,116 @@ def exposure_moment_table(
     pair of units sharing at least one buyer.
 
     `rows` maps panel index -> graph row, as in ExposurePanel.graph_rows.
+    H_i = sum_r w_ir Z_r sums independent draws, so cumulants add up:
+    kappa_j(H_i) = k_j sum_r w_ir^j, and the joint cumulant of a copies of
+    H_i with b copies of H_j is k_{a+b} S_ab, where S_ab = sum_r w_ir^a w_jr^b
+    runs over the shared buyers. The moments follow from the
+    moment-cumulant identities, and every S_ab is a sparse product.
     """
-    n = len(rows)
-    uni = np.empty((n, 5))
-    supports: list[dict[int, float]] = []
-    for k, i in enumerate(rows):
-        idx, w = graph.row(int(i))
-        uni[k] = _uni_moments(w, p)
-        supports.append(dict(zip(idx.tolist(), w.tolist())))
-
-    buyer_to_units: dict[int, list[int]] = {}
-    for k, sup in enumerate(supports):
-        for b in sup:
-            buyer_to_units.setdefault(b, []).append(k)
-    overlapping: set[tuple[int, int]] = set()
-    for units in buyer_to_units.values():
-        for a, b in itertools.combinations(units, 2):
-            overlapping.add((a, b) if a < b else (b, a))
-
-    pairs: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in sorted(overlapping):
-        union = sorted(set(supports[i]) | set(supports[j]))
-        u = np.array([supports[i].get(b, 0.0) for b in union])
-        v = np.array([supports[j].get(b, 0.0) for b in union])
-        pairs[(i, j)] = _pair_moments(u, v, p)
-    return JointMomentTable(p=p, uni=uni, pairs=pairs)
-
-
-def _diag_weighting(mu: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Coefficients (a, b, c) of R(H) = a H^2 + b H + c with
-    E[H^g R] matching the variance terms of Y W for g = 0, 1, 2.
-
-    When the exposure distribution spans fewer than three points (e.g. a
-    single-buyer seller with Bernoulli exposure) the system is singular;
-    the minimum-norm least-squares fit is returned with a degeneracy flag.
-    """
-    m1, v = mu[1], mu[2] - mu[1] ** 2
-    M = np.array(
+    k = _bernoulli_cumulants(p)
+    W = graph.matrix()[np.asarray(rows)]
+    W2 = W.multiply(W).tocsr()
+    c1, c2, c3, c4 = (
+        k[r] * np.asarray(W.power(r).sum(axis=1)).ravel() for r in range(1, 5)
+    )
+    uni = np.column_stack(
         [
-            [mu[2], mu[1], mu[0]],
-            [mu[3], mu[2], mu[1]],
-            [mu[4], mu[3], mu[2]],
+            np.ones_like(c1),
+            c1,
+            c2 + c1**2,
+            c3 + 3 * c2 * c1 + c1**3,
+            c4 + 4 * c3 * c1 + 3 * c2**2 + 6 * c2 * c1**2 + c1**4,
         ]
     )
-    e_h_c2 = mu[3] - 2 * m1 * mu[2] + m1**2 * mu[1]  # E[H (H-m)^2]
-    e_h2_c2 = mu[4] - 2 * m1 * mu[3] + m1**2 * mu[2]  # E[H^2 (H-m)^2]
-    rhs = np.array([1.0 / v, e_h_c2 / v**2, e_h2_c2 / v**2 - 1.0])
-    try:
-        sol = np.linalg.solve(M, rhs)
-        if np.all(np.isfinite(sol)) and np.linalg.cond(M) < 1e12:
-            return sol, False
-    except np.linalg.LinAlgError:
-        pass
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol, True
+
+    S11 = sp.triu(W @ W.T, k=1, format="csr")
+    S11.sort_indices()
+    i = np.repeat(np.arange(W.shape[0]), np.diff(S11.indptr))
+    j = S11.indices.astype(np.int64)
+
+    def shared(A, B):
+        return np.asarray((A @ B.T)[i, j]).ravel()
+
+    k11 = k[2] * S11.data
+    k12 = k[3] * shared(W, W2)
+    k21 = k[3] * shared(W2, W)
+    k22 = k[4] * shared(W2, W2)
+    x1, x2, y1, y2 = c1[i], c2[i], c1[j], c2[j]
+    T = np.empty((len(i), 3, 3))
+    T[:, :, 0] = uni[i, :3]
+    T[:, 0, :] = uni[j, :3]
+    T[:, 1, 1] = k11 + x1 * y1
+    T[:, 2, 1] = k21 + 2 * k11 * x1 + x2 * y1 + x1**2 * y1
+    T[:, 1, 2] = k12 + 2 * k11 * y1 + y2 * x1 + x1 * y1**2
+    T[:, 2, 2] = (
+        k22 + 2 * k21 * y1 + 2 * k12 * x1 + x2 * y2 + 2 * k11**2
+        + x2 * y1**2 + y2 * x1**2 + 4 * k11 * x1 * y1 + x1**2 * y1**2
+    )
+    return JointMomentTable(p=p, uni=uni, pair_i=i, pair_j=j, pairs=T)
 
 
-def _pair_weighting(T: np.ndarray, mi: float, mj: float, vi: float, vj: float):
-    """Coefficients of R(H_i, H_j) = a H_i H_j + b H_i + c H_j + d whose
-    expectation against {1, H_j, H_i, H_i H_j} matches the covariance
-    terms of (Y_i W_i, Y_j W_j). Returns None when the 4x4 system is
-    numerically singular (degenerate pair)."""
-    gs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    bs = [(1, 1), (1, 0), (0, 1), (0, 0)]
-    M = np.array([[T[g[0] + b[0], g[1] + b[1]] for b in bs] for g in gs])
-    denom = vi * vj
-    cov_ww = (T[1, 1] - mi * mj) / denom
-    cov_w_hw = (T[1, 2] - mj * T[1, 1] - mi * T[0, 2] + mi * mj * T[0, 1]) / denom
-    cov_hw_w = (T[2, 1] - mi * T[1, 1] - mj * T[2, 0] + mi * mj * T[1, 0]) / denom
-    cov_hw_hw = (T[2, 2] - mi * T[1, 2] - mj * T[2, 1] + mi * mj * T[1, 1]) / denom - 1.0
-    rhs = np.array([cov_ww, cov_w_hw, cov_hw_w, cov_hw_hw])
+def _solve_where(M: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Solve M[t] x = rhs[t] for every t in `mask` as one batch; NaN for the
+    others and for systems that are exactly singular."""
+    sol = np.full(rhs.shape, np.nan)
+    if not mask.any():
+        return sol
+    # a full mask selects by slice, which views the systems instead of copying
+    sel = slice(None) if mask.all() else mask
     try:
-        sol = np.linalg.solve(M, rhs)
+        sol[sel] = np.linalg.solve(M[sel], rhs[sel][..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
+        # a singular system fails the whole batch: redo it one at a time
+        for t in np.flatnonzero(mask):
+            try:
+                sol[t] = np.linalg.solve(M[t], rhs[t])
+            except np.linalg.LinAlgError:
+                pass
     return sol
+
+
+def _diag_system(uni: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit, the system for R(H) = a H^2 + b H + c with E[H^g R]
+    matching the variance terms of Y W for g = 0, 1, 2."""
+    m1 = uni[:, 1]
+    v = uni[:, 2] - m1**2
+    # row g is E[H^g (H^2, H, 1)]
+    M = np.stack([uni[:, 2::-1], uni[:, 3:0:-1], uni[:, 4:1:-1]], axis=1)
+    e_h_c2 = uni[:, 3] - 2 * m1 * uni[:, 2] + m1**2 * uni[:, 1]  # E[H (H-m)^2]
+    e_h2_c2 = uni[:, 4] - 2 * m1 * uni[:, 3] + m1**2 * uni[:, 2]  # E[H^2 (H-m)^2]
+    rhs = np.column_stack([1.0 / v, e_h_c2 / v**2, e_h2_c2 / v**2 - 1.0])
+    return M, rhs
+
+
+# R(H_i, H_j) = a H_i H_j + b H_i + c H_j + d is matched against
+# g in (1, H_j, H_i, H_i H_j): entry (g, b) of the system is
+# E[g basis_b] = T[g_i + b_i, g_j + b_j] with the exponent pairs below.
+_PAIR_G = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+_PAIR_B = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
+
+
+def _pair_system(T, mi, mj, vi, vj) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the system whose solution matches the covariance terms of
+    (Y_i W_i, Y_j W_j)."""
+    M = T[
+        :,
+        _PAIR_G[:, None, 0] + _PAIR_B[None, :, 0],
+        _PAIR_G[:, None, 1] + _PAIR_B[None, :, 1],
+    ]
+    denom = vi * vj
+    rhs = np.column_stack(
+        [
+            (T[:, 1, 1] - mi * mj) / denom,
+            (T[:, 1, 2] - mj * T[:, 1, 1] - mi * T[:, 0, 2] + mi * mj * T[:, 0, 1])
+            / denom,
+            (T[:, 2, 1] - mi * T[:, 1, 1] - mj * T[:, 2, 0] + mi * mj * T[:, 1, 0])
+            / denom,
+            (T[:, 2, 2] - mi * T[:, 1, 2] - mj * T[:, 2, 1] + mi * mj * T[:, 1, 1])
+            / denom
+            - 1.0,
+        ]
+    )
+    return M, rhs
 
 
 @dataclass
@@ -380,11 +381,14 @@ def pairwise_variance(
 ) -> PairwiseVariance:
     """Design-based variance estimate via pair-level moment matching.
 
-    Pairs whose exposure covariance matrix is (near) singular — e.g. two
-    sellers with identically weighted edges — are flagged and handled per
-    `policy`: 'merge' adds a conservative product-of-sds upper bound,
-    'drop' zeroes them with a warning, 'strict' raises. The quadratic cost
-    is guarded by `n_max` (use the bootstrap beyond it).
+    Units whose exposure takes fewer than three values (e.g. single-buyer
+    sellers) get the minimum-norm least-squares weighting and are listed
+    as degenerate. Pairs whose exposure covariance matrix is (near)
+    singular — e.g. two sellers with identically weighted edges — are
+    flagged and handled per `policy`: 'merge' adds a conservative
+    product-of-sds upper bound, 'drop' zeroes them with a warning, 'strict'
+    raises. The quadratic worst case is guarded by `n_max` (use the
+    bootstrap beyond it).
     """
     if policy not in ("merge", "drop", "strict"):
         raise InferenceError(f"unknown degeneracy policy {policy!r}")
@@ -397,46 +401,47 @@ def pairwise_variance(
     uni = joint_moments.uni
     if uni.shape[0] != n:
         raise InferenceError("moment table does not match panel size")
+    ids = panel.seller_ids
     y = panel.y_in
     h = panel.h
 
-    diag_vals = np.empty(n)
-    degenerate_units: list[str] = []
-    for i in range(n):
-        (a, b, c), singular = _diag_weighting(uni[i])
-        if singular:
-            degenerate_units.append(panel.seller_ids[i])
-            if policy == "strict":
-                raise DegeneratePairError(
-                    f"unit {panel.seller_ids[i]!r} has a degenerate exposure "
-                    "distribution (fewer than three support points)"
-                )
-        diag_vals[i] = y[i] * y[i] * (a * h[i] * h[i] + b * h[i] + c)
-    total = float(np.sum(diag_vals))
-    unit_sd = np.sqrt(np.maximum(diag_vals, 0.0))
+    M, rhs = _diag_system(uni)
+    regular = np.linalg.cond(M) < COND_MAX
+    coef = _solve_where(M, rhs, regular)
+    regular &= np.isfinite(coef).all(axis=1)
+    singular = np.flatnonzero(~regular)
+    degenerate_units = [ids[t] for t in singular.tolist()]
+    if degenerate_units and policy == "strict":
+        raise DegeneratePairError(
+            f"unit {degenerate_units[0]!r} has a degenerate exposure "
+            "distribution (fewer than three support points)"
+        )
+    for t in singular:
+        coef[t] = np.linalg.lstsq(M[t], rhs[t], rcond=None)[0]
+    diag = y * y * (coef[:, 0] * h * h + coef[:, 1] * h + coef[:, 2])
+    unit_sd = np.sqrt(np.maximum(diag, 0.0))
 
-    degenerate: list[tuple[str, str]] = []
-    evaluated = 0
-    for (i, j), T in joint_moments.pairs.items():
-        mi, mj = uni[i, 1], uni[j, 1]
-        vi = uni[i, 2] - mi * mi
-        vj = uni[j, 2] - mj * mj
-        cov = T[1, 1] - mi * mj
-        det = vi * vj - cov * cov
-        sol = _pair_weighting(T, mi, mj, vi, vj) if det > eps_det else None
-        if sol is None:
-            pair_ids = (panel.seller_ids[i], panel.seller_ids[j])
-            degenerate.append(pair_ids)
-            if policy == "strict":
-                raise DegeneratePairError(
-                    f"degenerate exposure pair {pair_ids!r}: det(Sigma) <= {eps_det}"
-                )
-            if policy == "merge":
-                total += 2.0 * unit_sd[i] * unit_sd[j]
-            continue
-        a, b, c, d = sol
-        total += 2.0 * y[i] * y[j] * (a * h[i] * h[j] + b * h[i] + c * h[j] + d)
-        evaluated += 1
+    i, j, T = joint_moments.pair_i, joint_moments.pair_j, joint_moments.pairs
+    mi, mj = uni[i, 1], uni[j, 1]
+    vi = uni[i, 2] - mi * mi
+    vj = uni[j, 2] - mj * mj
+    cov = T[:, 1, 1] - mi * mj
+    M, rhs = _pair_system(T, mi, mj, vi, vj)
+    ok = vi * vj - cov * cov > eps_det
+    coef = _solve_where(M, rhs, ok)
+    ok &= np.isfinite(coef).all(axis=1)
+    bad = np.flatnonzero(~ok)
+    degenerate = [(ids[a], ids[b]) for a, b in zip(i[bad].tolist(), j[bad].tolist())]
+    if degenerate and policy == "strict":
+        raise DegeneratePairError(
+            f"degenerate exposure pair {degenerate[0]!r}: det(Sigma) <= {eps_det}"
+        )
+    hi, hj = h[i], h[j]
+    matched = 2.0 * y[i] * y[j] * (
+        coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
+    )
+    fallback = 2.0 * unit_sd[i] * unit_sd[j] if policy == "merge" else 0.0
+    total = float(diag.sum() + np.where(ok, matched, fallback).sum())
     if degenerate and policy == "drop":
         warnings.warn(
             f"{len(degenerate)} degenerate exposure pairs dropped from the "
@@ -446,7 +451,7 @@ def pairwise_variance(
     return PairwiseVariance(
         value=total / (n * n),
         n_units=n,
-        n_pairs_evaluated=evaluated,
+        n_pairs_evaluated=int(ok.sum()),
         degenerate_pairs=degenerate,
         policy=policy,
         degenerate_units=degenerate_units,
@@ -476,16 +481,3 @@ def pairwise_variance_ci(
         replications=0,
         seed=0,
     )
-
-
-def unit_variance_terms(
-    panel: ExposurePanel, joint_moments: JointMomentTable
-) -> np.ndarray:
-    """Per-unit variance estimates Y_i^2 R_i(H_i); pairwise_variance reduces
-    to (1/n^2) times their sum when buyer neighborhoods are disjoint."""
-    out = np.empty(panel.n)
-    for i in range(panel.n):
-        (a, b, c), _ = _diag_weighting(joint_moments.uni[i])
-        h = panel.h[i]
-        out[i] = panel.y_in[i] ** 2 * (a * h * h + b * h + c)
-    return out

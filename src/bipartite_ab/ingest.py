@@ -235,18 +235,28 @@ def default_design_path(assignments_path) -> Path:
 def parse_design(path) -> list[Variant]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    try:
-        raw = payload["variants"]
-    except (TypeError, KeyError):
+    raw = payload.get("variants") if isinstance(payload, dict) else None
+    if not isinstance(raw, list):
         raise IngestError(f"{path}: design JSON must contain a 'variants' list")
     variants = []
-    for entry in raw:
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise IngestError(f"{path}: variant {k} is not an object: {entry!r}")
+        missing = [key for key in ("label", "probability") if key not in entry]
+        if missing:
+            raise IngestError(f"{path}: variant {k} has no {' or '.join(missing)}")
+        try:
+            probability = float(entry["probability"])
+        except (TypeError, ValueError):
+            raise IngestError(
+                f"{path}: variant {k} has non-numeric probability "
+                f"{entry['probability']!r}"
+            ) from None
+        control = entry.get("control", False)
+        if not isinstance(control, bool):
+            raise IngestError(f"{path}: variant {k} has non-boolean control {control!r}")
         variants.append(
-            Variant(
-                label=str(entry["label"]),
-                probability=float(entry["probability"]),
-                control=bool(entry.get("control", False)),
-            )
+            Variant(label=str(entry["label"]), probability=probability, control=control)
         )
     return variants
 

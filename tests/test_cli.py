@@ -138,6 +138,13 @@ class TestAnalyze:
         args[args.index("--events") + 1] = str(sim_dir / "nope.csv")
         assert main(args) == 1
 
+    def test_malformed_design_is_error(self, sim_dir, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"variants": [{"probability": 1.0}]}))
+        code = main(analyze_args(sim_dir, tmp_path / "out", "--design", str(design)))
+        assert code == 1
+        assert "has no label" in capsys.readouterr().err
+
     def test_window_filter_drops_everything(self, sim_dir, tmp_path, capsys):
         code = main(analyze_args(
             sim_dir, tmp_path / "out", "--window", "999999999999:999999999999",

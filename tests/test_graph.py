@@ -12,7 +12,7 @@ from bipartite_ab.graph import (
 )
 from bipartite_ab.ingest import AssignmentTable, Variant
 
-from conftest import make_events, two_variant_assignments
+from conftest import edge_set, make_events, two_variant_assignments
 
 CFG_COUNT = GraphBuildConfig(weighting="count_proportional", kind_filter=frozenset({"view"}))
 CFG_DEDUP = GraphBuildConfig(weighting="binary_dedup", kind_filter=frozenset({"view"}))
@@ -75,7 +75,7 @@ class TestBuildGraph:
         shuffled = list(events)
         rng.shuffle(shuffled)
         other, _ = build_graph(shuffled, three_variant_assignments(), CFG_COUNT)
-        assert base.edge_set() == other.edge_set()
+        assert edge_set(base) == edge_set(other)
 
     def test_row_normalization_on_random_builds(self, rng):
         assignments = two_variant_assignments(
@@ -124,7 +124,7 @@ class TestPerVariantSubgraph:
         events = make_events([("x", "s1", "view", 1), ("y", "s1", "view", 2)])
         graph, _ = build_graph(events, assignments, CFG_COUNT)
         sub = per_variant_subgraph(graph, assignments, "Off", "On")
-        assert sub.edge_set() == graph.edge_set()
+        assert edge_set(sub) == edge_set(graph)
 
     def test_same_variants_error(self):
         graph, _ = build_graph(counts_events(), three_variant_assignments(), CFG_COUNT)
@@ -142,7 +142,7 @@ class TestPerVariantSubgraph:
         prefiltered, _ = build_graph(
             [e for e in events if e.buyer_id in keep], assignments, CFG_COUNT
         )
-        assert restricted.edge_set() == prefiltered.edge_set()
+        assert edge_set(restricted) == edge_set(prefiltered)
 
 
 class TestGraphStats:
@@ -172,7 +172,7 @@ class TestGraphStats:
         graph, _ = build_graph(make_events(rows), assignments, CFG_COUNT)
         stats = graph_stats(graph)
         # independent recount from the edge set
-        edges = graph.edge_set()
+        edges = edge_set(graph)
         assert stats.n_edges == len(edges)
         by_seller = {}
         for s, b, _ in edges:

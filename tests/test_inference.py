@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,6 @@ from bipartite_ab.inference import (
     exposure_moment_table,
     pairwise_variance,
     randomization_ci,
-    unit_variance_terms,
 )
 from bipartite_ab.ingest import OutcomeTable
 from bipartite_ab.simulator import (
@@ -25,9 +27,11 @@ from bipartite_ab.simulator import (
 
 from conftest import (
     assignment_probability,
+    diag_weighting,
     enumerate_assignments,
     random_sparse_graph,
     two_variant_assignments,
+    unit_variance_terms,
 )
 from test_estimators import make_panel
 
@@ -209,7 +213,7 @@ class TestPairwiseVariance:
         )
         var_h = p * (1 - p) * graph.row_sumsq()
         moments = exposure_moment_table(graph, p, np.arange(n))
-        assert moments.pairs == {}  # no overlapping neighborhoods
+        assert len(moments.pairs) == 0  # no overlapping neighborhoods
         h = graph.matrix() @ (rng.random(m) < p).astype(float)
         y = rng.normal(0, 1, n)
         panel = make_panel(h, y, p=p, var_h=var_h)
@@ -266,3 +270,201 @@ class TestPairwiseVariance:
             pairwise_variance(panel, moments, n_max=5)
         forced = pairwise_variance(panel, moments, n_max=5, force=True)
         assert np.isfinite(forced.value)
+
+
+# --- per-buyer and per-pair oracles for the closed-form moment table ------
+
+
+def oracle_uni_moments(weights, p):
+    """E[(sum_r w_r Z_r)^k], k = 0..4, by per-buyer accumulation."""
+    mu = np.zeros(5)
+    mu[0] = 1.0
+    binom = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
+    for u in weights:
+        upow = [1.0, u, u * u, u**3, u**4]
+        new = np.zeros(5)
+        for k in range(5):
+            acc = mu[k]  # j = 0 term, E[Z^0] = 1
+            for j in range(1, k + 1):
+                acc += binom[k][j] * upow[j] * p * mu[k - j]
+            new[k] = acc
+        mu = new
+    return mu
+
+
+def oracle_pair_moments(u, v, p):
+    """T[a, b] = E[H_i^a H_j^b], a, b <= 2, over shared Bernoulli draws."""
+    T = np.zeros((3, 3))
+    T[0, 0] = 1.0
+    binom = [[1], [1, 1], [1, 2, 1]]
+    for ur, vr in zip(u, v):
+        upow = [1.0, ur, ur * ur]
+        vpow = [1.0, vr, vr * vr]
+        new = np.zeros((3, 3))
+        for a in range(3):
+            for b in range(3):
+                acc = 0.0
+                for k in range(a + 1):
+                    for l in range(b + 1):
+                        ez = 1.0 if k + l == 0 else p
+                        acc += (
+                            binom[a][k] * binom[b][l] * upow[k] * vpow[l] * ez
+                            * T[a - k, b - l]
+                        )
+                new[a, b] = acc
+        T = new
+    return T
+
+
+def oracle_moment_table(graph, p, rows):
+    """(uni, {(i, j): T}) over the buyer support of each unit and the union
+    of supports of each overlapping pair, pairs in (i, j) order."""
+    supports = []
+    uni = np.empty((len(rows), 5))
+    for k, i in enumerate(rows):
+        idx, w = graph.row(int(i))
+        uni[k] = oracle_uni_moments(w, p)
+        supports.append(dict(zip(idx.tolist(), w.tolist())))
+    buyer_to_units = {}
+    for k, sup in enumerate(supports):
+        for b in sup:
+            buyer_to_units.setdefault(b, []).append(k)
+    overlapping = set()
+    for units in buyer_to_units.values():
+        for a, b in itertools.combinations(units, 2):
+            overlapping.add((a, b) if a < b else (b, a))
+    pairs = {}
+    for i, j in sorted(overlapping):
+        union = sorted(set(supports[i]) | set(supports[j]))
+        u = np.array([supports[i].get(b, 0.0) for b in union])
+        v = np.array([supports[j].get(b, 0.0) for b in union])
+        pairs[(i, j)] = oracle_pair_moments(u, v, p)
+    return uni, pairs
+
+
+def oracle_pair_weighting(T, mi, mj, vi, vj):
+    gs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    bs = [(1, 1), (1, 0), (0, 1), (0, 0)]
+    M = np.array([[T[g[0] + b[0], g[1] + b[1]] for b in bs] for g in gs])
+    denom = vi * vj
+    cov_ww = (T[1, 1] - mi * mj) / denom
+    cov_w_hw = (T[1, 2] - mj * T[1, 1] - mi * T[0, 2] + mi * mj * T[0, 1]) / denom
+    cov_hw_w = (T[2, 1] - mi * T[1, 1] - mj * T[2, 0] + mi * mj * T[1, 0]) / denom
+    cov_hw_hw = (T[2, 2] - mi * T[1, 2] - mj * T[2, 1] + mi * mj * T[1, 1]) / denom - 1.0
+    rhs = np.array([cov_ww, cov_w_hw, cov_hw_w, cov_hw_hw])
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    return sol
+
+
+def oracle_pairwise_variance(panel, uni, pairs, policy, eps_det=1e-12):
+    """The unit-by-unit, pair-by-pair moment-matching loop: (value,
+    n_pairs_evaluated, degenerate_pairs, degenerate_units)."""
+    n = panel.n
+    y, h = panel.y_in, panel.h
+    diag_vals = np.empty(n)
+    degenerate_units = []
+    for i in range(n):
+        (a, b, c), singular = diag_weighting(uni[i])
+        if singular:
+            degenerate_units.append(panel.seller_ids[i])
+            if policy == "strict":
+                raise DegeneratePairError(f"unit {panel.seller_ids[i]!r}")
+        diag_vals[i] = y[i] * y[i] * (a * h[i] * h[i] + b * h[i] + c)
+    total = float(np.sum(diag_vals))
+    unit_sd = np.sqrt(np.maximum(diag_vals, 0.0))
+    degenerate = []
+    evaluated = 0
+    for (i, j), T in pairs.items():
+        mi, mj = uni[i, 1], uni[j, 1]
+        vi = uni[i, 2] - mi * mi
+        vj = uni[j, 2] - mj * mj
+        cov = T[1, 1] - mi * mj
+        det = vi * vj - cov * cov
+        sol = oracle_pair_weighting(T, mi, mj, vi, vj) if det > eps_det else None
+        if sol is None:
+            pair_ids = (panel.seller_ids[i], panel.seller_ids[j])
+            degenerate.append(pair_ids)
+            if policy == "strict":
+                raise DegeneratePairError(f"degenerate exposure pair {pair_ids!r}")
+            if policy == "merge":
+                total += 2.0 * unit_sd[i] * unit_sd[j]
+            continue
+        a, b, c, d = sol
+        total += 2.0 * y[i] * y[j] * (a * h[i] * h[j] + b * h[i] + c * h[j] + d)
+        evaluated += 1
+    return total / (n * n), evaluated, degenerate, degenerate_units
+
+
+def random_degenerate_graph(rng, m, n):
+    """Random row-normalized graph in which some sellers have one buyer
+    (degenerate units) and some copy another seller's weighted edges
+    (degenerate pairs)."""
+    rows = []
+    for _ in range(n):
+        r = rng.random()
+        if rows and r < 0.15:
+            rows.append(rows[int(rng.integers(len(rows)))])
+            continue
+        d = 1 if r < 0.3 else int(rng.integers(2, 5))
+        cols = np.sort(rng.choice(m, size=d, replace=False))
+        raw = rng.random(d) + 0.2
+        rows.append((cols, raw / raw.sum()))
+    indptr = np.cumsum([0] + [len(c) for c, _ in rows])
+    return BipartiteGraph(
+        [f"b{i}" for i in range(m)],
+        [f"s{i}" for i in range(n)],
+        indptr,
+        np.concatenate([c for c, _ in rows]),
+        np.concatenate([w for _, w in rows]),
+    )
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_closed_form_table_and_variance_match_recursions(p):
+    """The cumulant table and the batched solve agree with the per-buyer
+    recursions and the pair-by-pair loop on 40 random graphs per p, with
+    panels over a shuffled strict subset of the sellers."""
+    seen_units = seen_pairs = 0
+    for seed in range(40):
+        rng = np.random.default_rng([int(p * 10), seed])
+        m, n = int(rng.integers(6, 16)), int(rng.integers(5, 14))
+        graph = random_degenerate_graph(rng, m, n)
+        rows = rng.permutation(n)[: int(rng.integers(3, n))]
+        table = exposure_moment_table(graph, p, rows)
+        uni, pairs = oracle_moment_table(graph, p, rows)
+        np.testing.assert_allclose(table.uni, uni, rtol=0, atol=1e-10)
+        assert list(zip(table.pair_i.tolist(), table.pair_j.tolist())) == list(pairs)
+        np.testing.assert_allclose(
+            table.pairs, np.array(list(pairs.values())).reshape(-1, 3, 3),
+            rtol=0, atol=1e-10,
+        )
+
+        h = (graph.matrix() @ (rng.random(m) < p).astype(float))[rows]
+        var_h = p * (1 - p) * graph.row_sumsq()[rows]
+        panel = make_panel(h, rng.normal(1.0, 2.0, len(rows)), p=p, var_h=var_h)
+        panel.seller_ids = [graph.sellers[r] for r in rows]
+        for policy in ("merge", "drop", "strict"):
+            try:
+                want = oracle_pairwise_variance(panel, uni, pairs, policy)
+            except DegeneratePairError as exc:
+                with pytest.raises(DegeneratePairError) as got:
+                    pairwise_variance(panel, table, policy=policy)
+                assert str(got.value).startswith(str(exc))
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                pv = pairwise_variance(panel, table, policy=policy)
+            value, evaluated, degenerate, degenerate_units = want
+            assert pv.value == pytest.approx(value, rel=1e-10, abs=1e-10)
+            assert pv.n_pairs_evaluated == evaluated
+            assert pv.degenerate_pairs == degenerate
+            assert pv.degenerate_units == degenerate_units
+        seen_units += bool(degenerate_units)
+        seen_pairs += bool(degenerate)
+    # the generator must exercise both degeneracies
+    assert seen_units >= 5 and seen_pairs >= 5

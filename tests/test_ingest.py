@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -27,8 +28,6 @@ def write_assignment_files(tmp_path, rows, variants):
         "buyer_id,variant\n" + "".join(f"{b},{v}\n" for b, v in rows)
     )
     design = tmp_path / "assignments.design.json"
-    import json
-
     design.write_text(json.dumps({"variants": variants}))
     return csv_path
 
@@ -157,6 +156,31 @@ class TestParseAssignments:
         ]
         path = write_assignment_files(tmp_path, rows, variants)
         with pytest.raises(IngestError, match="sum"):
+            parse_assignments(path)
+
+    @pytest.mark.parametrize(
+        "design, message",
+        [
+            ({"variants": [{"probability": 0.5, "control": True}]}, "no label"),
+            ({"variants": [{"label": "Off", "control": True}]}, "no probability"),
+            ({"variants": [{"control": True}]}, "no label or probability"),
+            ({"variants": ["Off", "On"]}, "not an object"),
+            ({"variants": [["Off", 0.5]]}, "not an object"),
+            ({"variants": "Off,On"}, "'variants' list"),
+            ({"variants": {"label": "Off"}}, "'variants' list"),
+            ({"variants": None}, "'variants' list"),
+            (["Off", "On"], "'variants' list"),
+            ({"variants": [{"label": "Off", "probability": "half"}]}, "non-numeric"),
+            ({"variants": [{"label": "Off", "probability": None}]}, "non-numeric"),
+            ({"variants": [{"label": "Off", "probability": [0.5]}]}, "non-numeric"),
+            ({"variants": [{"label": "On", "probability": 0.5, "control": "false"}]},
+             "non-boolean control"),
+        ],
+    )
+    def test_malformed_design_is_ingest_error(self, tmp_path, design, message):
+        path = write_assignment_files(tmp_path, [("b1", "Off")], [])
+        (tmp_path / "assignments.design.json").write_text(json.dumps(design))
+        with pytest.raises(IngestError, match=message):
             parse_assignments(path)
 
     def test_exactly_one_control(self):
