@@ -201,6 +201,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                                     "pairwise variance applies to the erl estimator only"
                                 )
                             if moments is None:
+                                inference.check_pairwise_size(panel.n)
                                 moments = inference.exposure_moment_table(
                                     g, panel.p, panel.graph_rows
                                 )

@@ -15,27 +15,42 @@ Three methods:
   solved as batched 3x3 and 4x4 systems. An n_max limit guards the
   quadratic worst case, in which every pair of units overlaps.
 
+The resampling methods evaluate a memory-bounded block of replicates at
+once. A bootstrap block is a count matrix C (replicates x units) built
+from the drawn row indices, and each estimator becomes weighted
+sufficient statistics over C's rows: ERL is C (y W) / n, REG and REG_PRE
+are centred 1x1 and 2x2 solves, CR-ERL fits lambda from weighted
+moments. A randomization block stacks the assignment draws Z and takes
+H = W Z. A least-squares replicate near the rank tolerance of the
+estimator's pivoted QR, or a CR-ERL replicate near its variance floor, is
+recomputed by the estimator itself, so failures count and raise as they
+would replicate by replicate.
+
 All methods are pure functions of (inputs, seed, replications): each
-replicate derives its generator from (seed, replicate index).
+replicate draws from its own generator, the replicate-th SeedSequence
+child of the seed, in the same order whatever the block size.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.stats import norm
 
+# crerl_estimate is not called here; perfbench's tracer wraps it under this
+# module's name, so it stays importable from inference.
 from .estimators import (
+    EPS_COVARIATE_VAR,
     ESTIMATOR_IDS,
     EstimationError,
     PointEstimate,
-    crerl_estimate,
+    crerl_estimate,  # noqa: F401
     point_estimate,
 )
-from .exposure import ExposurePanel, assemble_panel, effective_treatment_prob
+from .exposure import ExposurePanel, assemble_panel
 from .graph import BipartiteGraph
 from .ingest import AssignmentTable, OutcomeTable
 
@@ -44,6 +59,17 @@ DEFAULT_REPLICATIONS = 1000
 PAIRWISE_N_MAX = 5000
 EPS_DET = 1e-12
 COND_MAX = 1e12
+EPS_MACH = float(np.finfo(float).eps)
+# A block of resampling replicates holds as many as fit this many bytes of
+# float64 rows, one per replicate and as wide as the panel (bootstrap) or
+# the buyer set (randomization); the kernels keep a few such arrays alive.
+BLOCK_BYTES = 1 << 17
+# A least-squares replicate is handed to the estimator itself when its
+# design is within this factor of the pivoted-QR rank tolerance ...
+QR_MARGIN = 1e6
+# ... or when h and y_pre are so nearly collinear within it that the 2x2
+# centred solve would lose more than ~eps / GRAM_REL of its precision.
+GRAM_REL = 1e-4
 
 
 class InferenceError(ValueError):
@@ -83,11 +109,14 @@ class IntervalEstimate:
         return self.ci_high - self.ci_low
 
 
-def _replicate_rngs(seed: int, replications: int):
-    return [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(replications)
-    ]
+def _replicate_blocks(seed: int, replications: int, width: int):
+    """(start, generators) for consecutive blocks of replicates. Replicate r
+    always draws from the r-th SeedSequence child of `seed`; a block holds
+    as many replicates as fit BLOCK_BYTES of float64 rows of `width`."""
+    children = np.random.SeedSequence(seed).spawn(replications)
+    size = max(1, BLOCK_BYTES // (8 * width))
+    for start in range(0, replications, size):
+        yield start, [np.random.default_rng(c) for c in children[start : start + size]]
 
 
 def _validate_common(estimator_id: str, replications: int, level: float):
@@ -101,6 +130,85 @@ def _validate_common(estimator_id: str, replications: int, level: float):
         raise InferenceError(f"level {level} outside (0,1)")
 
 
+def _replicate_taus(panel, estimator_id, c, h, lam=None):
+    """The estimator on many replicates at once, as weighted sufficient
+    statistics of the panel's units.
+
+    Row k of `c` (replicates x units, or 1 x units for unit weights)
+    weights the units of replicate k, whose exposures are `h` (units, or
+    replicates x units); every row of weights sums to n. CR-ERL fits lambda
+    per replicate unless `lam` is given. Returns (tau, exact, lam0): `exact`
+    marks the replicates too close to one of the estimator's decision
+    boundaries (the pivoted-QR rank test, the CR-ERL variance floor) to be
+    settled from these sums, and `lam0` those where CR-ERL falls back to
+    lambda = 0.
+    """
+    n = panel.n
+    y, f = panel.y_in, panel.y_pre
+    rows = np.broadcast_shapes(c.shape, h.shape)[0]
+    exact = np.zeros(rows, dtype=bool)
+    lam0 = np.zeros(rows, dtype=bool)
+
+    def mean(x):
+        return (c * x).sum(axis=-1) / n
+
+    def centred(x):
+        d = x - mean(x)[:, None]
+        return d, c * d
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if estimator_id in ("erl", "crerl"):
+            w = (h - panel.e_h) / panel.var_h
+            a = y * w
+            tau = mean(a)
+            if estimator_id == "erl":
+                return tau, exact, lam0
+            b = f * w
+            mb = mean(b)
+            if lam is None:
+                da = a - tau[:, None]
+                db, cdb = centred(b)
+                s_bb = (cdb * db).sum(axis=-1)
+                var_b = s_bb / (n - 1) if n > 1 else np.zeros(rows)
+                lam0 = var_b < EPS_COVARIATE_VAR
+                lam = np.where(lam0, 0.0, (cdb * da).sum(axis=-1) / s_bb)
+                # near the floor, rounding could put np.var on the other side
+                slack = 0.5 * EPS_COVARIATE_VAR + 64 * EPS_MACH * np.abs(b).max() * (
+                    np.sqrt(var_b) + np.sqrt(EPS_COVARIATE_VAR)
+                )
+                exact = np.abs(var_b - EPS_COVARIATE_VAR) <= slack
+            return tau - lam * mb, exact, lam0
+
+        # OLS of y on [1, h (, y_pre)], centred: the exposure slope solves the
+        # 1x1 or 2x2 system of centred cross products
+        dh, cdh = centred(h)
+        s_hh = (cdh * dh).sum(axis=-1)
+        s_hy = cdh @ y
+        norms = [np.full(rows, float(n)), n * mean(h) ** 2 + s_hh]
+        if estimator_id == "reg":
+            tau = s_hy / s_hh
+            det = s_hh
+            accurate = True
+        else:
+            df, cdf = centred(f)
+            s_ff = (cdf * df).sum(axis=-1)
+            s_hf = (cdh * df).sum(axis=-1)
+            det = s_hh * s_ff - s_hf**2
+            tau = (s_ff * s_hy - s_hf * (cdf @ y)) / det
+            norms.append(n * mean(f) ** 2 + s_ff)
+            # h and y_pre all but collinear: the 2x2 solve would lose digits
+            accurate = det > GRAM_REL * s_hh * s_ff
+        # Pivoted QR takes |r_11| = the largest column norm, its |r_jj| do
+        # not increase, and prod r_jj^2 = det(X'X) = n * det. With q_j the
+        # sorted squared column norms the last |r_kk|^2 is at least
+        # n * det / (q_1 ... q_{k-1}); the rank test fails at
+        # |r_kk| <= sqrt(q_1) * n * eps.
+        q = np.sort(np.vstack(np.broadcast_arrays(*norms)), axis=0)[::-1]
+        bound = (QR_MARGIN * n * EPS_MACH) ** 2 * q[0] * np.prod(q[:-1], axis=0)
+        exact = ~(accurate & (n * det > bound))
+        return tau, exact, lam0
+
+
 def bootstrap_ci(
     panel: ExposurePanel,
     estimator_id: str,
@@ -110,24 +218,43 @@ def bootstrap_ci(
 ) -> IntervalEstimate:
     """Percentile bootstrap resampling outcome units with replacement.
 
-    Each replicate redraws n panel rows and recomputes the estimator;
-    estimator failures in more than 1% of replicates abort the interval.
+    Each replicate redraws n panel rows; a block of replicates becomes a
+    count matrix and the estimator is evaluated on its rows as weights.
+    Estimator failures in more than 1% of replicates abort the interval.
     """
     _validate_common(estimator_id, replications, level)
     point = point_estimate(panel, estimator_id)
     n = panel.n
     taus = np.empty(replications)
-    failures = 0
-    for r, rng in enumerate(_replicate_rngs(seed, replications)):
-        idx = rng.integers(0, n, n)
-        try:
-            taus[r] = point_estimate(panel.subset(idx), estimator_id).tau_hat
-        except (EstimationError, ValueError):
-            taus[r] = np.nan
-            failures += 1
+    failures = lam0_count = 0
+    for start, rngs in _replicate_blocks(seed, replications, n):
+        idx = np.stack([rng.integers(0, n, n) for rng in rngs])
+        offsets = n * np.arange(len(rngs))[:, None]
+        counts = np.bincount((idx + offsets).ravel(), minlength=idx.size)
+        tau, exact, lam0 = _replicate_taus(
+            panel, estimator_id, counts.reshape(idx.shape).astype(np.float64), panel.h
+        )
+        for k in np.flatnonzero(exact):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    tau[k] = point_estimate(panel.subset(idx[k]), estimator_id).tau_hat
+                except (EstimationError, ValueError):
+                    tau[k] = np.nan
+                    failures += 1
+            lam0[k] = estimator_id == "crerl" and bool(caught)
+        taus[start : start + len(rngs)] = tau
+        lam0_count += int(lam0.sum())
     if failures > 0.01 * replications:
         raise BootstrapFailureError(
             f"estimator failed in {failures}/{replications} bootstrap replicates"
+        )
+    if lam0_count:
+        warnings.warn(
+            f"covariate term has (near) zero variance in {lam0_count}/"
+            f"{replications} bootstrap replicates; those use lambda = 0 "
+            "(plain ERL)",
+            stacklevel=2,
         )
     good = taus[~np.isnan(taus)]
     alpha = 1.0 - level
@@ -157,10 +284,11 @@ def randomization_ci(
 ) -> IntervalEstimate:
     """Monte Carlo randomization interval.
 
-    Fresh assignment vectors are drawn from the declared design, the
-    exposures recomputed per draw, and the estimator re-evaluated with the
-    realized outcomes held fixed; the sd of these draws yields a symmetric
-    normal-quantile interval around the point estimate.
+    Fresh assignment vectors are drawn from the declared design and the
+    estimator is re-evaluated on the exposures H = W Z of a block of draws
+    at once, with the realized outcomes (and CR-ERL's fitted lambda) held
+    fixed; the sd of these draws yields a symmetric normal-quantile
+    interval around the point estimate.
     """
     _validate_common(estimator_id, replications, level)
     if treatment is None:
@@ -177,31 +305,20 @@ def randomization_ci(
         allow_missing_outcomes=allow_missing_outcomes,
     )
     point = point_estimate(panel, estimator_id)
-    p = effective_treatment_prob(assignments, treatment, control)
-    matrix = graph.matrix()
+    W = graph.matrix()[panel.graph_rows]
     m = graph.n_buyers
-    rows = panel.graph_rows
+    unit = np.ones((1, panel.n))
     taus = np.empty(replications)
-    lam = point.lam
-    for r, rng in enumerate(_replicate_rngs(seed, replications)):
-        z = (rng.random(m) < p).astype(np.float64)
-        h = (matrix @ z)[rows]
-        draw = ExposurePanel(
-            seller_ids=panel.seller_ids,
-            h=h,
-            e_h=panel.e_h,
-            var_h=panel.var_h,
-            y_in=panel.y_in,
-            y_pre=panel.y_pre,
-            p=panel.p,
-            graph_rows=rows,
-            treatment=panel.treatment,
-            control=panel.control,
-        )
-        if estimator_id == "crerl":
-            taus[r] = crerl_estimate(draw, lam=lam).tau_hat
-        else:
-            taus[r] = point_estimate(draw, estimator_id).tau_hat
+    for start, rngs in _replicate_blocks(seed, replications, m):
+        Z = np.empty((len(rngs), m))
+        for k, rng in enumerate(rngs):
+            Z[k] = rng.random(m) < panel.p
+        H = (W @ Z.T).T
+        tau, exact, _ = _replicate_taus(panel, estimator_id, unit, H, lam=point.lam)
+        for k in np.flatnonzero(exact):
+            draw = replace(panel, h=H[k])
+            tau[k] = point_estimate(draw, estimator_id).tau_hat
+        taus[start : start + len(rngs)] = tau
     sd = float(np.std(taus, ddof=1))
     z_crit = float(norm.ppf(0.5 + level / 2.0))
     return IntervalEstimate(
@@ -361,6 +478,18 @@ def _pair_system(T, mi, mj, vi, vj) -> tuple[np.ndarray, np.ndarray]:
     return M, rhs
 
 
+def check_pairwise_size(n: int, n_max: int | None = None, force: bool = False):
+    """Refuse a pairwise variance over more than `n_max` units (default
+    PAIRWISE_N_MAX) unless forced; call it before building the moment
+    table, whose size is quadratic in the worst case."""
+    n_max = PAIRWISE_N_MAX if n_max is None else n_max
+    if n > n_max and not force:
+        raise PairwiseSizeError(
+            f"n={n} exceeds n_max={n_max}; the pairwise estimator is O(n^2), "
+            "use bootstrap_ci instead (or pass force=True)"
+        )
+
+
 @dataclass
 class PairwiseVariance:
     value: float
@@ -376,7 +505,7 @@ def pairwise_variance(
     joint_moments: JointMomentTable,
     policy: str = "merge",
     eps_det: float = EPS_DET,
-    n_max: int = PAIRWISE_N_MAX,
+    n_max: int | None = None,
     force: bool = False,
 ) -> PairwiseVariance:
     """Design-based variance estimate via pair-level moment matching.
@@ -387,17 +516,13 @@ def pairwise_variance(
     singular — e.g. two sellers with identically weighted edges — are
     flagged and handled per `policy`: 'merge' adds a conservative
     product-of-sds upper bound, 'drop' zeroes them with a warning, 'strict'
-    raises. The quadratic worst case is guarded by `n_max` (use the
-    bootstrap beyond it).
+    raises. The quadratic worst case is guarded by `n_max` (default
+    PAIRWISE_N_MAX; use the bootstrap beyond it).
     """
     if policy not in ("merge", "drop", "strict"):
         raise InferenceError(f"unknown degeneracy policy {policy!r}")
     n = panel.n
-    if n > n_max and not force:
-        raise PairwiseSizeError(
-            f"n={n} exceeds n_max={n_max}; the pairwise estimator is O(n^2), "
-            "use bootstrap_ci instead (or pass force=True)"
-        )
+    check_pairwise_size(n, n_max, force)
     uni = joint_moments.uni
     if uni.shape[0] != n:
         raise InferenceError("moment table does not match panel size")

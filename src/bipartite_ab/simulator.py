@@ -434,41 +434,77 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     }
 
 
+def _field(payload: dict, key: str, cast, default=None, where: str = "config"):
+    """payload[key] converted by `cast`; a missing key without a default or
+    a value `cast` rejects is a SimulationError."""
+    if key not in payload:
+        if default is None:
+            raise SimulationError(f"{where} is missing {key!r}")
+        return default
+    try:
+        return cast(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(f"{where} field {key!r}: {exc}") from None
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    """A two-number list such as [mean, sd] as a pair of floats."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise SimulationError(f"config field {key!r} must be a list of two numbers")
+    try:
+        return float(value[0]), float(value[1])
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(f"config field {key!r}: {exc}") from None
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SimulationError(f"{where} must be a JSON object")
+    return value
+
+
 def sim_config_from_dict(payload: dict) -> SimConfig:
-    degree_raw = payload.get("degree", {"kind": "fixed", "k": 3})
-    if degree_raw["kind"] == "fixed":
-        degree = FixedDegree(int(degree_raw["k"]))
-    elif degree_raw["kind"] == "zipf":
-        degree = ZipfDegree(float(degree_raw["s"]), int(degree_raw["k_max"]))
+    payload = _object(payload, "simulation config")
+    degree_raw = _object(payload.get("degree", {"kind": "fixed", "k": 3}), "degree")
+    kind = degree_raw.get("kind")
+    if kind == "fixed":
+        degree = FixedDegree(_field(degree_raw, "k", int, where="degree"))
+    elif kind == "zipf":
+        degree = ZipfDegree(
+            _field(degree_raw, "s", float, where="degree"),
+            _field(degree_raw, "k_max", int, where="degree"),
+        )
     else:
-        raise SimulationError(f"unknown degree kind {degree_raw['kind']!r}")
+        raise SimulationError(f"unknown degree kind {kind!r}")
     violation = None
     v_raw = payload.get("violation")
     if v_raw is not None:
-        if v_raw["kind"] == "quadratic":
-            violation = ("quadratic", float(v_raw["gamma"]))
-        elif v_raw["kind"] == "threshold":
-            violation = ("threshold", float(v_raw["t"]))
+        v_raw = _object(v_raw, "violation")
+        kind = v_raw.get("kind")
+        if kind == "quadratic":
+            violation = ("quadratic", _field(v_raw, "gamma", float, where="violation"))
+        elif kind == "threshold":
+            violation = ("threshold", _field(v_raw, "t", float, where="violation"))
         else:
-            raise SimulationError(f"unknown violation kind {v_raw['kind']!r}")
-    alpha = payload.get("alpha", [0.0, 1.0])
-    beta = payload.get("beta", [1.0, 0.25])
+            raise SimulationError(f"unknown violation kind {kind!r}")
+    alpha_mean, alpha_sd = _pair(payload.get("alpha", (0.0, 1.0)), "alpha")
+    beta_mean, beta_sd = _pair(payload.get("beta", (1.0, 0.25)), "beta")
     fav = payload.get("favorite_rates")
     return SimConfig(
-        m=int(payload["m"]),
-        n=int(payload["n"]),
+        m=_field(payload, "m", int),
+        n=_field(payload, "n", int),
         degree=degree,
-        p_treat=float(payload.get("p_treat", 0.5)),
-        alpha_mean=float(alpha[0]),
-        alpha_sd=float(alpha[1]),
-        beta_mean=float(beta[0]),
-        beta_sd=float(beta[1]),
-        noise_sd=float(payload.get("noise_sd", 1.0)),
+        p_treat=_field(payload, "p_treat", float, 0.5),
+        alpha_mean=alpha_mean,
+        alpha_sd=alpha_sd,
+        beta_mean=beta_mean,
+        beta_sd=beta_sd,
+        noise_sd=_field(payload, "noise_sd", float, 1.0),
         noise_mode=payload.get("noise_mode", "homoskedastic"),
-        pre_corr=float(payload.get("pre_corr", 0.5)),
+        pre_corr=_field(payload, "pre_corr", float, 0.5),
         violation=violation,
-        favorite_rates=tuple(fav) if fav else None,
-        seed=int(payload.get("seed", 0)),
+        favorite_rates=_pair(fav, "favorite_rates") if fav else None,
+        seed=_field(payload, "seed", int, 0),
     )
 
 

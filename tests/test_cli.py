@@ -126,6 +126,25 @@ class TestAnalyze:
         statuses = {e["estimator"]: e["status"] for e in load_report(out)["entries"]}
         assert statuses == {"erl": "ok", "reg": "error"}
 
+    def test_pairwise_size_checked_before_moment_table(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        from bipartite_ab import inference
+
+        def table_must_not_be_built(*args, **kwargs):
+            raise AssertionError("moment table built for an over-size panel")
+
+        monkeypatch.setattr(inference, "PAIRWISE_N_MAX", 5)
+        monkeypatch.setattr(inference, "exposure_moment_table", table_must_not_be_built)
+        out = tmp_path / "out"
+        code = main(analyze_args(
+            sim_dir, out, "--estimators", "erl", "--methods", "pairwise"
+        ))
+        assert code == 1
+        entry = load_report(out)["entries"][0]
+        assert entry["status"] == "error"
+        assert "exceeds n_max=5" in entry["error"]
+
     def test_unknown_estimator_is_usage_error(self, sim_dir, tmp_path, capsys):
         code = main(analyze_args(
             sim_dir, tmp_path / "out", "--estimators", "wat"
@@ -206,6 +225,17 @@ class TestValidateCommand:
         assert "coverage" in printed
         lines = (out / "validation.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 estimator rows
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_malformed_config_is_error(self, tmp_path, capsys, command):
+        config_path = tmp_path / "config.json"
+        for payload in ([], {"n": 10}, {"m": 10, "n": 5, "degree": {"kind": "fixed"}}):
+            config_path.write_text(json.dumps(payload))
+            code = main([command, "--config", str(config_path),
+                         "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_validate_requires_estimators(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,11 +1,23 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from bipartite_ab.estimators import erl_estimate
-from bipartite_ab.exposure import assemble_panel
+from scipy.stats import norm
+
+from bipartite_ab import inference
+from bipartite_ab.estimators import (
+    EPS_COVARIATE_VAR,
+    CollinearDesignError,
+    EstimationError,
+    crerl_estimate,
+    erl_estimate,
+    exposure_weights,
+    point_estimate,
+)
+from bipartite_ab.exposure import ExposurePanel, assemble_panel, effective_treatment_prob
 from bipartite_ab.graph import BipartiteGraph
 from bipartite_ab.inference import (
     BootstrapFailureError,
@@ -21,6 +33,7 @@ from bipartite_ab.ingest import OutcomeTable
 from bipartite_ab.simulator import (
     FixedDegree,
     SimConfig,
+    ZipfDegree,
     experiment_panel,
     simulate_experiment,
 )
@@ -33,7 +46,7 @@ from conftest import (
     two_variant_assignments,
     unit_variance_terms,
 )
-from test_estimators import make_panel
+from test_estimators import make_panel, simulated_panel
 
 
 class TestBootstrap:
@@ -468,3 +481,211 @@ def test_closed_form_table_and_variance_match_recursions(p):
         seen_pairs += bool(degenerate)
     # the generator must exercise both degeneracies
     assert seen_units >= 5 and seen_pairs >= 5
+
+
+# --- per-replicate oracles for the batched bootstrap and randomization ----
+
+
+def oracle_rngs(seed, replications):
+    return [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(replications)
+    ]
+
+
+def oracle_bootstrap_ci(panel, estimator_id, replications, seed, level=0.95):
+    """The copied-panel bootstrap: (ci_low, ci_high, failures)."""
+    point_estimate(panel, estimator_id)
+    n = panel.n
+    taus = np.empty(replications)
+    failures = 0
+    for r, rng in enumerate(oracle_rngs(seed, replications)):
+        idx = rng.integers(0, n, n)
+        try:
+            taus[r] = point_estimate(panel.subset(idx), estimator_id).tau_hat
+        except (EstimationError, ValueError):
+            taus[r] = np.nan
+            failures += 1
+    if failures > 0.01 * replications:
+        raise BootstrapFailureError(
+            f"estimator failed in {failures}/{replications} bootstrap replicates"
+        )
+    good = taus[~np.isnan(taus)]
+    alpha = 1.0 - level
+    lo, hi = np.quantile(good, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return float(lo), float(hi), failures
+
+
+def oracle_randomization_ci(graph, assignments, outcomes, estimator_id,
+                            replications, seed, level=0.95):
+    """The per-draw randomization loop: (ci_low, ci_high)."""
+    treatment = "On"
+    panel, _ = assemble_panel(graph, assignments, outcomes, treatment)
+    point = point_estimate(panel, estimator_id)
+    p = effective_treatment_prob(assignments, treatment)
+    matrix = graph.matrix()
+    taus = np.empty(replications)
+    for r, rng in enumerate(oracle_rngs(seed, replications)):
+        z = (rng.random(graph.n_buyers) < p).astype(np.float64)
+        draw = ExposurePanel(
+            seller_ids=panel.seller_ids, h=(matrix @ z)[panel.graph_rows],
+            e_h=panel.e_h, var_h=panel.var_h, y_in=panel.y_in, y_pre=panel.y_pre,
+            p=panel.p, graph_rows=panel.graph_rows, treatment=panel.treatment,
+        )
+        if estimator_id == "crerl":
+            taus[r] = crerl_estimate(draw, lam=point.lam).tau_hat
+        else:
+            taus[r] = point_estimate(draw, estimator_id).tau_hat
+    sd = float(np.std(taus, ddof=1))
+    z_crit = float(norm.ppf(0.5 + level / 2.0))
+    return point.tau_hat - z_crit * sd, point.tau_hat + z_crit * sd
+
+
+def outcome_or_error(fn, *args, **kwargs):
+    """(fn's result, or the type and message of the EstimationError or
+    InferenceError it raised; the CR-ERL lambda = 0 warnings it gave)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args, **kwargs)
+        except (EstimationError, InferenceError) as exc:
+            out = type(exc), str(exc)
+    return out, [str(w.message) for w in caught if "lambda = 0" in str(w.message)]
+
+
+def lambda0_replicates(messages):
+    """Replicates that fell back to lambda = 0, from the interval's warning."""
+    counts = re.findall(r"in (\d+)/\d+ bootstrap replicates", " ".join(messages))
+    return sum(int(c) for c in counts)
+
+
+def counting_point_estimate(monkeypatch):
+    """Patch the point_estimate that inference calls to count the calls
+    that raised; returns the counter."""
+    failed = [0]
+
+    def counted(panel, estimator_id):
+        try:
+            return point_estimate(panel, estimator_id)
+        except (EstimationError, ValueError):
+            failed[0] += 1
+            raise
+
+    monkeypatch.setattr(inference, "point_estimate", counted)
+    return failed
+
+
+def differential_panels():
+    """52 seeded panels from 3 to 150 units: the n = 3 panel of
+    test_failure_tally, a y_pre = 0 panel (CR-ERL falls back to lambda = 0,
+    REG_PRE is collinear), a panel whose CR-ERL covariate variance sits at
+    the lambda = 0 floor, a panel with tied exposures, and random panels,
+    small ones drawing degenerate replicates."""
+    yield 3, make_panel([0.1, 0.5, 0.9], [1.0, 2.0, 3.0], y_pre=[0.5, 0.1, 0.7]), 300
+    rng = np.random.default_rng(2024)
+    panel, *_ = simulated_panel(rng, m=60, n=40)
+    panel.y_pre = np.zeros(40)
+    yield 40, panel, 211
+    panel, *_ = simulated_panel(rng, m=60, n=40)
+    b = panel.y_pre * exposure_weights(panel)
+    panel.y_pre = panel.y_pre * np.sqrt(1.5 * EPS_COVARIATE_VAR / np.var(b, ddof=1))
+    yield 40, panel, 223
+    h = np.repeat([0.2, 0.4, 0.6, 0.8], 5)
+    yield 20, make_panel(h, rng.normal(size=20), y_pre=rng.normal(size=20)), 250
+    for seed in range(48):
+        rng = np.random.default_rng([7, seed])
+        n = int(rng.choice([4, 5, 6, 8, 12, 30, 60, 90, 150]))
+        panel, *_ = simulated_panel(rng, m=max(2 * n, 8), n=n)
+        yield n, panel, 200 + 23 * (seed % 3)
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "reg", "reg_pre", "crerl"])
+def test_batched_bootstrap_matches_per_replicate_loop(estimator_id, monkeypatch):
+    failed = counting_point_estimate(monkeypatch)
+    partial_blocks = 0
+    for k, (n, panel, reps) in enumerate(differential_panels()):
+        block = inference.BLOCK_BYTES // (8 * n)
+        partial_blocks += reps > block and reps % block != 0
+        want, want_warned = outcome_or_error(
+            oracle_bootstrap_ci, panel, estimator_id, reps, seed=k
+        )
+        failed[0] = 0
+        got, got_warned = outcome_or_error(bootstrap_ci, panel, estimator_id, reps, seed=k)
+        if isinstance(want[0], type):
+            assert got == want, (k, n)
+            continue
+        assert isinstance(got, inference.IntervalEstimate), (k, n, got)
+        assert got.ci_low == pytest.approx(want[0], rel=1e-10, abs=1e-10), (k, n)
+        assert got.ci_high == pytest.approx(want[1], rel=1e-10, abs=1e-10), (k, n)
+        assert failed[0] == want[2], (k, n)
+        _, point_warned = outcome_or_error(point_estimate, panel, estimator_id)
+        assert lambda0_replicates(got_warned) == len(want_warned) - len(point_warned)
+    assert partial_blocks >= 5
+
+
+def test_batched_bootstrap_failure_paths():
+    # the tally and its message, and one CR-ERL warning per interval
+    panel = make_panel(np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
+    want, _ = outcome_or_error(oracle_bootstrap_ci, panel, "reg", 300, seed=0)
+    assert want[0] is BootstrapFailureError
+    with pytest.raises(BootstrapFailureError) as got:
+        bootstrap_ci(panel, "reg", replications=300, seed=0)
+    assert str(got.value) == want[1]
+
+    rng = np.random.default_rng(5)
+    panel, *_ = simulated_panel(rng, m=60, n=40)
+    panel.y_pre = np.zeros(40)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bootstrap_ci(panel, "crerl", replications=250, seed=1)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2  # the point estimate's, then the interval's
+    assert "in 250/250 bootstrap replicates" in messages[1]
+
+
+def differential_experiments():
+    """52 small seeded experiments with fixed and Zipf degrees."""
+    for seed in range(52):
+        rng = np.random.default_rng([11, seed])
+        m = int(rng.integers(30, 300))
+        degree = (
+            ZipfDegree(2.0, 8) if seed % 3 == 0 else FixedDegree(int(rng.integers(1, 5)))
+        )
+        config = SimConfig(
+            m=m, n=int(rng.integers(10, 90)), degree=degree,
+            pre_corr=float(rng.random()), seed=seed,
+        )
+        yield m, simulate_experiment(config), 200 + 13 * (seed % 4)
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "reg", "reg_pre", "crerl"])
+def test_batched_randomization_matches_per_draw_loop(estimator_id):
+    partial_blocks = 0
+    for k, (m, exp, reps) in enumerate(differential_experiments()):
+        block = inference.BLOCK_BYTES // (8 * m)
+        partial_blocks += reps > block and reps % block != 0
+        args = (exp.graph, exp.assignments, exp.outcomes, estimator_id, reps)
+        want, _ = outcome_or_error(oracle_randomization_ci, *args, seed=k)
+        got, _ = outcome_or_error(randomization_ci, *args, seed=k)
+        if isinstance(want[0], type):
+            assert got == want, k
+            continue
+        assert isinstance(got, inference.IntervalEstimate), (k, got)
+        assert got.ci_low == pytest.approx(want[0], rel=1e-10, abs=1e-10), k
+        assert got.ci_high == pytest.approx(want[1], rel=1e-10, abs=1e-10), k
+    assert partial_blocks >= 20
+
+
+@pytest.mark.parametrize("estimator_id", ["reg", "reg_pre"])
+def test_batched_randomization_raises_on_collinear_draw(estimator_id):
+    # four single-buyer sellers: one draw in eight gives constant h
+    buyers, sellers = ["b0", "b1", "b2", "b3"], ["s0", "s1", "s2", "s3"]
+    graph = BipartiteGraph(buyers, sellers, [0, 1, 2, 3, 4], [0, 1, 2, 3], [1.0] * 4)
+    assignments = two_variant_assignments(["b0", "b1"], ["b2", "b3"])
+    outcomes = OutcomeTable(
+        {s: (float(i), 0.3 * i * i) for i, s in enumerate(sellers)}, has_pre=True
+    )
+    args = (graph, assignments, outcomes, estimator_id, 200)
+    want = outcome_or_error(oracle_randomization_ci, *args, seed=0)
+    assert want[0][0] is CollinearDesignError
+    assert outcome_or_error(randomization_ci, *args, seed=0) == want

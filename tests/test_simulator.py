@@ -108,6 +108,36 @@ class TestSimulateExperiment:
         with pytest.raises(SimulationError):
             SimConfig(m=10, n=10, violation=("cubic", 1.0))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            "config",
+            {"n": 10},
+            {"m": 10},
+            {"m": None, "n": 10},
+            {"m": "ten", "n": 10},
+            {"m": 10, "n": 10, "degree": 3},
+            {"m": 10, "n": 10, "degree": {"kind": "fixed"}},
+            {"m": 10, "n": 10, "degree": {"k": 3}},
+            {"m": 10, "n": 10, "degree": {"kind": "zipf", "s": 2.0}},
+            {"m": 10, "n": 10, "degree": {"kind": "zipf", "k_max": 5}},
+            {"m": 10, "n": 10, "violation": {"kind": "quadratic"}},
+            {"m": 10, "n": 10, "violation": {"kind": "threshold"}},
+            {"m": 10, "n": 10, "violation": {"gamma": 0.3}},
+            {"m": 10, "n": 10, "violation": "quadratic"},
+            {"m": 10, "n": 10, "alpha": 1.0},
+            {"m": 10, "n": 10, "alpha": [0.0]},
+            {"m": 10, "n": 10, "beta": [1.0, 0.25, 3.0]},
+            {"m": 10, "n": 10, "beta": ["one", 0.25]},
+            {"m": 10, "n": 10, "favorite_rates": [0.1]},
+            {"m": 10, "n": 10, "p_treat": None},
+        ],
+    )
+    def test_malformed_config_dict_rejected(self, payload):
+        with pytest.raises(SimulationError):
+            sim_config_from_dict(payload)
+
     def test_config_json_round_trip(self):
         config = SimConfig(
             m=10, n=5, degree=ZipfDegree(1.8, 30), violation=("quadratic", 0.4),
