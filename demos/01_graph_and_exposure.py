@@ -14,20 +14,23 @@ from bipartite_ab.exposure import (
     realized_exposure,
 )
 from bipartite_ab.graph import GraphBuildConfig, build_graph, graph_stats
-from bipartite_ab.ingest import AssignmentTable, InteractionEvent, OutcomeTable, Variant
+from bipartite_ab.ingest import AssignmentTable, EventLog, OutcomeTable, Variant
 
 rng = np.random.default_rng(7)
 
 # a tiny marketplace: 40 buyers browse 12 shops, heavier buyers browse more
+# events are integer-coded columns: codes into the buyer, seller and kind lists
 buyers = [f"buyer{i:02d}" for i in range(40)]
 sellers = [f"shop{j:02d}" for j in range(12)]
-events = []
-ts = 0
-for b_idx, buyer in enumerate(buyers):
+buyer_codes, seller_codes = [], []
+for b_idx in range(len(buyers)):
     n_views = 1 + rng.poisson(2)
-    for seller in rng.choice(sellers, size=n_views):
-        events.append(InteractionEvent(buyer, str(seller), "view", ts))
-        ts += 1
+    buyer_codes += [b_idx] * n_views
+    seller_codes += rng.choice(len(sellers), size=n_views).tolist()
+events = EventLog.from_codes(
+    buyers, sellers, ["view"], buyer_codes, seller_codes,
+    np.zeros(len(buyer_codes), dtype=np.int64), np.arange(len(buyer_codes)),
+)
 
 assignments = AssignmentTable(
     {b: ("On" if rng.random() < 0.5 else "Off") for b in buyers},

@@ -32,13 +32,11 @@ rows = []
 rows.append(("erl + bootstrap",
              bootstrap_ci(panel, "erl", replications=2000, seed=1)))
 rows.append(("erl + randomization",
-             randomization_ci(exp.graph, exp.assignments, exp.outcomes, "erl",
-                              replications=2000, seed=1)))
+             randomization_ci(panel, exp.graph, "erl", replications=2000, seed=1)))
 moments = exposure_moment_table(exp.graph, panel.p, panel.graph_rows)
 rows.append(("erl + pairwise", pairwise_variance_ci(panel, moments)))
 rows.append(("crerl + randomization",
-             randomization_ci(exp.graph, exp.assignments, exp.outcomes, "crerl",
-                              replications=2000, seed=1)))
+             randomization_ci(panel, exp.graph, "crerl", replications=2000, seed=1)))
 
 print(f"{'method':<24} {'tau_hat':>8} {'95% CI':>20} {'width':>8}")
 for name, ci in rows:

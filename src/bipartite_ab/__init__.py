@@ -11,7 +11,7 @@ simulator for bias/coverage validation.
 
 from .ingest import (
     AssignmentTable,
-    InteractionEvent,
+    EventLog,
     OutcomeTable,
     parse_assignments,
     parse_events,
@@ -50,9 +50,9 @@ from .simulator import SimConfig, SimTruth, run_validation, simulate_experiment
 __all__ = [
     "AssignmentTable",
     "BipartiteGraph",
+    "EventLog",
     "ExposurePanel",
     "GraphBuildConfig",
-    "InteractionEvent",
     "IntervalEstimate",
     "OutcomeTable",
     "PointEstimate",

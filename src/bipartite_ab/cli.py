@@ -41,7 +41,6 @@ class AnalysisConfig:
     window: tuple[int, int] = (0, 2**62)
     design_path: str | None = None
     allow_missing_outcomes: bool = False
-    metric_type: str = "continuous"
     dump_graphs: bool = False
 
     def __post_init__(self):
@@ -69,7 +68,6 @@ def _config_echo(config: AnalysisConfig) -> dict:
         "level": config.level,
         "replications": config.replications,
         "seed": config.seed,
-        "metric_type": config.metric_type,
     }
 
 
@@ -89,7 +87,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     assignments = parse_assignments(config.assignments_path, config.design_path)
     outcomes = parse_outcomes(config.outcomes_path)
 
-    report = EstimateReport(config=_config_echo(config), metric_type=config.metric_type)
+    report = EstimateReport(config=_config_echo(config))
     all_kinds = frozenset().union(*config.kind_groups)
     events, ev_report = parse_events(
         config.events_path, all_kinds, config.window
@@ -109,19 +107,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             graph, build_report = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
             for scheme, _ in _analysis_targets(assignments):
-                for est in config.estimators:
-                    for method in config.methods:
-                        report.entries.append(
-                            ReportEntry(
-                                graph_label=f"{group_label}/{scheme}"
-                                if multi
-                                else group_label,
-                                estimator=est,
-                                method=method,
-                                status="error",
-                                error=str(exc),
-                            )
-                        )
+                label = f"{group_label}/{scheme}" if multi else group_label
+                _record_all_failed(report, label, config, str(exc))
             continue
 
         for scheme, mode in _analysis_targets(assignments):
@@ -136,8 +123,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                     continue
                 control = config.control
             else:
-                g = graph
-                control = None if mode == "full" or multi is False else config.control
+                g, control = graph, None
             st = graph_stats(g)
             report.graph_stats[label] = {
                 "n_buyers": st.n_buyers,
@@ -184,16 +170,12 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                             )
                         elif method == "randomization":
                             ci = inference.randomization_ci(
+                                panel,
                                 g,
-                                assignments,
-                                outcomes,
                                 est,
                                 replications=config.replications,
                                 seed=config.seed,
                                 level=config.level,
-                                treatment=config.treatment,
-                                control=control,
-                                allow_missing_outcomes=config.allow_missing_outcomes,
                             )
                         else:
                             if est != "erl":
@@ -318,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--window", default=None,
                     help="inclusive timestamp window 't0:t1' in ms")
-    pa.add_argument("--metric-type", default="continuous",
-                    choices=("continuous", "conversion"))
     pa.add_argument("--allow-missing-outcomes", action="store_true")
     pa.add_argument("--dump-graphs", action="store_true")
     pa.add_argument("--out", required=True)
@@ -366,7 +346,6 @@ def main(argv=None) -> int:
                 window=window,
                 design_path=args.design,
                 allow_missing_outcomes=args.allow_missing_outcomes,
-                metric_type=args.metric_type,
                 dump_graphs=args.dump_graphs,
             )
             return cmd_analyze(config)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .ingest import AssignmentTable, InteractionEvent
+from .ingest import AssignmentTable, EventLog
 
 ROW_SUM_TOL = 1e-9
 
@@ -58,8 +57,6 @@ class BipartiteGraph:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.buyer_idx = np.asarray(buyer_idx, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.buyer_index = {b: i for i, b in enumerate(self.buyers)}
-        self.seller_index = {s: i for i, s in enumerate(self.sellers)}
         self._matrix = None
         self._validate()
 
@@ -69,17 +66,22 @@ class BipartiteGraph:
             raise EmptyGraphError("empty graph: no outcome units")
         if len(self.indptr) != n + 1:
             raise GraphError("indptr length mismatch")
+        nnz = len(self.buyer_idx)
+        if self.indptr[0] != 0 or self.indptr[-1] != nnz or len(self.weights) != nnz:
+            raise GraphError("indptr, buyer indices and weights disagree")
         if np.any(self.weights <= 0):
             raise GraphError("all edge weights must be strictly positive")
         if m and (self.buyer_idx.min() < 0 or self.buyer_idx.max() >= m):
             raise GraphError("buyer index out of range")
-        for i in range(n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            if hi <= lo:
-                raise GraphError(f"outcome unit {self.sellers[i]!r} has no edges")
-            row = self.buyer_idx[lo:hi]
-            if np.any(np.diff(row) <= 0):
-                raise GraphError("duplicate or unsorted buyer indices in a row")
+        empty = np.flatnonzero(np.diff(self.indptr) <= 0)
+        if len(empty):
+            raise GraphError(f"outcome unit {self.sellers[empty[0]]!r} has no edges")
+        # buyer indices ascend strictly within a row; a row's first index
+        # may be anything
+        steps = np.diff(self.buyer_idx)
+        steps[self.indptr[1:-1] - 1] = 1
+        if np.any(steps <= 0):
+            raise GraphError("duplicate or unsorted buyer indices in a row")
         sums = self.row_sums()
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -128,8 +130,23 @@ class GraphBuildReport:
     skipped_kind: int = 0
 
 
+def _row_normalized(m: sp.csr_matrix) -> np.ndarray:
+    """The stored entries of `m` divided by their row's sum.
+
+    Rows of equal length are summed together as the rows of one dense
+    array, which numpy sums exactly as it sums each row on its own, so
+    the weights are bit-equal to dividing row by row.
+    """
+    degree = np.diff(m.indptr)
+    sums = np.empty(len(degree))
+    for d in np.unique(degree).tolist():
+        rows = np.flatnonzero(degree == d)
+        sums[rows] = m.data[m.indptr[rows, None] + np.arange(d)].sum(axis=1)
+    return m.data / np.repeat(sums, degree)
+
+
 def build_graph(
-    events: Iterable[InteractionEvent],
+    events: EventLog,
     assignments: AssignmentTable,
     config: GraphBuildConfig = GraphBuildConfig(),
 ) -> tuple[BipartiteGraph, GraphBuildReport]:
@@ -139,37 +156,35 @@ def build_graph(
     counted (an unassigned buyer has no treatment indicator and cannot
     contribute exposure). Zero qualifying events is an error.
     """
-    report = GraphBuildReport()
-    counts: dict[str, dict[str, int]] = {}
-    for ev in events:
-        if ev.event_kind not in config.kind_filter:
-            report.skipped_kind += 1
-            continue
-        if ev.buyer_id not in assignments.entries:
-            report.skipped_unassigned += 1
-            continue
-        counts.setdefault(ev.seller_id, {}).setdefault(ev.buyer_id, 0)
-        counts[ev.seller_id][ev.buyer_id] += 1
-        report.events_used += 1
-    if not counts:
+    wanted = [k for k, kind in enumerate(events.kinds) if kind in config.kind_filter]
+    selected = np.isin(events.kind, wanted)
+    assigned = np.array([b in assignments.entries for b in events.buyers], dtype=bool)
+    used = selected & assigned[events.buyer]
+    report = GraphBuildReport(
+        events_used=int(used.sum()),
+        skipped_unassigned=int((selected & ~used).sum()),
+        skipped_kind=int((~selected).sum()),
+    )
+    if not report.events_used:
         raise EmptyGraphError("empty graph: no qualifying events")
 
-    sellers = sorted(counts)
-    buyers = sorted({b for row in counts.values() for b in row})
-    buyer_index = {b: i for i, b in enumerate(buyers)}
-
-    indptr = [0]
-    buyer_idx: list[int] = []
-    weights: list[float] = []
-    dedup = config.weighting == "binary_dedup"
-    for seller in sellers:
-        row = counts[seller]
-        total = len(row) if dedup else sum(row.values())
-        for b in sorted(row, key=buyer_index.__getitem__):
-            buyer_idx.append(buyer_index[b])
-            weights.append((1.0 if dedup else row[b]) / total)
-        indptr.append(len(buyer_idx))
-    graph = BipartiteGraph(buyers, sellers, indptr, buyer_idx, weights)
+    # seller x buyer event counts; tocsr sums repeats and sorts each row
+    counts = sp.coo_matrix(
+        (np.ones(report.events_used), (events.seller[used], events.buyer[used])),
+        shape=(len(events.sellers), len(events.buyers)),
+    ).tocsr()
+    rows = np.flatnonzero(np.diff(counts.indptr))
+    cols = np.flatnonzero(np.bincount(counts.indices, minlength=counts.shape[1]))
+    counts = counts[rows][:, cols]
+    if config.weighting == "binary_dedup":
+        counts.data[:] = 1.0
+    graph = BipartiteGraph(
+        [events.buyers[j] for j in cols],
+        [events.sellers[i] for i in rows],
+        counts.indptr,
+        counts.indices,
+        _row_normalized(counts),
+    )
     return graph, report
 
 
@@ -187,37 +202,23 @@ def per_variant_subgraph(
         if label not in assignments.labels:
             raise GraphError(f"unknown variant {label!r}")
     keep_labels = {control, treatment}
-    kept_buyers = [
-        b for b in graph.buyers if assignments.variant_of(b) in keep_labels
-    ]
-    new_index = {b: i for i, b in enumerate(kept_buyers)}
-    keep_old = np.array(
-        [assignments.variant_of(b) in keep_labels for b in graph.buyers], dtype=bool
+    keep = np.array(
+        [assignments.entries.get(b) in keep_labels for b in graph.buyers], dtype=bool
     )
-    remap = np.full(graph.n_buyers, -1, dtype=np.int64)
-    for b, i in new_index.items():
-        remap[graph.buyer_index[b]] = i
-
-    sellers: list[str] = []
-    indptr = [0]
-    buyer_idx: list[int] = []
-    weights: list[float] = []
-    for i, seller in enumerate(graph.sellers):
-        idx, w = graph.row(i)
-        mask = keep_old[idx]
-        if not mask.any():
-            continue
-        kept_w = w[mask]
-        kept_w = kept_w / kept_w.sum()
-        sellers.append(seller)
-        buyer_idx.extend(remap[idx[mask]].tolist())
-        weights.extend(kept_w.tolist())
-        indptr.append(len(buyer_idx))
-    if not sellers:
+    sub = graph.matrix()[:, keep]
+    rows = np.flatnonzero(np.diff(sub.indptr))
+    if not len(rows):
         raise EmptyGraphError(
             f"empty graph: no sellers touched by {control!r} or {treatment!r} buyers"
         )
-    return BipartiteGraph(kept_buyers, sellers, indptr, buyer_idx, weights)
+    sub = sub[rows]
+    return BipartiteGraph(
+        [b for b, k in zip(graph.buyers, keep) if k],
+        [graph.sellers[i] for i in rows],
+        sub.indptr,
+        sub.indices,
+        _row_normalized(sub),
+    )
 
 
 @dataclass
@@ -234,36 +235,32 @@ class GraphStats:
         return self.seller_degree_hist.get(1, 0)
 
 
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
 def graph_stats(graph: BipartiteGraph) -> GraphStats:
-    seller_deg = graph.seller_degrees()
-    buyer_deg = np.zeros(graph.n_buyers, dtype=np.int64)
-    np.add.at(buyer_deg, graph.buyer_idx, 1)
-    s_hist: dict[int, int] = {}
-    for d in seller_deg.tolist():
-        s_hist[d] = s_hist.get(d, 0) + 1
-    b_hist: dict[int, int] = {}
-    for d in buyer_deg.tolist():
-        if d > 0:
-            b_hist[d] = b_hist.get(d, 0) + 1
+    buyer_deg = np.bincount(graph.buyer_idx, minlength=graph.n_buyers)
     return GraphStats(
         n_buyers=graph.n_buyers,
         n_sellers=graph.n_sellers,
         n_edges=graph.n_edges,
-        seller_degree_hist=s_hist,
-        buyer_degree_hist=b_hist,
+        seller_degree_hist=_histogram(graph.seller_degrees()),
+        buyer_degree_hist=_histogram(buyer_deg[buyer_deg > 0]),
         isolated_buyers=int((buyer_deg == 0).sum()),
     )
 
 
 def dump_graph(graph: BipartiteGraph, path):
-    """Audit dump: `seller_id,buyer_id,weight`, seller then buyer lexicographic."""
+    """Audit dump: `seller_id,buyer_id,weight`, one line per edge in the
+    graph's order, which is seller then buyer lexicographic for a built or
+    restricted graph (ids sorted, buyer indices ascending within a row)."""
+    sellers = np.repeat(np.array(graph.sellers, dtype=object), graph.seller_degrees())
+    buyers = np.array(graph.buyers, dtype=object)[graph.buyer_idx]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seller_id", "buyer_id", "weight"])
-        for i, seller in enumerate(graph.sellers):
-            idx, w = graph.row(i)
-            rows = sorted(
-                (graph.buyers[j], float(weight)) for j, weight in zip(idx, w)
-            )
-            for buyer, weight in rows:
-                writer.writerow([seller, buyer, repr(weight)])
+        writer.writerows(
+            zip(sellers.tolist(), buyers.tolist(), map(repr, graph.weights.tolist()))
+        )

@@ -40,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.stats import norm
 
-# crerl_estimate is not called here; perfbench's tracer wraps it under this
-# module's name, so it stays importable from inference.
+# crerl_estimate and assemble_panel are not called here; perfbench's tracer
+# wraps them under this module's name, so they stay importable from inference.
 from .estimators import (
     EPS_COVARIATE_VAR,
     ESTIMATOR_IDS,
@@ -50,9 +50,8 @@ from .estimators import (
     crerl_estimate,  # noqa: F401
     point_estimate,
 )
-from .exposure import ExposurePanel, assemble_panel
+from .exposure import ExposurePanel, assemble_panel  # noqa: F401
 from .graph import BipartiteGraph
-from .ingest import AssignmentTable, OutcomeTable
 
 MIN_REPLICATIONS = 200
 DEFAULT_REPLICATIONS = 1000
@@ -271,39 +270,23 @@ def bootstrap_ci(
 
 
 def randomization_ci(
+    panel: ExposurePanel,
     graph: BipartiteGraph,
-    assignments: AssignmentTable,
-    outcomes: OutcomeTable,
     estimator_id: str,
     replications: int = DEFAULT_REPLICATIONS,
     seed: int = 0,
     level: float = 0.95,
-    treatment: str | None = None,
-    control: str | None = None,
-    allow_missing_outcomes: bool = False,
 ) -> IntervalEstimate:
-    """Monte Carlo randomization interval.
+    """Monte Carlo randomization interval for a panel assembled from `graph`.
 
-    Fresh assignment vectors are drawn from the declared design and the
+    Fresh assignment vectors are drawn from the declared design (each of
+    the graph's buyers treated with probability `panel.p`) and the
     estimator is re-evaluated on the exposures H = W Z of a block of draws
     at once, with the realized outcomes (and CR-ERL's fitted lambda) held
     fixed; the sd of these draws yields a symmetric normal-quantile
     interval around the point estimate.
     """
     _validate_common(estimator_id, replications, level)
-    if treatment is None:
-        non_control = [v for v in assignments.labels if v != assignments.control_label]
-        if len(non_control) != 1:
-            raise InferenceError("treatment label required for multi-variant designs")
-        treatment = non_control[0]
-    panel, _ = assemble_panel(
-        graph,
-        assignments,
-        outcomes,
-        treatment,
-        control=control,
-        allow_missing_outcomes=allow_missing_outcomes,
-    )
     point = point_estimate(panel, estimator_id)
     W = graph.matrix()[panel.graph_rows]
     m = graph.n_buyers

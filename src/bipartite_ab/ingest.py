@@ -9,6 +9,11 @@ File formats (all UTF-8 CSV with declared headers):
 
 Parsing is deterministic and never coerces silently: every dropped or
 skipped row increments a counter on the returned report.
+
+Events are parsed once into an `EventLog` of integer-coded columns in file
+order: `buyer`, `seller` and `kind` codes into the sorted vocabularies
+`buyers`, `sellers` and `kinds`, and an int64 `timestamp`. No per-event
+object is made; the graph is built from the codes with sparse matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,14 +50,41 @@ class ParseError(IngestError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class InteractionEvent:
-    """One timestamped buyer-to-seller interaction."""
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Timestamped buyer-to-seller interactions as integer-coded columns.
 
-    buyer_id: str
-    seller_id: str
-    event_kind: str
-    timestamp_ms: int
+    Event k is buyer `buyers[buyer[k]]` interacting with seller
+    `sellers[seller[k]]` by kind `kinds[kind[k]]` at `timestamp[k]` ms.
+    The vocabularies are sorted and hold only ids some event uses.
+    """
+
+    buyers: tuple[str, ...]
+    sellers: tuple[str, ...]
+    kinds: tuple[str, ...]
+    buyer: np.ndarray
+    seller: np.ndarray
+    kind: np.ndarray
+    timestamp: np.ndarray
+
+    @classmethod
+    def from_codes(cls, buyers, sellers, kinds, buyer, seller, kind, timestamp):
+        """Log from codes into id lists in any order (first seen, say): each
+        vocabulary keeps the ids its codes use, sorted, and the codes are
+        renumbered into it."""
+        vocabularies, codes = [], []
+        for ids, column in ((buyers, buyer), (sellers, seller), (kinds, kind)):
+            column = np.asarray(column, dtype=np.int64)
+            used = np.flatnonzero(np.bincount(column, minlength=len(ids)))
+            order = sorted(used.tolist(), key=ids.__getitem__)
+            remap = np.empty(len(ids), dtype=np.int64)
+            remap[order] = np.arange(len(order))
+            vocabularies.append(tuple(ids[i] for i in order))
+            codes.append(remap[column])
+        return cls(*vocabularies, *codes, np.asarray(timestamp, dtype=np.int64))
+
+    def __len__(self):
+        return len(self.timestamp)
 
 
 @dataclass
@@ -121,9 +154,6 @@ class AssignmentTable:
         except KeyError:
             raise IngestError(f"unknown variant {label!r}") from None
 
-    def variant_of(self, buyer_id: str) -> str | None:
-        return self.entries.get(buyer_id)
-
     def indicator(self, buyers: Sequence[str], treatment: str) -> np.ndarray:
         """0/1 vector marking buyers assigned to `treatment`, in given order."""
         if treatment not in self._prob:
@@ -176,19 +206,19 @@ def parse_events(
     kind_filter: Iterable[str],
     window: tuple[int, int],
     known_kinds: Iterable[str] = DEFAULT_EVENT_KINDS,
-) -> tuple[list[InteractionEvent], EventParseReport]:
+) -> tuple[EventLog, EventParseReport]:
     """Parse an events CSV, keeping rows with kind in `kind_filter` and
     timestamp in the inclusive window [t0, t1].
 
-    Returns events in file order plus a report counting every dropped row.
-    Rows whose kind is outside `known_kinds` are skipped with a warning;
-    malformed rows raise ParseError with the line number.
+    Returns the kept events in file order plus a report counting every
+    dropped row. Rows whose kind is outside `known_kinds` are skipped with
+    a warning; malformed rows raise ParseError with the line number.
     """
     kind_filter = set(kind_filter)
     known = set(known_kinds) | kind_filter
     t0, t1 = window
-    report = EventParseReport()
-    events: list[InteractionEvent] = []
+    buyer_ids, seller_ids, kind_ids = {}, {}, {}  # id -> first-seen code
+    buyer, seller, kind, timestamp = (array("q") for _ in range(4))
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -198,31 +228,41 @@ def parse_events(
                 continue
             if len(row) != 4:
                 raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
-            buyer_id, seller_id, kind, ts_raw = row
+            buyer_id, seller_id, kind_id, ts_raw = row
             if not buyer_id or not seller_id:
                 raise ParseError(path, line_no, "empty buyer_id or seller_id")
             try:
-                ts = int(ts_raw)
-            except ValueError:
-                raise ParseError(
-                    path, line_no, f"non-integer timestamp {ts_raw!r}"
-                ) from None
-            report.rows_read += 1
-            if kind not in known:
-                report.dropped_unknown_kind += 1
+                timestamp.append(int(ts_raw))
+            except (ValueError, OverflowError) as exc:
+                what = "non-integer" if isinstance(exc, ValueError) else "non-int64"
+                raise ParseError(path, line_no, f"{what} timestamp {ts_raw!r}") from None
+            if kind_id not in known:
                 warnings.warn(
-                    f"{path}:{line_no}: unknown event kind {kind!r}, skipped",
+                    f"{path}:{line_no}: unknown event kind {kind_id!r}, skipped",
                     stacklevel=2,
                 )
-                continue
-            if kind not in kind_filter:
-                report.dropped_kind += 1
-                continue
-            if not t0 <= ts <= t1:
-                report.dropped_window += 1
-                continue
-            events.append(InteractionEvent(buyer_id, seller_id, kind, ts))
-            report.rows_kept += 1
+            buyer.append(buyer_ids.setdefault(buyer_id, len(buyer_ids)))
+            seller.append(seller_ids.setdefault(seller_id, len(seller_ids)))
+            kind.append(kind_ids.setdefault(kind_id, len(kind_ids)))
+    buyer, seller, kind, timestamp = (
+        np.frombuffer(c, dtype=np.int64) for c in (buyer, seller, kind, timestamp)
+    )
+    kinds = list(kind_ids)
+    is_known = np.isin(kind, [c for c, k in enumerate(kinds) if k in known])
+    selected = np.isin(kind, [c for c, k in enumerate(kinds) if k in kind_filter])
+    in_window = (t0 <= timestamp) & (timestamp <= t1)
+    keep = selected & in_window
+    report = EventParseReport(
+        rows_read=len(kind),
+        rows_kept=int(keep.sum()),
+        dropped_kind=int((is_known & ~selected).sum()),
+        dropped_window=int((selected & ~in_window).sum()),
+        dropped_unknown_kind=int((~is_known).sum()),
+    )
+    events = EventLog.from_codes(
+        list(buyer_ids), list(seller_ids), kinds,
+        buyer[keep], seller[keep], kind[keep], timestamp[keep],
+    )
     return events, report
 
 
@@ -344,12 +384,18 @@ def parse_outcomes(path) -> OutcomeTable:
 # --- writers (used by the simulator and for round-trip tests) ---
 
 
-def write_events(path, events: Iterable[InteractionEvent]):
+def write_events(path, events: EventLog):
+    ids = [
+        np.array(vocabulary, dtype=object)[codes].tolist()
+        for vocabulary, codes in zip(
+            (events.buyers, events.sellers, events.kinds),
+            (events.buyer, events.seller, events.kind),
+        )
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENTS_HEADER)
-        for ev in events:
-            writer.writerow([ev.buyer_id, ev.seller_id, ev.event_kind, ev.timestamp_ms])
+        writer.writerows(zip(*ids, events.timestamp.tolist()))
 
 
 def write_assignments(path, table: AssignmentTable, design_path=None):

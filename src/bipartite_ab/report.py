@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 ESTIMATOR_DISPLAY = {
     "erl": "ERL",
@@ -58,12 +58,10 @@ class EstimateReport:
     entries: list[ReportEntry] = field(default_factory=list)
     graph_stats: dict = field(default_factory=dict)
     degenerate_units: dict = field(default_factory=dict)
-    metric_type: str = "continuous"
 
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "metric_type": self.metric_type,
             "config": self.config,
             "graph_stats": self.graph_stats,
             "degenerate_units": self.degenerate_units,

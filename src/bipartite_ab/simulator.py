@@ -22,7 +22,7 @@ from .exposure import ExposurePanel, assemble_panel
 from .graph import BipartiteGraph, GraphBuildConfig, build_graph
 from .ingest import (
     AssignmentTable,
-    InteractionEvent,
+    EventLog,
     OutcomeTable,
     Variant,
     write_assignments,
@@ -99,7 +99,7 @@ class SimulatedExperiment:
     """One synthetic experiment plus the internals needed to re-randomize."""
 
     config: SimConfig
-    events: list[InteractionEvent]
+    events: EventLog
     assignments: AssignmentTable
     outcomes: OutcomeTable
     truth: SimTruth
@@ -151,18 +151,18 @@ def simulate_experiment(
     buyers = [f"b{i:06d}" for i in range(config.m)]
     sellers = [f"s{i:06d}" for i in range(config.n)]
 
-    # interaction multigraph
-    events: list[InteractionEvent] = []
-    ts = 0
-    for sid in sellers:
+    # interaction multigraph: one "view" per (seller, chosen buyer), in
+    # seller order, timestamped 0, 1, 2, ...
+    chosen = []
+    for _ in range(config.n):
         if isinstance(config.degree, FixedDegree):
-            chosen = rng.choice(config.m, size=config.degree.k, replace=False)
+            chosen.append(rng.choice(config.m, size=config.degree.k, replace=False))
         else:
             d = min(int(rng.zipf(config.degree.s)), config.degree.k_max)
-            chosen = rng.integers(0, config.m, size=d)
-        for b in chosen:
-            events.append(InteractionEvent(buyers[int(b)], sid, "view", ts))
-            ts += 1
+            chosen.append(rng.integers(0, config.m, size=d))
+    view_buyer = np.concatenate(chosen).astype(np.int64)
+    view_seller = np.repeat(np.arange(config.n), [len(c) for c in chosen])
+    views = len(view_buyer)
 
     # treatment assignment: independent Bernoulli(p_treat)
     treated = rng.random(config.m) < config.p_treat
@@ -181,6 +181,10 @@ def simulate_experiment(
         max(0.0, 1.0 - config.pre_corr**2)
     ) * rng.normal(0.0, 1.0, config.n)
 
+    events = EventLog.from_codes(
+        buyers, sellers, ["view"], view_buyer, view_seller,
+        np.zeros(views, dtype=np.int64), np.arange(views),
+    )
     graph, _ = build_graph(
         events, assignments, GraphBuildConfig(kind_filter=frozenset({"view"}))
     )
@@ -207,16 +211,19 @@ def simulate_experiment(
     outcomes = _make_outcomes(config, graph, assignments, truth, eps, y_pre)
 
     if config.favorite_rates is not None:
+        # each view turns into a favorite with its buyer's variant's rate;
+        # favorites follow the views, timestamped on from them
         rate_c, rate_t = config.favorite_rates
-        fav = []
-        for ev in events:
-            rate = rate_t if entries[ev.buyer_id] == "On" else rate_c
-            if rng.random() < rate:
-                fav.append(
-                    InteractionEvent(ev.buyer_id, ev.seller_id, "favorite", ts)
-                )
-                ts += 1
-        events = events + fav
+        rate = np.where(treated[view_buyer], rate_t, rate_c)
+        fav = rng.random(views) < rate
+        n_fav = int(fav.sum())
+        events = EventLog.from_codes(
+            buyers, sellers, ["view", "favorite"],
+            np.concatenate([view_buyer, view_buyer[fav]]),
+            np.concatenate([view_seller, view_seller[fav]]),
+            np.repeat([0, 1], [views, n_fav]),
+            np.arange(views + n_fav),
+        )
 
     exp = SimulatedExperiment(
         config=config,
@@ -366,9 +373,8 @@ def run_validation(
                         )
                     else:
                         ci = inference.randomization_ci(
+                            panel,
                             exp.graph,
-                            exp.assignments,
-                            exp.outcomes,
                             est,
                             replications=ci_replications,
                             seed=seed * 1_000_003 + rep,

@@ -3,13 +3,42 @@ import itertools
 import numpy as np
 import pytest
 
-from bipartite_ab.graph import BipartiteGraph
-from bipartite_ab.ingest import AssignmentTable, InteractionEvent, Variant
+from bipartite_ab.graph import (
+    BipartiteGraph,
+    EmptyGraphError,
+    GraphBuildReport,
+    GraphError,
+    GraphStats,
+)
+from bipartite_ab.ingest import AssignmentTable, EventLog, Variant
 
 
 def make_events(rows):
-    """rows: iterable of (buyer, seller, kind, ts)."""
-    return [InteractionEvent(b, s, k, t) for b, s, k, t in rows]
+    """EventLog of rows (buyer, seller, kind, ts), in the given order."""
+    rows = list(rows)
+    vocabularies = ({}, {}, {})
+    codes = [
+        [vocab.setdefault(row[c], len(vocab)) for row in rows]
+        for c, vocab in enumerate(vocabularies)
+    ]
+    return EventLog.from_codes(
+        *(list(vocab) for vocab in vocabularies),
+        *(np.array(col, dtype=np.int64) for col in codes),
+        np.array([row[3] for row in rows], dtype=np.int64),
+    )
+
+
+def event_rows(events):
+    """The (buyer, seller, kind, ts) rows of an EventLog, in log order."""
+    return [
+        (events.buyers[b], events.sellers[s], events.kinds[k], t)
+        for b, s, k, t in zip(
+            events.buyer.tolist(),
+            events.seller.tolist(),
+            events.kind.tolist(),
+            events.timestamp.tolist(),
+        )
+    ]
 
 
 def two_variant_assignments(on_buyers, off_buyers, p_on=0.5):
@@ -38,6 +67,89 @@ def random_sparse_graph(rng, m, n, min_deg=2, max_deg=4):
         indptr,
         bidx,
         wts,
+    )
+
+
+# --- row-at-a-time graph code, kept as oracles for the columnar versions ---
+
+
+def oracle_build_graph(rows, assignments, config):
+    """build_graph over (buyer, seller, kind, ts) rows with a dict of dicts."""
+    report = GraphBuildReport()
+    counts: dict[str, dict[str, int]] = {}
+    for buyer, seller, kind, _ in rows:
+        if kind not in config.kind_filter:
+            report.skipped_kind += 1
+            continue
+        if buyer not in assignments.entries:
+            report.skipped_unassigned += 1
+            continue
+        counts.setdefault(seller, {}).setdefault(buyer, 0)
+        counts[seller][buyer] += 1
+        report.events_used += 1
+    if not counts:
+        raise EmptyGraphError("empty graph: no qualifying events")
+    sellers = sorted(counts)
+    buyers = sorted({b for row in counts.values() for b in row})
+    buyer_index = {b: i for i, b in enumerate(buyers)}
+    indptr, buyer_idx, weights = [0], [], []
+    dedup = config.weighting == "binary_dedup"
+    for seller in sellers:
+        row = counts[seller]
+        total = len(row) if dedup else sum(row.values())
+        for b in sorted(row, key=buyer_index.__getitem__):
+            buyer_idx.append(buyer_index[b])
+            weights.append((1.0 if dedup else row[b]) / total)
+        indptr.append(len(buyer_idx))
+    return BipartiteGraph(buyers, sellers, indptr, buyer_idx, weights), report
+
+
+def oracle_per_variant_subgraph(graph, assignments, control, treatment):
+    """per_variant_subgraph one seller row at a time."""
+    if control == treatment:
+        raise GraphError("control and treatment variants must differ")
+    keep_labels = {control, treatment}
+    kept_buyers = [b for b in graph.buyers if assignments.entries.get(b) in keep_labels]
+    keep_old = np.array(
+        [assignments.entries.get(b) in keep_labels for b in graph.buyers], dtype=bool
+    )
+    remap = np.full(graph.n_buyers, -1, dtype=np.int64)
+    remap[keep_old] = np.arange(len(kept_buyers))
+    sellers, indptr, buyer_idx, weights = [], [0], [], []
+    for i, seller in enumerate(graph.sellers):
+        idx, w = graph.row(i)
+        mask = keep_old[idx]
+        if not mask.any():
+            continue
+        kept_w = w[mask]
+        kept_w = kept_w / kept_w.sum()
+        sellers.append(seller)
+        buyer_idx.extend(remap[idx[mask]].tolist())
+        weights.extend(kept_w.tolist())
+        indptr.append(len(buyer_idx))
+    if not sellers:
+        raise EmptyGraphError("empty graph")
+    return BipartiteGraph(kept_buyers, sellers, indptr, buyer_idx, weights)
+
+
+def oracle_graph_stats(graph):
+    """graph_stats with per-seller and per-buyer histogram loops."""
+    seller_deg = graph.seller_degrees()
+    buyer_deg = np.zeros(graph.n_buyers, dtype=np.int64)
+    np.add.at(buyer_deg, graph.buyer_idx, 1)
+    s_hist, b_hist = {}, {}
+    for d in seller_deg.tolist():
+        s_hist[d] = s_hist.get(d, 0) + 1
+    for d in buyer_deg.tolist():
+        if d > 0:
+            b_hist[d] = b_hist.get(d, 0) + 1
+    return GraphStats(
+        n_buyers=graph.n_buyers,
+        n_sellers=graph.n_sellers,
+        n_edges=graph.n_edges,
+        seller_degree_hist=s_hist,
+        buyer_degree_hist=b_hist,
+        isolated_buyers=int((buyer_deg == 0).sum()),
     )
 
 

@@ -22,7 +22,7 @@ from bipartite_ab.inference import (
     pairwise_variance,
     randomization_ci,
 )
-from bipartite_ab.ingest import AssignmentTable, InteractionEvent, Variant
+from bipartite_ab.ingest import AssignmentTable, Variant
 from bipartite_ab.simulator import (
     FixedDegree,
     SimConfig,
@@ -36,6 +36,7 @@ from bipartite_ab.simulator import (
 from conftest import (
     assignment_probability,
     enumerate_assignments,
+    make_events,
     random_sparse_graph,
     two_variant_assignments,
 )
@@ -81,12 +82,8 @@ def test_01_design_moments_match_enumeration():
 
 def test_02_three_variant_worked_example():
     # one seller; buyers in Off/A/B contribute 1, 2, 3 interactions
-    events = []
-    ts = 0
-    for buyer, count in (("u_off", 1), ("u_a", 2), ("u_b", 3)):
-        for _ in range(count):
-            events.append(InteractionEvent(buyer, "shop", "view", ts))
-            ts += 1
+    buyers = ["u_off"] * 1 + ["u_a"] * 2 + ["u_b"] * 3
+    events = make_events((b, "shop", "view", ts) for ts, b in enumerate(buyers))
     assignments = AssignmentTable(
         {"u_off": "Off", "u_a": "A", "u_b": "B"},
         [Variant("Off", 1 / 3, True), Variant("A", 1 / 3, False),
@@ -177,8 +174,7 @@ def test_05_ci_coverage():
                 ci = bootstrap_ci(panel, est, replications=500, seed=r)
             else:
                 ci = randomization_ci(
-                    exp.graph, exp.assignments, exp.outcomes, est,
-                    replications=300, seed=r,
+                    panel, exp.graph, est, replications=300, seed=r,
                 )
             hits[(est, method)] += ci.ci_low <= exp.truth.true_tau <= ci.ci_high
     elapsed = time.perf_counter() - start

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,17 @@ from bipartite_ab.graph import (
     graph_stats,
     per_variant_subgraph,
 )
-from bipartite_ab.ingest import AssignmentTable, Variant
+from bipartite_ab.ingest import EVENTS_HEADER, AssignmentTable, Variant, parse_events
 
-from conftest import edge_set, make_events, two_variant_assignments
+from conftest import (
+    edge_set,
+    event_rows,
+    make_events,
+    oracle_build_graph,
+    oracle_graph_stats,
+    oracle_per_variant_subgraph,
+    two_variant_assignments,
+)
 
 CFG_COUNT = GraphBuildConfig(weighting="count_proportional", kind_filter=frozenset({"view"}))
 CFG_DEDUP = GraphBuildConfig(weighting="binary_dedup", kind_filter=frozenset({"view"}))
@@ -26,12 +36,16 @@ def three_variant_assignments():
     )
 
 
-def counts_events():
+def counts_rows():
     # seller s1 with interaction counts a:1, b:2, c:3
     rows = [("a", "s1", "view", 1)]
     rows += [("b", "s1", "view", t) for t in (2, 3)]
     rows += [("c", "s1", "view", t) for t in (4, 5, 6)]
-    return make_events(rows)
+    return rows
+
+
+def counts_events():
+    return make_events(counts_rows())
 
 
 class TestBuildGraph:
@@ -46,7 +60,7 @@ class TestBuildGraph:
     def test_single_buyer_seller_weight_one(self):
         events = make_events([("a", "solo", "view", 1)])
         graph, _ = build_graph(events, three_variant_assignments(), CFG_COUNT)
-        _, w = graph.row(graph.seller_index["solo"])
+        _, w = graph.row(graph.sellers.index("solo"))
         assert w.tolist() == [1.0]
 
     def test_binary_dedup(self):
@@ -55,7 +69,7 @@ class TestBuildGraph:
         assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_unassigned_buyer_excluded_and_counted(self):
-        events = counts_events() + make_events([("ghost", "s1", "view", 7)])
+        events = make_events(counts_rows() + [("ghost", "s1", "view", 7)])
         graph, report = build_graph(events, three_variant_assignments(), CFG_COUNT)
         assert report.skipped_unassigned == 1
         assert "ghost" not in graph.buyers
@@ -68,13 +82,13 @@ class TestBuildGraph:
             build_graph(events, three_variant_assignments(), CFG_COUNT)
 
     def test_permutation_invariance(self, rng):
-        events = counts_events() + make_events(
-            [("a", "s2", "view", 7), ("b", "s2", "view", 8)]
-        )
-        base, _ = build_graph(events, three_variant_assignments(), CFG_COUNT)
-        shuffled = list(events)
+        rows = counts_rows() + [("a", "s2", "view", 7), ("b", "s2", "view", 8)]
+        base, _ = build_graph(make_events(rows), three_variant_assignments(), CFG_COUNT)
+        shuffled = list(rows)
         rng.shuffle(shuffled)
-        other, _ = build_graph(shuffled, three_variant_assignments(), CFG_COUNT)
+        other, _ = build_graph(
+            make_events(shuffled), three_variant_assignments(), CFG_COUNT
+        )
         assert edge_set(base) == edge_set(other)
 
     def test_row_normalization_on_random_builds(self, rng):
@@ -90,13 +104,12 @@ class TestBuildGraph:
 
     def test_new_buyer_decreases_existing_weights(self):
         assignments = three_variant_assignments()
-        events = counts_events()
-        before, _ = build_graph(events, assignments, CFG_COUNT)
+        before, _ = build_graph(counts_events(), assignments, CFG_COUNT)
         assignments2 = AssignmentTable(
             dict(assignments.entries, d="A"), assignments.variants
         )
         after, _ = build_graph(
-            events + make_events([("d", "s1", "view", 9)]), assignments2, CFG_COUNT
+            make_events(counts_rows() + [("d", "s1", "view", 9)]), assignments2, CFG_COUNT
         )
         w_before = {before.buyers[j]: w for j, w in zip(*before.row(0))}
         w_after = {after.buyers[j]: w for j, w in zip(*after.row(0))}
@@ -114,7 +127,7 @@ class TestPerVariantSubgraph:
         assert "c" not in sub.buyers
 
     def test_seller_with_no_remaining_edges_dropped(self):
-        events = counts_events() + make_events([("c", "only_b", "view", 9)])
+        events = make_events(counts_rows() + [("c", "only_b", "view", 9)])
         graph, _ = build_graph(events, three_variant_assignments(), CFG_COUNT)
         sub = per_variant_subgraph(graph, three_variant_assignments(), "Off", "A")
         assert "only_b" not in sub.sellers
@@ -133,14 +146,14 @@ class TestPerVariantSubgraph:
 
     def test_commutes_with_event_prefiltering(self):
         assignments = three_variant_assignments()
-        events = counts_events() + make_events(
-            [("a", "s2", "view", 7), ("c", "s2", "view", 8), ("b", "s3", "view", 9)]
-        )
-        graph, _ = build_graph(events, assignments, CFG_COUNT)
+        rows = counts_rows() + [
+            ("a", "s2", "view", 7), ("c", "s2", "view", 8), ("b", "s3", "view", 9)
+        ]
+        graph, _ = build_graph(make_events(rows), assignments, CFG_COUNT)
         restricted = per_variant_subgraph(graph, assignments, "Off", "A")
         keep = {"a", "b"}  # Off and A buyers
         prefiltered, _ = build_graph(
-            [e for e in events if e.buyer_id in keep], assignments, CFG_COUNT
+            make_events(r for r in rows if r[0] in keep), assignments, CFG_COUNT
         )
         assert edge_set(restricted) == edge_set(prefiltered)
 
@@ -194,3 +207,100 @@ class TestDump:
         assert lines[0] == "seller_id,buyer_id,weight"
         body = [tuple(l.split(",")[:2]) for l in lines[1:]]
         assert body == sorted(body)
+
+
+# --- differential tests against the row-at-a-time oracles -------------------
+
+VARIANTS3 = [Variant("Off", 0.4, control=True), Variant("A", 0.3), Variant("B", 0.3)]
+KINDS = ("view", "favorite", "message")
+
+
+def id_pool(prefix, k):
+    """k plain ids plus ids that differ from them only by a trailing NUL,
+    and ids with non-ASCII characters (precomposed and combining)."""
+    ids = [f"{prefix}{i}" for i in range(k)]
+    ids += [f"{prefix}{i}\x00" for i in range(0, k, 3)]
+    ids += [f"{prefix}{i}\u00e9" for i in range(1, k, 4)]
+    ids += [f"{prefix}{i}e\u0301" for i in range(1, k, 4)]
+    return ids + [f"β{prefix}{k}", f"{prefix}\x00"]
+
+
+def random_log(rng):
+    """(rows, assignments): a random event log with repeated events, a few
+    unassigned buyers and a three-variant design."""
+    buyers = id_pool("b", int(rng.integers(2, 25)))
+    sellers = id_pool("s", int(rng.integers(1, 12)))
+    n = int(rng.integers(1, 160))
+    rows = [
+        (
+            buyers[rng.integers(len(buyers))],
+            sellers[rng.integers(len(sellers))],
+            KINDS[rng.integers(len(KINDS))],
+            int(rng.integers(0, 10**6)),
+        )
+        for _ in range(n)
+    ]
+    rows += rows[: int(rng.integers(0, n + 1))]  # exact repeats
+    rng.shuffle(rows)
+    labels = ["Off", "A", "B"]
+    entries = {
+        b: labels[rng.integers(3)] for b in buyers if rng.random() > 0.15
+    }
+    return rows, AssignmentTable(entries, VARIANTS3)
+
+
+def assert_same_graph(got, want):
+    assert got.buyers == want.buyers
+    assert got.sellers == want.sellers
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.buyer_idx, want.buyer_idx)
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_columnar_graph_matches_row_oracles(rng, tmp_path):
+    built = restricted = 0
+    for k in range(60):
+        rows, assignments = random_log(rng)
+        kinds = frozenset(
+            KINDS[j] for j in range(3) if rng.random() < 0.6
+        ) or frozenset({"view"})
+        # the same log through the CSV parser: NULs and non-ASCII survive
+        path = tmp_path / f"events{k}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([EVENTS_HEADER] + rows)
+        parsed, report = parse_events(path, set(KINDS), (0, 2**62))
+        assert event_rows(parsed) == rows
+        assert report.rows_read == report.rows_kept == len(rows)
+
+        for weighting in ("count_proportional", "binary_dedup"):
+            cfg = GraphBuildConfig(weighting=weighting, kind_filter=kinds)
+            try:
+                want, want_report = oracle_build_graph(rows, assignments, cfg)
+            except EmptyGraphError:
+                with pytest.raises(EmptyGraphError):
+                    build_graph(parsed, assignments, cfg)
+                continue
+            got, got_report = build_graph(parsed, assignments, cfg)
+            assert got_report == want_report
+            assert_same_graph(got, want)
+            assert graph_stats(got) == oracle_graph_stats(want)
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            again, _ = build_graph(make_events(shuffled), assignments, cfg)
+            assert_same_graph(again, want)
+            built += 1
+            for control, treatment in (("Off", "A"), ("A", "B")):
+                try:
+                    want_sub = oracle_per_variant_subgraph(
+                        want, assignments, control, treatment
+                    )
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        per_variant_subgraph(got, assignments, control, treatment)
+                    continue
+                got_sub = per_variant_subgraph(got, assignments, control, treatment)
+                assert_same_graph(got_sub, want_sub)
+                assert graph_stats(got_sub) == oracle_graph_stats(want_sub)
+                restricted += 1
+    assert built >= 100 and restricted >= 150
+

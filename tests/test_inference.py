@@ -118,9 +118,8 @@ class TestRandomization:
         outcomes = OutcomeTable(
             {f"s{i}": (1.0, None) for i in range(m)}, has_pre=False
         )
-        ci = randomization_ci(
-            graph, assignments, outcomes, "erl", replications=4000, seed=11
-        )
+        panel, _ = assemble_panel(graph, assignments, outcomes, "On")
+        ci = randomization_ci(panel, graph, "erl", replications=4000, seed=11)
         # tau draws are means of Y * (B - p)/(p(1-p)) with B ~ Bernoulli(1/2);
         # each term has sd 1/sqrt(p(1-p)) = 2, so sd(tau) = 2/sqrt(m)
         expected_sd = 2.0 / np.sqrt(m)
@@ -132,12 +131,9 @@ class TestRandomization:
 
     def test_seed_determinism(self):
         exp = simulate_experiment(SimConfig(m=80, n=50, seed=2))
-        a = randomization_ci(
-            exp.graph, exp.assignments, exp.outcomes, "erl", replications=300, seed=4
-        )
-        b = randomization_ci(
-            exp.graph, exp.assignments, exp.outcomes, "erl", replications=300, seed=4
-        )
+        panel = experiment_panel(exp)
+        a = randomization_ci(panel, exp.graph, "erl", replications=300, seed=4)
+        b = randomization_ci(panel, exp.graph, "erl", replications=300, seed=4)
         assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
 
     def test_width_agreement_with_bootstrap(self):
@@ -152,18 +148,14 @@ class TestRandomization:
             )
             panel = experiment_panel(exp)
             b = bootstrap_ci(panel, "erl", replications=400, seed=r)
-            k = randomization_ci(
-                exp.graph, exp.assignments, exp.outcomes, "erl",
-                replications=400, seed=r,
-            )
+            k = randomization_ci(panel, exp.graph, "erl", replications=400, seed=r)
             ratios.append(k.width / b.width)
         assert abs(np.median(ratios) - 1.0) <= 0.15
 
     def test_crerl_uses_fitted_lambda(self):
         exp = simulate_experiment(SimConfig(m=80, n=50, pre_corr=0.9, seed=3))
         ci = randomization_ci(
-            exp.graph, exp.assignments, exp.outcomes, "crerl",
-            replications=300, seed=5,
+            experiment_panel(exp), exp.graph, "crerl", replications=300, seed=5
         )
         assert ci.point.lam is not None
         assert ci.point.estimator == "crerl"
@@ -666,7 +658,10 @@ def test_batched_randomization_matches_per_draw_loop(estimator_id):
         partial_blocks += reps > block and reps % block != 0
         args = (exp.graph, exp.assignments, exp.outcomes, estimator_id, reps)
         want, _ = outcome_or_error(oracle_randomization_ci, *args, seed=k)
-        got, _ = outcome_or_error(randomization_ci, *args, seed=k)
+        got, _ = outcome_or_error(
+            randomization_ci, experiment_panel(exp), exp.graph, estimator_id, reps,
+            seed=k,
+        )
         if isinstance(want[0], type):
             assert got == want, k
             continue
@@ -685,7 +680,10 @@ def test_batched_randomization_raises_on_collinear_draw(estimator_id):
     outcomes = OutcomeTable(
         {s: (float(i), 0.3 * i * i) for i, s in enumerate(sellers)}, has_pre=True
     )
-    args = (graph, assignments, outcomes, estimator_id, 200)
-    want = outcome_or_error(oracle_randomization_ci, *args, seed=0)
+    want = outcome_or_error(
+        oracle_randomization_ci, graph, assignments, outcomes, estimator_id, 200, seed=0
+    )
     assert want[0][0] is CollinearDesignError
-    assert outcome_or_error(randomization_ci, *args, seed=0) == want
+    panel, _ = assemble_panel(graph, assignments, outcomes, "On")
+    got = outcome_or_error(randomization_ci, panel, graph, estimator_id, 200, seed=0)
+    assert got == want

@@ -15,6 +15,8 @@ from bipartite_ab.ingest import (
     write_outcomes,
 )
 
+from conftest import event_rows
+
 WINDOW = (0, 10_000)
 
 
@@ -45,14 +47,14 @@ class TestParseEvents:
         write_events_csv(path, rows)
         events, report = parse_events(path, {"view"}, WINDOW)
         assert len(events) == 3
-        assert all(e.event_kind == "view" for e in events)
+        assert all(kind == "view" for _, _, kind, _ in event_rows(events))
         assert report.dropped_kind == 2
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "events.csv"
         write_events_csv(path, [])
         events, report = parse_events(path, {"view"}, WINDOW)
-        assert events == []
+        assert len(events) == 0 and events.buyers == events.sellers == ()
         assert report.rows_dropped == 0
 
     def test_window_exclusion_matches_rescan(self, tmp_path):
@@ -91,12 +93,54 @@ class TestParseEvents:
         with pytest.raises(ParseError, match=":2:"):
             parse_events(path, {"view"}, WINDOW)
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("b9,s1,view", "expected 4 columns, got 3"),
+            (",s1,view,4", "empty buyer_id or seller_id"),
+            ("b9,s1,view,4.5", "non-integer timestamp '4.5'"),
+            ("b9,s1,view,9223372036854775808", "non-int64 timestamp '9223372036854775808'"),
+        ],
+    )
+    def test_row_errors_name_their_line_after_blank_lines(
+        self, tmp_path, bad_row, message
+    ):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "buyer_id,seller_id,event_kind,timestamp_ms\n"
+            "b1,s1,view,1\n\n\nb2,s1,view,2\n\n" + bad_row + "\nb3,s1,view,3\n"
+        )
+        with pytest.raises(ParseError, match=f":7: {message}") as caught:
+            parse_events(path, {"view"}, WINDOW)
+        assert caught.value.line_no == 7
+
+    def test_counters_add_up(self, tmp_path):
+        path = tmp_path / "events.csv"
+        rows = [
+            ("b1", "s1", "view", 1),
+            ("b2", "s1", "favorite", 2),
+            ("b3", "s2", "view", 20_000),
+            ("b4", "s2", "teleport", 3),
+            ("b5", "s3", "view", -1),
+            ("b1", "s3", "message", 4),
+            ("b1", "s1", "view", 1),
+        ]
+        write_events_csv(path, rows)
+        with pytest.warns(UserWarning, match="teleport"):
+            events, report = parse_events(path, {"view"}, WINDOW)
+        assert report.rows_read == 7 == report.rows_kept + report.rows_dropped
+        assert (report.rows_kept, report.dropped_kind, report.dropped_window,
+                report.dropped_unknown_kind) == (2, 2, 2, 1)
+        assert event_rows(events) == [rows[0], rows[6]]
+        assert events.buyers == ("b1",) and events.sellers == ("s1",)
+        assert events.kinds == ("view",)
+
     def test_file_order_preserved(self, tmp_path):
         path = tmp_path / "events.csv"
         rows = [("b3", "s1", "view", 9), ("b1", "s1", "view", 2), ("b2", "s2", "view", 5)]
         write_events_csv(path, rows)
         events, _ = parse_events(path, {"view"}, WINDOW)
-        assert [e.buyer_id for e in events] == ["b3", "b1", "b2"]
+        assert event_rows(events) == rows
 
     def test_disjoint_kind_union_is_concat(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -110,7 +154,7 @@ class TestParseEvents:
         both, _ = parse_events(path, {"view", "favorite"}, WINDOW)
         views, _ = parse_events(path, {"view"}, WINDOW)
         favs, _ = parse_events(path, {"favorite"}, WINDOW)
-        assert sorted(map(repr, both)) == sorted(map(repr, views + favs))
+        assert sorted(event_rows(both)) == sorted(event_rows(views) + event_rows(favs))
 
 
 class TestParseAssignments:
