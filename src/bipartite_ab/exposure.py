@@ -159,29 +159,25 @@ def assemble_panel(
     e_h = p * graph.row_sums()
     var_h = p * (1.0 - p) * graph.row_sumsq()
 
-    missing = [s for s in graph.sellers if s not in outcomes]
-    if missing and not allow_missing_outcomes:
-        raise MissingOutcomeError(missing)
-
-    excluded: list[tuple[str, str]] = []
-    rows: list[int] = []
-    for i, seller in enumerate(graph.sellers):
-        if seller not in outcomes:
-            excluded.append((seller, "no outcome row"))
-        elif var_h[i] <= eps_var:
-            excluded.append((seller, "zero variance"))
-        else:
-            rows.append(i)
-    if not rows:
-        raise ExposureError("no usable outcome units after exclusions")
-    rows_arr = np.asarray(rows, dtype=np.int64)
-    kept_sellers = [graph.sellers[i] for i in rows]
-    y_in = np.array([outcomes.y_in(s) for s in kept_sellers])
-    y_pre = None
-    if outcomes.has_pre:
-        y_pre = np.array(
-            [np.nan if outcomes.y_pre(s) is None else outcomes.y_pre(s) for s in kept_sellers]
+    entries = [outcomes.entries.get(s) for s in graph.sellers]  # one lookup each
+    missing = np.array([e is None for e in entries], dtype=bool)
+    if missing.any() and not allow_missing_outcomes:
+        raise MissingOutcomeError(
+            [s for s, e in zip(graph.sellers, entries) if e is None]
         )
+    # (y_in, y_pre) per graph seller; NaN for a missing row or y_pre
+    y = np.array([e or (None, None) for e in entries], dtype=float).reshape(-1, 2)
+    dropped = missing | (var_h <= eps_var)
+    excluded = [
+        (graph.sellers[i], "no outcome row" if missing[i] else "zero variance")
+        for i in np.flatnonzero(dropped).tolist()
+    ]
+    rows_arr = np.flatnonzero(~dropped)
+    if not len(rows_arr):
+        raise ExposureError("no usable outcome units after exclusions")
+    kept_sellers = [graph.sellers[i] for i in rows_arr.tolist()]
+    y_in = y[rows_arr, 0]
+    y_pre = y[rows_arr, 1] if outcomes.has_pre else None
     panel = ExposurePanel(
         seller_ids=kept_sellers,
         h=h[rows_arr],

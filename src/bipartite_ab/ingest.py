@@ -14,6 +14,17 @@ Events are parsed once into an `EventLog` of integer-coded columns in file
 order: `buyer`, `seller` and `kind` codes into the sorted vocabularies
 `buyers`, `sellers` and `kinds`, and an int64 `timestamp`. No per-event
 object is made; the graph is built from the codes with sparse matrices.
+
+The events file is tokenized as bytes, BLOCK_BYTES of whole lines at a
+time, with numpy and no Python per row: LF or CRLF line ends, blank lines
+skipped, exactly three commas per line. Ids are coded by their bytes and
+each distinct id is decoded once; timestamps of an optional '-' and up to
+18 ASCII digits are converted by numpy and every other cell by `int()` on
+its decoded text. A file holding a quote or a CR that does not end a CRLF
+is read by the csv module instead. Both paths give the same codes,
+counters, warnings and errors: errors are decided in file order, and a line
+is checked for invalid UTF-8, then its column count, then empty ids, then
+its timestamp. Only the csv module limits a field's length.
 """
 
 from __future__ import annotations
@@ -37,6 +48,12 @@ EVENTS_HEADER = ["buyer_id", "seller_id", "event_kind", "timestamp_ms"]
 ASSIGNMENTS_HEADER = ["buyer_id", "variant"]
 
 PROB_SUM_TOL = 1e-9
+
+BLOCK_BYTES = 1 << 20  # bytes of whole lines tokenized at a time
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_TS_DIGITS = 18  # at most 18 decimal digits always fit in an int64
+# _WORD_MASK[k] keeps the first k bytes of a little-endian uint64 word
+_WORD_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
 
 class IngestError(ValueError):
@@ -190,6 +207,18 @@ def _open_csv(path):
     return open(path, "r", encoding="utf-8", newline="")
 
 
+def _csv_records(path, lines):
+    """(line_no, row) for each record csv.reader reads from `lines`, the
+    header being 1; a csv.Error, such as a field over the csv module's size
+    limit, becomes a ParseError naming its record."""
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(lines), start=1):
+            yield line_no, row
+    except csv.Error as exc:
+        raise ParseError(path, line_no + 1, f"unreadable CSV record: {exc}") from None
+
+
 def _check_header(path, header, expected, optional_tail=()):
     if header is None:
         raise ParseError(path, 1, "empty file, expected header")
@@ -217,38 +246,20 @@ def parse_events(
     kind_filter = set(kind_filter)
     known = set(known_kinds) | kind_filter
     t0, t1 = window
-    buyer_ids, seller_ids, kind_ids = {}, {}, {}  # id -> first-seen code
-    buyer, seller, kind, timestamp = (array("q") for _ in range(4))
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(path, header, EVENTS_HEADER)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
-            buyer_id, seller_id, kind_id, ts_raw = row
-            if not buyer_id or not seller_id:
-                raise ParseError(path, line_no, "empty buyer_id or seller_id")
-            try:
-                timestamp.append(int(ts_raw))
-            except (ValueError, OverflowError) as exc:
-                what = "non-integer" if isinstance(exc, ValueError) else "non-int64"
-                raise ParseError(path, line_no, f"{what} timestamp {ts_raw!r}") from None
-            if kind_id not in known:
-                warnings.warn(
-                    f"{path}:{line_no}: unknown event kind {kind_id!r}, skipped",
-                    stacklevel=2,
-                )
-            buyer.append(buyer_ids.setdefault(buyer_id, len(buyer_ids)))
-            seller.append(seller_ids.setdefault(seller_id, len(seller_ids)))
-            kind.append(kind_ids.setdefault(kind_id, len(kind_ids)))
-    buyer, seller, kind, timestamp = (
-        np.frombuffer(c, dtype=np.int64) for c in (buyer, seller, kind, timestamp)
-    )
-    kinds = list(kind_ids)
+    tokens = _tokenize_unquoted(path)
+    if tokens is None:
+        tokens = _tokenize_quoted(path)
+    kinds, kind, timestamp = tokens.kinds, tokens.kind, tokens.timestamp
     is_known = np.isin(kind, [c for c, k in enumerate(kinds) if k in known])
+    unknown = np.flatnonzero(~is_known)
+    lines = unknown + 2 + np.searchsorted(tokens.blank_rows, unknown, side="right")
+    for line_no, code in zip(lines.tolist(), kind[unknown].tolist()):
+        warnings.warn(
+            f"{path}:{line_no}: unknown event kind {kinds[code]!r}, skipped",
+            stacklevel=2,
+        )
+    if tokens.error is not None:
+        raise tokens.error
     selected = np.isin(kind, [c for c, k in enumerate(kinds) if k in kind_filter])
     in_window = (t0 <= timestamp) & (timestamp <= t1)
     keep = selected & in_window
@@ -259,11 +270,261 @@ def parse_events(
         dropped_window=int((selected & ~in_window).sum()),
         dropped_unknown_kind=int((~is_known).sum()),
     )
-    events = EventLog.from_codes(
-        list(buyer_ids), list(seller_ids), kinds,
-        buyer[keep], seller[keep], kind[keep], timestamp[keep],
+    vocabularies = (tokens.buyers, tokens.sellers, kinds)
+    kept = [c[keep] for c in (tokens.buyer, tokens.seller, kind, timestamp)]
+    del tokens, kind, timestamp  # free the full columns before from_codes
+    return EventLog.from_codes(*vocabularies, *kept), report
+
+
+@dataclass
+class _EventTokens:
+    """The rows of an events file before the first malformed one, as codes
+    into id lists in any order; `blank_rows[j]` is the number of rows before
+    the j-th blank line, and `error` the malformed row's ParseError."""
+
+    buyers: list[str]
+    sellers: list[str]
+    kinds: list[str]
+    buyer: np.ndarray
+    seller: np.ndarray
+    kind: np.ndarray
+    timestamp: np.ndarray
+    blank_rows: np.ndarray
+    error: ParseError | None
+
+
+def _timestamp(path, line_no, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(path, line_no, f"non-integer timestamp {text!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ParseError(path, line_no, f"non-int64 timestamp {text!r}")
+    return value
+
+
+def _utf8_error(path, line_no, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(
+        path, line_no, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
     )
-    return events, report
+
+
+class _IdCodes:
+    """Integer codes for the byte-string ids of one column, a block at a
+    time. Ids are packed into little-endian uint64 words and kept in sorted
+    runs per byte length: a numpy `S` array drops trailing NULs and would
+    merge "b1" and "b1\\x00". A code is given to an id when it is first
+    seen, and the id is decoded then, once."""
+
+    def __init__(self):
+        self.ids: list[str] = []  # by code
+        self.seen = {}  # byte length -> sorted runs [(packed ids, their codes)]
+
+    def codes(self, words, start, end) -> np.ndarray:
+        """Codes of the ids `bytes[start:end]` of a block whose unaligned
+        uint64 view is `words` (`words[k]` packs bytes k..k+7)."""
+        length = end - start
+        codes = np.empty(len(start), dtype=np.int64)
+        sizes, count = np.unique(length, return_counts=True)
+        for size, n_rows in zip(sizes.tolist(), count.tolist()):
+            rows = np.flatnonzero(length == size) if n_rows < len(length) else slice(None)
+            n_words = max(1, -(-size // 8))
+            packed = words[start[rows, None] + 8 * np.arange(n_words)]
+            packed[:, -1] &= _WORD_MASK[size - 8 * (n_words - 1)]
+            keys = packed.view(f"V{8 * n_words}") if n_words > 1 else packed
+            keys, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+            codes[rows] = self._lookup(size, keys)[inverse.reshape(-1)]
+        return codes
+
+    def _lookup(self, size, keys):
+        """Codes of the sorted distinct packed ids `keys` of `size` bytes,
+        numbering and decoding the ones not seen before."""
+        runs = self.seen.setdefault(size, [])
+        codes = np.full(len(keys), -1, dtype=np.int64)
+        for run, run_codes in runs:
+            todo = np.flatnonzero(codes < 0)
+            at = np.minimum(np.searchsorted(run, keys[todo]), len(run) - 1)
+            hit = run[at] == keys[todo]
+            codes[todo[hit]] = run_codes[at[hit]]
+        new = codes < 0
+        if not new.any():
+            return codes
+        codes[new] = len(self.ids) + np.arange(np.count_nonzero(new))
+        raw = keys[new].view(np.uint8).reshape(-1, keys.dtype.itemsize)[:, :size]
+        if size:
+            raw = np.ascontiguousarray(raw).view(f"V{size}").reshape(-1).tolist()
+            self.ids += map(bytes.decode, raw)
+        else:
+            self.ids += [""] * len(raw)
+        # merge runs of similar length (as in a binary counter), so that each
+        # id is copied O(log n) times in all rather than once per block
+        runs.append((keys[new], codes[new]))
+        while len(runs) > 1 and 2 * len(runs[-1][0]) >= len(runs[-2][0]):
+            (a, a_codes), (b, b_codes) = runs.pop(-2), runs.pop()
+            at = np.searchsorted(a, b)
+            runs.append((np.insert(a, at, b), np.insert(a_codes, at, b_codes)))
+        return codes
+
+
+def _plain_timestamps(a, start, end):
+    """(values, other): the int64 value of each cell `a[start:end]` that is
+    an optional '-' and 1 to 18 ASCII digits, and a mask of the other cells,
+    whose values are left undefined."""
+    negative = (end > start) & (a.take(start, mode="clip") == ord("-"))
+    digits = end - start - negative
+    offset = np.arange(-min(int(digits.max(initial=0)), _TS_DIGITS), 0)[:, None]
+    cell = a.take(end + offset, mode="clip") - np.uint8(ord("0"))
+    cell[offset < -digits] = 0  # bytes before the digits count as leading zeros
+    other = (digits < 1) | (digits > _TS_DIGITS) | (cell > 9).any(axis=0)
+    values = np.zeros(len(end), dtype=np.int64)
+    for digit in cell:  # most significant first
+        values *= 10
+        values += digit
+    return np.where(negative, -values, values), other
+
+
+def _header(path, line: bytes) -> list[str]:
+    try:
+        text = line.rstrip(b"\n").removesuffix(b"\r").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, 1, exc) from None
+    return text.split(",") if text else []
+
+
+def _csv_safe(data: bytes) -> bool:
+    """True when splitting `data` at LF and commas gives the csv module's
+    records and fields: no quote and every CR ends a CRLF."""
+    return b'"' not in data and (
+        b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")
+    )
+
+
+def _tokenize_unquoted(path) -> _EventTokens | None:
+    """Tokenize with numpy over the file's bytes, BLOCK_BYTES of whole lines
+    at a time, with no Python per row (only per timestamp cell that is not
+    plain digits). None when `_csv_safe` does not hold for the file."""
+    columns = [_IdCodes() for _ in range(3)]
+    # codes, timestamp, blank_rows; array grows in place, unlike a concatenation
+    out = [array("q") for _ in range(5)]
+    error, rows, line0 = None, 0, 2  # line0: file line of the block's first line
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header:
+            raise ParseError(path, 1, "empty file, expected header")
+        if not _csv_safe(header):
+            return None
+        _check_header(path, _header(path, header), EVENTS_HEADER)
+        while error is None and (block := fh.read(BLOCK_BYTES)):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            if not _csv_safe(block):
+                return None
+            n = len(block)
+            a = np.frombuffer(block + bytes(8), dtype=np.uint8)
+            ends = np.flatnonzero(a[:n] == ord("\n"))
+            starts = np.concatenate(([0], ends + 1))
+            if block.endswith(b"\n"):
+                starts = starts[:-1]
+            else:
+                ends = np.append(ends, n)
+            if b"\r" in block:
+                ends -= a[ends - 1] == ord("\r")
+            # `bad` is the block's first line with an error, checked in the
+            # csv path's order: UTF-8, column count, empty id, timestamp
+            bad = len(ends)
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad = int(np.searchsorted(starts, exc.start, side="right")) - 1
+                    error = _utf8_error(path, line0 + bad, exc)
+            commas = np.flatnonzero(a[:n] == ord(","))
+            first = np.searchsorted(commas, starts[:bad])
+            width = np.searchsorted(commas, ends[:bad]) - first + 1
+            nonblank = ends[:bad] > starts[:bad]
+            wrong = np.flatnonzero(nonblank & (width != 4))
+            if len(wrong):
+                bad = int(wrong[0])
+                error = ParseError(
+                    path, line0 + bad, f"expected 4 columns, got {width[bad]}"
+                )
+            line = np.flatnonzero(nonblank[:bad])
+            cut = commas[first[line, None] + np.arange(3)]
+            start = np.column_stack((starts[line], cut + 1))  # of the 4 fields
+            end = np.column_stack((cut, ends[line]))
+            no_id = np.flatnonzero((start[:, :2] == end[:, :2]).any(axis=1))
+            if len(no_id):
+                k = no_id[0]
+                bad = int(line[k])
+                error = ParseError(path, line0 + bad, "empty buyer_id or seller_id")
+                line, start, end = line[:k], start[:k], end[:k]
+            value, other = _plain_timestamps(a, start[:, 3], end[:, 3])
+            for k in np.flatnonzero(other).tolist():
+                text = block[start[k, 3]:end[k, 3]].decode("utf-8")
+                try:
+                    value[k] = _timestamp(path, line0 + int(line[k]), text)
+                except ParseError as exc:
+                    bad, error = int(line[k]), exc
+                    line, start, end, value = line[:k], start[:k], end[:k], value[:k]
+                    break
+            words = np.ndarray((n + 1,), dtype="<u8", buffer=a, strides=(1,))
+            codes = [
+                ids.codes(words, start[:, c], end[:, c]) for c, ids in enumerate(columns)
+            ]
+            blank = np.flatnonzero(~nonblank[:bad])
+            blank_rows = rows + blank - np.arange(len(blank))
+            for target, values in zip(out, (*codes, value, blank_rows)):
+                target.frombytes(memoryview(values).cast("B"))
+            rows += len(line)
+            line0 += len(ends)
+    return _EventTokens(
+        *(ids.ids for ids in columns),
+        *(np.frombuffer(c, dtype=np.int64) for c in out),
+        error,
+    )
+
+
+def _tokenize_quoted(path) -> _EventTokens:
+    """Tokenize with the csv module: the path for files that hold a quote
+    or a CR not followed by LF."""
+    ids = ({}, {}, {})  # id -> first-seen code, for buyers, sellers, kinds
+    codes = [array("q") for _ in ids]
+    timestamp, blank_rows = array("q"), array("q")
+    error, line_no = None, 0
+    with open(path, "rb") as fh:
+        # universal newlines as in text mode, decoded one line at a time so
+        # that invalid UTF-8 is reported on its record
+        lines = (
+            piece.decode("utf-8")
+            for raw in fh
+            for piece in raw.splitlines(keepends=True)
+        )
+        records = _csv_records(path, lines)
+        try:
+            _check_header(path, next(records, (1, None))[1], EVENTS_HEADER)
+            line_no = 1
+            for line_no, row in records:
+                if not row:
+                    blank_rows.append(len(timestamp))
+                    continue
+                if len(row) != 4:
+                    raise ParseError(
+                        path, line_no, f"expected 4 columns, got {len(row)}"
+                    )
+                if not row[0] or not row[1]:
+                    raise ParseError(path, line_no, "empty buyer_id or seller_id")
+                timestamp.append(_timestamp(path, line_no, row[3]))
+                for vocab, column, value in zip(ids, codes, row):
+                    column.append(vocab.setdefault(value, len(vocab)))
+        except ParseError as exc:
+            error = exc
+        except UnicodeDecodeError as exc:
+            error = _utf8_error(path, line_no + 1, exc)
+    return _EventTokens(
+        *(list(vocab) for vocab in ids),
+        *(np.frombuffer(c, dtype=np.int64) for c in (*codes, timestamp, blank_rows)),
+        error,
+    )
 
 
 def default_design_path(assignments_path) -> Path:
@@ -312,10 +573,9 @@ def parse_assignments(path, design_path=None) -> AssignmentTable:
     variants = parse_design(design_path)
     entries: dict[str, str] = {}
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(path, header, ASSIGNMENTS_HEADER)
-        for line_no, row in enumerate(reader, start=2):
+        records = _csv_records(path, fh)
+        _check_header(path, next(records, (1, None))[1], ASSIGNMENTS_HEADER)
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != 2:
@@ -339,13 +599,15 @@ def parse_outcomes(path) -> OutcomeTable:
     """
     entries: dict[str, tuple[float, float | None]] = {}
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _csv_records(path, fh)
         has_pre = _check_header(
-            path, header, ["seller_id", "y_in"], optional_tail=(("y_pre",),)
+            path,
+            next(records, (1, None))[1],
+            ["seller_id", "y_in"],
+            optional_tail=(("y_pre",),),
         )
         width = 3 if has_pre else 2
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != width:

@@ -194,7 +194,9 @@ def simulate_experiment(
     for i, seller in enumerate(graph.sellers):
         idx, w = graph.row(i)
         for j, weight in zip(idx, w):
-            edge_digest.update(f"{seller},{graph.buyers[j]},{weight!r};".encode())
+            # float(): a numpy 2 scalar's repr is "np.float64(...)"
+            text = f"{seller},{graph.buyers[j]},{float(weight)!r};"
+            edge_digest.update(text.encode())
     truth = SimTruth(
         true_tau=float(np.mean(beta)),
         alpha=alpha,

@@ -157,6 +157,29 @@ class TestAnalyze:
         args[args.index("--events") + 1] = str(sim_dir / "nope.csv")
         assert main(args) == 1
 
+    @pytest.mark.parametrize(
+        "flag, name, row",
+        [  # a quote sends the events file down the csv module's path
+            ("--events", "events.csv", '"b{big}",s1,view,5'),
+            ("--assignments", "assignments.csv", "b{big},On"),
+            ("--outcomes", "outcomes.csv", "s{big},1.0,0.5"),
+        ],
+    )
+    def test_oversized_csv_field_is_parse_error(
+        self, sim_dir, tmp_path, capsys, flag, name, row
+    ):
+        lines = (sim_dir / name).read_text().splitlines()
+        path = tmp_path / name
+        path.write_text("\n".join(lines + [row.format(big="x" * 200_000)]) + "\n")
+        (tmp_path / "assignments.design.json").write_text(
+            (sim_dir / "assignments.design.json").read_text()
+        )
+        args = analyze_args(sim_dir, tmp_path / "out")
+        args[args.index(flag) + 1] = str(path)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{len(lines) + 1}: unreadable CSV record: field larger" in err
+
     def test_malformed_design_is_error(self, sim_dir, tmp_path, capsys):
         design = tmp_path / "design.json"
         design.write_text(json.dumps({"variants": [{"probability": 1.0}]}))

@@ -230,6 +230,69 @@ class TestAssemblePanel:
             assert panel.h[k] == h_full[row]
             assert panel.y_in[k] == float(row)
 
+    def test_outcome_join_matches_per_seller_loop(self, rng):
+        def oracle(graph, outcomes, var_h, eps_var):
+            # the join as it was: one dict pass per output
+            excluded, rows = [], []
+            for i, seller in enumerate(graph.sellers):
+                if seller not in outcomes:
+                    excluded.append((seller, "no outcome row"))
+                elif var_h[i] <= eps_var:
+                    excluded.append((seller, "zero variance"))
+                else:
+                    rows.append(i)
+            kept = [graph.sellers[i] for i in rows]
+            y_in = np.array([outcomes.y_in(s) for s in kept])
+            y_pre = None
+            if outcomes.has_pre:
+                y_pre = np.array([
+                    np.nan if outcomes.y_pre(s) is None else outcomes.y_pre(s)
+                    for s in kept
+                ])
+            return excluded, rows, kept, y_in, y_pre
+
+        buyers = [f"b{k}" for k in range(12)]
+        assignments = two_variant_assignments(buyers[::2], buyers[1::2])
+        compared = 0
+        for _ in range(60):
+            rows = [
+                (str(rng.choice(buyers)), f"s{rng.integers(0, 20)}", "view", t)
+                for t in range(int(rng.integers(3, 60)))
+            ]
+            graph, _ = build_graph(make_events(rows), assignments, CFG)
+            has_pre = bool(rng.random() < 0.5)
+            outcomes = OutcomeTable(
+                {
+                    s: (float(rng.normal()),
+                        float(rng.normal()) if has_pre and rng.random() < 0.7 else None)
+                    for s in graph.sellers
+                    if rng.random() < 0.8
+                },
+                has_pre,
+            )
+            _, var_h = design_moments(graph, assignments, "On")
+            eps_var = float(rng.choice([0.0, np.median(var_h), np.max(var_h)]))
+            excluded, kept_rows, kept, y_in, y_pre = oracle(graph, outcomes, var_h, eps_var)
+            if not kept_rows:
+                with pytest.raises(ExposureError):
+                    assemble_panel(graph, assignments, outcomes, "On",
+                                   allow_missing_outcomes=True, eps_var=eps_var)
+                continue
+            panel, report = assemble_panel(
+                graph, assignments, outcomes, "On",
+                allow_missing_outcomes=True, eps_var=eps_var,
+            )
+            assert report.excluded == excluded
+            assert panel.seller_ids == kept
+            np.testing.assert_array_equal(panel.graph_rows, kept_rows)
+            np.testing.assert_array_equal(panel.y_in, y_in)
+            if y_pre is None:
+                assert panel.y_pre is None
+            else:
+                np.testing.assert_array_equal(panel.y_pre, y_pre)
+            compared += 1
+        assert compared >= 30
+
 
 class TestHistogram:
     def test_bin_edges_and_mass(self, tmp_path):

@@ -1,14 +1,24 @@
 import csv
 import json
+import sys
+import warnings
+from array import array
 
+import numpy as np
 import pytest
 
+from bipartite_ab import ingest
 from bipartite_ab.ingest import (
+    DEFAULT_EVENT_KINDS,
+    EVENTS_HEADER,
     AssignmentTable,
+    EventLog,
+    EventParseReport,
     IngestError,
     OutcomeTable,
     ParseError,
     Variant,
+    _check_header,
     parse_assignments,
     parse_events,
     parse_outcomes,
@@ -113,6 +123,24 @@ class TestParseEvents:
         with pytest.raises(ParseError, match=f":7: {message}") as caught:
             parse_events(path, {"view"}, WINDOW)
         assert caught.value.line_no == 7
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize(
+        "bad_row, byte",
+        [(b"b\xff9,s1,view,4", "0xff"), (b"b9,s1,view,4\xe9", "0xe9")],
+        ids=["id", "timestamp"],
+    )
+    def test_invalid_utf8_names_its_line(self, tmp_path, quoted, bad_row, byte):
+        path = tmp_path / "events.csv"
+        first = b'"b1",s1,teleport,1' if quoted else b"b1,s1,teleport,1"
+        path.write_bytes(
+            b"buyer_id,seller_id,event_kind,timestamp_ms\n"
+            + first + b"\n\nb2,s1,view,2\n" + bad_row + b"\nb3,s1,view,x\n"
+        )
+        with pytest.warns(UserWarning, match=":2: unknown event kind 'teleport'"):
+            with pytest.raises(ParseError, match=f":5: invalid UTF-8 byte {byte}$") as caught:
+                parse_events(path, {"view"}, WINDOW)
+        assert caught.value.line_no == 5
 
     def test_counters_add_up(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -260,3 +288,188 @@ class TestParseOutcomes:
         parsed = parse_outcomes(path)
         assert parsed.has_pre
         assert parsed.entries == table.entries
+
+
+# --- differential test: the byte tokenizer against the csv.reader loop ---
+
+
+def oracle_parse_events(path, kind_filter, window, known_kinds=DEFAULT_EVENT_KINDS):
+    """parse_events as one csv.reader loop over the text file, the way it
+    was written before the byte tokenizer: the reference for any file the
+    csv module reads."""
+    kind_filter = set(kind_filter)
+    known = set(known_kinds) | kind_filter
+    t0, t1 = window
+    buyer_ids, seller_ids, kind_ids = {}, {}, {}
+    buyer, seller, kind, timestamp = (array("q") for _ in range(4))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(path, header, EVENTS_HEADER)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
+            buyer_id, seller_id, kind_id, ts_raw = row
+            if not buyer_id or not seller_id:
+                raise ParseError(path, line_no, "empty buyer_id or seller_id")
+            try:
+                timestamp.append(int(ts_raw))
+            except (ValueError, OverflowError) as exc:
+                what = "non-integer" if isinstance(exc, ValueError) else "non-int64"
+                raise ParseError(path, line_no, f"{what} timestamp {ts_raw!r}") from None
+            if kind_id not in known:
+                warnings.warn(
+                    f"{path}:{line_no}: unknown event kind {kind_id!r}, skipped",
+                    stacklevel=2,
+                )
+            buyer.append(buyer_ids.setdefault(buyer_id, len(buyer_ids)))
+            seller.append(seller_ids.setdefault(seller_id, len(seller_ids)))
+            kind.append(kind_ids.setdefault(kind_id, len(kind_ids)))
+    buyer, seller, kind, timestamp = (
+        np.frombuffer(c, dtype=np.int64) for c in (buyer, seller, kind, timestamp)
+    )
+    kinds = list(kind_ids)
+    is_known = np.isin(kind, [c for c, k in enumerate(kinds) if k in known])
+    selected = np.isin(kind, [c for c, k in enumerate(kinds) if k in kind_filter])
+    in_window = (t0 <= timestamp) & (timestamp <= t1)
+    keep = selected & in_window
+    report = EventParseReport(
+        rows_read=len(kind),
+        rows_kept=int(keep.sum()),
+        dropped_kind=int((is_known & ~selected).sum()),
+        dropped_window=int((selected & ~in_window).sum()),
+        dropped_unknown_kind=int((~is_known).sum()),
+    )
+    events = EventLog.from_codes(
+        list(buyer_ids), list(seller_ids), kinds,
+        buyer[keep], seller[keep], kind[keep], timestamp[keep],
+    )
+    return events, report
+
+
+NUL_OK = sys.version_info >= (3, 11)  # older csv modules reject NUL bytes
+INT64 = (-(1 << 63), (1 << 63) - 1)
+
+
+def random_id(rng, prefix):
+    roll = rng.random()
+    if roll < 0.45:
+        return f"{prefix}{rng.integers(0, 12)}"
+    if roll < 0.55 and NUL_OK:
+        return f"{prefix}{rng.integers(0, 3)}" + "\x00" * int(rng.integers(0, 3))
+    if roll < 0.7:
+        return rng.choice(["é", "é", "日本", "ü\x00", "Ω"]) + str(rng.integers(0, 4))
+    if roll < 0.85:  # 9 to 40 bytes, some differing only at the end
+        return prefix * 5 + "x" * int(rng.integers(4, 36)) + str(rng.integers(0, 3))
+    return f"{prefix}{rng.integers(0, 100_000_000)}"  # 1 to 9 bytes
+
+
+def random_timestamp(rng):
+    roll = rng.random()
+    if roll < 0.6:
+        return str(int(rng.integers(-20, 20_000)))
+    return str(rng.choice([
+        " 5", "7 ", "+12", "1_000", "0007", "-0003", "-0", "00",
+        "999999999999999999", "-999999999999999999", "1000000000000000000",
+        str(INT64[0]), str(INT64[1]), "0" * 25 + "42", "١٢٣", "٣",
+    ]))
+
+
+def bad_row(rng):
+    return rng.choice([
+        "b1,s1,view", "b1,s1,view,4,5", "b1", ",s1,view,4", "b1,,view,4",
+        ",,view,x", "b1,s1,view,4.5", "b1,s1,view,", "b1,s1,view,1e3",
+        "b1,s1,view,--4", f"b1,s1,view,{INT64[1] + 1}", f"b1,s1,view,{INT64[0] - 1}",
+        "b1,s1,view,\x00", "b1,s1,view,5,", "b1,s1,view,-",
+    ])
+
+
+def quote(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+def random_events_file(rng):
+    """(bytes, quoted, invalid): a random events CSV; quoted files hold a
+    quote or a CR that does not end a CRLF, invalid ones a byte sequence
+    that is not UTF-8."""
+    quoted = rng.random() < 0.25
+    lines = [",".join(EVENTS_HEADER)]
+    if rng.random() < 0.05:
+        lines[0] = str(rng.choice([
+            "", "buyer_id,seller_id,event_kind", ",".join(EVENTS_HEADER) + ",extra",
+            "\ufeff" + ",".join(EVENTS_HEADER),
+        ]))
+    for _ in range(int(rng.integers(0, 40))):
+        if rng.random() < 0.1:
+            lines.append("")
+            continue
+        kind = rng.choice(["view", "view", "favorite", "message", "teleport", ""])
+        fields = [random_id(rng, "b"), random_id(rng, "s"), kind, random_timestamp(rng)]
+        if quoted and rng.random() < 0.3:
+            k = int(rng.integers(0, 4))
+            fields[k] = quote(rng.choice([fields[k], fields[k] + ',"x"', fields[k] + "\nz"]))
+        lines.append(",".join(fields))
+    if rng.random() < 0.4 and len(lines) > 1:
+        lines[int(rng.integers(1, len(lines)))] = bad_row(rng)
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join(lines)
+    if quoted and rng.random() < 0.3:
+        text = text.replace(newline, "\r", 1)
+    if rng.random() < 0.8:
+        text += newline * int(rng.integers(1, 3))
+    data = b"" if rng.random() < 0.01 else text.encode("utf-8")
+    invalid = rng.random() < 0.15
+    if invalid:
+        at = int(rng.integers(0, len(data) + 1))
+        bad = rng.choice([b"\xff", b"\xc3", b"\xe6\x97", b"\xed\xa0\x80", b"\x80"])
+        data = data[:at] + bad + data[at:]
+    return data, quoted, invalid
+
+
+def outcome(parse, path, kinds):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(path, kinds, (0, 10_000))
+        except ParseError as exc:
+            result = (str(exc), exc.line_no)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16, 200, 1 << 20])
+def test_byte_tokenizer_matches_csv_loop(rng, tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    path = tmp_path / "events.csv"
+    seen = {"error": 0, "parsed": 0, "quoted": 0, "warned": 0, "invalid": 0}
+    for _ in range(150):
+        data, quoted, invalid = random_events_file(rng)
+        path.write_bytes(data)
+        kinds = set(rng.choice(["view", "favorite", "message"], size=2).tolist())
+        if invalid:  # the loop stops on a UnicodeDecodeError: use the csv path
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_tokenize_unquoted", lambda path: None)
+                want, want_warnings = outcome(parse_events, path, kinds)
+        else:
+            want, want_warnings = outcome(oracle_parse_events, path, kinds)
+        got, got_warnings = outcome(parse_events, path, kinds)
+        assert got_warnings == want_warnings, data
+        if isinstance(want[0], str):
+            assert got == want, data
+            seen["error"] += 1
+        else:
+            (want_events, want_report), (got_events, got_report) = want, got
+            assert got_report == want_report, data
+            for name in ("buyers", "sellers", "kinds"):
+                assert getattr(got_events, name) == getattr(want_events, name), data
+            for name in ("buyer", "seller", "kind", "timestamp"):
+                np.testing.assert_array_equal(
+                    getattr(got_events, name), getattr(want_events, name)
+                )
+                assert getattr(got_events, name).dtype == np.int64
+            seen["parsed"] += 1
+        seen["quoted"] += quoted
+        seen["warned"] += bool(want_warnings)
+        seen["invalid"] += invalid
+    assert min(seen.values()) >= 15, seen

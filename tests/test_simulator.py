@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from bipartite_ab.estimators import erl_estimate, regression_estimate
 from bipartite_ab.exposure import exposure_histogram
+from bipartite_ab import simulator
 from bipartite_ab.ingest import parse_assignments, parse_events, parse_outcomes
 from bipartite_ab.simulator import (
     FixedDegree,
@@ -88,6 +90,29 @@ class TestSimulateExperiment:
         assert again.truth.true_tau == exp.truth.true_tau
         assert again.truth.graph_seed_digest == exp.truth.graph_seed_digest
         assert again.assignments.entries != exp.assignments.entries
+
+    def test_graph_digest_hashes_plain_float_reprs(self, monkeypatch):
+        hashed, sha256 = [], hashlib.sha256
+
+        class Recorder:
+            def __init__(self):
+                self.inner = sha256()
+
+            def update(self, data):
+                hashed.append(data.decode())
+                self.inner.update(data)
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        monkeypatch.setattr(simulator.hashlib, "sha256", Recorder)
+        exp = simulate_experiment(SimConfig(m=60, n=40, seed=17))
+        monkeypatch.undo()
+        text = "".join(hashed)
+        weights = [edge.rsplit(",", 1)[1] for edge in text.split(";")[:-1]]
+        # the same text under numpy 1 and 2: no "np.float64(...)" wrapper
+        assert weights and all(repr(float(w)) == w for w in weights)
+        assert exp.truth.graph_seed_digest == hashlib.sha256(text.encode()).hexdigest()
 
     def test_noiseless_regression_recovers_truth(self):
         config = SimConfig(
