@@ -16,19 +16,14 @@ Three methods:
   quadratic worst case, in which every pair of units overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
-once. A bootstrap block is a count matrix C (replicates x units) built
-from the drawn row indices, and each estimator becomes weighted
-sufficient statistics over C's rows: ERL is C (y W) / n, REG and REG_PRE
-are centred 1x1 and 2x2 solves, CR-ERL fits lambda from weighted
-moments. A randomization block stacks the assignment draws Z and takes
-H = W Z. A least-squares replicate near the rank tolerance of the
-estimator's pivoted QR, or a CR-ERL replicate near its variance floor, is
-recomputed by the estimator itself, so failures count and raise as they
-would replicate by replicate.
-
-All methods are pure functions of (inputs, seed, replications): each
-replicate draws from its own generator, the replicate-th SeedSequence
-child of the seed, in the same order whatever the block size.
+once: a bootstrap block as a count matrix over the panel's units, a
+randomization block as a stack of assignment draws. A replicate near one
+of an estimator's decision boundaries is recomputed by the estimator
+itself, so failures count and raise as they would replicate by replicate.
+All methods are pure functions of (inputs, seed, replications): an
+interval draws its replicates in order from one generator,
+default_rng(seed), and every per-replicate sum runs along one row, so
+the block size does not change the interval.
 """
 
 from __future__ import annotations
@@ -109,13 +104,13 @@ class IntervalEstimate:
 
 
 def _replicate_blocks(seed: int, replications: int, width: int):
-    """(start, generators) for consecutive blocks of replicates. Replicate r
-    always draws from the r-th SeedSequence child of `seed`; a block holds
-    as many replicates as fit BLOCK_BYTES of float64 rows of `width`."""
-    children = np.random.SeedSequence(seed).spawn(replications)
+    """(start, count, rng) for consecutive blocks of replicates, all drawn in
+    order from the one generator default_rng(seed); a block holds as many
+    replicates as fit BLOCK_BYTES of float64 rows of `width`."""
+    rng = np.random.default_rng(seed)
     size = max(1, BLOCK_BYTES // (8 * width))
     for start in range(0, replications, size):
-        yield start, [np.random.default_rng(c) for c in children[start : start + size]]
+        yield start, min(size, replications - start), rng
 
 
 def _validate_common(estimator_id: str, replications: int, level: float):
@@ -129,18 +124,18 @@ def _validate_common(estimator_id: str, replications: int, level: float):
         raise InferenceError(f"level {level} outside (0,1)")
 
 
-def _replicate_taus(panel, estimator_id, c, h, lam=None):
+def _replicate_taus(panel, estimator_id, c, h):
     """The estimator on many replicates at once, as weighted sufficient
     statistics of the panel's units.
 
     Row k of `c` (replicates x units, or 1 x units for unit weights)
     weights the units of replicate k, whose exposures are `h` (units, or
-    replicates x units); every row of weights sums to n. CR-ERL fits lambda
-    per replicate unless `lam` is given. Returns (tau, exact, lam0): `exact`
-    marks the replicates too close to one of the estimator's decision
-    boundaries (the pivoted-QR rank test, the CR-ERL variance floor) to be
-    settled from these sums, and `lam0` those where CR-ERL falls back to
-    lambda = 0.
+    replicates x units); every row of weights sums to n, and each sum runs
+    along one row. CR-ERL fits lambda per replicate. Returns (tau, exact,
+    lam0): `exact` marks the replicates too close to one of the
+    estimator's decision boundaries (the pivoted-QR rank test, the CR-ERL
+    variance floor) to be settled from these sums, and `lam0` those where
+    CR-ERL falls back to lambda = 0.
     """
     n = panel.n
     y, f = panel.y_in, panel.y_pre
@@ -163,26 +158,24 @@ def _replicate_taus(panel, estimator_id, c, h, lam=None):
             if estimator_id == "erl":
                 return tau, exact, lam0
             b = f * w
-            mb = mean(b)
-            if lam is None:
-                da = a - tau[:, None]
-                db, cdb = centred(b)
-                s_bb = (cdb * db).sum(axis=-1)
-                var_b = s_bb / (n - 1) if n > 1 else np.zeros(rows)
-                lam0 = var_b < EPS_COVARIATE_VAR
-                lam = np.where(lam0, 0.0, (cdb * da).sum(axis=-1) / s_bb)
-                # near the floor, rounding could put np.var on the other side
-                slack = 0.5 * EPS_COVARIATE_VAR + 64 * EPS_MACH * np.abs(b).max() * (
-                    np.sqrt(var_b) + np.sqrt(EPS_COVARIATE_VAR)
-                )
-                exact = np.abs(var_b - EPS_COVARIATE_VAR) <= slack
-            return tau - lam * mb, exact, lam0
+            da = a - tau[:, None]
+            db, cdb = centred(b)
+            s_bb = (cdb * db).sum(axis=-1)
+            var_b = s_bb / (n - 1) if n > 1 else np.zeros(rows)
+            lam0 = var_b < EPS_COVARIATE_VAR
+            lam = np.where(lam0, 0.0, (cdb * da).sum(axis=-1) / s_bb)
+            # near the floor, rounding could put np.var on the other side
+            slack = 0.5 * EPS_COVARIATE_VAR + 64 * EPS_MACH * np.abs(b).max() * (
+                np.sqrt(var_b) + np.sqrt(EPS_COVARIATE_VAR)
+            )
+            exact = np.abs(var_b - EPS_COVARIATE_VAR) <= slack
+            return tau - lam * mean(b), exact, lam0
 
         # OLS of y on [1, h (, y_pre)], centred: the exposure slope solves the
         # 1x1 or 2x2 system of centred cross products
         dh, cdh = centred(h)
         s_hh = (cdh * dh).sum(axis=-1)
-        s_hy = cdh @ y
+        s_hy = (cdh * y).sum(axis=-1)
         norms = [np.full(rows, float(n)), n * mean(h) ** 2 + s_hh]
         if estimator_id == "reg":
             tau = s_hy / s_hh
@@ -193,7 +186,7 @@ def _replicate_taus(panel, estimator_id, c, h, lam=None):
             s_ff = (cdf * df).sum(axis=-1)
             s_hf = (cdh * df).sum(axis=-1)
             det = s_hh * s_ff - s_hf**2
-            tau = (s_ff * s_hy - s_hf * (cdf @ y)) / det
+            tau = (s_ff * s_hy - s_hf * (cdf * y).sum(axis=-1)) / det
             norms.append(n * mean(f) ** 2 + s_ff)
             # h and y_pre all but collinear: the 2x2 solve would lose digits
             accurate = det > GRAM_REL * s_hh * s_ff
@@ -226,9 +219,9 @@ def bootstrap_ci(
     n = panel.n
     taus = np.empty(replications)
     failures = lam0_count = 0
-    for start, rngs in _replicate_blocks(seed, replications, n):
-        idx = np.stack([rng.integers(0, n, n) for rng in rngs])
-        offsets = n * np.arange(len(rngs))[:, None]
+    for start, count, rng in _replicate_blocks(seed, replications, n):
+        idx = rng.integers(0, n, (count, n))
+        offsets = n * np.arange(count)[:, None]
         counts = np.bincount((idx + offsets).ravel(), minlength=idx.size)
         tau, exact, lam0 = _replicate_taus(
             panel, estimator_id, counts.reshape(idx.shape).astype(np.float64), panel.h
@@ -242,7 +235,7 @@ def bootstrap_ci(
                     tau[k] = np.nan
                     failures += 1
             lam0[k] = estimator_id == "crerl" and bool(caught)
-        taus[start : start + len(rngs)] = tau
+        taus[start : start + count] = tau
         lam0_count += int(lam0.sum())
     if failures > 0.01 * replications:
         raise BootstrapFailureError(
@@ -279,29 +272,36 @@ def randomization_ci(
 ) -> IntervalEstimate:
     """Monte Carlo randomization interval for a panel assembled from `graph`.
 
-    Fresh assignment vectors are drawn from the declared design (each of
+    Fresh assignment vectors Z are drawn from the declared design (each of
     the graph's buyers treated with probability `panel.p`) and the
-    estimator is re-evaluated on the exposures H = W Z of a block of draws
-    at once, with the realized outcomes (and CR-ERL's fitted lambda) held
-    fixed; the sd of these draws yields a symmetric normal-quantile
-    interval around the point estimate.
+    estimator is re-evaluated on a block of draws at once, with the
+    realized outcomes (and CR-ERL's fitted lambda) held fixed; the sd of
+    these draws yields a symmetric normal-quantile interval around the
+    point estimate. ERL and CR-ERL are linear in Z, tau(Z) = Z a - c with
+    g = (y - lambda y_pre) / (n Var H), a = W'g and c = g E[H]; REG and
+    REG_PRE are evaluated on the exposures H = W Z.
     """
     _validate_common(estimator_id, replications, level)
     point = point_estimate(panel, estimator_id)
     W = graph.matrix()[panel.graph_rows]
     m = graph.n_buyers
-    unit = np.ones((1, panel.n))
+    linear = estimator_id in ("erl", "crerl")
+    if linear:
+        g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
+        g = g / (panel.n * panel.var_h)
+        a, c = W.T @ g, g @ panel.e_h
     taus = np.empty(replications)
-    for start, rngs in _replicate_blocks(seed, replications, m):
-        Z = np.empty((len(rngs), m))
-        for k, rng in enumerate(rngs):
-            Z[k] = rng.random(m) < panel.p
-        H = (W @ Z.T).T
-        tau, exact, _ = _replicate_taus(panel, estimator_id, unit, H, lam=point.lam)
+    for start, count, rng in _replicate_blocks(seed, replications, m):
+        Z = rng.random((count, m)) < panel.p
+        if linear:
+            taus[start : start + count] = (Z * a).sum(axis=1) - c
+            continue
+        # C order, so that each replicate's sums run along its own row
+        H = np.ascontiguousarray((W @ Z.T).T)
+        tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
         for k in np.flatnonzero(exact):
-            draw = replace(panel, h=H[k])
-            tau[k] = point_estimate(draw, estimator_id).tau_hat
-        taus[start : start + len(rngs)] = tau
+            tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
+        taus[start : start + count] = tau
     sd = float(np.std(taus, ddof=1))
     z_crit = float(norm.ppf(0.5 + level / 2.0))
     return IntervalEstimate(

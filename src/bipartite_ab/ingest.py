@@ -193,30 +193,27 @@ class OutcomeTable:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, seller_id):
-        return seller_id in self.entries
-
-    def y_in(self, seller_id: str) -> float:
-        return self.entries[seller_id][0]
-
-    def y_pre(self, seller_id: str) -> float | None:
-        return self.entries[seller_id][1]
-
-
-def _open_csv(path):
-    return open(path, "r", encoding="utf-8", newline="")
-
 
 def _csv_records(path, lines):
     """(line_no, row) for each record csv.reader reads from `lines`, the
     header being 1; a csv.Error, such as a field over the csv module's size
-    limit, becomes a ParseError naming its record."""
+    limit, becomes a ParseError naming its record, and invalid UTF-8 one
+    naming the first line that does not decode."""
     line_no = 0
     try:
         for line_no, row in enumerate(csv.reader(lines), start=1):
             yield line_no, row
     except csv.Error as exc:
         raise ParseError(path, line_no + 1, f"unreadable CSV record: {exc}") from None
+    except UnicodeDecodeError:
+        # a text-mode reader decodes ahead of the records: find the line
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _utf8_error(path, line_no, exc) from None
+        raise
 
 
 def _check_header(path, header, expected, optional_tail=()):
@@ -490,10 +487,10 @@ def _tokenize_quoted(path) -> _EventTokens:
     ids = ({}, {}, {})  # id -> first-seen code, for buyers, sellers, kinds
     codes = [array("q") for _ in ids]
     timestamp, blank_rows = array("q"), array("q")
-    error, line_no = None, 0
+    error = None
     with open(path, "rb") as fh:
         # universal newlines as in text mode, decoded one line at a time so
-        # that invalid UTF-8 is reported on its record
+        # that an earlier row error is raised before invalid UTF-8
         lines = (
             piece.decode("utf-8")
             for raw in fh
@@ -502,7 +499,6 @@ def _tokenize_quoted(path) -> _EventTokens:
         records = _csv_records(path, lines)
         try:
             _check_header(path, next(records, (1, None))[1], EVENTS_HEADER)
-            line_no = 1
             for line_no, row in records:
                 if not row:
                     blank_rows.append(len(timestamp))
@@ -518,8 +514,6 @@ def _tokenize_quoted(path) -> _EventTokens:
                     column.append(vocab.setdefault(value, len(vocab)))
         except ParseError as exc:
             error = exc
-        except UnicodeDecodeError as exc:
-            error = _utf8_error(path, line_no + 1, exc)
     return _EventTokens(
         *(list(vocab) for vocab in ids),
         *(np.frombuffer(c, dtype=np.int64) for c in (*codes, timestamp, blank_rows)),
@@ -572,7 +566,7 @@ def parse_assignments(path, design_path=None) -> AssignmentTable:
         design_path = default_design_path(path)
     variants = parse_design(design_path)
     entries: dict[str, str] = {}
-    with _open_csv(path) as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         records = _csv_records(path, fh)
         _check_header(path, next(records, (1, None))[1], ASSIGNMENTS_HEADER)
         for line_no, row in records:
@@ -598,7 +592,7 @@ def parse_outcomes(path) -> OutcomeTable:
     estimators require finite reals.
     """
     entries: dict[str, tuple[float, float | None]] = {}
-    with _open_csv(path) as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         records = _csv_records(path, fh)
         has_pre = _check_header(
             path,

@@ -235,20 +235,18 @@ class TestAssemblePanel:
             # the join as it was: one dict pass per output
             excluded, rows = [], []
             for i, seller in enumerate(graph.sellers):
-                if seller not in outcomes:
+                if seller not in outcomes.entries:
                     excluded.append((seller, "no outcome row"))
                 elif var_h[i] <= eps_var:
                     excluded.append((seller, "zero variance"))
                 else:
                     rows.append(i)
             kept = [graph.sellers[i] for i in rows]
-            y_in = np.array([outcomes.y_in(s) for s in kept])
+            y_in = np.array([outcomes.entries[s][0] for s in kept])
             y_pre = None
             if outcomes.has_pre:
-                y_pre = np.array([
-                    np.nan if outcomes.y_pre(s) is None else outcomes.y_pre(s)
-                    for s in kept
-                ])
+                pre = [outcomes.entries[s][1] for s in kept]
+                y_pre = np.array([np.nan if v is None else v for v in pre])
             return excluded, rows, kept, y_in, y_pre
 
         buyers = [f"b{k}" for k in range(12)]

@@ -1,6 +1,7 @@
 import itertools
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -479,10 +480,9 @@ def test_closed_form_table_and_variance_match_recursions(p):
 
 
 def oracle_rngs(seed, replications):
-    return [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(replications)
-    ]
+    """One generator per interval, drawn one replicate at a time."""
+    rng = np.random.default_rng(seed)
+    return [rng] * replications
 
 
 def oracle_bootstrap_ci(panel, estimator_id, replications, seed, level=0.95):
@@ -687,3 +687,63 @@ def test_batched_randomization_raises_on_collinear_draw(estimator_id):
     panel, _ = assemble_panel(graph, assignments, outcomes, "On")
     got = outcome_or_error(randomization_ci, panel, graph, estimator_id, 200, seed=0)
     assert got == want
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "reg", "reg_pre", "crerl"])
+def test_intervals_do_not_depend_on_block_size(estimator_id, monkeypatch):
+    """One replicate per block, blocks that leave a partial one, and the
+    default size all give bit-identical bounds."""
+    exp = simulate_experiment(SimConfig(m=120, n=50, pre_corr=0.6, seed=17))
+    panel = experiment_panel(exp)
+    reps = 250
+    bounds = []
+    for block_bytes in (1, 8 * 7 * exp.graph.n_buyers, inference.BLOCK_BYTES):
+        for width in (panel.n, exp.graph.n_buyers):
+            size = max(1, block_bytes // (8 * width))
+            assert size == 1 or reps % size != 0
+        monkeypatch.setattr(inference, "BLOCK_BYTES", block_bytes)
+        boot = bootstrap_ci(panel, estimator_id, reps, seed=3)
+        rand = randomization_ci(panel, exp.graph, estimator_id, reps, seed=3)
+        bounds.append((boot.ci_low, boot.ci_high, rand.ci_low, rand.ci_high))
+    assert bounds[0] == bounds[1] == bounds[2]
+
+
+def linear_coefficients(panel, lam):
+    """g with tau(h) = g h - c for ERL (lam None) or CR-ERL with lambda
+    held at `lam`, read off the estimator at h = 0 and at each unit vector."""
+    def tau(h):
+        draw = replace(panel, h=h)
+        if lam is None:
+            return erl_estimate(draw).tau_hat
+        return crerl_estimate(draw, lam=lam).tau_hat
+
+    base = tau(np.zeros(panel.n))
+    return np.array([tau(e) - base for e in np.eye(panel.n)])
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "crerl"])
+def test_linear_randomization_sd_matches_closed_form(estimator_id):
+    """With lambda held fixed, tau(Z) = Z a - c with a = W'g over
+    independent Bernoulli(p) buyers, so sd(tau) = sqrt(p (1 - p)) |a|. The
+    sd of a sample sd over R draws is about sd / sqrt(2 (R - 1))."""
+    reps = 2000
+    z_scores = []
+    for seed in range(30):
+        rng = np.random.default_rng([31, seed])
+        exp = simulate_experiment(
+            SimConfig(
+                m=int(rng.integers(200, 600)), n=int(rng.integers(40, 150)),
+                degree=FixedDegree(int(rng.integers(2, 5))),
+                pre_corr=float(rng.random()), seed=seed,
+            )
+        )
+        panel = experiment_panel(exp)
+        ci = randomization_ci(panel, exp.graph, estimator_id, reps, seed=seed)
+        g = linear_coefficients(panel, ci.point.lam)
+        a = exp.graph.matrix()[panel.graph_rows].T @ g
+        want = np.sqrt(panel.p * (1 - panel.p)) * np.linalg.norm(a)
+        got = ci.width / (2 * norm.ppf(0.975))
+        z_scores.append((got - want) / (want / np.sqrt(2 * (reps - 1))))
+    z_scores = np.array(z_scores)
+    assert np.abs(z_scores).max() <= 4.0, z_scores
+    assert abs(z_scores.mean()) <= 4.0 / np.sqrt(len(z_scores)), z_scores

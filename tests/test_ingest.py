@@ -255,6 +255,26 @@ class TestParseAssignments:
         with pytest.raises(IngestError, match=message):
             parse_assignments(path)
 
+    @pytest.mark.parametrize("bad_line", [3, 2500])
+    def test_invalid_utf8_names_its_line(self, tmp_path, bad_line):
+        # line 2500 lies past the first read-ahead buffer of a text-mode file
+        path = write_assignment_files(
+            tmp_path,
+            [],
+            [
+                {"label": "Off", "probability": 0.5, "control": True},
+                {"label": "On", "probability": 0.5},
+            ],
+        )
+        lines = [f"b{i},On".encode() for i in range(3000)]
+        lines[bad_line - 2] = b"b\xfe9,On"
+        path.write_bytes(b"buyer_id,variant\r\n" + b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(
+            ParseError, match=f":{bad_line}: invalid UTF-8 byte 0xfe$"
+        ) as caught:
+            parse_assignments(path)
+        assert caught.value.line_no == bad_line
+
     def test_exactly_one_control(self):
         with pytest.raises(IngestError, match="control"):
             AssignmentTable({"b1": "Off"}, [Variant("Off", 0.5), Variant("On", 0.5)])
@@ -267,14 +287,25 @@ class TestParseOutcomes:
         table = parse_outcomes(path)
         assert len(table) == 4
         assert not table.has_pre
-        assert table.y_in("s2") == 0.25
-        assert table.y_pre("s2") is None
+        assert table.entries["s2"] == (0.25, None)
 
     def test_nan_literal_is_error(self, tmp_path):
         path = tmp_path / "outcomes.csv"
         path.write_text("seller_id,y_in\ns1,NaN\n")
         with pytest.raises(ParseError, match="non-finite"):
             parse_outcomes(path)
+
+    @pytest.mark.parametrize("bad_line", [2, 2500])
+    def test_invalid_utf8_names_its_line(self, tmp_path, bad_line):
+        lines = [f"s{i},1.5,0.5".encode() for i in range(3000)]
+        lines[bad_line - 2] = b"s9,1.5,0.5\xfe"
+        path = tmp_path / "outcomes.csv"
+        path.write_bytes(b"seller_id,y_in,y_pre\n" + b"\n".join(lines) + b"\n")
+        with pytest.raises(
+            ParseError, match=f":{bad_line}: invalid UTF-8 byte 0xfe$"
+        ) as caught:
+            parse_outcomes(path)
+        assert caught.value.line_no == bad_line
 
     def test_round_trip(self, tmp_path, rng):
         n = 5000

@@ -80,9 +80,7 @@ class TestSimulateExperiment:
         assert assignments.entries == exp.assignments.entries
         outcomes = parse_outcomes(tmp_path / "outcomes.csv")
         assert len(outcomes) == len(exp.outcomes)
-        for s, (y_in, y_pre) in exp.outcomes.entries.items():
-            assert outcomes.y_in(s) == y_in
-            assert outcomes.y_pre(s) == y_pre
+        assert outcomes.entries == exp.outcomes.entries
 
     def test_rerandomize_keeps_truth(self):
         exp = simulate_experiment(SimConfig(m=60, n=40, seed=17))
