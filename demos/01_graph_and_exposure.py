@@ -32,8 +32,10 @@ events = EventLog.from_codes(
     np.zeros(len(buyer_codes), dtype=np.int64), np.arange(len(buyer_codes)),
 )
 
+# each buyer's variant is a code into the design's variants: 1 is "On"
 assignments = AssignmentTable(
-    {b: ("On" if rng.random() < 0.5 else "Off") for b in buyers},
+    buyers,
+    rng.random(len(buyers)) < 0.5,
     [Variant("Off", 0.5, control=True), Variant("On", 0.5)],
 )
 
@@ -58,9 +60,10 @@ for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
     print(f"  [{lo:.1f}, {hi:.1f}): {'#' * int(c)}")
 
 # attach outcomes to get the analysis-ready panel
+# one (y_in, y_pre) row per seller; NaN marks the missing y_pre
 outcomes = OutcomeTable(
-    {s: (float(rng.normal(1.0 + 0.5 * h[i], 0.2)), None)
-     for i, s in enumerate(graph.sellers)},
+    graph.sellers,
+    np.column_stack((rng.normal(1.0 + 0.5 * h, 0.2), np.full(len(h), np.nan))),
     has_pre=False,
 )
 panel, degen = assemble_panel(graph, assignments, outcomes, "On")

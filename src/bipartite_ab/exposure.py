@@ -61,8 +61,8 @@ def realized_exposure(
     graph: BipartiteGraph, assignments: AssignmentTable, treatment: str
 ) -> np.ndarray:
     """h_i = weighted share of seller i's interactions from treated buyers."""
-    z = assignments.indicator(graph.buyers, treatment)
-    return graph.matrix() @ z
+    treated = assignments.variant_codes(graph.buyers) == assignments.code(treatment)
+    return graph.matrix() @ treated.astype(np.float64)
 
 
 def design_moments(
@@ -145,29 +145,22 @@ def assemble_panel(
     treatment: str,
     control: str | None = None,
     allow_missing_outcomes: bool = False,
-    eps_var: float = EPS_VAR,
 ) -> tuple[ExposurePanel, DegenerateReport]:
     """Join exposures with outcomes, excluding degenerate units.
 
-    Units with Var[H] <= eps_var carry no identifying variation and are
+    Units with Var[H] <= EPS_VAR carry no identifying variation and are
     split out into the report; sellers without an outcome row are a hard
     error unless `allow_missing_outcomes` drops them (imputing 0 would
     bias the estimators).
     """
     h = realized_exposure(graph, assignments, treatment)
     p = effective_treatment_prob(assignments, treatment, control)
-    e_h = p * graph.row_sums()
-    var_h = p * (1.0 - p) * graph.row_sumsq()
-
-    entries = [outcomes.entries.get(s) for s in graph.sellers]  # one lookup each
-    missing = np.array([e is None for e in entries], dtype=bool)
+    e_h, var_h = design_moments(graph, assignments, treatment, control)
+    rows = outcomes.rows(graph.sellers)
+    missing = rows < 0
     if missing.any() and not allow_missing_outcomes:
-        raise MissingOutcomeError(
-            [s for s, e in zip(graph.sellers, entries) if e is None]
-        )
-    # (y_in, y_pre) per graph seller; NaN for a missing row or y_pre
-    y = np.array([e or (None, None) for e in entries], dtype=float).reshape(-1, 2)
-    dropped = missing | (var_h <= eps_var)
+        raise MissingOutcomeError([graph.sellers[i] for i in np.flatnonzero(missing)])
+    dropped = missing | (var_h <= EPS_VAR)
     excluded = [
         (graph.sellers[i], "no outcome row" if missing[i] else "zero variance")
         for i in np.flatnonzero(dropped).tolist()
@@ -176,15 +169,14 @@ def assemble_panel(
     if not len(rows_arr):
         raise ExposureError("no usable outcome units after exclusions")
     kept_sellers = [graph.sellers[i] for i in rows_arr.tolist()]
-    y_in = y[rows_arr, 0]
-    y_pre = y[rows_arr, 1] if outcomes.has_pre else None
+    y_in, y_pre = outcomes.y[rows[rows_arr]].T.copy()
     panel = ExposurePanel(
         seller_ids=kept_sellers,
         h=h[rows_arr],
         e_h=e_h[rows_arr],
         var_h=var_h[rows_arr],
         y_in=y_in,
-        y_pre=y_pre,
+        y_pre=y_pre if outcomes.has_pre else None,
         p=p,
         graph_rows=rows_arr,
         treatment=treatment,

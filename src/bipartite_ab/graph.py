@@ -158,7 +158,7 @@ def build_graph(
     """
     wanted = [k for k, kind in enumerate(events.kinds) if kind in config.kind_filter]
     selected = np.isin(events.kind, wanted)
-    assigned = np.array([b in assignments.entries for b in events.buyers], dtype=bool)
+    assigned = assignments.rows(events.buyers) >= 0
     used = selected & assigned[events.buyer]
     report = GraphBuildReport(
         events_used=int(used.sum()),
@@ -198,12 +198,9 @@ def per_variant_subgraph(
     per-seller weights; sellers losing all edges are dropped."""
     if control == treatment:
         raise GraphError("control and treatment variants must differ")
-    for label in (control, treatment):
-        if label not in assignments.labels:
-            raise GraphError(f"unknown variant {label!r}")
-    keep_labels = {control, treatment}
-    keep = np.array(
-        [assignments.entries.get(b) in keep_labels for b in graph.buyers], dtype=bool
+    keep = np.isin(
+        assignments.variant_codes(graph.buyers),
+        [assignments.code(control), assignments.code(treatment)],
     )
     sub = graph.matrix()[:, keep]
     rows = np.flatnonzero(np.diff(sub.indptr))
@@ -227,28 +224,19 @@ class GraphStats:
     n_sellers: int
     n_edges: int
     seller_degree_hist: dict[int, int] = field(default_factory=dict)
-    buyer_degree_hist: dict[int, int] = field(default_factory=dict)
-    isolated_buyers: int = 0
 
     @property
     def single_edge_sellers(self) -> int:
         return self.seller_degree_hist.get(1, 0)
 
 
-def _histogram(values: np.ndarray) -> dict[int, int]:
-    keys, counts = np.unique(values, return_counts=True)
-    return dict(zip(keys.tolist(), counts.tolist()))
-
-
 def graph_stats(graph: BipartiteGraph) -> GraphStats:
-    buyer_deg = np.bincount(graph.buyer_idx, minlength=graph.n_buyers)
+    degrees, counts = np.unique(graph.seller_degrees(), return_counts=True)
     return GraphStats(
         n_buyers=graph.n_buyers,
         n_sellers=graph.n_sellers,
         n_edges=graph.n_edges,
-        seller_degree_hist=_histogram(graph.seller_degrees()),
-        buyer_degree_hist=_histogram(buyer_deg[buyer_deg > 0]),
-        isolated_buyers=int((buyer_deg == 0).sum()),
+        seller_degree_hist=dict(zip(degrees.tolist(), counts.tolist())),
     )
 
 

@@ -12,7 +12,7 @@ Three methods:
   matches Cov(tau_i, tau_j) under the linear response model. The exposure
   moments come from closed-form Bernoulli cumulants and sparse products
   over the O(n + overlapping pairs) structure, and the weightings are
-  solved as batched 3x3 and 4x4 systems. An n_max limit guards the
+  solved as batched 3x3 and 4x4 systems. A PAIRWISE_N_MAX limit guards the
   quadratic worst case, in which every pair of units overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
@@ -461,15 +461,14 @@ def _pair_system(T, mi, mj, vi, vj) -> tuple[np.ndarray, np.ndarray]:
     return M, rhs
 
 
-def check_pairwise_size(n: int, n_max: int | None = None, force: bool = False):
-    """Refuse a pairwise variance over more than `n_max` units (default
-    PAIRWISE_N_MAX) unless forced; call it before building the moment
-    table, whose size is quadratic in the worst case."""
-    n_max = PAIRWISE_N_MAX if n_max is None else n_max
-    if n > n_max and not force:
+def check_pairwise_size(n: int):
+    """Refuse a pairwise variance over more than PAIRWISE_N_MAX units; call
+    it before building the moment table, whose size is quadratic in the
+    worst case."""
+    if n > PAIRWISE_N_MAX:
         raise PairwiseSizeError(
-            f"n={n} exceeds n_max={n_max}; the pairwise estimator is O(n^2), "
-            "use bootstrap_ci instead (or pass force=True)"
+            f"n={n} exceeds n_max={PAIRWISE_N_MAX}; the pairwise estimator is "
+            "O(n^2), use bootstrap_ci instead"
         )
 
 
@@ -487,9 +486,6 @@ def pairwise_variance(
     panel: ExposurePanel,
     joint_moments: JointMomentTable,
     policy: str = "merge",
-    eps_det: float = EPS_DET,
-    n_max: int | None = None,
-    force: bool = False,
 ) -> PairwiseVariance:
     """Design-based variance estimate via pair-level moment matching.
 
@@ -499,13 +495,13 @@ def pairwise_variance(
     singular — e.g. two sellers with identically weighted edges — are
     flagged and handled per `policy`: 'merge' adds a conservative
     product-of-sds upper bound, 'drop' zeroes them with a warning, 'strict'
-    raises. The quadratic worst case is guarded by `n_max` (default
-    PAIRWISE_N_MAX; use the bootstrap beyond it).
+    raises. The quadratic worst case is guarded by PAIRWISE_N_MAX (use the
+    bootstrap beyond it).
     """
     if policy not in ("merge", "drop", "strict"):
         raise InferenceError(f"unknown degeneracy policy {policy!r}")
     n = panel.n
-    check_pairwise_size(n, n_max, force)
+    check_pairwise_size(n)
     uni = joint_moments.uni
     if uni.shape[0] != n:
         raise InferenceError("moment table does not match panel size")
@@ -535,14 +531,14 @@ def pairwise_variance(
     vj = uni[j, 2] - mj * mj
     cov = T[:, 1, 1] - mi * mj
     M, rhs = _pair_system(T, mi, mj, vi, vj)
-    ok = vi * vj - cov * cov > eps_det
+    ok = vi * vj - cov * cov > EPS_DET
     coef = _solve_where(M, rhs, ok)
     ok &= np.isfinite(coef).all(axis=1)
     bad = np.flatnonzero(~ok)
     degenerate = [(ids[a], ids[b]) for a, b in zip(i[bad].tolist(), j[bad].tolist())]
     if degenerate and policy == "strict":
         raise DegeneratePairError(
-            f"degenerate exposure pair {degenerate[0]!r}: det(Sigma) <= {eps_det}"
+            f"degenerate exposure pair {degenerate[0]!r}: det(Sigma) <= {EPS_DET}"
         )
     hi, hj = h[i], h[j]
     matched = 2.0 * y[i] * y[j] * (

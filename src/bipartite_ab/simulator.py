@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import estimators, inference
-from .exposure import ExposurePanel, assemble_panel
+from .exposure import ExposurePanel, assemble_panel, realized_exposure
 from .graph import BipartiteGraph, GraphBuildConfig, build_graph
 from .ingest import (
     AssignmentTable,
@@ -127,19 +127,14 @@ def _draw_noise(rng, config, h):
 
 
 def _make_outcomes(config, graph, assignments, truth, eps, y_pre, treatment="On"):
-    from .exposure import realized_exposure
-
     h = realized_exposure(graph, assignments, treatment)
     # graph sellers are sorted "s%06d" ids, so index i recovers the seller number
     order = [int(s[1:]) for s in graph.sellers]
     alpha = truth.alpha[order]
     beta = truth.beta[order]
     y_in = _seller_response(config, alpha, beta, h, eps[order])
-    entries = {
-        seller: (float(y), float(y_pre[k]))
-        for seller, y, k in zip(graph.sellers, y_in, order)
-    }
-    return OutcomeTable(entries, has_pre=True)
+    y = np.column_stack((y_in, y_pre[order]))
+    return OutcomeTable(graph.sellers, y, has_pre=True)
 
 
 def simulate_experiment(
@@ -166,12 +161,11 @@ def simulate_experiment(
 
     # treatment assignment: independent Bernoulli(p_treat)
     treated = rng.random(config.m) < config.p_treat
-    entries = {b: ("On" if t else "Off") for b, t in zip(buyers, treated)}
     variants = [
         Variant("Off", 1.0 - config.p_treat, control=True),
         Variant("On", config.p_treat, control=False),
     ]
-    assignments = AssignmentTable(entries, variants)
+    assignments = AssignmentTable(buyers, treated, variants)  # code 1 is "On"
 
     # potential-outcome parameters
     alpha = rng.normal(config.alpha_mean, config.alpha_sd, config.n)
@@ -205,7 +199,7 @@ def simulate_experiment(
     )
 
     # noise is part of the potential outcomes: drawn once, fixed across Z
-    h0 = graph.matrix() @ assignments.indicator(graph.buyers, "On")
+    h0 = realized_exposure(graph, assignments, "On")
     eps_graph = _draw_noise(rng, config, h0)
     eps = np.zeros(config.n)
     eps[[int(s[1:]) for s in graph.sellers]] = eps_graph
@@ -266,10 +260,8 @@ def rerandomize(exp: SimulatedExperiment, seed: int) -> SimulatedExperiment:
     SimTruth is unchanged: the estimand does not depend on Z.
     """
     rng = np.random.default_rng(np.random.SeedSequence((exp.config.seed, seed)))
-    buyers = [f"b{i:06d}" for i in range(exp.config.m)]
     treated = rng.random(exp.config.m) < exp.config.p_treat
-    entries = {b: ("On" if t else "Off") for b, t in zip(buyers, treated)}
-    assignments = AssignmentTable(entries, exp.assignments.variants)
+    assignments = replace(exp.assignments, variant=treated)
     outcomes = _make_outcomes(
         exp.config, exp.graph, assignments, exp.truth, exp.eps, exp.y_pre
     )

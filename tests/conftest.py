@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bipartite_ab.graph import (
     GraphError,
     GraphStats,
 )
-from bipartite_ab.ingest import AssignmentTable, EventLog, Variant
+from bipartite_ab.ingest import AssignmentTable, EventLog, OutcomeTable, Variant
 
 
 def make_events(rows):
@@ -41,10 +42,38 @@ def event_rows(events):
     ]
 
 
+def assignment_table(entries, variants):
+    """AssignmentTable of a {buyer: variant label} dict."""
+    labels = [v.label for v in variants]
+    buyers = sorted(entries)
+    return AssignmentTable(buyers, [labels.index(entries[b]) for b in buyers], variants)
+
+
+def assignment_entries(table):
+    """The {buyer: variant label} dict of an AssignmentTable."""
+    return {b: table.labels[v] for b, v in zip(table.buyers, table.variant.tolist())}
+
+
+def outcome_table(entries, has_pre):
+    """OutcomeTable of a {seller: (y_in, y_pre or None)} dict."""
+    sellers = sorted(entries)
+    rows = [entries[s] for s in sellers]
+    y = [(y_in, math.nan if y_pre is None else y_pre) for y_in, y_pre in rows]
+    return OutcomeTable(sellers, np.array(y, dtype=float).reshape(-1, 2), has_pre)
+
+
+def outcome_entries(table):
+    """The {seller: (y_in, y_pre or None)} dict of an OutcomeTable."""
+    return {
+        s: (y_in, None if math.isnan(y_pre) else y_pre)
+        for s, (y_in, y_pre) in zip(table.sellers, table.y.tolist())
+    }
+
+
 def two_variant_assignments(on_buyers, off_buyers, p_on=0.5):
     entries = {b: "On" for b in on_buyers}
     entries.update({b: "Off" for b in off_buyers})
-    return AssignmentTable(
+    return assignment_table(
         entries,
         [Variant("Off", 1 - p_on, control=True), Variant("On", p_on)],
     )
@@ -76,12 +105,13 @@ def random_sparse_graph(rng, m, n, min_deg=2, max_deg=4):
 def oracle_build_graph(rows, assignments, config):
     """build_graph over (buyer, seller, kind, ts) rows with a dict of dicts."""
     report = GraphBuildReport()
+    assigned = assignment_entries(assignments)
     counts: dict[str, dict[str, int]] = {}
     for buyer, seller, kind, _ in rows:
         if kind not in config.kind_filter:
             report.skipped_kind += 1
             continue
-        if buyer not in assignments.entries:
+        if buyer not in assigned:
             report.skipped_unassigned += 1
             continue
         counts.setdefault(seller, {}).setdefault(buyer, 0)
@@ -109,9 +139,10 @@ def oracle_per_variant_subgraph(graph, assignments, control, treatment):
     if control == treatment:
         raise GraphError("control and treatment variants must differ")
     keep_labels = {control, treatment}
-    kept_buyers = [b for b in graph.buyers if assignments.entries.get(b) in keep_labels]
+    assigned = assignment_entries(assignments)
+    kept_buyers = [b for b in graph.buyers if assigned.get(b) in keep_labels]
     keep_old = np.array(
-        [assignments.entries.get(b) in keep_labels for b in graph.buyers], dtype=bool
+        [assigned.get(b) in keep_labels for b in graph.buyers], dtype=bool
     )
     remap = np.full(graph.n_buyers, -1, dtype=np.int64)
     remap[keep_old] = np.arange(len(kept_buyers))
@@ -133,23 +164,15 @@ def oracle_per_variant_subgraph(graph, assignments, control, treatment):
 
 
 def oracle_graph_stats(graph):
-    """graph_stats with per-seller and per-buyer histogram loops."""
-    seller_deg = graph.seller_degrees()
-    buyer_deg = np.zeros(graph.n_buyers, dtype=np.int64)
-    np.add.at(buyer_deg, graph.buyer_idx, 1)
-    s_hist, b_hist = {}, {}
-    for d in seller_deg.tolist():
+    """graph_stats with a per-seller histogram loop."""
+    s_hist = {}
+    for d in graph.seller_degrees().tolist():
         s_hist[d] = s_hist.get(d, 0) + 1
-    for d in buyer_deg.tolist():
-        if d > 0:
-            b_hist[d] = b_hist.get(d, 0) + 1
     return GraphStats(
         n_buyers=graph.n_buyers,
         n_sellers=graph.n_sellers,
         n_edges=graph.n_edges,
         seller_degree_hist=s_hist,
-        buyer_degree_hist=b_hist,
-        isolated_buyers=int((buyer_deg == 0).sum()),
     )
 
 

@@ -22,7 +22,7 @@ from bipartite_ab.inference import (
     pairwise_variance,
     randomization_ci,
 )
-from bipartite_ab.ingest import AssignmentTable, Variant
+from bipartite_ab.ingest import Variant
 from bipartite_ab.simulator import (
     FixedDegree,
     SimConfig,
@@ -34,6 +34,7 @@ from bipartite_ab.simulator import (
 )
 
 from conftest import (
+    assignment_table,
     assignment_probability,
     enumerate_assignments,
     make_events,
@@ -84,7 +85,7 @@ def test_02_three_variant_worked_example():
     # one seller; buyers in Off/A/B contribute 1, 2, 3 interactions
     buyers = ["u_off"] * 1 + ["u_a"] * 2 + ["u_b"] * 3
     events = make_events((b, "shop", "view", ts) for ts, b in enumerate(buyers))
-    assignments = AssignmentTable(
+    assignments = assignment_table(
         {"u_off": "Off", "u_a": "A", "u_b": "B"},
         [Variant("Off", 1 / 3, True), Variant("A", 1 / 3, False),
          Variant("B", 1 / 3, False)],

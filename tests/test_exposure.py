@@ -12,12 +12,15 @@ from bipartite_ab.exposure import (
     write_exposure_histogram,
 )
 from bipartite_ab.graph import BipartiteGraph, GraphBuildConfig, build_graph
-from bipartite_ab.ingest import AssignmentTable, IngestError, OutcomeTable, Variant
+from bipartite_ab import exposure
+from bipartite_ab.ingest import AssignmentTable, IngestError, Variant
 
 from conftest import (
+    assignment_table,
     assignment_probability,
     enumerate_assignments,
     make_events,
+    outcome_table,
     random_sparse_graph,
     two_variant_assignments,
 )
@@ -27,7 +30,7 @@ CFG = GraphBuildConfig(kind_filter=frozenset({"view"}))
 
 def multi_variant_fixture():
     third = 1.0 / 3.0
-    assignments = AssignmentTable(
+    assignments = assignment_table(
         {"a": "Off", "b": "A", "c": "B"},
         [Variant("Off", third, control=True), Variant("A", third), Variant("B", third)],
     )
@@ -74,7 +77,7 @@ class TestRealizedExposure:
     def test_assignment_permutation_irrelevant(self):
         graph, assignments = multi_variant_fixture()
         reordered = AssignmentTable(
-            dict(reversed(list(assignments.entries.items()))), assignments.variants
+            assignments.buyers[::-1], assignments.variant[::-1], assignments.variants
         )
         assert np.array_equal(
             realized_exposure(graph, assignments, "A"),
@@ -127,7 +130,7 @@ class TestDesignMoments:
         m, n = 8, 5
         graph = random_sparse_graph(rng, m, n)
         for p in (0.3, 0.5, 0.7):
-            assignments = AssignmentTable(
+            assignments = assignment_table(
                 {f"b{i}": "On" for i in range(m)} | {"spare": "Off"},
                 [Variant("Off", 1 - p, control=True), Variant("On", p)],
             )
@@ -146,7 +149,7 @@ class TestDesignMoments:
     def test_monte_carlo_agreement(self, rng):
         graph = random_sparse_graph(rng, 40, 15)
         p = 0.4
-        assignments = AssignmentTable(
+        assignments = assignment_table(
             {f"b{i}": "On" for i in range(40)} | {"spare": "Off"},
             [Variant("Off", 1 - p, control=True), Variant("On", p)],
         )
@@ -166,7 +169,7 @@ class TestDesignMoments:
 
     def test_conditional_probability_for_subgraphs(self):
         third = 1.0 / 3.0
-        assignments = AssignmentTable(
+        assignments = assignment_table(
             {"a": "Off", "b": "A", "c": "B"},
             [
                 Variant("Off", third, control=True),
@@ -194,7 +197,7 @@ class TestAssemblePanel:
 
     def test_missing_outcome_is_error_by_default(self):
         graph, assignments = self.make_fixture()
-        outcomes = OutcomeTable(
+        outcomes = outcome_table(
             {s: (1.0, None) for s in graph.sellers[:-1]}, has_pre=False
         )
         with pytest.raises(MissingOutcomeError):
@@ -202,7 +205,7 @@ class TestAssemblePanel:
 
     def test_missing_outcome_dropped_when_allowed(self):
         graph, assignments = self.make_fixture()
-        outcomes = OutcomeTable(
+        outcomes = outcome_table(
             {s: (1.0, None) for s in graph.sellers[:-1]}, has_pre=False
         )
         panel, report = assemble_panel(
@@ -211,16 +214,17 @@ class TestAssemblePanel:
         assert panel.n == graph.n_sellers - 1
         assert report.n_missing_outcome == 1
 
-    def test_zero_variance_excluded(self):
+    def test_zero_variance_excluded(self, monkeypatch):
         graph, assignments = self.make_fixture()
-        outcomes = OutcomeTable({s: (1.0, None) for s in graph.sellers}, has_pre=False)
-        # eps_var above every unit's variance forces exclusion of all units
+        outcomes = outcome_table({s: (1.0, None) for s in graph.sellers}, has_pre=False)
+        # EPS_VAR above every unit's variance forces exclusion of all units
+        monkeypatch.setattr(exposure, "EPS_VAR", 1.0)
         with pytest.raises(ExposureError):
-            assemble_panel(graph, assignments, outcomes, "On", eps_var=1.0)
+            assemble_panel(graph, assignments, outcomes, "On")
 
     def test_panel_aligns_with_graph_rows(self):
         graph, assignments = self.make_fixture()
-        outcomes = OutcomeTable(
+        outcomes = outcome_table(
             {s: (float(i), None) for i, s in enumerate(graph.sellers)}, has_pre=False
         )
         panel, _ = assemble_panel(graph, assignments, outcomes, "On")
@@ -230,22 +234,22 @@ class TestAssemblePanel:
             assert panel.h[k] == h_full[row]
             assert panel.y_in[k] == float(row)
 
-    def test_outcome_join_matches_per_seller_loop(self, rng):
-        def oracle(graph, outcomes, var_h, eps_var):
+    def test_outcome_join_matches_per_seller_loop(self, rng, monkeypatch):
+        def oracle(graph, entries, has_pre, var_h, eps_var):
             # the join as it was: one dict pass per output
             excluded, rows = [], []
             for i, seller in enumerate(graph.sellers):
-                if seller not in outcomes.entries:
+                if seller not in entries:
                     excluded.append((seller, "no outcome row"))
                 elif var_h[i] <= eps_var:
                     excluded.append((seller, "zero variance"))
                 else:
                     rows.append(i)
             kept = [graph.sellers[i] for i in rows]
-            y_in = np.array([outcomes.entries[s][0] for s in kept])
+            y_in = np.array([entries[s][0] for s in kept])
             y_pre = None
-            if outcomes.has_pre:
-                pre = [outcomes.entries[s][1] for s in kept]
+            if has_pre:
+                pre = [entries[s][1] for s in kept]
                 y_pre = np.array([np.nan if v is None else v for v in pre])
             return excluded, rows, kept, y_in, y_pre
 
@@ -259,26 +263,26 @@ class TestAssemblePanel:
             ]
             graph, _ = build_graph(make_events(rows), assignments, CFG)
             has_pre = bool(rng.random() < 0.5)
-            outcomes = OutcomeTable(
-                {
-                    s: (float(rng.normal()),
-                        float(rng.normal()) if has_pre and rng.random() < 0.7 else None)
-                    for s in graph.sellers
-                    if rng.random() < 0.8
-                },
-                has_pre,
-            )
+            entries = {
+                s: (float(rng.normal()),
+                    float(rng.normal()) if has_pre and rng.random() < 0.7 else None)
+                for s in graph.sellers
+                if rng.random() < 0.8
+            }
+            outcomes = outcome_table(entries, has_pre)
             _, var_h = design_moments(graph, assignments, "On")
             eps_var = float(rng.choice([0.0, np.median(var_h), np.max(var_h)]))
-            excluded, kept_rows, kept, y_in, y_pre = oracle(graph, outcomes, var_h, eps_var)
+            monkeypatch.setattr(exposure, "EPS_VAR", eps_var)
+            excluded, kept_rows, kept, y_in, y_pre = oracle(
+                graph, entries, has_pre, var_h, eps_var
+            )
             if not kept_rows:
                 with pytest.raises(ExposureError):
                     assemble_panel(graph, assignments, outcomes, "On",
-                                   allow_missing_outcomes=True, eps_var=eps_var)
+                                   allow_missing_outcomes=True)
                 continue
             panel, report = assemble_panel(
-                graph, assignments, outcomes, "On",
-                allow_missing_outcomes=True, eps_var=eps_var,
+                graph, assignments, outcomes, "On", allow_missing_outcomes=True
             )
             assert report.excluded == excluded
             assert panel.seller_ids == kept

@@ -12,9 +12,11 @@ from bipartite_ab.graph import (
     graph_stats,
     per_variant_subgraph,
 )
-from bipartite_ab.ingest import EVENTS_HEADER, AssignmentTable, Variant, parse_events
+from bipartite_ab.ingest import EVENTS_HEADER, Variant, parse_events
 
 from conftest import (
+    assignment_entries,
+    assignment_table,
     edge_set,
     event_rows,
     make_events,
@@ -30,7 +32,7 @@ CFG_DEDUP = GraphBuildConfig(weighting="binary_dedup", kind_filter=frozenset({"v
 
 def three_variant_assignments():
     third = 1.0 / 3.0
-    return AssignmentTable(
+    return assignment_table(
         {"a": "Off", "b": "A", "c": "B"},
         [Variant("Off", third, control=True), Variant("A", third), Variant("B", third)],
     )
@@ -105,8 +107,8 @@ class TestBuildGraph:
     def test_new_buyer_decreases_existing_weights(self):
         assignments = three_variant_assignments()
         before, _ = build_graph(counts_events(), assignments, CFG_COUNT)
-        assignments2 = AssignmentTable(
-            dict(assignments.entries, d="A"), assignments.variants
+        assignments2 = assignment_table(
+            assignment_entries(assignments) | {"d": "A"}, assignments.variants
         )
         after, _ = build_graph(
             make_events(counts_rows() + [("d", "s1", "view", 9)]), assignments2, CFG_COUNT
@@ -143,6 +145,11 @@ class TestPerVariantSubgraph:
         graph, _ = build_graph(counts_events(), three_variant_assignments(), CFG_COUNT)
         with pytest.raises(GraphError):
             per_variant_subgraph(graph, three_variant_assignments(), "A", "A")
+
+    def test_unknown_variant_error(self):
+        graph, _ = build_graph(counts_events(), three_variant_assignments(), CFG_COUNT)
+        with pytest.raises(ValueError, match="unknown variant 'Nope'"):
+            per_variant_subgraph(graph, three_variant_assignments(), "Off", "Nope")
 
     def test_commutes_with_event_prefiltering(self):
         assignments = three_variant_assignments()
@@ -246,7 +253,7 @@ def random_log(rng):
     entries = {
         b: labels[rng.integers(3)] for b in buyers if rng.random() > 0.15
     }
-    return rows, AssignmentTable(entries, VARIANTS3)
+    return rows, assignment_table(entries, VARIANTS3)
 
 
 def assert_same_graph(got, want):

@@ -30,7 +30,6 @@ from bipartite_ab.inference import (
     pairwise_variance,
     randomization_ci,
 )
-from bipartite_ab.ingest import OutcomeTable
 from bipartite_ab.simulator import (
     FixedDegree,
     SimConfig,
@@ -40,6 +39,7 @@ from bipartite_ab.simulator import (
 )
 
 from conftest import (
+    outcome_table,
     assignment_probability,
     diag_weighting,
     enumerate_assignments,
@@ -116,7 +116,7 @@ class TestRandomization:
             np.arange(m),
             np.ones(m),
         )
-        outcomes = OutcomeTable(
+        outcomes = outcome_table(
             {f"s{i}": (1.0, None) for i in range(m)}, has_pre=False
         )
         panel, _ = assemble_panel(graph, assignments, outcomes, "On")
@@ -264,7 +264,7 @@ class TestPairwiseVariance:
             dropped = pairwise_variance(panel, moments, policy="drop")
         assert merged.value >= dropped.value
 
-    def test_size_guard(self, rng):
+    def test_size_guard(self, rng, monkeypatch):
         n = 10
         graph = random_sparse_graph(rng, 30, n)
         p = 0.5
@@ -272,10 +272,10 @@ class TestPairwiseVariance:
         moments = exposure_moment_table(graph, p, np.arange(n))
         h = graph.matrix() @ (rng.random(30) < p).astype(float)
         panel = make_panel(h, rng.normal(size=n), p=p, var_h=var_h)
+        assert np.isfinite(pairwise_variance(panel, moments).value)
+        monkeypatch.setattr(inference, "PAIRWISE_N_MAX", 5)
         with pytest.raises(PairwiseSizeError, match="bootstrap"):
-            pairwise_variance(panel, moments, n_max=5)
-        forced = pairwise_variance(panel, moments, n_max=5, force=True)
-        assert np.isfinite(forced.value)
+            pairwise_variance(panel, moments)
 
 
 # --- per-buyer and per-pair oracles for the closed-form moment table ------
@@ -677,7 +677,7 @@ def test_batched_randomization_raises_on_collinear_draw(estimator_id):
     buyers, sellers = ["b0", "b1", "b2", "b3"], ["s0", "s1", "s2", "s3"]
     graph = BipartiteGraph(buyers, sellers, [0, 1, 2, 3, 4], [0, 1, 2, 3], [1.0] * 4)
     assignments = two_variant_assignments(["b0", "b1"], ["b2", "b3"])
-    outcomes = OutcomeTable(
+    outcomes = outcome_table(
         {s: (float(i), 0.3 * i * i) for i, s in enumerate(sellers)}, has_pre=True
     )
     want = outcome_or_error(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import sys
 import warnings
 from array import array
@@ -15,17 +16,15 @@ from bipartite_ab.ingest import (
     EventLog,
     EventParseReport,
     IngestError,
-    OutcomeTable,
     ParseError,
     Variant,
-    _check_header,
     parse_assignments,
     parse_events,
     parse_outcomes,
     write_outcomes,
 )
 
-from conftest import event_rows
+from conftest import event_rows, outcome_entries, outcome_table
 
 WINDOW = (0, 10_000)
 
@@ -194,9 +193,9 @@ class TestParseAssignments:
         ]
         path = write_assignment_files(tmp_path, rows, variants)
         table = parse_assignments(path)
-        assert len(table) == 10
+        assert len(table.buyers) == 10
         assert table.labels == ["Off", "On"]
-        assert table.control_label == "Off"
+        assert [v.label for v in table.variants if v.control] == ["Off"]
 
     def test_duplicate_buyer_is_error(self, tmp_path):
         rows = [("b1", "Off"), ("b1", "On")]
@@ -275,9 +274,28 @@ class TestParseAssignments:
             parse_assignments(path)
         assert caught.value.line_no == bad_line
 
+    @pytest.mark.parametrize("gap", [1, 3000])
+    def test_row_error_before_invalid_utf8_wins(self, tmp_path, gap):
+        path = write_assignment_files(
+            tmp_path,
+            [],
+            [
+                {"label": "Off", "probability": 0.5, "control": True},
+                {"label": "On", "probability": 0.5},
+            ],
+        )
+        lines = [b"b1,On", b"b1,Off"] + [b"b%d,On" % i for i in range(2, gap + 2)]
+        lines[gap + 1] = b"b\xfe,On"  # `gap` lines after the duplicate on line 3
+        path.write_bytes(b"buyer_id,variant\n" + b"\n".join(lines) + b"\n")
+        with pytest.raises(
+            ParseError, match=":3: buyer 'b1' assigned more than once$"
+        ) as caught:
+            parse_assignments(path)
+        assert caught.value.line_no == 3
+
     def test_exactly_one_control(self):
         with pytest.raises(IngestError, match="control"):
-            AssignmentTable({"b1": "Off"}, [Variant("Off", 0.5), Variant("On", 0.5)])
+            AssignmentTable(["b1"], [0], [Variant("Off", 0.5), Variant("On", 0.5)])
 
 
 class TestParseOutcomes:
@@ -285,9 +303,9 @@ class TestParseOutcomes:
         path = tmp_path / "outcomes.csv"
         path.write_text("seller_id,y_in\ns1,1.5\ns2,0.25\ns3,-3\ns4,0\n")
         table = parse_outcomes(path)
-        assert len(table) == 4
+        assert len(table.sellers) == 4
         assert not table.has_pre
-        assert table.entries["s2"] == (0.25, None)
+        assert outcome_entries(table)["s2"] == (0.25, None)
 
     def test_nan_literal_is_error(self, tmp_path):
         path = tmp_path / "outcomes.csv"
@@ -307,21 +325,42 @@ class TestParseOutcomes:
             parse_outcomes(path)
         assert caught.value.line_no == bad_line
 
+    @pytest.mark.parametrize("gap", [1, 3000])
+    def test_row_error_before_invalid_utf8_wins(self, tmp_path, gap):
+        lines = [b"s1,1.5", b"s2,abc"] + [b"s%d,0.5" % i for i in range(3, gap + 3)]
+        lines[gap + 1] = b"s\xfe,0.5"  # `gap` lines after the bad y_in on line 3
+        path = tmp_path / "outcomes.csv"
+        path.write_bytes(b"seller_id,y_in\n" + b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=":3: non-numeric y_in 'abc'$") as caught:
+            parse_outcomes(path)
+        assert caught.value.line_no == 3
+
     def test_round_trip(self, tmp_path, rng):
         n = 5000
         entries = {
             f"s{i:05d}": (float(v), float(w))
             for i, (v, w) in enumerate(zip(rng.normal(size=n), rng.normal(size=n)))
         }
-        table = OutcomeTable(entries, has_pre=True)
+        table = outcome_table(entries, has_pre=True)
         path = tmp_path / "outcomes.csv"
         write_outcomes(path, table)
         parsed = parse_outcomes(path)
         assert parsed.has_pre
-        assert parsed.entries == table.entries
+        assert outcome_entries(parsed) == entries
 
 
 # --- differential test: the byte tokenizer against the csv.reader loop ---
+
+
+def oracle_check_header(path, header, expected, optional_tail=()):
+    if header is None:
+        raise ParseError(path, 1, "empty file, expected header")
+    if header[: len(expected)] != expected:
+        raise ParseError(path, 1, f"bad header {header!r}, expected {expected!r}")
+    extra = header[len(expected):]
+    if list(extra) not in ([list(t) for t in optional_tail] + [[]]):
+        raise ParseError(path, 1, f"unexpected trailing columns {extra!r}")
+    return len(extra) > 0
 
 
 def oracle_parse_events(path, kind_filter, window, known_kinds=DEFAULT_EVENT_KINDS):
@@ -336,7 +375,7 @@ def oracle_parse_events(path, kind_filter, window, known_kinds=DEFAULT_EVENT_KIN
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        _check_header(path, header, EVENTS_HEADER)
+        oracle_check_header(path, header, EVENTS_HEADER)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -480,7 +519,7 @@ def test_byte_tokenizer_matches_csv_loop(rng, tmp_path, monkeypatch, block_bytes
         kinds = set(rng.choice(["view", "favorite", "message"], size=2).tolist())
         if invalid:  # the loop stops on a UnicodeDecodeError: use the csv path
             with monkeypatch.context() as patch:
-                patch.setattr(ingest, "_tokenize_unquoted", lambda path: None)
+                patch.setattr(ingest, "_tokenize_unquoted", lambda *args: None)
                 want, want_warnings = outcome(parse_events, path, kinds)
         else:
             want, want_warnings = outcome(oracle_parse_events, path, kinds)
@@ -503,4 +542,252 @@ def test_byte_tokenizer_matches_csv_loop(rng, tmp_path, monkeypatch, block_bytes
         seen["quoted"] += quoted
         seen["warned"] += bool(want_warnings)
         seen["invalid"] += invalid
+    assert min(seen.values()) >= 15, seen
+
+
+# --- differential test: assignments and outcomes against the csv.reader loops ---
+
+
+def oracle_records(path):
+    """(line_no, row) per csv record of the file, the header being 1, from
+    lines decoded one at a time, so that invalid UTF-8 is a ParseError in
+    file order, naming its physical line."""
+    def lines(fh):
+        for line_no, raw in enumerate(fh.read().splitlines(keepends=True), start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    path, line_no, f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+                ) from None
+
+    with open(path, "rb") as fh:
+        line_no = 0
+        try:
+            for line_no, row in enumerate(csv.reader(lines(fh)), start=1):
+                yield line_no, row
+        except csv.Error as exc:
+            raise ParseError(path, line_no + 1, f"unreadable CSV record: {exc}") from None
+
+
+def oracle_parse_assignments(path):
+    """parse_assignments as one csv.reader loop into a dict, the way it was
+    written before the byte tokenizer: ({buyer: label} in file order, the
+    design's variants)."""
+    variants = ingest.parse_design(ingest.default_design_path(path))
+    entries = {}
+    records = oracle_records(path)
+    oracle_check_header(path, next(records, (1, None))[1], ["buyer_id", "variant"])
+    for line_no, row in records:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(path, line_no, f"expected 2 columns, got {len(row)}")
+        buyer_id, variant = row
+        if not buyer_id:
+            raise ParseError(path, line_no, "empty buyer_id")
+        if buyer_id in entries:
+            raise ParseError(path, line_no, f"buyer {buyer_id!r} assigned more than once")
+        entries[buyer_id] = variant
+    labels = [v.label for v in variants]
+    if len(set(labels)) != len(labels):
+        raise IngestError("duplicate variant labels in design")
+    controls = [v.label for v in variants if v.control]
+    if len(controls) != 1:
+        raise IngestError(f"exactly one control variant required, found {controls!r}")
+    total = math.fsum(v.probability for v in variants)
+    if abs(total - 1.0) > ingest.PROB_SUM_TOL:
+        raise IngestError(f"variant probabilities sum to {total!r}, expected 1")
+    for v in variants:
+        if not 0.0 < v.probability < 1.0:
+            raise IngestError(
+                f"variant {v.label!r} has probability {v.probability} outside (0,1)"
+            )
+    for buyer, variant in entries.items():
+        if variant not in labels:
+            raise IngestError(f"buyer {buyer!r} assigned to undeclared variant {variant!r}")
+    return entries, variants
+
+
+def oracle_parse_outcomes(path):
+    """parse_outcomes as one csv.reader loop into a dict, the way it was
+    written before the byte tokenizer: ({seller: (y_in, y_pre or None)} in
+    file order, has_pre)."""
+    entries = {}
+    records = oracle_records(path)
+    has_pre = oracle_check_header(
+        path, next(records, (1, None))[1], ["seller_id", "y_in"], (("y_pre",),)
+    )
+    width = 3 if has_pre else 2
+    for line_no, row in records:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        seller_id = row[0]
+        if not seller_id:
+            raise ParseError(path, line_no, "empty seller_id")
+        if seller_id in entries:
+            raise ParseError(path, line_no, f"seller {seller_id!r} appears more than once")
+        try:
+            y_in = float(row[1])
+        except ValueError:
+            raise ParseError(path, line_no, f"non-numeric y_in {row[1]!r}") from None
+        if not math.isfinite(y_in):
+            raise ParseError(path, line_no, f"non-finite y_in {row[1]!r}")
+        y_pre = None
+        if has_pre and row[2] != "":
+            try:
+                y_pre = float(row[2])
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric y_pre {row[2]!r}") from None
+            if not math.isfinite(y_pre):
+                raise ParseError(path, line_no, f"non-finite y_pre {row[2]!r}")
+        entries[seller_id] = (y_in, y_pre)
+    return entries, has_pre
+
+
+def table_id(rng, prefix, k, faults):
+    """The id of row k: distinct per row, NUL-suffixed, non-ASCII or long
+    at times; with `faults`, some are empty or repeated."""
+    if faults and rng.random() < 0.08:
+        return str(rng.choice(["", f"{prefix}1", "é1", f"{prefix}1" + "\x00" * NUL_OK]))
+    roll = rng.random()
+    if roll < 0.1 and NUL_OK:
+        return f"{prefix}{k}" + "\x00" * int(rng.integers(1, 3))
+    if roll < 0.2:
+        return str(rng.choice(["é", "日本", "ü\x00", "Ω"])) + str(k)
+    if roll < 0.3:  # 9 to 40 bytes
+        return prefix * 5 + "x" * int(rng.integers(4, 36)) + str(k)
+    return f"{prefix}{k}"
+
+
+def random_float(rng, faults):
+    roll = rng.random()
+    if roll < 0.7:
+        return repr(float(rng.normal(scale=10.0)))
+    if roll < 0.95 or not faults:
+        return str(rng.choice([
+            " 1.5", "2 ", "1_000.5", "1e3", "-2.5E-3", "+7", "0", "-0.0", ".5",
+            "5.", "1e-400", "١٢",
+        ]))
+    return str(rng.choice(
+        ["inf", "-Infinity", "nan", "NaN", "abc", "", "1e999", "0x10", "1__0"]
+    ))
+
+
+def random_table_file(rng, kind, labels=()):
+    """(bytes, flags): a random assignments CSV over the variant `labels`
+    or a random outcomes CSV. The flags tell
+    whether it may hold bad rows ("faults"), a quote or a lone CR
+    ("quoted") and invalid UTF-8."""
+    faults = rng.random() < 0.5
+    quoted = rng.random() < 0.25
+    if kind == "assignments":
+        header = ["buyer_id", "variant"]
+    else:
+        header = ["seller_id", "y_in", "y_pre"][: int(rng.integers(2, 4))]
+    lines = [",".join(header)]
+    if faults and rng.random() < 0.1:
+        lines[0] = str(rng.choice([
+            "", ",".join(header[:1]), ",".join(header) + ",extra",
+            "\ufeff" + ",".join(header), "seller_id,y_in,y_pre,y_pre", "buyer_id,Variant",
+        ]))
+    for k in range(int(rng.integers(0, 30))):
+        if rng.random() < 0.08:
+            lines.append("")
+            continue
+        if kind == "assignments":
+            variant = str(rng.choice([*labels, *["", "Nope"] * faults]))
+            fields = [table_id(rng, "b", k, faults), variant]
+        else:
+            fields = [table_id(rng, "s", k, faults)]
+            fields += [random_float(rng, faults) for _ in header[1:]]
+            if len(header) == 3 and rng.random() < 0.2:
+                fields[2] = ""
+            if faults and rng.random() < 0.04:
+                fields[1] = ""
+        if faults and rng.random() < 0.03:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["x"]
+        if quoted and rng.random() < 0.3:
+            k = int(rng.integers(0, len(fields)))
+            fields[k] = quote(rng.choice([fields[k], fields[k] + ",x", fields[k] + "\nz"]))
+        lines.append(",".join(fields))
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join(lines)
+    if quoted and rng.random() < 0.3:
+        text = text.replace(newline, "\r", 1)
+    if rng.random() < 0.8:
+        text += newline * int(rng.integers(1, 3))
+    data = b"" if rng.random() < 0.01 else text.encode("utf-8")
+    invalid = rng.random() < 0.15
+    if invalid:
+        at = int(rng.integers(0, len(data) + 1))
+        bad = rng.choice([b"\xff", b"\xc3", b"\xe6\x97", b"\xed\xa0\x80", b"\x80"])
+        data = data[:at] + bad + data[at:]
+    return data, {"faults": faults, "quoted": quoted, "invalid": invalid}
+
+
+def result_or_error(parse, *args):
+    try:
+        return parse(*args)
+    except IngestError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_no", None)
+
+
+DESIGNS = [
+    [{"label": "Off", "probability": 0.5, "control": True},
+     {"label": "On", "probability": 0.5}],
+    [{"label": "Off", "probability": 0.4, "control": True},
+     {"label": "On", "probability": 0.3}, {"label": "A", "probability": 0.3}],
+    [{"label": "Off", "probability": 0.5}, {"label": "On", "probability": 0.5}],
+    [{"label": "Off", "probability": 0.6, "control": True},
+     {"label": "On", "probability": 0.6}],
+]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16, 200, 1 << 20])
+def test_table_tokenizer_matches_csv_loops(rng, tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    seen = dict.fromkeys(
+        ["assignments", "outcomes", "ParseError", "IngestError", "faults", "quoted",
+         "invalid", "has_pre", "no_pre"], 0
+    )
+    for trial in range(300):
+        kind = ("assignments", "outcomes")[trial % 2]
+        design = DESIGNS[int(rng.choice(4, p=[0.6, 0.2, 0.1, 0.1]))]
+        data, flags = random_table_file(rng, kind, [v["label"] for v in design])
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(data)
+        if kind == "assignments":
+            ingest.default_design_path(path).write_text(json.dumps({"variants": design}))
+            want = result_or_error(oracle_parse_assignments, path)
+            got = result_or_error(parse_assignments, path)
+        else:
+            want = result_or_error(oracle_parse_outcomes, path)
+            got = result_or_error(parse_outcomes, path)
+        seen[want[0] if isinstance(want[0], str) else kind] += 1
+        if isinstance(want[0], str):
+            assert got == want, data
+        elif kind == "assignments":
+            entries, variants = want
+            assert got.buyers == tuple(sorted(entries)), data
+            assert got.variants == variants
+            assert got.variant.dtype == np.int64
+            assert got.labels == [v.label for v in variants]
+            assert [got.labels[v] for v in got.variant.tolist()] == [
+                entries[b] for b in got.buyers
+            ], data
+        else:
+            entries, has_pre = want
+            assert got.sellers == tuple(sorted(entries)), data
+            assert got.has_pre == has_pre
+            assert got.y.dtype == np.float64 and got.y.shape == (len(entries), 2)
+            assert [list(map(repr, row)) for row in got.y.tolist()] == [
+                [repr(entries[s][0]), repr(math.nan if entries[s][1] is None else entries[s][1])]
+                for s in got.sellers
+            ], data
+            seen["has_pre" if has_pre else "no_pre"] += 1
+        for flag, value in flags.items():
+            seen[flag] += value
     assert min(seen.values()) >= 15, seen
