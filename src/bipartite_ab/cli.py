@@ -13,7 +13,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import inference, simulator
+# per_variant_subgraph is called through its module, like the inference
+# functions, so a wrapper set on the module (perfbench's tracer) sees it
+from . import graph, inference, simulator
 from .estimators import ESTIMATOR_IDS
 from .exposure import assemble_panel, exposure_histogram, write_exposure_histogram
 from .graph import GraphBuildConfig, build_graph, dump_graph, graph_stats
@@ -71,14 +73,14 @@ def _config_echo(config: AnalysisConfig) -> dict:
     }
 
 
-def _analysis_targets(assignments):
-    """Graph analyses to run: the straightforward two-variant case, or for
-    multi-variant designs both the restricted-subgraph and the
-    normalized full-graph exposure schemes."""
-    multi = len(assignments.labels) > 2
-    if not multi:
-        return [("two_variant", None)]
-    return [("separate_graph", "restricted"), ("normalized", "full")]
+def _analysis_targets(assignments, group_label):
+    """(label, mode) of each graph analysis of a kind group: the
+    straightforward two-variant case, or for multi-variant designs both the
+    restricted-subgraph and the normalized full-graph exposure schemes."""
+    if len(assignments.labels) <= 2:
+        return [(group_label, None)]
+    return [(f"{group_label}/separate_graph", "restricted"),
+            (f"{group_label}/normalized", "full")]
 
 
 def cmd_analyze(config: AnalysisConfig) -> int:
@@ -89,41 +91,34 @@ def cmd_analyze(config: AnalysisConfig) -> int:
 
     report = EstimateReport(config=_config_echo(config))
     all_kinds = frozenset().union(*config.kind_groups)
-    events, ev_report = parse_events(
-        config.events_path, all_kinds, config.window
-    )
+    events, ev_report = parse_events(config.events_path, all_kinds, config.window)
     report.config["events_dropped_rows"] = ev_report.rows_dropped
 
-    from .graph import per_variant_subgraph
-
-    multi = len(assignments.labels) > 2
     histograms = {}
     for group in config.kind_groups:
-        group_label = "+".join(sorted(group))
+        targets = _analysis_targets(assignments, "+".join(sorted(group)))
         build_cfg = GraphBuildConfig(
             weighting=config.weighting, kind_filter=frozenset(group)
         )
         try:
-            graph, build_report = build_graph(events, assignments, build_cfg)
+            full, build_report = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
-            for scheme, _ in _analysis_targets(assignments):
-                label = f"{group_label}/{scheme}" if multi else group_label
+            for label, _ in targets:
                 _record_all_failed(report, label, config, str(exc))
             continue
 
-        for scheme, mode in _analysis_targets(assignments):
-            label = f"{group_label}/{scheme}" if multi else group_label
+        for label, mode in targets:
             if mode == "restricted":
                 try:
-                    g = per_variant_subgraph(
-                        graph, assignments, config.control, config.treatment
+                    g = graph.per_variant_subgraph(
+                        full, assignments, config.control, config.treatment
                     )
                 except ValueError as exc:
                     _record_all_failed(report, label, config, str(exc))
                     continue
                 control = config.control
             else:
-                g, control = graph, None
+                g, control = full, None
             st = graph_stats(g)
             report.graph_stats[label] = {
                 "n_buyers": st.n_buyers,

@@ -61,7 +61,7 @@ def realized_exposure(
     graph: BipartiteGraph, assignments: AssignmentTable, treatment: str
 ) -> np.ndarray:
     """h_i = weighted share of seller i's interactions from treated buyers."""
-    treated = assignments.variant_codes(graph.buyers) == assignments.code(treatment)
+    treated = graph.buyer_variants(assignments) == assignments.code(treatment)
     return graph.matrix() @ treated.astype(np.float64)
 
 
@@ -156,7 +156,7 @@ def assemble_panel(
     h = realized_exposure(graph, assignments, treatment)
     p = effective_treatment_prob(assignments, treatment, control)
     e_h, var_h = design_moments(graph, assignments, treatment, control)
-    rows = outcomes.rows(graph.sellers)
+    rows = outcomes.rows(graph.seller_vocabulary)[graph.seller_codes]
     missing = rows < 0
     if missing.any() and not allow_missing_outcomes:
         raise MissingOutcomeError([graph.sellers[i] for i in np.flatnonzero(missing)])
@@ -168,10 +168,9 @@ def assemble_panel(
     rows_arr = np.flatnonzero(~dropped)
     if not len(rows_arr):
         raise ExposureError("no usable outcome units after exclusions")
-    kept_sellers = [graph.sellers[i] for i in rows_arr.tolist()]
     y_in, y_pre = outcomes.y[rows[rows_arr]].T.copy()
     panel = ExposurePanel(
-        seller_ids=kept_sellers,
+        seller_ids=[graph.sellers[i] for i in rows_arr.tolist()],
         h=h[rows_arr],
         e_h=e_h[rows_arr],
         var_h=var_h[rows_arr],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,25 +44,42 @@ class GraphBuildConfig:
             raise GraphError("kind_filter must be non-empty")
 
 
+def _ids(vocabulary: tuple, codes: np.ndarray) -> list[str]:
+    return list(map(vocabulary.__getitem__, codes.tolist()))
+
+
 class BipartiteGraph:
     """Sparse seller-by-buyer weight matrix with fixed unit orderings.
 
-    `buyers` and `sellers` are sorted lexicographically at build time so
-    all downstream vectors index consistently. Edges are stored CSR-style
-    over sellers, buyer indices ascending within each row.
+    Buyer column j is `buyer_vocabulary[buyer_codes[j]]`, seller row i
+    `seller_vocabulary[seller_codes[i]]`: a built or restricted graph shares
+    its event log's sorted vocabularies, with ascending codes; without
+    `codes`, `buyers` and `sellers` are the vocabularies. Edges are stored
+    CSR-style over sellers, buyer indices ascending within each row.
     """
 
-    def __init__(self, buyers, sellers, indptr, buyer_idx, weights):
-        self.buyers = list(buyers)
-        self.sellers = list(sellers)
+    def __init__(self, buyers, sellers, indptr, buyer_idx, weights, codes=None):
+        vocabularies = tuple(buyers), tuple(sellers)
+        self.buyer_vocabulary, self.seller_vocabulary = vocabularies
+        codes = codes or [range(len(v)) for v in vocabularies]
+        self.buyer_codes, self.seller_codes = (np.asarray(c, np.int64) for c in codes)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.buyer_idx = np.asarray(buyer_idx, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
         self._matrix = None
         self._validate()
 
+    # the ids of the columns and rows, built on first use
+    buyers = cached_property(lambda g: _ids(g.buyer_vocabulary, g.buyer_codes))
+    sellers = cached_property(lambda g: _ids(g.seller_vocabulary, g.seller_codes))
+
+    def buyer_variants(self, assignments: AssignmentTable) -> np.ndarray:
+        """The variant code of each buyer column, -1 for an unassigned one."""
+        rows = assignments.rows(self.buyer_vocabulary)[self.buyer_codes]
+        return np.append(assignments.variant, -1)[rows]
+
     def _validate(self):
-        n, m = len(self.sellers), len(self.buyers)
+        n, m = self.n_sellers, self.n_buyers
         if n == 0:
             raise EmptyGraphError("empty graph: no outcome units")
         if len(self.indptr) != n + 1:
@@ -91,11 +109,11 @@ class BipartiteGraph:
 
     @property
     def n_sellers(self) -> int:
-        return len(self.sellers)
+        return len(self.seller_codes)
 
     @property
     def n_buyers(self) -> int:
-        return len(self.buyers)
+        return len(self.buyer_codes)
 
     @property
     def n_edges(self) -> int:
@@ -179,11 +197,12 @@ def build_graph(
     if config.weighting == "binary_dedup":
         counts.data[:] = 1.0
     graph = BipartiteGraph(
-        [events.buyers[j] for j in cols],
-        [events.sellers[i] for i in rows],
+        events.buyers,
+        events.sellers,
         counts.indptr,
         counts.indices,
         _row_normalized(counts),
+        codes=(cols, rows),
     )
     return graph, report
 
@@ -199,7 +218,7 @@ def per_variant_subgraph(
     if control == treatment:
         raise GraphError("control and treatment variants must differ")
     keep = np.isin(
-        assignments.variant_codes(graph.buyers),
+        graph.buyer_variants(assignments),
         [assignments.code(control), assignments.code(treatment)],
     )
     sub = graph.matrix()[:, keep]
@@ -210,11 +229,12 @@ def per_variant_subgraph(
         )
     sub = sub[rows]
     return BipartiteGraph(
-        [b for b, k in zip(graph.buyers, keep) if k],
-        [graph.sellers[i] for i in rows],
+        graph.buyer_vocabulary,
+        graph.seller_vocabulary,
         sub.indptr,
         sub.indices,
         _row_normalized(sub),
+        codes=(graph.buyer_codes[keep], graph.seller_codes[rows]),
     )
 
 

@@ -14,7 +14,8 @@ Each file enters once as integer-coded columns: an `EventLog` of codes
 into sorted buyer, seller and kind vocabularies, in file order; an
 `AssignmentTable` of a sorted buyer vocabulary and a variant code per
 buyer; an `OutcomeTable` of a sorted seller vocabulary and a (y_in, y_pre)
-row per seller. Joins map ids to table rows through one dict per table.
+row per seller. Ids are joined to table rows once per table per run,
+through one dict per table, and graphs index the result with their codes.
 
 One tokenizer, driven by a column spec (`_Columns`), reads all three files
 as bytes, BLOCK_BYTES of whole lines at a time, and splits them with numpy
@@ -154,11 +155,21 @@ class _Keyed:
     def _index(self) -> dict[str, int]:
         return dict(zip(self.keys, range(len(self.keys))))
 
+    def _join(self, ids: Sequence[str]) -> np.ndarray:
+        return np.fromiter(map(self._index.get, ids, repeat(-1)), np.int64, len(ids))
+
     def rows(self, ids: Sequence[str]) -> np.ndarray:
-        """The row of each of `ids`, -1 for an id the table does not hold."""
-        return np.fromiter(
-            map(self._index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
-        )
+        """The row of each of `ids`, -1 for an id the table does not hold. The
+        result for a tuple (a graph's vocabulary) is kept, read-only, until
+        another tuple is joined; a list is joined on every call."""
+        last = self.__dict__.get("_last")
+        if last is not None and last[0] is ids:
+            return last[1]
+        found = self._join(ids)
+        if type(ids) is tuple:
+            found.flags.writeable = False
+            self.__dict__["_last"] = (ids, found)
+        return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +201,6 @@ class AssignmentTable(_Keyed):
 
     def probability(self, label: str) -> float:
         return self.variants[self.code(label)].probability
-
-    def variant_codes(self, buyers: Sequence[str]) -> np.ndarray:
-        """The variant code of each of `buyers`, -1 for an unassigned one."""
-        return np.append(self.variant, -1)[self.rows(buyers)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from bipartite_ab import exposure
+from bipartite_ab.exposure import (
+    ExposureError,
+    ExposurePanel,
+    design_moments,
+    effective_treatment_prob,
+)
 from bipartite_ab.graph import (
     BipartiteGraph,
     EmptyGraphError,
@@ -174,6 +181,106 @@ def oracle_graph_stats(graph):
         n_edges=graph.n_edges,
         seller_degree_hist=s_hist,
     )
+
+
+def oracle_realized_exposure(graph, assignments, treatment):
+    """realized_exposure joining the graph's buyer ids to a dict."""
+    assignments.code(treatment)  # an unknown label is an error
+    assigned = assignment_entries(assignments)
+    treated = [assigned.get(b) == treatment for b in graph.buyers]
+    return graph.matrix() @ np.array(treated, dtype=np.float64)
+
+
+def oracle_assemble_panel(graph, assignments, outcomes, treatment, control=None):
+    """assemble_panel with allow_missing_outcomes=True, joining the graph's
+    seller ids to a dict of outcome rows one seller at a time."""
+    entries = outcome_entries(outcomes)
+    h = oracle_realized_exposure(graph, assignments, treatment)
+    p = effective_treatment_prob(assignments, treatment, control)
+    e_h, var_h = design_moments(graph, assignments, treatment, control)
+    excluded, rows = [], []
+    for i, seller in enumerate(graph.sellers):
+        if seller not in entries:
+            excluded.append((seller, "no outcome row"))
+        elif var_h[i] <= exposure.EPS_VAR:
+            excluded.append((seller, "zero variance"))
+        else:
+            rows.append(i)
+    if not rows:
+        raise ExposureError("no usable outcome units after exclusions")
+    kept = [graph.sellers[i] for i in rows]
+    pre = [entries[s][1] for s in kept]
+    panel = ExposurePanel(
+        seller_ids=kept,
+        h=h[rows],
+        e_h=e_h[rows],
+        var_h=var_h[rows],
+        y_in=np.array([entries[s][0] for s in kept]),
+        y_pre=np.array([np.nan if v is None else v for v in pre])
+        if outcomes.has_pre
+        else None,
+        p=p,
+        graph_rows=np.array(rows, dtype=np.int64),
+        treatment=treatment,
+        control=control,
+    )
+    return panel, excluded
+
+
+def assert_same_panel(got, want):
+    assert got.seller_ids == want.seller_ids
+    for name in ("h", "e_h", "var_h", "y_in", "y_pre", "graph_rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.p, got.treatment, got.control) == (want.p, want.treatment, want.control)
+
+
+VARIANTS3 = [Variant("Off", 0.4, control=True), Variant("A", 0.3), Variant("B", 0.3)]
+KINDS = ("view", "favorite", "message")
+
+
+def id_pool(prefix, k):
+    """k plain ids plus ids that differ from them only by a trailing NUL,
+    and ids with non-ASCII characters (precomposed and combining)."""
+    ids = [f"{prefix}{i}" for i in range(k)]
+    ids += [f"{prefix}{i}\x00" for i in range(0, k, 3)]
+    ids += [f"{prefix}{i}\u00e9" for i in range(1, k, 4)]
+    ids += [f"{prefix}{i}e\u0301" for i in range(1, k, 4)]
+    return ids + [f"β{prefix}{k}", f"{prefix}\x00"]
+
+
+def random_log(rng):
+    """(rows, assignments): a random event log with repeated events, a few
+    unassigned buyers and a three-variant design."""
+    buyers = id_pool("b", int(rng.integers(2, 25)))
+    sellers = id_pool("s", int(rng.integers(1, 12)))
+    n = int(rng.integers(1, 160))
+    rows = [
+        (
+            buyers[rng.integers(len(buyers))],
+            sellers[rng.integers(len(sellers))],
+            KINDS[rng.integers(len(KINDS))],
+            int(rng.integers(0, 10**6)),
+        )
+        for _ in range(n)
+    ]
+    rows += rows[: int(rng.integers(0, n + 1))]  # exact repeats
+    rng.shuffle(rows)
+    labels = ["Off", "A", "B"]
+    entries = {
+        b: labels[rng.integers(3)] for b in buyers if rng.random() > 0.15
+    }
+    return rows, assignment_table(entries, VARIANTS3)
+
+
+def assert_same_graph(got, want):
+    assert got.buyers == want.buyers
+    assert got.sellers == want.sellers
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.buyer_idx, want.buyer_idx)
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 def enumerate_assignments(m):

@@ -1,8 +1,10 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from bipartite_ab import ingest
 from bipartite_ab.cli import main
 from bipartite_ab.simulator import (
     SimConfig,
@@ -11,7 +13,21 @@ from bipartite_ab.simulator import (
     simulate_experiment,
 )
 
+from conftest import outcome_table
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
+DATA = Path(__file__).parent / "data"
+# a three-variant log (Off/A/B = 0.4/0.3/0.3) with "b1" beside "b1\x00",
+# non-ASCII ids, unassigned buyers, message events no graph selects and two
+# sellers without an outcome row
+FIXTURE = DATA / "analyze3"
+FIXTURE_ARGS = [
+    "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+    "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
+    "--kinds", "view", "--kinds", "view,favorite", "--estimators", "erl,crerl",
+    "--methods", "bootstrap,randomization,pairwise", "--replications", "200",
+    "--seed", "3", "--allow-missing-outcomes", "--dump-graphs",
+]
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +217,73 @@ class TestAnalyze:
         dump = (out / "graph_view.csv").read_text().splitlines()
         assert dump[0] == "seller_id,buyer_id,weight"
         assert len(dump) > 1
+
+
+class TestJoinOnce:
+    """An analyze run joins each table to the ids once: the graphs share the
+    event log's vocabularies, and `rows` keeps its result for a tuple."""
+
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        calls = []
+        join = ingest._Keyed._join
+
+        def spy(table, ids):
+            calls.append((type(table).__name__, len(ids)))
+            return join(table, ids)
+
+        monkeypatch.setattr(ingest._Keyed, "_join", spy)
+        return calls
+
+    def test_analyze_joins_each_table_once(self, joins, tmp_path, monkeypatch):
+        monkeypatch.chdir(FIXTURE)
+        assert main(FIXTURE_ARGS + ["--out", str(tmp_path / "out")]) == 2
+        # 2 kind groups x {restricted, full}: 2 graphs, 2 subgraphs, 4 panels
+        assert len(json.loads((tmp_path / "out" / "report.json").read_text())[
+            "graph_stats"]) == 4
+        assert sorted(name for name, _ in joins) == ["AssignmentTable", "OutcomeTable"]
+
+    def test_rows_memo_is_safe(self, joins):
+        table = outcome_table({"s1": (1.0, None), "s1\x00": (2.0, None)}, False)
+        ids = ("s1\x00", "s2", "s1")
+        want = [1, -1, 0]
+        first = table.rows(ids)
+        assert first.tolist() == want and not first.flags.writeable
+        assert table.rows(ids) is first  # the same tuple: no second join
+        equal = tuple(list(ids))
+        assert equal == ids and equal is not ids
+        assert table.rows(equal).tolist() == want
+        as_list = list(ids)
+        assert table.rows(as_list).tolist() == want
+        as_list[1] = "s1"  # a list is joined again on every call
+        assert table.rows(as_list).tolist() == [1, 0, 0]
+        assert table.rows(ids).tolist() == want
+        assert len(joins) == 5
+
+
+class TestGolden:
+    """Outputs pinned byte for byte, recorded before graphs carried codes:
+    analyze on the three-variant fixture (run from the fixture directory, so
+    report.json echoes relative paths) and a simulate run's truth.json."""
+
+    def test_analyze_reproduces_golden(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(FIXTURE)
+        out = tmp_path / "out"
+        assert main(FIXTURE_ARGS + ["--out", str(out)]) == 2
+        golden = FIXTURE / "golden"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert "report.json" in names and len(names) == 14
+        for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_simulate_truth_matches_golden(self, tmp_path):
+        golden = DATA / "simulate_truth.json"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(json.loads(golden.read_text())["config"]))
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert (tmp_path / "sim" / "truth.json").read_bytes() == golden.read_bytes()
 
 
 class TestSimulateCommand:

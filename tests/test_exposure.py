@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,29 @@ from bipartite_ab.exposure import (
     realized_exposure,
     write_exposure_histogram,
 )
-from bipartite_ab.graph import BipartiteGraph, GraphBuildConfig, build_graph
+from bipartite_ab.graph import (
+    BipartiteGraph,
+    EmptyGraphError,
+    GraphBuildConfig,
+    build_graph,
+    per_variant_subgraph,
+)
 from bipartite_ab import exposure
 from bipartite_ab.ingest import AssignmentTable, IngestError, Variant
 
 from conftest import (
+    assert_same_graph,
+    assert_same_panel,
     assignment_table,
     assignment_probability,
     enumerate_assignments,
     make_events,
+    oracle_assemble_panel,
+    oracle_build_graph,
+    oracle_per_variant_subgraph,
+    oracle_realized_exposure,
     outcome_table,
+    random_log,
     random_sparse_graph,
     two_variant_assignments,
 )
@@ -294,6 +309,80 @@ class TestAssemblePanel:
                 np.testing.assert_array_equal(panel.y_pre, y_pre)
             compared += 1
         assert compared >= 30
+
+
+def test_coded_joins_match_string_oracles(rng):
+    """Graphs index shared vocabularies by code and join each table once per
+    vocabulary; the oracles join id strings through dicts. Random logs hold
+    "b1" beside "b1\\x00" and unassigned buyers; outcome tables miss some
+    sellers; each graph is also analyzed under a rerandomized copy of the
+    table and as a hand-built graph over plain id lists."""
+    cfg = GraphBuildConfig(kind_filter=frozenset({"view", "favorite"}))
+    panels = 0
+    for _ in range(40):
+        rows, assignments = random_log(rng)
+        try:
+            want, _ = oracle_build_graph(rows, assignments, cfg)
+        except EmptyGraphError:
+            continue
+        got, _ = build_graph(make_events(rows), assignments, cfg)
+        assert_same_graph(got, want)
+        rerandomized = dataclasses.replace(
+            assignments, variant=rng.integers(0, 3, len(assignments.buyers))
+        )
+        has_pre = bool(rng.random() < 0.5)
+        outcomes = outcome_table(
+            {
+                s: (float(rng.normal()), float(rng.normal()) if has_pre else None)
+                for s in want.sellers + ["s0", "s1\x00", "s_extra"]
+                if rng.random() < 0.8
+            },
+            has_pre,
+        )
+        hand = BipartiteGraph(
+            want.buyers, want.sellers, want.indptr, want.buyer_idx, want.weights
+        )
+        # a hand-built graph whose buyers are partly unassigned
+        loose = random_sparse_graph(rng, 30, 6)
+        cases = []
+        for table in (assignments, rerandomized, assignments):
+            cases += [(g, w, table, None, t) for g, w in
+                      ((got, want), (hand, want), (loose, loose)) for t in ("A", "B")]
+            for control, treatment in (("Off", "A"), ("A", "B")):
+                try:
+                    want_sub = oracle_per_variant_subgraph(want, table, control, treatment)
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        per_variant_subgraph(got, table, control, treatment)
+                    continue
+                for g in (got, hand):
+                    got_sub = per_variant_subgraph(g, table, control, treatment)
+                    assert_same_graph(got_sub, want_sub)
+                    cases.append((got_sub, want_sub, table, control, treatment))
+        for g, w, table, control, treatment in cases:
+            h = realized_exposure(g, table, treatment)
+            assert h.tobytes() == oracle_realized_exposure(w, table, treatment).tobytes()
+            missing = [s for s in w.sellers if s not in outcomes.sellers]
+            if missing:
+                with pytest.raises(MissingOutcomeError) as info:
+                    assemble_panel(g, table, outcomes, treatment, control)
+                assert info.value.sellers == missing
+            try:
+                want_panel, excluded = oracle_assemble_panel(
+                    w, table, outcomes, treatment, control
+                )
+            except ExposureError:
+                with pytest.raises(ExposureError):
+                    assemble_panel(g, table, outcomes, treatment, control,
+                                   allow_missing_outcomes=True)
+                continue
+            panel, report = assemble_panel(
+                g, table, outcomes, treatment, control, allow_missing_outcomes=True
+            )
+            assert report.excluded == excluded
+            assert_same_panel(panel, want_panel)
+            panels += 1
+    assert panels >= 500
 
 
 class TestHistogram:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bipartite_ab.graph import (
+    BipartiteGraph,
     EmptyGraphError,
     GraphBuildConfig,
     GraphError,
@@ -15,6 +16,8 @@ from bipartite_ab.graph import (
 from bipartite_ab.ingest import EVENTS_HEADER, Variant, parse_events
 
 from conftest import (
+    KINDS,
+    assert_same_graph,
     assignment_entries,
     assignment_table,
     edge_set,
@@ -23,6 +26,7 @@ from conftest import (
     oracle_build_graph,
     oracle_graph_stats,
     oracle_per_variant_subgraph,
+    random_log,
     two_variant_assignments,
 )
 
@@ -117,6 +121,25 @@ class TestBuildGraph:
         w_after = {after.buyers[j]: w for j, w in zip(*after.row(0))}
         for buyer in ("a", "b", "c"):
             assert w_after[buyer] < w_before[buyer]
+
+    def test_graphs_share_the_log_vocabularies(self):
+        rows = counts_rows() + [("ghost", "s2", "view", 7), ("c", "s2", "view", 8)]
+        events = make_events(rows)
+        assignments = three_variant_assignments()
+        graph, _ = build_graph(events, assignments, CFG_COUNT)
+        sub = per_variant_subgraph(graph, assignments, "Off", "A")
+        for g in (graph, sub):
+            assert g.buyer_vocabulary is events.buyers
+            assert g.seller_vocabulary is events.sellers
+        assert graph.buyer_codes.tolist() == [0, 1, 2]  # "ghost" is unassigned
+        assert (graph.buyers, graph.sellers) == (["a", "b", "c"], ["s1", "s2"])
+        assert (sub.buyers, sub.sellers) == (["a", "b"], ["s1"])
+
+    def test_hand_built_graph_codes_its_lists(self):
+        graph = BipartiteGraph(["y", "x"], ["s"], [0, 2], [0, 1], [0.5, 0.5])
+        assert graph.buyer_vocabulary == ("y", "x")
+        assert graph.buyer_codes.tolist() == [0, 1]
+        assert graph.buyers == ["y", "x"] and graph.sellers == ["s"]
 
 
 class TestPerVariantSubgraph:
@@ -217,52 +240,6 @@ class TestDump:
 
 
 # --- differential tests against the row-at-a-time oracles -------------------
-
-VARIANTS3 = [Variant("Off", 0.4, control=True), Variant("A", 0.3), Variant("B", 0.3)]
-KINDS = ("view", "favorite", "message")
-
-
-def id_pool(prefix, k):
-    """k plain ids plus ids that differ from them only by a trailing NUL,
-    and ids with non-ASCII characters (precomposed and combining)."""
-    ids = [f"{prefix}{i}" for i in range(k)]
-    ids += [f"{prefix}{i}\x00" for i in range(0, k, 3)]
-    ids += [f"{prefix}{i}\u00e9" for i in range(1, k, 4)]
-    ids += [f"{prefix}{i}e\u0301" for i in range(1, k, 4)]
-    return ids + [f"β{prefix}{k}", f"{prefix}\x00"]
-
-
-def random_log(rng):
-    """(rows, assignments): a random event log with repeated events, a few
-    unassigned buyers and a three-variant design."""
-    buyers = id_pool("b", int(rng.integers(2, 25)))
-    sellers = id_pool("s", int(rng.integers(1, 12)))
-    n = int(rng.integers(1, 160))
-    rows = [
-        (
-            buyers[rng.integers(len(buyers))],
-            sellers[rng.integers(len(sellers))],
-            KINDS[rng.integers(len(KINDS))],
-            int(rng.integers(0, 10**6)),
-        )
-        for _ in range(n)
-    ]
-    rows += rows[: int(rng.integers(0, n + 1))]  # exact repeats
-    rng.shuffle(rows)
-    labels = ["Off", "A", "B"]
-    entries = {
-        b: labels[rng.integers(3)] for b in buyers if rng.random() > 0.15
-    }
-    return rows, assignment_table(entries, VARIANTS3)
-
-
-def assert_same_graph(got, want):
-    assert got.buyers == want.buyers
-    assert got.sellers == want.sellers
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.buyer_idx, want.buyer_idx)
-    assert got.weights.tobytes() == want.weights.tobytes()
-
 
 def test_columnar_graph_matches_row_oracles(rng, tmp_path):
     built = restricted = 0
