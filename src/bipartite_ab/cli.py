@@ -48,6 +48,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if not self.estimators:
             raise ValueError("estimator list must be non-empty")
+        if not self.methods:
+            raise ValueError("method list must be non-empty")
         for e in self.estimators:
             if e not in ESTIMATOR_IDS:
                 raise ValueError(f"unknown estimator {e!r}")
@@ -322,8 +324,13 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             window = (0, 2**62)
             if args.window:
-                t0, t1 = args.window.split(":")
-                window = (int(t0), int(t1))
+                try:
+                    window = tuple(map(int, args.window.split(":")))
+                except ValueError:
+                    window = ()
+                if len(window) != 2 or window[0] > window[1]:
+                    raise ValueError("--window must be 't0:t1' with integers "
+                                     f"t0 <= t1, got {args.window!r}")
             config = AnalysisConfig(
                 events_path=args.events,
                 assignments_path=args.assignments,
@@ -351,6 +358,8 @@ def main(argv=None) -> int:
             methods = [m for m in args.methods.split(",") if m]
             if not estimators:
                 parser.error("at least one estimator required")
+            if not methods:
+                parser.error("at least one method required")
             return cmd_validate(
                 args.config, estimators, methods, args.replications,
                 args.ci_replications, args.seed, args.out,

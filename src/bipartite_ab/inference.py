@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import norm
+from scipy.special import ndtri
 
 # crerl_estimate and assemble_panel are not called here; perfbench's tracer
 # wraps them under this module's name, so they stay importable from inference.
@@ -303,7 +303,7 @@ def randomization_ci(
             tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
         taus[start : start + count] = tau
     sd = float(np.std(taus, ddof=1))
-    z_crit = float(norm.ppf(0.5 + level / 2.0))
+    z_crit = float(ndtri(0.5 + level / 2.0))
     return IntervalEstimate(
         point=point,
         ci_low=point.tau_hat - z_crit * sd,
@@ -575,7 +575,7 @@ def pairwise_variance_ci(
     point = erl_estimate(panel)
     pv = pairwise_variance(panel, joint_moments, **kwargs)
     sd = float(np.sqrt(max(pv.value, 0.0)))
-    z_crit = float(norm.ppf(0.5 + level / 2.0))
+    z_crit = float(ndtri(0.5 + level / 2.0))
     return IntervalEstimate(
         point=point,
         ci_low=point.tau_hat - z_crit * sd,

@@ -168,6 +168,21 @@ class TestAnalyze:
         assert code == 1
         assert "wat" in capsys.readouterr().err
 
+    def test_empty_methods_is_usage_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(analyze_args(sim_dir, out, "--methods", "")) == 1
+        assert capsys.readouterr().err == "error: method list must be non-empty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["5", "a:b", "10:5", "1:2:3"])
+    def test_malformed_window_is_usage_error(self, sim_dir, tmp_path, capsys, window):
+        out = tmp_path / "out"
+        assert main(analyze_args(sim_dir, out, "--window", window)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --window must be 't0:t1' with integers t0 <= t1, got '{window}'\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_is_error(self, sim_dir, tmp_path, capsys):
         args = analyze_args(sim_dir, tmp_path / "out")
         args[args.index("--events") + 1] = str(sim_dir / "nope.csv")
@@ -351,3 +366,15 @@ class TestValidateCommand:
         with pytest.raises(SystemExit):
             main(["validate", "--config", str(config_path),
                   "--estimators", ""])
+
+    def test_validate_requires_methods(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            sim_config_to_dict(SimConfig(m=10, n=5))
+        ))
+        out = tmp_path / "val"
+        with pytest.raises(SystemExit):
+            main(["validate", "--config", str(config_path),
+                  "--methods", "", "--out", str(out)])
+        assert "at least one method required" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,11 +1,16 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from bipartite_ab import inference
@@ -747,3 +752,28 @@ def test_linear_randomization_sd_matches_closed_form(estimator_id):
     z_scores = np.array(z_scores)
     assert np.abs(z_scores).max() <= 4.0, z_scores
     assert abs(z_scores.mean()) <= 4.0 / np.sqrt(len(z_scores)), z_scores
+
+
+def test_ndtri_critical_value_matches_norm_ppf():
+    """The intervals take z from scipy.special.ndtri, not scipy.stats: the
+    two quantiles must agree bit for bit at every level."""
+    for level in [*(np.arange(1, 1000) / 1000).tolist(), 0.95, 0.9, 0.99]:
+        q = 0.5 + level / 2.0
+        assert float(ndtri(q)) == float(norm.ppf(q)), level
+
+
+def test_package_import_loads_no_scipy_stats():
+    """Every CLI run pays for each scipy subpackage the package loads;
+    scipy.stats alone takes longer to import than all the others together."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, bipartite_ab, bipartite_ab.cli\n"
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize',"
+        " 'scipy.spatial', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []
