@@ -56,6 +56,15 @@ class AnalysisConfig:
         for m in self.methods:
             if m not in METHOD_IDS:
                 raise ValueError(f"unknown method {m!r}")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level {self.level} outside (0,1)")
+        # pairwise takes no replications
+        resampled = {"bootstrap", "randomization"} & set(self.methods)
+        if resampled and self.replications < inference.MIN_REPLICATIONS:
+            raise ValueError(
+                f"replications must be >= {inference.MIN_REPLICATIONS}, "
+                f"got {self.replications}"
+            )
 
 
 def _config_echo(config: AnalysisConfig) -> dict:

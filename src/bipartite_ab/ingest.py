@@ -20,15 +20,21 @@ through one dict per table, and graphs index the result with their codes.
 One tokenizer, driven by a column spec (`_Columns`), reads all three files
 as bytes, BLOCK_BYTES of whole lines at a time, and splits them with numpy
 and no Python per row: LF or CRLF line ends, blank lines skipped, as many
-fields per line as the header has. Each distinct id is decoded once; value
-cells go through the spec's converter (timestamps by numpy where they are
-plain digits, else by `int()`; outcomes by `float()`). A file holding a
-quote, a CR that does not end a CRLF or a line longer than the csv
-module's field_size_limit is split by the csv module instead, one decoded
-line at a time, and its cells go through the same checks. Both paths give
-the same results and errors: errors are decided in file order, and a line
-is checked for invalid UTF-8, then its column count, then empty ids, then
-a repeated id, then its values from left to right.
+fields per line as the header has. Ids are keyed by their bytes; when the
+file ends they are sorted bytewise with numpy, decoded once each, and their
+codes renumbered into that order. That is `str` order: UTF-8 writes a code
+point's bits most significant first, and a longer sequence starts with a
+larger lead byte, so comparing two ids' bytes compares their code points,
+as Python compares `str`. So every vocabulary comes out sorted with no
+Python sort. Value cells go through the spec's converter (timestamps by
+numpy where they are plain digits, else by `int()`; outcomes by
+`float()`). A file holding a quote, a CR that does not end a CRLF or a
+line longer than the csv module's field_size_limit is split by the csv
+module instead, one decoded line at a time, and its cells go through the
+same checks. Both paths give the same results and errors: errors are
+decided in file order, and a line is checked for invalid UTF-8, then its
+column count, then empty ids, then a repeated id, then its values from left
+to right.
 """
 from __future__ import annotations
 
@@ -38,7 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -68,6 +74,15 @@ class ParseError(IngestError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def _trimmed(ids: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """(vocabulary, codes): the ids of `ids` that the int64 array `codes`
+    uses, in the order of `ids`, and `codes` renumbered into them in place
+    (as in `_tokenize`)."""
+    used = np.bincount(codes, minlength=len(ids)) > 0
+    np.take(np.cumsum(used) - 1, codes, out=codes, mode="clip")
+    return tuple(compress(ids, used.tolist())), codes
 
 
 def _sorted_vocabulary(ids: Sequence[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
@@ -247,7 +262,7 @@ class _Columns:
 
 class _Tokens:
     """The rows of a file before its first malformed one: `codes` into the
-    id lists `ids` (in any order), one pair per coded column, and `values`
+    id lists `ids` (sorted by `_tokenize`), one pair per coded column, and `values`
     (rows x value columns); `blank_rows[j]` is the number of rows before
     the j-th blank line, and `error` the malformed row's ParseError."""
 
@@ -263,7 +278,7 @@ class _Tokens:
         self.path, self.spec, self.width = path, spec, len(header)
         self.names = header[spec.n_coded:]
         self.columns = [_IdCodes() for _ in range(spec.n_coded)]
-        self.ids = [column.ids for column in self.columns]  # filled as codes are given
+        self.ids = [column.ids for column in self.columns]  # filled by `_tokenize`
         # codes, values, blank rows; a bytearray grows in place, unlike a
         # concatenation
         self.out = [bytearray() for _ in range(spec.n_coded + 2)]
@@ -286,7 +301,7 @@ class _Tokens:
             fail(int(np.argmax(no_id)), spec.empty_id)
         a = np.frombuffer(data, dtype=np.uint8)
         words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
-        seen = len(self.columns[0].ids)
+        seen = self.columns[0].count
         codes = [
             ids.codes(words, start[:rows, c], end[:rows, c])
             for c, ids in enumerate(self.columns)
@@ -297,7 +312,7 @@ class _Tokens:
             again |= codes[0] < seen
             if again.any():
                 k = int(np.argmax(again))
-                fail(k, spec.repeated.format(self.columns[0].ids[codes[0][k]]))
+                fail(k, spec.repeated.format(data[start[k, 0]:end[k, 0]].decode("utf-8")))
         cells = np.s_[:rows, spec.n_coded:]
         values = np.empty((rows, self.width - spec.n_coded), dtype=spec.dtype)
         if spec.convert is not None:
@@ -329,7 +344,13 @@ class _Tokens:
 
 
 def _tokenize(path, spec: _Columns) -> _Tokens:
-    return _tokenize_unquoted(path, spec) or _tokenize_quoted(path, spec)
+    """The file's tokens, each id list sorted and its codes renumbered in
+    place to match, so that no second copy of the code columns is made
+    (np.take copies `out` first in its default mode="raise")."""
+    tokens = _tokenize_unquoted(path, spec) or _tokenize_quoted(path, spec)
+    for column, codes in zip(tokens.columns, tokens.codes):
+        np.take(column.sort(), codes, out=codes, mode="clip")
+    return tokens
 
 
 def _utf8_error(path, line_no, exc: UnicodeDecodeError) -> ParseError:
@@ -343,10 +364,14 @@ class _IdCodes:
     time. Ids are packed into little-endian uint64 words and kept in sorted
     runs per byte length: a numpy `S` array drops trailing NULs and would
     merge "b1" and "b1\\x00". A code is given to an id when it is first
-    seen, and the id is decoded then, once."""
+    seen. When the file ends, `sort` orders the ids by their bytes, decodes
+    them into `ids` and renumbers the codes into that order. Bytewise order
+    of UTF-8 is code point order, which is how Python orders `str` (see the
+    module docstring), so `ids` comes out sorted with no Python sort."""
 
     def __init__(self):
-        self.ids: list[str] = []  # by code
+        self.ids: list[str] = []  # sorted, filled by `sort`
+        self.count = 0  # codes given
         self.seen = {}  # byte length -> sorted runs [(packed ids, their codes)]
 
     def codes(self, words, start, end) -> np.ndarray:
@@ -367,7 +392,7 @@ class _IdCodes:
 
     def _lookup(self, size, keys):
         """Codes of the sorted distinct packed ids `keys` of `size` bytes,
-        numbering and decoding the ones not seen before."""
+        numbering the ones not seen before."""
         runs = self.seen.setdefault(size, [])
         codes = np.full(len(keys), -1, dtype=np.int64)
         for run, run_codes in runs:
@@ -375,16 +400,11 @@ class _IdCodes:
             at = np.minimum(np.searchsorted(run, keys[todo]), len(run) - 1)
             hit = run[at] == keys[todo]
             codes[todo[hit]] = run_codes[at[hit]]
-        new = codes < 0
-        if not new.any():
+        new = np.flatnonzero(codes < 0)
+        if not len(new):
             return codes
-        codes[new] = len(self.ids) + np.arange(np.count_nonzero(new))
-        raw = keys[new].view(np.uint8).reshape(-1, keys.dtype.itemsize)[:, :size]
-        if size:
-            raw = np.ascontiguousarray(raw).view(f"V{size}").reshape(-1).tolist()
-            self.ids += map(bytes.decode, raw)
-        else:
-            self.ids += [""] * len(raw)
+        codes[new] = self.count + np.arange(len(new))
+        self.count += len(new)
         # merge runs of similar length (as in a binary counter), so that each
         # id is copied O(log n) times in all rather than once per block
         runs.append((keys[new], codes[new]))
@@ -393,6 +413,62 @@ class _IdCodes:
             at = np.searchsorted(a, b)
             runs.append((np.insert(a, at, b), np.insert(a_codes, at, b_codes)))
         return codes
+
+    def sort(self) -> np.ndarray:
+        """Fill `ids` in sorted order and return the new code of each old
+        one. The runs, which map keys to the old codes, are dropped."""
+        runs = [(size, *run) for size, group in self.seen.items() for run in group]
+        self.seen = {}
+        if not runs:
+            return np.empty(0, dtype=np.int64)
+        length = np.concatenate([np.full(len(keys), size) for size, keys, _ in runs])
+        words = np.concatenate([keys.view(np.uint64) for _, keys, _ in runs])
+        n_words = np.maximum(1, -(-length // 8))
+        first = np.cumsum(n_words) - n_words
+        order = _bytewise_order(words.byteswap(), first, n_words, length)
+        # the ids' words in sorted order, decoded at once
+        first, n_words, length = first[order], n_words[order], length[order]
+        at = np.cumsum(n_words) - n_words  # where each id's words go
+        data = words[np.repeat(first - at, n_words) + np.arange(len(words))].tobytes()
+        text = data.decode("utf-8")
+        bounds = np.stack((8 * at, 8 * at + length))
+        if not data.isascii():  # to characters: bytes that do not continue one
+            chars = np.cumsum(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
+            bounds = np.concatenate(([0], chars))[bounds]
+        self.ids[:] = [text[s:e] for s, e in zip(*bounds.tolist())]
+        old = np.concatenate([codes for _, _, codes in runs])[order]
+        rank = np.empty(len(old), dtype=np.int64)
+        rank[old] = np.arange(len(old))
+        return rank
+
+
+def _bytewise_order(words, first, n_words, length) -> np.ndarray:
+    """The order of byte strings by their bytes, string p having `length[p]`
+    bytes held zero-padded in the big-endian words
+    `words[first[p]:first[p] + n_words[p]]`. Strings are sorted a word at a
+    time, each pass only among the strings that all earlier words leave
+    tied, and the ones still tied after their last word (they differ only
+    by trailing NULs) shortest first. So no string is padded to the length
+    of the longest, and ids of up to 8 bytes take one sort."""
+    order = np.arange(len(length))
+    tie = np.zeros(len(length), dtype=np.int64)  # by place: where its tie starts
+    at = np.arange(len(length))  # the places in ties of more than one string
+    depth = 0
+    while len(at) and 8 * depth < length[order[at]].max():
+        ids = order[at]
+        word = words[first[ids] + np.minimum(depth, n_words[ids] - 1)]
+        word[depth >= n_words[ids]] = 0
+        group = tie[at]
+        sub = np.lexsort((word, group)) if depth else np.argsort(word)  # all one tie
+        order[at], word = ids[sub], word[sub]
+        new = np.ones(len(at), dtype=bool)
+        new[1:] = (group[1:] != group[:-1]) | (word[1:] != word[:-1])
+        tie[at] = np.maximum.accumulate(np.where(new, at, 0))
+        at = at[~(new & np.append(new[1:], True))]
+        depth += 1
+    ids = order[at]
+    order[at] = ids[np.lexsort((length[ids], tie[at]))]
+    return order
 
 
 def _plain_timestamps(a, start, end):
@@ -654,11 +730,10 @@ def parse_events(
         dropped_window=int((selected & ~in_window).sum()),
         dropped_unknown_kind=int((~is_known).sum()),
     )
-    vocabularies = tokens.ids
-    kept = [c[keep] for c in (buyer, seller, kind, timestamp)]
-    # free the full columns before from_codes
-    del tokens, buyer, seller, kind, timestamp
-    return EventLog.from_codes(*vocabularies, *kept), report
+    vocabularies, codes = zip(*(
+        _trimmed(ids, c[keep]) for ids, c in zip(tokens.ids, (buyer, seller, kind))
+    ))
+    return EventLog(*vocabularies, *codes, timestamp[keep]), report
 
 
 def default_design_path(assignments_path) -> Path:
@@ -719,10 +794,9 @@ def parse_assignments(path, design_path=None) -> AssignmentTable:
             f"buyer {buyer_ids[buyer[r]]!r} assigned to undeclared variant "
             f"{labels[label[r]]!r}"
         )
-    buyers, rows = _sorted_vocabulary(buyer_ids, buyer)
-    variant = np.empty(len(buyers), dtype=np.int64)
-    variant[rows] = codes[label]
-    return AssignmentTable(buyers, variant, variants)
+    variant = np.empty(len(buyer_ids), dtype=np.int64)
+    variant[buyer] = codes[label]
+    return AssignmentTable(buyer_ids, variant, variants)
 
 
 def parse_outcomes(path) -> OutcomeTable:
@@ -734,9 +808,9 @@ def parse_outcomes(path) -> OutcomeTable:
     tokens = _tokenize(path, _OUTCOMES)
     if tokens.error is not None:
         raise tokens.error
-    sellers, rows = _sorted_vocabulary(tokens.ids[0], tokens.codes[0])
+    sellers = tokens.ids[0]
     y = np.full((len(sellers), 2), np.nan)
-    y[rows, : tokens.width - 1] = tokens.values
+    y[tokens.codes[0], : tokens.width - 1] = tokens.values
     return OutcomeTable(sellers, y, has_pre=tokens.width == 3)
 
 

@@ -174,6 +174,25 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: method list must be non-empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--level", "1.5", "--methods", "randomization"], "level 1.5 outside (0,1)"),
+        (["--level", "nan", "--methods", "pairwise"], "level nan outside (0,1)"),
+        (["--replications", "5"], "replications must be >= 200, got 5"),
+    ])
+    def test_bad_level_or_replications_is_usage_error(
+        self, sim_dir, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "out"
+        assert main(analyze_args(sim_dir, out, *flags)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_pairwise_ignores_replications(self, sim_dir, tmp_path):
+        out = tmp_path / "out"
+        args = analyze_args(sim_dir, out, "--methods", "pairwise", "--replications", "5")
+        assert main(args) == 0
+        assert [e["status"] for e in load_report(out)["entries"]] == ["ok"]
+
     @pytest.mark.parametrize("window", ["5", "a:b", "10:5", "1:2:3"])
     def test_malformed_window_is_usage_error(self, sim_dir, tmp_path, capsys, window):
         out = tmp_path / "out"

@@ -791,3 +791,124 @@ def test_table_tokenizer_matches_csv_loops(rng, tmp_path, monkeypatch, block_byt
         for flag, value in flags.items():
             seen[flag] += value
     assert min(seen.values()) >= 15, seen
+
+
+# --- differential test at scale: ids coded in sorted order by their bytes ---
+
+# code point ranges by UTF-8 width, then every supplementary plane; U+E000 to
+# U+FFFF sort before the planes above in code point (and UTF-8) order but
+# after them in UTF-16 order
+CODE_POINTS = [(0x20, 0x7F), (0x80, 0x800), (0x800, 0xD800), (0xE000, 0x10000)] + [
+    (plane << 16, (plane + 1) << 16) for plane in range(1, 17)
+]
+
+
+def random_text(rng, size):
+    """Text of exactly `size` UTF-8 bytes drawn from CODE_POINTS, with no
+    comma, quote or line end."""
+    text = ""
+    while len(text.encode()) < size:
+        lo, hi = CODE_POINTS[int(rng.integers(len(CODE_POINTS)))]
+        char = chr(int(rng.integers(lo, hi)))
+        if char in ',"\r\n' or len((text + char).encode()) > size:
+            char = "x"
+        text += char
+    return text
+
+
+def scale_ids(rng, count, prefix):
+    """`count` distinct ids of 1 to 24 bytes (one to three words), in random
+    order: random text, ids sharing 8- and 16-byte prefixes, and ids that
+    differ from another only by trailing NULs, such as "b1" and "b1\\x00"."""
+    shared = ["", random_text(rng, 8), random_text(rng, 16), prefix * 8]
+    ids = {prefix + "1", prefix + "1" + "\x00" * NUL_OK}
+    while len(ids) < count:
+        base = shared[int(rng.integers(len(shared)))]
+        base += random_text(rng, int(rng.integers(not base, 25 - len(base.encode()))))
+        ids.add(base)
+        if NUL_OK and len(base.encode()) < 24 and rng.random() < 0.3:
+            ids.add(base + "\x00" * int(rng.integers(1, 25 - len(base.encode()))))
+    ids = sorted(ids)
+    return [ids[k] for k in rng.permutation(len(ids))]
+
+
+def pick(rng, ids, size):
+    # by index: a numpy string array would drop trailing NULs
+    return [ids[k] for k in rng.integers(len(ids), size=size)]
+
+
+def write_lines(path, header, rows):
+    path.write_bytes("".join(",".join(map(str, r)) + "\n" for r in [header, *rows]).encode())
+
+
+def write_scale_files(rng, tmp_path):
+    """An events file of 8000 rows over 3000 buyers, 2000 sellers and 40
+    kinds (one of them empty), and an assignments and an outcomes file of
+    the same buyers and sellers. Returns the events file's kind filter and
+    known kinds."""
+    buyers, sellers = scale_ids(rng, 3000, "b"), scale_ids(rng, 2000, "s")
+    kinds = ["", *scale_ids(rng, 39, "k")]
+    write_lines(tmp_path / "events.csv", EVENTS_HEADER, zip(
+        pick(rng, buyers, 8000), pick(rng, sellers, 8000), pick(rng, kinds, 8000),
+        rng.integers(0, 2000, 8000).tolist(),
+    ))
+    labels = pick(rng, [v["label"] for v in DESIGNS[1]], len(buyers))
+    write_lines(tmp_path / "assignments.csv", ["buyer_id", "variant"], zip(buyers, labels))
+    ingest.default_design_path(tmp_path / "assignments.csv").write_text(
+        json.dumps({"variants": DESIGNS[1]})
+    )
+    y = rng.normal(size=(len(sellers), 2)).tolist()
+    write_lines(tmp_path / "outcomes.csv", ["seller_id", "y_in", "y_pre"], (
+        (s, repr(y_in), repr(y_pre)) for s, (y_in, y_pre) in zip(sellers, y)
+    ))
+    return set(kinds[::2]), set(kinds)
+
+
+@pytest.mark.parametrize("block_bytes", [300, 5000])
+@pytest.mark.parametrize("tokenizer", ["unquoted", "quoted"])
+def test_sorted_codes_at_scale_match_sorted(
+    rng, tmp_path, monkeypatch, block_bytes, tokenizer
+):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    if tokenizer == "quoted":
+        monkeypatch.setattr(ingest, "_tokenize_unquoted", lambda *args: None)
+    kind_filter, known = write_scale_files(rng, tmp_path)
+    args = (tmp_path / "events.csv", kind_filter, (0, 1500), known)
+    (want, want_report), (got, got_report) = oracle_parse_events(*args), parse_events(*args)
+    assert got_report == want_report
+    assert 0 < got_report.rows_kept < got_report.rows_read
+    for name in ("buyers", "sellers", "kinds"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in ("buyer", "seller", "kind", "timestamp"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    entries, _ = oracle_parse_assignments(tmp_path / "assignments.csv")
+    table = parse_assignments(tmp_path / "assignments.csv")
+    assert table.buyers == tuple(sorted(entries))
+    assert [table.labels[v] for v in table.variant.tolist()] == [
+        entries[b] for b in table.buyers
+    ]
+    entries, _ = oracle_parse_outcomes(tmp_path / "outcomes.csv")
+    outcomes = parse_outcomes(tmp_path / "outcomes.csv")
+    assert outcomes.sellers == tuple(sorted(entries))
+    assert outcomes.y.tolist() == [list(entries[s]) for s in outcomes.sellers]
+
+
+def test_parsers_never_sort_ids_in_python(rng, tmp_path, monkeypatch):
+    """The ids come out of the tokenizer in order: the Python sort that
+    stays behind EventLog.from_codes, for in-memory id lists, is never
+    reached by the three parsers."""
+    sorts = []
+
+    def spy(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "sorted", spy, raising=False)
+    kind_filter, known = write_scale_files(rng, tmp_path)
+    events, _ = parse_events(tmp_path / "events.csv", kind_filter, (0, 1500), known)
+    parse_assignments(tmp_path / "assignments.csv")
+    parse_outcomes(tmp_path / "outcomes.csv")
+    assert len(events.buyers) > 1000 and sorts == []
+    EventLog.from_codes(["b2", "b1"], ["s1"], ["view"], [0, 1], [0, 0], [0, 0], [5, 6])
+    assert len(sorts) == 3  # the spy sees the sort that stays
