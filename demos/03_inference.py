@@ -2,7 +2,8 @@
 
 - bootstrap:     resample sellers with replacement (sampling variability)
 - randomization: redraw buyer assignments under the design, holding the
-                 realized outcomes fixed (design variability)
+                 realized outcomes fixed (design variability); exact for
+                 ERL and CR-ERL, which are linear in the assignment
 - pairwise:      closed-form design-based variance for the ERL estimator;
                  O(n^2) in sellers, so guarded behind a size limit
 """

@@ -58,6 +58,8 @@ class AnalysisConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level {self.level} outside (0,1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # pairwise takes no replications
         resampled = {"bootstrap", "randomization"} & set(self.methods)
         if resampled and self.replications < inference.MIN_REPLICATIONS:
@@ -95,9 +97,9 @@ def _analysis_targets(assignments, group_label):
 
 
 def cmd_analyze(config: AnalysisConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     assignments = parse_assignments(config.assignments_path, config.design_path)
+    for label in (config.treatment, config.control):
+        assignments.code(label)  # a variant the design does not declare is an error
     outcomes = parse_outcomes(config.outcomes_path)
 
     report = EstimateReport(config=_config_echo(config))
@@ -105,6 +107,9 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     events, ev_report = parse_events(config.events_path, all_kinds, config.window)
     report.config["events_dropped_rows"] = ev_report.rows_dropped
 
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    resampling = (config.replications, config.seed, config.level)
     histograms = {}
     for group in config.kind_groups:
         targets = _analysis_targets(assignments, "+".join(sorted(group)))
@@ -167,22 +172,9 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                     )
                     try:
                         if method == "bootstrap":
-                            ci = inference.bootstrap_ci(
-                                panel,
-                                est,
-                                replications=config.replications,
-                                seed=config.seed,
-                                level=config.level,
-                            )
+                            ci = inference.bootstrap_ci(panel, est, *resampling)
                         elif method == "randomization":
-                            ci = inference.randomization_ci(
-                                panel,
-                                g,
-                                est,
-                                replications=config.replications,
-                                seed=config.seed,
-                                level=config.level,
-                            )
+                            ci = inference.randomization_ci(panel, g, est, *resampling)
                         else:
                             if est != "erl":
                                 raise inference.InferenceError(

@@ -3,9 +3,11 @@
 Three methods:
 
 * bootstrap_ci: percentile bootstrap over outcome units (panel rows).
-* randomization_ci: Monte Carlo re-draws of the assignment vector; the
-  estimator is recomputed per draw with realized outcomes held fixed and
-  the interval is point +/- z * sd(draws).
+* randomization_ci: point +/- z * sd of the estimator over re-draws of
+  the assignment vector, with realized outcomes held fixed. ERL and
+  CR-ERL (lambda fixed) are linear in the assignment, so their sd is the
+  exact p(1 - p) |W'g|^2 under the declared Bernoulli design; REG and
+  REG_PRE are recomputed on Monte Carlo draws.
 * pairwise_variance: the design-based variance estimator
   V = (1/n^2) sum_ij Y_i Y_j R_ij(H_i, H_j), where each R_ij is the
   affine-in-(H_i H_j, H_i, H_j, 1) weighting whose design expectation
@@ -20,8 +22,8 @@ once: a bootstrap block as a count matrix over the panel's units, a
 randomization block as a stack of assignment draws. A replicate near one
 of an estimator's decision boundaries is recomputed by the estimator
 itself, so failures count and raise as they would replicate by replicate.
-All methods are pure functions of (inputs, seed, replications): an
-interval draws its replicates in order from one generator,
+All methods are pure functions of (inputs, seed, replications): a
+resampled interval draws its replicates in order from one generator,
 default_rng(seed), and every per-replicate sum runs along one row, so
 the block size does not change the interval.
 """
@@ -270,39 +272,36 @@ def randomization_ci(
     seed: int = 0,
     level: float = 0.95,
 ) -> IntervalEstimate:
-    """Monte Carlo randomization interval for a panel assembled from `graph`.
+    """Randomization interval for a panel assembled from `graph`: the point
+    estimate +/- z times the sd of the estimator over fresh assignments Z
+    from the declared design (each of the graph's buyers treated with
+    probability `panel.p`), with the realized outcomes held fixed.
 
-    Fresh assignment vectors Z are drawn from the declared design (each of
-    the graph's buyers treated with probability `panel.p`) and the
-    estimator is re-evaluated on a block of draws at once, with the
-    realized outcomes (and CR-ERL's fitted lambda) held fixed; the sd of
-    these draws yields a symmetric normal-quantile interval around the
-    point estimate. ERL and CR-ERL are linear in Z, tau(Z) = Z a - c with
-    g = (y - lambda y_pre) / (n Var H), a = W'g and c = g E[H]; REG and
-    REG_PRE are evaluated on the exposures H = W Z.
+    ERL and CR-ERL (lambda held at the point estimate) are linear in Z,
+    tau(Z) = Z a - c with a = W'g and g = (y - lambda y_pre) / (n Var H), so
+    their sd is exactly sqrt(p (1 - p)) |a|: nothing is drawn, and the
+    interval reports replications = seed = 0. REG and REG_PRE are evaluated
+    on blocks of draws, on the exposures H = W Z.
     """
     _validate_common(estimator_id, replications, level)
     point = point_estimate(panel, estimator_id)
     W = graph.matrix()[panel.graph_rows]
-    m = graph.n_buyers
-    linear = estimator_id in ("erl", "crerl")
-    if linear:
+    if estimator_id in ("erl", "crerl"):
         g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
-        g = g / (panel.n * panel.var_h)
-        a, c = W.T @ g, g @ panel.e_h
-    taus = np.empty(replications)
-    for start, count, rng in _replicate_blocks(seed, replications, m):
-        Z = rng.random((count, m)) < panel.p
-        if linear:
-            taus[start : start + count] = (Z * a).sum(axis=1) - c
-            continue
-        # C order, so that each replicate's sums run along its own row
-        H = np.ascontiguousarray((W @ Z.T).T)
-        tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
-        for k in np.flatnonzero(exact):
-            tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
-        taus[start : start + count] = tau
-    sd = float(np.std(taus, ddof=1))
+        a = W.T @ (g / (panel.n * panel.var_h))
+        sd = float(np.sqrt(panel.p * (1.0 - panel.p)) * np.linalg.norm(a))
+        replications = seed = 0
+    else:
+        taus = np.empty(replications)
+        for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
+            Z = rng.random((count, graph.n_buyers)) < panel.p
+            # C order, so that each replicate's sums run along its own row
+            H = np.ascontiguousarray((W @ Z.T).T)
+            tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
+            for k in np.flatnonzero(exact):
+                tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
+            taus[start : start + count] = tau
+        sd = float(np.std(taus, ddof=1))
     z_crit = float(ndtri(0.5 + level / 2.0))
     return IntervalEstimate(
         point=point,

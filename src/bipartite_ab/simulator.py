@@ -351,29 +351,18 @@ def run_validation(
         for m in methods
     }
     for rep in range(sim_replications):
-        exp = rerandomize(base, seed=seed * 1_000_003 + rep)
+        rep_seed = seed * 1_000_003 + rep
+        exp = rerandomize(base, seed=rep_seed)
         panel = experiment_panel(exp)
+        resampling = (ci_replications, rep_seed, level)
         for est in estimator_ids:
             for method in methods:
                 bucket = results[(est, method)]
                 try:
                     if method == "bootstrap":
-                        ci = inference.bootstrap_ci(
-                            panel,
-                            est,
-                            replications=ci_replications,
-                            seed=seed * 1_000_003 + rep,
-                            level=level,
-                        )
+                        ci = inference.bootstrap_ci(panel, est, *resampling)
                     else:
-                        ci = inference.randomization_ci(
-                            panel,
-                            exp.graph,
-                            est,
-                            replications=ci_replications,
-                            seed=seed * 1_000_003 + rep,
-                            level=level,
-                        )
+                        ci = inference.randomization_ci(panel, exp.graph, est, *resampling)
                 except (ValueError, estimators.EstimationError):
                     bucket["failed"] += 1
                     continue
@@ -384,23 +373,15 @@ def run_validation(
     for est in estimator_ids:
         for method in methods:
             bucket = results[(est, method)]
-            taus = np.array(bucket["tau"])
-            n_ok = len(taus)
-            table.rows.append(
-                ValidationRow(
-                    estimator=est,
-                    method=method,
-                    n_ok=n_ok,
-                    n_failed=bucket["failed"],
-                    mean_tau=float(taus.mean()) if n_ok else float("nan"),
-                    bias=float(taus.mean() - true_tau) if n_ok else float("nan"),
-                    mc_sd=float(taus.std(ddof=1)) if n_ok > 1 else float("nan"),
-                    coverage=float(np.mean(bucket["covered"])) if n_ok else float("nan"),
-                    median_ci_width=float(np.median(bucket["width"]))
-                    if n_ok
-                    else float("nan"),
-                )
-            )
+            taus, n_ok, nan = np.array(bucket["tau"]), len(bucket["tau"]), float("nan")
+            table.rows.append(ValidationRow(
+                estimator=est, method=method, n_ok=n_ok, n_failed=bucket["failed"],
+                mean_tau=float(taus.mean()) if n_ok else nan,
+                bias=float(taus.mean() - true_tau) if n_ok else nan,
+                mc_sd=float(taus.std(ddof=1)) if n_ok > 1 else nan,
+                coverage=float(np.mean(bucket["covered"])) if n_ok else nan,
+                median_ci_width=float(np.median(bucket["width"])) if n_ok else nan,
+            ))
     return table
 
 

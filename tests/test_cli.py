@@ -178,6 +178,10 @@ class TestAnalyze:
         (["--level", "1.5", "--methods", "randomization"], "level 1.5 outside (0,1)"),
         (["--level", "nan", "--methods", "pairwise"], "level nan outside (0,1)"),
         (["--replications", "5"], "replications must be >= 200, got 5"),
+        (["--seed", "-1", "--estimators", "erl", "--methods", "randomization"],
+         "seed must be >= 0, got -1"),
+        (["--treatment", "Nope"], "unknown variant 'Nope'"),
+        (["--control", "Nope"], "unknown variant 'Nope'"),
     ])
     def test_bad_level_or_replications_is_usage_error(
         self, sim_dir, tmp_path, capsys, flags, message

@@ -655,7 +655,7 @@ def differential_experiments():
         yield m, simulate_experiment(config), 200 + 13 * (seed % 4)
 
 
-@pytest.mark.parametrize("estimator_id", ["erl", "reg", "reg_pre", "crerl"])
+@pytest.mark.parametrize("estimator_id", ["reg", "reg_pre"])
 def test_batched_randomization_matches_per_draw_loop(estimator_id):
     partial_blocks = 0
     for k, (m, exp, reps) in enumerate(differential_experiments()):
@@ -752,6 +752,47 @@ def test_linear_randomization_sd_matches_closed_form(estimator_id):
     z_scores = np.array(z_scores)
     assert np.abs(z_scores).max() <= 4.0, z_scores
     assert abs(z_scores.mean()) <= 4.0 / np.sqrt(len(z_scores)), z_scores
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "crerl"])
+def test_linear_randomization_interval_matches_enumeration(estimator_id):
+    """ERL and CR-ERL with lambda held at the point estimate: the interval's
+    sd is the exact sd of tau(Z) over all 2^m assignments of the graph's
+    buyers, weighted by the Bernoulli(p) design, and no draw is made."""
+    z_crit = float(norm.ppf(0.975))
+    for seed in range(16):
+        rng = np.random.default_rng([53, seed])
+        m = int(rng.integers(3, 13))
+        n = int(rng.integers(3, 9))
+        graph = random_sparse_graph(rng, m, n, min_deg=1, max_deg=min(4, m))
+        p_on = float(rng.uniform(0.2, 0.8))
+        on = rng.random(m) < p_on
+        assignments = two_variant_assignments(
+            [f"b{r}" for r in np.flatnonzero(on)],
+            [f"b{r}" for r in np.flatnonzero(~on)],
+            p_on=p_on,
+        )
+        outcomes = outcome_table(
+            {f"s{i}": (float(rng.normal(1, 1)), float(rng.normal())) for i in range(n)},
+            has_pre=True,
+        )
+        panel, _ = assemble_panel(graph, assignments, outcomes, "On")
+        ci = randomization_ci(panel, graph, estimator_id, 200, seed=seed)
+        lam = ci.point.lam
+        matrix = graph.matrix()
+        taus, weights = [], []
+        for z in enumerate_assignments(m):
+            draw = replace(panel, h=(matrix @ z)[panel.graph_rows])
+            est = erl_estimate(draw) if lam is None else crerl_estimate(draw, lam=lam)
+            taus.append(est.tau_hat)
+            weights.append(assignment_probability(z, panel.p))
+        taus, weights = np.array(taus), np.array(weights)
+        mean = weights @ taus
+        sd = np.sqrt(weights @ (taus - mean) ** 2)
+        tau_hat = ci.point.tau_hat
+        assert ci.ci_low == pytest.approx(tau_hat - z_crit * sd, rel=1e-10, abs=1e-10)
+        assert ci.ci_high == pytest.approx(tau_hat + z_crit * sd, rel=1e-10, abs=1e-10)
+        assert (ci.replications, ci.seed) == (0, 0)
 
 
 def test_ndtri_critical_value_matches_norm_ppf():

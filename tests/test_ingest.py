@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 from array import array
@@ -347,6 +348,66 @@ class TestParseOutcomes:
         parsed = parse_outcomes(path)
         assert parsed.has_pre
         assert outcome_entries(parsed) == entries
+
+
+# --- outcome cells: numpy for plain decimals, float() for the rest ---
+
+PLAIN_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def float_cells(rng):
+    """17-digit reprs across the whole exponent range, then signed zeros,
+    subnormals, overflow and underflow, halfway and long mantissas, cells
+    around the plain-cell length limit, and forms float() takes or rejects
+    that are not plain decimals."""
+    scale = 10.0 ** rng.integers(-320, 309, 3000).astype(float)
+    cells = [repr(float(x)) for x in rng.normal(size=3000) * scale]
+    cells += [
+        "0", "-0", "+0", "-0.0", "0e0", "-0e-5", "1e400", "-1e400", "1e-400",
+        "4.9406564584124654e-324", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308", "9007199254740993", "12345678901234567",
+        "0.12345678901234567", "1.00000000000000011102230246251565404",
+        "1" * 39, "1" * 40, "1" * 41, "0." + "9" * 38, "007", "1E5", "+1.5e+05",
+        " 1.5", "2 ", "\t3", "1_000.5", ".5", "5.", "1.e5", "inf", "-Infinity",
+        "nan", "NaN", "١٢", "１", "0x10", "1e", "e5", "+-1", "1.2.3", "1-2", "--1",
+        "1e+", "1e5.5", "", "abc", "1__0",
+    ]
+    return cells
+
+
+def test_plain_decimals_are_bit_identical_to_float(rng):
+    cells = float_cells(rng)
+    raw = [c.encode() for c in cells]
+    length = np.array([len(r) for r in raw])
+    end = np.cumsum(length + 1) - 1
+    data = b",".join(raw) + bytes(8)
+    values, plain = ingest._plain_decimals(data, end - length, end)
+    want = [PLAIN_DECIMAL.fullmatch(c) is not None and len(c) <= 40 for c in cells]
+    assert plain.tolist() == want
+    floats = np.array([float(c) for c, p in zip(cells, want) if p])
+    assert values[plain].view(np.int64).tolist() == floats.view(np.int64).tolist()
+    assert np.isnan(values[~plain]).all()
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1 << 20])
+def test_outcome_values_are_bit_identical_to_float(rng, tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    cells = []
+    for cell in float_cells(rng):
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            finite = False
+        if finite:
+            cells.append(cell)
+    rows = [f"s{k:05d},{y},{cells[-1 - k]}" for k, y in enumerate(cells)]
+    path = tmp_path / "outcomes.csv"
+    path.write_text("seller_id,y_in,y_pre\n" + "\n".join(rows) + "\n")
+    got = parse_outcomes(path).y
+    want = np.array([(float(y), float(cells[-1 - k])) for k, y in enumerate(cells)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 # --- differential test: the byte tokenizer against the csv.reader loop ---
