@@ -1,7 +1,7 @@
 """Command-line entry points: analyze, simulate, validate.
 
 Exit codes for `analyze`: 0 = all estimator/method pairs succeeded,
-2 = some failed, 1 = all failed (or usage/config error).
+2 = some failed, 1 = all failed (or usage/config error, or out of memory).
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class AnalysisConfig:
             raise ValueError(f"level {self.level} outside (0,1)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.treatment == self.control:
+            raise ValueError(f"treatment and control are both {self.treatment!r}")
         # pairwise takes no replications
         resampled = {"bootstrap", "randomization"} & set(self.methods)
         if resampled and self.replications < inference.MIN_REPLICATIONS:
@@ -107,17 +109,15 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     events, ev_report = parse_events(config.events_path, all_kinds, config.window)
     report.config["events_dropped_rows"] = ev_report.rows_dropped
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     resampling = (config.replications, config.seed, config.level)
-    histograms = {}
+    histograms, dumps = {}, {}
     for group in config.kind_groups:
+        # drop the last group's graphs and panel before this one is built
+        full = g = panel = moments = None
         targets = _analysis_targets(assignments, "+".join(sorted(group)))
-        build_cfg = GraphBuildConfig(
-            weighting=config.weighting, kind_filter=frozenset(group)
-        )
+        build_cfg = GraphBuildConfig(config.weighting, frozenset(group))
         try:
-            full, build_report = build_graph(events, assignments, build_cfg)
+            full, _ = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
             for label, _ in targets:
                 _record_all_failed(report, label, config, str(exc))
@@ -159,17 +159,12 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 "zero_variance": degen.n_zero_variance,
             }
             histograms[label] = panel.h
-            safe = label.replace("/", "_").replace("+", "_")
-            write_exposure_histogram(panel.h, out / f"exposure_hist_{safe}.csv")
             if config.dump_graphs:
-                dump_graph(g, out / f"graph_{safe}.csv")
+                dumps[label] = g
 
             moments = None
             for est in config.estimators:
                 for method in config.methods:
-                    entry = ReportEntry(
-                        graph_label=label, estimator=est, method=method
-                    )
                     try:
                         if method == "bootstrap":
                             ci = inference.bootstrap_ci(panel, est, *resampling)
@@ -188,27 +183,28 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                             ci = inference.pairwise_variance_ci(
                                 panel, moments, level=config.level
                             )
-                        entry.tau_hat = ci.point.tau_hat
-                        entry.ci_low = ci.ci_low
-                        entry.ci_high = ci.ci_high
-                        entry.level = ci.level
-                        entry.replications = ci.replications
-                        entry.seed = ci.seed
-                        entry.n_units = ci.point.n_units
-                        entry.lam = ci.point.lam
-                        entry.diagnostics = {
-                            k: float(v) for k, v in ci.point.diagnostics.items()
-                        }
                     except ValueError as exc:
-                        entry.status = "error"
-                        entry.error = str(exc)
-                    report.entries.append(entry)
+                        report.entries.append(ReportEntry(label, est, method, "error", str(exc)))
+                        continue
+                    point = ci.point
+                    report.entries.append(ReportEntry(
+                        label, est, method, tau_hat=point.tau_hat, ci_low=ci.ci_low,
+                        ci_high=ci.ci_high, level=ci.level, replications=ci.replications,
+                        seed=ci.seed, n_units=point.n_units, lam=point.lam,
+                        diagnostics={k: float(v) for k, v in point.diagnostics.items()},
+                    ))
 
+    # nothing is written until every stage has run
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "forest.svg").write_text(forest_plot_svg(report), encoding="utf-8")
     for label, h in histograms.items():
         counts, edges = exposure_histogram(h)
         safe = label.replace("/", "_").replace("+", "_")
+        write_exposure_histogram(h, out / f"exposure_hist_{safe}.csv")
+        if label in dumps:
+            dump_graph(dumps[label], out / f"graph_{safe}.csv")
         (out / f"exposure_hist_{safe}.svg").write_text(
             histogram_svg(counts, edges, title=f"Exposure distribution ({label})"),
             encoding="utf-8",
@@ -221,17 +217,10 @@ def cmd_analyze(config: AnalysisConfig) -> int:
 
 
 def _record_all_failed(report, label, config, message):
-    for est in config.estimators:
-        for method in config.methods:
-            report.entries.append(
-                ReportEntry(
-                    graph_label=label,
-                    estimator=est,
-                    method=method,
-                    status="error",
-                    error=message,
-                )
-            )
+    report.entries += [
+        ReportEntry(label, est, method, status="error", error=message)
+        for est in config.estimators for method in config.methods
+    ]
 
 
 def cmd_simulate(config_path, out_dir) -> int:
@@ -365,8 +354,10 @@ def main(argv=None) -> int:
                 args.config, estimators, methods, args.replications,
                 args.ci_replications, args.seed, args.out,
             )
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed; a bare one
+        # has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 1
 

@@ -149,7 +149,9 @@ class GraphBuildReport:
 
 
 def _row_normalized(m: sp.csr_matrix) -> np.ndarray:
-    """The stored entries of `m` divided by their row's sum.
+    """The stored entries of `m` divided by their row's sum. Only
+    `per_variant_subgraph` needs it: its rows hold float weights, where
+    `build_graph` divides integer counts by integer totals.
 
     Rows of equal length are summed together as the rows of one dense
     array, which numpy sums exactly as it sums each row on its own, so
@@ -173,9 +175,14 @@ def build_graph(
     Events from buyers absent from the assignment table are excluded and
     counted (an unassigned buyer has no treatment indicator and cannot
     contribute exposure). Zero qualifying events is an error.
+
+    One sort of the keys `seller * m + buyer` builds it: a run of equal keys
+    is an edge, and its length is the edge's event count. Row totals are
+    integer counts (degrees under `binary_dedup`), exact in any summation
+    order, so each weight is bit-equal to dividing by the row's float sum.
     """
-    wanted = [k for k, kind in enumerate(events.kinds) if kind in config.kind_filter]
-    selected = np.isin(events.kind, wanted)
+    wanted = np.array([kind in config.kind_filter for kind in events.kinds], dtype=bool)
+    selected = wanted[events.kind]
     assigned = assignments.rows(events.buyers) >= 0
     used = selected & assigned[events.buyer]
     report = GraphBuildReport(
@@ -186,23 +193,34 @@ def build_graph(
     if not report.events_used:
         raise EmptyGraphError("empty graph: no qualifying events")
 
-    # seller x buyer event counts; tocsr sums repeats and sorts each row
-    counts = sp.coo_matrix(
-        (np.ones(report.events_used), (events.seller[used], events.buyer[used])),
-        shape=(len(events.sellers), len(events.buyers)),
-    ).tocsr()
-    rows = np.flatnonzero(np.diff(counts.indptr))
-    cols = np.flatnonzero(np.bincount(counts.indices, minlength=counts.shape[1]))
-    counts = counts[rows][:, cols]
+    # the key cannot overflow int64: the vocabularies hold only ids some
+    # event uses, so seller * m + buyer < len(events) ** 2. Names are reused
+    # so that each full-size array is freed as soon as it is replaced.
+    m = len(events.buyers)
+    key = events.seller * m
+    key += events.buyer
+    key = key[used]
+    key.sort()
+    # each run of equal keys is one edge; `bounds` marks the run starts and
+    # the end, and the weights start as the runs' lengths, the event counts
+    bounds = np.concatenate(([True], key[1:] != key[:-1], [True]))
+    weights = np.diff(np.flatnonzero(bounds))
     if config.weighting == "binary_dedup":
-        counts.data[:] = 1.0
+        weights[:] = 1
+    key = key[bounds[:-1]]  # seller-major, buyers ascending within a seller
+    degree = np.bincount(key // m)
+    key %= m  # the edges' buyers
+    rows = np.flatnonzero(degree)
+    indptr = np.concatenate(([0], np.cumsum(degree[rows])))
+    weights = weights / np.repeat(np.add.reduceat(weights, indptr[:-1]), degree[rows])
+    present = np.bincount(key, minlength=m) > 0
     graph = BipartiteGraph(
         events.buyers,
         events.sellers,
-        counts.indptr,
-        counts.indices,
-        _row_normalized(counts),
-        codes=(cols, rows),
+        indptr,
+        (np.cumsum(present) - 1)[key],
+        weights,
+        codes=(np.flatnonzero(present), rows),
     )
     return graph, report
 

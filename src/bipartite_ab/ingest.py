@@ -392,9 +392,11 @@ class _IdCodes:
         uint64 view is `words` (`words[k]` packs bytes k..k+7)."""
         length = end - start
         codes = np.empty(len(start), dtype=np.int64)
-        sizes, count = np.unique(length, return_counts=True)
-        for size, n_rows in zip(sizes.tolist(), count.tolist()):
-            rows = np.flatnonzero(length == size) if n_rows < len(length) else slice(None)
+        # lengths are at most csv.field_size_limit() characters (see
+        # `_csv_safe` and the csv module), so the bincount stays small
+        count = np.bincount(length)
+        for size in np.flatnonzero(count).tolist():
+            rows = np.flatnonzero(length == size) if count[size] < len(length) else slice(None)
             n_words = max(1, -(-size // 8))
             packed = words[start[rows, None] + 8 * np.arange(n_words)]
             packed[:, -1] &= _WORD_MASK[size - 8 * (n_words - 1)]

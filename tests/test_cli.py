@@ -2,9 +2,10 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bipartite_ab import ingest
+from bipartite_ab import cli, inference, ingest
 from bipartite_ab.cli import main
 from bipartite_ab.simulator import (
     SimConfig,
@@ -182,6 +183,7 @@ class TestAnalyze:
          "seed must be >= 0, got -1"),
         (["--treatment", "Nope"], "unknown variant 'Nope'"),
         (["--control", "Nope"], "unknown variant 'Nope'"),
+        (["--treatment", "On", "--control", "On"], "treatment and control are both 'On'"),
     ])
     def test_bad_level_or_replications_is_usage_error(
         self, sim_dir, tmp_path, capsys, flags, message
@@ -189,6 +191,27 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert main(analyze_args(sim_dir, out, *flags)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module, stage, message", [
+        (cli, "parse_events", "MemoryError"),
+        # 1 EiB is past any address space, so the allocation fails at once
+        (cli, "build_graph", "Unable to allocate 1.00 EiB for an array"),
+        (inference, "bootstrap_ci", "MemoryError"),
+    ])
+    def test_out_of_memory_is_one_error_line(
+        self, sim_dir, tmp_path, capsys, monkeypatch, module, stage, message
+    ):
+        def out_of_memory(*args, **kwargs):
+            if message == "MemoryError":
+                raise MemoryError
+            np.empty(2**60, dtype=np.uint8)
+
+        monkeypatch.setattr(module, stage, out_of_memory)
+        out = tmp_path / "out"
+        assert main(analyze_args(sim_dir, out, "--replications", "200")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_pairwise_ignores_replications(self, sim_dir, tmp_path):

@@ -2,21 +2,24 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bipartite_ab.graph import (
     BipartiteGraph,
     EmptyGraphError,
     GraphBuildConfig,
+    GraphBuildReport,
     GraphError,
     build_graph,
     dump_graph,
     graph_stats,
     per_variant_subgraph,
 )
-from bipartite_ab.ingest import EVENTS_HEADER, Variant, parse_events
+from bipartite_ab.ingest import EVENTS_HEADER, EventLog, Variant, parse_events
 
 from conftest import (
     KINDS,
+    VARIANTS3,
     assert_same_graph,
     assignment_entries,
     assignment_table,
@@ -288,3 +291,105 @@ def test_columnar_graph_matches_row_oracles(rng, tmp_path):
                 restricted += 1
     assert built >= 100 and restricted >= 150
 
+
+
+# --- differential test against the COO -> CSR build it replaced -------------
+
+def coo_build_graph(events, assignments, config):
+    """The sparse-matrix build that sort-and-runs replaced, kept verbatim
+    as the reference: scipy sums repeated (seller, buyer) pairs, and rows
+    of equal degree are normalized together."""
+    wanted = [k for k, kind in enumerate(events.kinds) if kind in config.kind_filter]
+    selected = np.isin(events.kind, wanted)
+    assigned = assignments.rows(events.buyers) >= 0
+    used = selected & assigned[events.buyer]
+    report = GraphBuildReport(
+        events_used=int(used.sum()),
+        skipped_unassigned=int((selected & ~used).sum()),
+        skipped_kind=int((~selected).sum()),
+    )
+    if not report.events_used:
+        raise EmptyGraphError("empty graph: no qualifying events")
+    counts = sp.coo_matrix(
+        (np.ones(report.events_used), (events.seller[used], events.buyer[used])),
+        shape=(len(events.sellers), len(events.buyers)),
+    ).tocsr()
+    rows = np.flatnonzero(np.diff(counts.indptr))
+    cols = np.flatnonzero(np.bincount(counts.indices, minlength=counts.shape[1]))
+    counts = counts[rows][:, cols]
+    if config.weighting == "binary_dedup":
+        counts.data[:] = 1.0
+    degree = np.diff(counts.indptr)
+    sums = np.empty(len(degree))
+    for d in np.unique(degree).tolist():
+        at = np.flatnonzero(degree == d)
+        sums[at] = counts.data[counts.indptr[at, None] + np.arange(d)].sum(axis=1)
+    weights = counts.data / np.repeat(sums, degree)
+    graph = BipartiteGraph(
+        events.buyers, events.sellers, counts.indptr, counts.indices, weights,
+        codes=(cols, rows),
+    )
+    return graph, report
+
+
+def coded_log(rng, n_events, n_buyers, n_sellers):
+    """An EventLog of random codes: most (seller, buyer) pairs repeat, and
+    each kind leaves some buyers and sellers to the others alone."""
+    kind = rng.integers(0, len(KINDS), n_events)
+    buyer = rng.integers(0, n_buyers, n_events)
+    seller = rng.integers(0, n_sellers, n_events)
+    # the last buyer and seller ids appear only in message events
+    buyer[kind == 2] = np.minimum(buyer[kind == 2] + 1, n_buyers)
+    seller[kind == 2] = np.minimum(seller[kind == 2] + 1, n_sellers)
+    return EventLog.from_codes(
+        [f"b{i}" for i in range(n_buyers + 1)],
+        [f"s{i}" for i in range(n_sellers + 1)],
+        list(KINDS),
+        buyer,
+        seller,
+        kind,
+        rng.integers(0, 10**6, n_events),
+    )
+
+
+def differential_logs(rng):
+    """(events, assignments) pairs: random CSV-style logs, code logs with
+    heavy repeats and unassigned buyers, and a one-event log."""
+    for _ in range(40):
+        rows, assignments = random_log(rng)
+        yield make_events(rows), assignments
+    for n_events, n_buyers, n_sellers in ((50, 3, 2), (3000, 40, 25), (20000, 600, 300)):
+        events = coded_log(rng, n_events, n_buyers, n_sellers)
+        labels = ["Off", "A", "B"]
+        entries = {
+            b: labels[rng.integers(3)] for b in events.buyers if rng.random() > 0.2
+        }
+        yield events, assignment_table(entries, VARIANTS3)
+    yield make_events([("b1", "s1", "view", 7)]), assignment_table(
+        {"b1": "A"}, VARIANTS3
+    )
+
+
+def test_build_graph_matches_coo_build(rng):
+    compared = 0
+    for events, assignments in differential_logs(rng):
+        for kinds in ({"view"}, {"view", "favorite"}, set(KINDS)):
+            for weighting in ("count_proportional", "binary_dedup"):
+                cfg = GraphBuildConfig(weighting=weighting, kind_filter=frozenset(kinds))
+                try:
+                    want, want_report = coo_build_graph(events, assignments, cfg)
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        build_graph(events, assignments, cfg)
+                    continue
+                got, got_report = build_graph(events, assignments, cfg)
+                assert got_report == want_report
+                assert got.indptr.tobytes() == want.indptr.tobytes()
+                assert got.buyer_idx.tobytes() == want.buyer_idx.tobytes()
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.buyer_codes.tobytes() == want.buyer_codes.tobytes()
+                assert got.seller_codes.tobytes() == want.seller_codes.tobytes()
+                assert got.buyer_vocabulary is events.buyers
+                assert got.seller_vocabulary is events.sellers
+                compared += 1
+    assert compared >= 200
