@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exposure import ExposurePanel
 
@@ -97,6 +96,8 @@ def erl_estimate(panel: ExposurePanel) -> PointEstimate:
 def _solve_ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """OLS via pivoted QR; rank deficiency is a hard error (a silent
     pseudo-inverse would hide a degenerate design such as constant h)."""
+    import scipy.linalg  # here, so that runs without REG never import scipy
+
     n, k = X.shape
     if n <= k:
         raise EstimationError(f"need more than {k} units, got {n}")

@@ -62,7 +62,7 @@ def realized_exposure(
 ) -> np.ndarray:
     """h_i = weighted share of seller i's interactions from treated buyers."""
     treated = graph.buyer_variants(assignments) == assignments.code(treatment)
-    return graph.matrix() @ treated.astype(np.float64)
+    return graph.times(treated.astype(np.float64))
 
 
 def design_moments(

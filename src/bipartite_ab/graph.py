@@ -6,6 +6,10 @@ Two weighting schemes are supported:
 
 * ``count_proportional``: w = (events from buyer r to seller i) / (events to i)
 * ``binary_dedup``:       w = 1 / (distinct buyers interacting with i)
+
+A graph is numpy arrays: building, restricting and multiplying by it need
+no scipy; `BipartiteGraph.matrix()` imports `scipy.sparse` for the callers
+that want a sparse matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ingest import AssignmentTable, EventLog
 
@@ -67,6 +70,7 @@ class BipartiteGraph:
         self.buyer_idx = np.asarray(buyer_idx, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
         self._matrix = None
+        self._bins = np.empty(0, dtype=np.int64)
         self._validate()
 
     # the ids of the columns and rows, built on first use
@@ -119,13 +123,40 @@ class BipartiteGraph:
     def n_edges(self) -> int:
         return len(self.weights)
 
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self):
+        """The weights as a `scipy.sparse.csr_matrix`, built on first use."""
         if self._matrix is None:
+            import scipy.sparse as sp
+
             self._matrix = sp.csr_matrix(
                 (self.weights, self.buyer_idx, self.indptr),
                 shape=(self.n_sellers, self.n_buyers),
             )
         return self._matrix
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """W x, or W x_k for each row x_k of a 2-D `x`: each sum runs from 0
+        along the row's edges in order, bit-equal to scipy's `matrix() @ x`."""
+        k = len(x) if x.ndim == 2 else 1
+        product = np.asarray(x, dtype=np.float64).take(self.buyer_idx, axis=-1)
+        product *= self.weights
+        sums = np.bincount(self._edge_bins(k), product.ravel(), k * self.n_sellers)
+        return sums.reshape(*x.shape[:-1], -1)
+
+    def transpose_times(self, v: np.ndarray) -> np.ndarray:
+        """W' v, bit-equal to `matrix().T @ v`: each buyer's sum runs from 0
+        over its edges in row order."""
+        return np.bincount(self.buyer_idx, self.weights * v[self._edge_bins(1)], self.n_buyers)
+
+    def _edge_bins(self, k: int) -> np.ndarray:
+        """Each edge's row, plus j n in copy j < k: the bins of a block of k
+        products. Kept, as a smaller k's bins are a prefix of them."""
+        if len(self._bins) < k * self.n_edges:
+            bins = np.repeat(np.arange(self.n_sellers), self.seller_degrees())
+            if k > 1:
+                bins = np.add.outer(self.n_sellers * np.arange(k), bins).ravel()
+            self._bins = bins
+        return self._bins[: k * self.n_edges]
 
     def row_sums(self) -> np.ndarray:
         return np.add.reduceat(self.weights, self.indptr[:-1])
@@ -148,8 +179,8 @@ class GraphBuildReport:
     skipped_kind: int = 0
 
 
-def _row_normalized(m: sp.csr_matrix) -> np.ndarray:
-    """The stored entries of `m` divided by their row's sum. Only
+def _row_normalized(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """`data` divided by the sum of its CSR row. Only
     `per_variant_subgraph` needs it: its rows hold float weights, where
     `build_graph` divides integer counts by integer totals.
 
@@ -157,12 +188,12 @@ def _row_normalized(m: sp.csr_matrix) -> np.ndarray:
     array, which numpy sums exactly as it sums each row on its own, so
     the weights are bit-equal to dividing row by row.
     """
-    degree = np.diff(m.indptr)
+    degree = np.diff(indptr)
     sums = np.empty(len(degree))
     for d in np.unique(degree).tolist():
         rows = np.flatnonzero(degree == d)
-        sums[rows] = m.data[m.indptr[rows, None] + np.arange(d)].sum(axis=1)
-    return m.data / np.repeat(sums, degree)
+        sums[rows] = data[indptr[rows, None] + np.arange(d)].sum(axis=1)
+    return data / np.repeat(sums, degree)
 
 
 def build_graph(
@@ -239,19 +270,22 @@ def per_variant_subgraph(
         graph.buyer_variants(assignments),
         [assignments.code(control), assignments.code(treatment)],
     )
-    sub = graph.matrix()[:, keep]
-    rows = np.flatnonzero(np.diff(sub.indptr))
+    # the kept edges keep their order, as slicing matrix() by columns does
+    kept = keep[graph.buyer_idx]
+    degree = np.add.reduceat(kept, graph.indptr[:-1], dtype=np.int64)
+    kept = np.flatnonzero(kept)
+    rows = np.flatnonzero(degree)
     if not len(rows):
         raise EmptyGraphError(
             f"empty graph: no sellers touched by {control!r} or {treatment!r} buyers"
         )
-    sub = sub[rows]
+    indptr = np.concatenate(([0], np.cumsum(degree[rows])))
     return BipartiteGraph(
         graph.buyer_vocabulary,
         graph.seller_vocabulary,
-        sub.indptr,
-        sub.indices,
-        _row_normalized(sub),
+        indptr,
+        (np.cumsum(keep) - 1)[graph.buyer_idx[kept]],
+        _row_normalized(indptr, graph.weights[kept]),
         codes=(graph.buyer_codes[keep], graph.seller_codes[rows]),
     )
 

@@ -26,16 +26,22 @@ All methods are pure functions of (inputs, seed, replications): a
 resampled interval draws its replicates in order from one generator,
 default_rng(seed), and every per-replicate sum runs along one row, so
 the block size does not change the interval.
+
+Importing this module loads no scipy. The randomization interval's graph
+products are the graph's bincounts, bit-equal to scipy's sparse products,
+and the normal quantile is `_ndtri`, a port of Cephes ndtri bit-equal to
+scipy.special.ndtri. The pairwise moment table imports scipy.sparse when
+it is built.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import ndtri
 
 # crerl_estimate and assemble_panel are not called here; perfbench's tracer
 # wraps them under this module's name, so they stay importable from inference.
@@ -58,8 +64,16 @@ COND_MAX = 1e12
 EPS_MACH = float(np.finfo(float).eps)
 # A block of resampling replicates holds as many as fit this many bytes of
 # float64 rows, one per replicate and as wide as the panel (bootstrap) or
-# the buyer set (randomization); the kernels keep a few such arrays alive.
+# the buyer set (randomization); the kernels keep a few such arrays alive,
+# and REG's randomization block also its edge products, one per buyer edge.
 BLOCK_BYTES = 1 << 17
+# glibc maps fresh pages for a request at or above its mmap threshold
+# (128 KiB at start-up, BLOCK_BYTES exactly) and unmaps them on free, and
+# trims the heap top beyond twice the threshold, so blocks would page-fault
+# anew each time. Freeing a mapped request raises the threshold to its size,
+# so this untouched 8 * BLOCK_BYTES lifts it above the blocks. Other
+# allocators just allocate and free it.
+np.empty(BLOCK_BYTES)
 # A least-squares replicate is handed to the estimator itself when its
 # design is within this factor of the pivoted-QR rank tolerance ...
 QR_MARGIN = 1e6
@@ -285,10 +299,12 @@ def randomization_ci(
     """
     _validate_common(estimator_id, replications, level)
     point = point_estimate(panel, estimator_id)
-    W = graph.matrix()[panel.graph_rows]
     if estimator_id in ("erl", "crerl"):
         g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
-        a = W.T @ (g / (panel.n * panel.var_h))
+        # W'g over the panel's rows: g scattered to the graph's rows, whose
+        # others, at 0, add +0.0 to each sum, which leaves it bit-equal
+        g = np.bincount(panel.graph_rows, g / (panel.n * panel.var_h), graph.n_sellers)
+        a = graph.transpose_times(g)
         sd = float(np.sqrt(panel.p * (1.0 - panel.p)) * np.linalg.norm(a))
         replications = seed = 0
     else:
@@ -296,21 +312,68 @@ def randomization_ci(
         for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
             Z = rng.random((count, graph.n_buyers)) < panel.p
             # C order, so that each replicate's sums run along its own row
-            H = np.ascontiguousarray((W @ Z.T).T)
+            H = graph.times(Z).take(panel.graph_rows, axis=1)
             tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
             for k in np.flatnonzero(exact):
                 tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
             taus[start : start + count] = tau
         sd = float(np.std(taus, ddof=1))
-    z_crit = float(ndtri(0.5 + level / 2.0))
+    return _normal_interval(point, sd, level, "randomization", replications, seed)
+
+
+# Cephes ndtri, the normal quantile scipy.special.ndtri computes, in the
+# same operations and order, so that its results are bit-equal: a rational
+# approximation in y - 1/2 on the centre, and in 1/x with x = sqrt(-2 log y)
+# in either tail (x below or above 8). Coefficients run from the highest
+# power; each denominator's leading 1 makes Horner's rule give Cephes' p1evl.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coef: tuple) -> float:
+    # from 0: 0 x + c_0 is c_0 exactly, where Cephes starts
+    return functools.reduce(lambda ans, c: ans * x + c, coef, 0.0)
+
+
+def _ndtri(y0: float) -> float:
+    """The standard normal quantile: -inf at 0, inf at 1, NaN outside [0, 1]."""
+    if not 0.0 < y0 < 1.0:
+        return {0.0: -math.inf, 1.0: math.inf}.get(y0, math.nan)
+    upper = y0 > 1.0 - _EXP_M2
+    y = 1.0 - y0 if upper else y0
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        # times sqrt(2 pi)
+        return (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, P) / _horner(z, Q)
+    return x if upper else -x
+
+
+def _normal_interval(point, sd, level, method, replications=0, seed=0) -> IntervalEstimate:
+    """point +/- z sd, with z the standard normal quantile at 1/2 + level/2."""
+    z = _ndtri(0.5 + level / 2.0)
     return IntervalEstimate(
-        point=point,
-        ci_low=point.tau_hat - z_crit * sd,
-        ci_high=point.tau_hat + z_crit * sd,
-        level=level,
-        method="randomization",
-        replications=replications,
-        seed=seed,
+        point, point.tau_hat - z * sd, point.tau_hat + z * sd, level, method, replications, seed
     )
 
 
@@ -354,6 +417,8 @@ def exposure_moment_table(
     runs over the shared buyers. The moments follow from the
     moment-cumulant identities, and every S_ab is a sparse product.
     """
+    import scipy.sparse as sp
+
     k = _bernoulli_cumulants(p)
     W = graph.matrix()[np.asarray(rows)]
     W2 = W.multiply(W).tocsr()
@@ -574,13 +639,4 @@ def pairwise_variance_ci(
     point = erl_estimate(panel)
     pv = pairwise_variance(panel, joint_moments, **kwargs)
     sd = float(np.sqrt(max(pv.value, 0.0)))
-    z_crit = float(ndtri(0.5 + level / 2.0))
-    return IntervalEstimate(
-        point=point,
-        ci_low=point.tau_hat - z_crit * sd,
-        ci_high=point.tau_hat + z_crit * sd,
-        level=level,
-        method="pairwise",
-        replications=0,
-        seed=0,
-    )
+    return _normal_interval(point, sd, level, "pairwise")

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,20 @@ from bipartite_ab.graph import (
     GraphBuildConfig,
     GraphBuildReport,
     GraphError,
+    _row_normalized,
     build_graph,
     dump_graph,
     graph_stats,
     per_variant_subgraph,
 )
-from bipartite_ab.ingest import EVENTS_HEADER, EventLog, Variant, parse_events
+from bipartite_ab.ingest import (
+    EVENTS_HEADER,
+    EventLog,
+    Variant,
+    parse_assignments,
+    parse_events,
+)
+from bipartite_ab.simulator import FixedDegree, SimConfig, ZipfDegree, simulate_experiment
 
 from conftest import (
     KINDS,
@@ -30,6 +39,7 @@ from conftest import (
     oracle_graph_stats,
     oracle_per_variant_subgraph,
     random_log,
+    random_sparse_graph,
     two_variant_assignments,
 )
 
@@ -393,3 +403,132 @@ def test_build_graph_matches_coo_build(rng):
                 assert got.seller_vocabulary is events.sellers
                 compared += 1
     assert compared >= 200
+
+
+# --- differential tests against the scipy products and slicing replaced -----
+
+DATA = Path(__file__).parent / "data" / "analyze3"
+
+
+def scipy_per_variant_subgraph(graph, assignments, control, treatment):
+    """The column slicing that index arithmetic replaced, kept as the
+    reference: scipy drops the other variants' columns, a second index
+    drops the rows left empty, and rows are renormalized as before."""
+    keep = np.isin(
+        graph.buyer_variants(assignments),
+        [assignments.code(control), assignments.code(treatment)],
+    )
+    sub = graph.matrix()[:, keep]
+    rows = np.flatnonzero(np.diff(sub.indptr))
+    if not len(rows):
+        raise EmptyGraphError("empty graph")
+    sub = sub[rows]
+    return BipartiteGraph(
+        graph.buyer_vocabulary,
+        graph.seller_vocabulary,
+        sub.indptr,
+        sub.indices,
+        _row_normalized(sub.indptr, sub.data),
+        codes=(graph.buyer_codes[keep], graph.seller_codes[rows]),
+    )
+
+
+def fixture_graphs():
+    """Every graph `analyze` builds from the tests/data fixture, under both
+    weightings, and their Off-vs-A restrictions."""
+    assignments = parse_assignments(DATA / "assignments.csv")
+    events, _ = parse_events(DATA / "events.csv", frozenset(KINDS), (0, 2**62))
+    for kinds in ({"view"}, {"view", "favorite"}):
+        for weighting in ("count_proportional", "binary_dedup"):
+            cfg = GraphBuildConfig(weighting=weighting, kind_filter=frozenset(kinds))
+            graph, _ = build_graph(events, assignments, cfg)
+            yield graph
+            yield per_variant_subgraph(graph, assignments, "Off", "A")
+
+
+def product_graphs(rng):
+    """Simulated, random and fixture graphs, with single-edge rows and a
+    one-edge graph among them."""
+    yield from fixture_graphs()
+    for config in (
+        SimConfig(m=300, n=150, seed=5),
+        SimConfig(m=2000, n=800, degree=ZipfDegree(1.3, 60), seed=6),
+        SimConfig(m=50, n=40, degree=FixedDegree(1), seed=7),
+    ):
+        yield simulate_experiment(config).graph
+    for m, n in ((30, 20), (400, 300)):
+        yield random_sparse_graph(rng, m, n, min_deg=1, max_deg=8)
+    yield BipartiteGraph(["b"], ["s"], [0, 1], [0], [1.0])
+
+
+def test_products_match_scipy(rng):
+    """W x, a block of W z_k and W'v over a row subset equal scipy's CSR
+    products bit for bit."""
+    compared = 0
+    for graph in product_graphs(rng):
+        W = graph.matrix()
+        x = rng.standard_normal(graph.n_buyers)
+        assert graph.times(x).tobytes() == (W @ x).tobytes()
+        Z = rng.random((7, graph.n_buyers)) < 0.4
+        want = np.ascontiguousarray((W @ Z.T).T)
+        assert graph.times(Z).tobytes() == want.tobytes()
+        assert graph.times(Z[:1]).tobytes() == want[:1].tobytes()
+        for rows in (
+            np.arange(graph.n_sellers),
+            np.flatnonzero(rng.random(graph.n_sellers) < 0.6),
+            np.array([graph.n_sellers - 1]),
+        ):
+            v = rng.standard_normal(len(rows))
+            full = np.zeros(graph.n_sellers)
+            full[rows] = v
+            want = W[rows].T @ v
+            assert graph.transpose_times(full).tobytes() == want.tobytes()
+        compared += 1
+    assert compared == 14
+
+
+def test_per_variant_subgraph_matches_scipy_slicing(rng):
+    """Index arithmetic gives the arrays the scipy slicing gave: on random
+    and fixture graphs, with single-edge rows, rows that lose every edge
+    and a restriction that keeps every buyer."""
+    compared = 0
+    for events, assignments in differential_logs(rng):
+        for kinds in ({"view"}, set(KINDS)):
+            cfg = GraphBuildConfig(kind_filter=frozenset(kinds))
+            try:
+                graph, _ = build_graph(events, assignments, cfg)
+            except EmptyGraphError:
+                continue
+            for control, treatment in (("Off", "A"), ("A", "B"), ("Off", "B")):
+                try:
+                    want = scipy_per_variant_subgraph(
+                        graph, assignments, control, treatment
+                    )
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        per_variant_subgraph(graph, assignments, control, treatment)
+                    continue
+                got = per_variant_subgraph(graph, assignments, control, treatment)
+                for name in ("indptr", "buyer_idx", "weights", "buyer_codes",
+                             "seller_codes"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                compared += 1
+    # every buyer kept: the arrays come back unchanged
+    exp = simulate_experiment(SimConfig(m=300, n=150, seed=8))
+    sub = per_variant_subgraph(exp.graph, exp.assignments, "Off", "On")
+    for name in ("indptr", "buyer_idx", "weights", "buyer_codes", "seller_codes"):
+        assert getattr(sub, name).tobytes() == getattr(exp.graph, name).tobytes()
+    # single-edge rows, a row that loses every edge and one that keeps all
+    graph = BipartiteGraph(
+        ["a", "b", "c", "d"], ["s1", "s2", "s3", "s4"],
+        [0, 1, 3, 4, 7], [2, 0, 2, 1, 0, 2, 3], [1.0, 0.25, 0.75, 1.0, 0.5, 0.25, 0.25],
+    )
+    assignments = assignment_table(
+        {"a": "Off", "b": "B", "c": "A", "d": "A"}, VARIANTS3
+    )
+    got = per_variant_subgraph(graph, assignments, "Off", "A")
+    want = scipy_per_variant_subgraph(graph, assignments, "Off", "A")
+    assert got.sellers == ["s1", "s2", "s4"]
+    for name in ("indptr", "buyer_idx", "weights", "buyer_codes", "seller_codes"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert compared + 1 >= 60

@@ -24,7 +24,13 @@ from bipartite_ab.estimators import (
     point_estimate,
 )
 from bipartite_ab.exposure import ExposurePanel, assemble_panel, effective_treatment_prob
-from bipartite_ab.graph import BipartiteGraph
+from bipartite_ab.graph import (
+    BipartiteGraph,
+    GraphBuildConfig,
+    build_graph,
+    per_variant_subgraph,
+)
+from bipartite_ab.ingest import parse_assignments, parse_events, parse_outcomes
 from bipartite_ab.inference import (
     BootstrapFailureError,
     DegeneratePairError,
@@ -713,6 +719,69 @@ def test_intervals_do_not_depend_on_block_size(estimator_id, monkeypatch):
     assert bounds[0] == bounds[1] == bounds[2]
 
 
+def scipy_randomization_bounds(panel, graph, estimator_id, replications, seed):
+    """randomization_ci's 95% bounds computed with the scipy sparse products
+    and scipy.special.ndtri it used before, kept as the reference."""
+    point = point_estimate(panel, estimator_id)
+    W = graph.matrix()[panel.graph_rows]
+    if estimator_id in ("erl", "crerl"):
+        g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
+        a = W.T @ (g / (panel.n * panel.var_h))
+        sd = float(np.sqrt(panel.p * (1.0 - panel.p)) * np.linalg.norm(a))
+    else:
+        taus = np.empty(replications)
+        blocks = inference._replicate_blocks(seed, replications, graph.n_buyers)
+        for start, count, rng in blocks:
+            Z = rng.random((count, graph.n_buyers)) < panel.p
+            H = np.ascontiguousarray((W @ Z.T).T)
+            tau, exact, _ = inference._replicate_taus(
+                panel, estimator_id, np.ones((1, panel.n)), H
+            )
+            for k in np.flatnonzero(exact):
+                tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
+            taus[start : start + count] = tau
+        sd = float(np.std(taus, ddof=1))
+    z_crit = float(ndtri(0.975))
+    return point.tau_hat - z_crit * sd, point.tau_hat + z_crit * sd
+
+
+def randomization_panels(tmp_path):
+    """(panel, graph) pairs: simulated experiments, and the tests/data
+    fixture's graphs, whose panels leave out sellers without an outcome."""
+    for config in (
+        SimConfig(m=120, n=50, pre_corr=0.6, seed=17),
+        SimConfig(m=900, n=300, degree=ZipfDegree(1.5, 30), pre_corr=0.4, seed=18),
+    ):
+        exp = simulate_experiment(config)
+        yield experiment_panel(exp), exp.graph
+    fixture = Path(__file__).parent / "data" / "analyze3"
+    text = (fixture / "outcomes.csv").read_text(encoding="utf-8")
+    (tmp_path / "outcomes.csv").write_text(text.replace(",\n", ",0\n"))
+    outcomes = parse_outcomes(tmp_path / "outcomes.csv")
+    assignments = parse_assignments(fixture / "assignments.csv")
+    events, _ = parse_events(fixture / "events.csv", frozenset({"view"}), (0, 2**62))
+    full, _ = build_graph(events, assignments, GraphBuildConfig())
+    sub = per_variant_subgraph(full, assignments, "Off", "A")
+    for graph, control in ((sub, "Off"), (full, None)):
+        panel, _ = assemble_panel(
+            graph, assignments, outcomes, "A", control, allow_missing_outcomes=True
+        )
+        assert panel.n < graph.n_sellers
+        yield panel, graph
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "reg", "reg_pre", "crerl"])
+def test_randomization_matches_scipy_products(estimator_id, tmp_path, monkeypatch):
+    """The bincount products give the bounds the scipy products gave, bit
+    for bit, for one replicate per block and for the default blocks."""
+    for panel, graph in randomization_panels(tmp_path):
+        want = scipy_randomization_bounds(panel, graph, estimator_id, 300, 5)
+        for block_bytes in (1, inference.BLOCK_BYTES):
+            monkeypatch.setattr(inference, "BLOCK_BYTES", block_bytes)
+            ci = randomization_ci(panel, graph, estimator_id, 300, seed=5)
+            assert (ci.ci_low, ci.ci_high) == want
+
+
 def linear_coefficients(panel, lam):
     """g with tau(h) = g h - c for ERL (lam None) or CR-ERL with lambda
     held at `lam`, read off the estimator at h = 0 and at each unit vector."""
@@ -795,26 +864,88 @@ def test_linear_randomization_interval_matches_enumeration(estimator_id):
         assert (ci.replications, ci.seed) == (0, 0)
 
 
+def test_ndtri_matches_scipy_bit_for_bit(rng):
+    """The Cephes port equals scipy.special.ndtri bit for bit: a dense grid
+    and random points on [0, 1], both tails down to 1e-300, the branch
+    points and values outside [0, 1]."""
+    tiny = 10.0 ** -rng.uniform(0, 300, 150_000)
+    points = np.concatenate([
+        np.linspace(0.0, 1.0, 400_001),
+        rng.random(300_000),
+        tiny,
+        1.0 - tiny[:50_000],
+        1.0 - 10.0 ** -rng.uniform(0, 16, 100_000),
+        np.nextafter(np.exp(-2.0), [0.0, 1.0]),
+        np.nextafter(1.0 - np.exp(-2.0), [0.0, 1.0]),
+        [0.0, -0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0), np.exp(-32.0)],
+        [-1e-300, -1.0, 1.0 + 1e-16, 2.0, np.inf, -np.inf, np.nan],
+    ])
+    assert len(points) >= 1_000_000
+    want = ndtri(points)
+    got = np.array([inference._ndtri(float(q)) for q in points])
+    # NaN outside [0, 1], whatever its sign bit; every other value bit-equal
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert nan.sum() == 6
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_ndtri_critical_value_matches_norm_ppf():
-    """The intervals take z from scipy.special.ndtri, not scipy.stats: the
-    two quantiles must agree bit for bit at every level."""
+    """The intervals take z from the Cephes port, not scipy.stats: the two
+    quantiles must agree bit for bit at every level."""
     for level in [*(np.arange(1, 1000) / 1000).tolist(), 0.95, 0.9, 0.99]:
         q = 0.5 + level / 2.0
-        assert float(ndtri(q)) == float(norm.ppf(q)), level
+        assert inference._ndtri(q) == float(norm.ppf(q)), level
 
 
-def test_package_import_loads_no_scipy_stats():
-    """Every CLI run pays for each scipy subpackage the package loads;
-    scipy.stats alone takes longer to import than all the others together."""
+def _loaded_scipy(code, cwd=None):
+    """The scipy modules a fresh interpreter has loaded after `code`."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys, bipartite_ab, bipartite_ab.cli\n"
-        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize',"
-        " 'scipy.spatial', 'scipy.integrate') if m in sys.modules))"
-    )
+    code += "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        check=True, cwd=cwd,
     )
-    assert done.stdout.split() == []
+    return set(done.stdout.split())
+
+
+def test_package_import_loads_no_scipy_stats():
+    """Importing the package and its console script loads numpy only, not
+    scipy.stats nor any other scipy module: every CLI run would otherwise
+    pay for scipy's import."""
+    assert _loaded_scipy("import bipartite_ab, bipartite_ab.cli") == set()
+
+
+@pytest.mark.parametrize(
+    "estimator,method,loads,skips",
+    [
+        ("erl", "bootstrap", set(), {"scipy"}),
+        ("crerl", "randomization", set(), {"scipy"}),
+        ("erl,crerl", "bootstrap,randomization", set(), {"scipy"}),
+        ("reg", "bootstrap", {"scipy.linalg"}, {"scipy.sparse", "scipy.stats"}),
+        ("reg_pre", "randomization", {"scipy.linalg"}, {"scipy.sparse", "scipy.stats"}),
+        ("erl", "pairwise", {"scipy.sparse"}, {"scipy.stats"}),
+    ],
+)
+def test_analyze_loads_scipy_only_where_needed(estimator, method, loads, skips, tmp_path):
+    """An analyze run on the tests/data fixture imports the scipy
+    subpackages its estimators and methods need, and no others: ERL and
+    CR-ERL with the bootstrap or randomization need none, REG needs
+    scipy.linalg's pivoted QR and pairwise the sparse moment products."""
+    fixture = Path(__file__).parent / "data" / "analyze3"
+    # CR-ERL and REG_PRE need a pre-period outcome for every seller
+    outcomes = (fixture / "outcomes.csv").read_text(encoding="utf-8")
+    (tmp_path / "outcomes.csv").write_text(outcomes.replace(",\n", ",0\n"))
+    argv = [
+        "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+        "--outcomes", str(tmp_path / "outcomes.csv"), "--treatment", "A",
+        "--control", "Off", "--kinds", "view", "--estimators", estimator,
+        "--methods", method, "--replications", "200", "--allow-missing-outcomes",
+        "--out", str(tmp_path / "out"),
+    ]
+    loaded = _loaded_scipy(
+        f"from bipartite_ab.cli import main\nassert main({argv!r}) == 0", cwd=fixture
+    )
+    assert loads <= loaded
+    assert not [m for m in loaded for s in skips if m == s or m.startswith(s + ".")]
