@@ -8,12 +8,7 @@
                  O(n^2) in sellers, so guarded behind a size limit
 """
 
-from bipartite_ab.inference import (
-    bootstrap_ci,
-    exposure_moment_table,
-    pairwise_variance_ci,
-    randomization_ci,
-)
+from bipartite_ab.inference import bootstrap_ci, pairwise_variance_ci, randomization_ci
 from bipartite_ab.simulator import (
     FixedDegree,
     SimConfig,
@@ -34,8 +29,8 @@ rows.append(("erl + bootstrap",
              bootstrap_ci(panel, "erl", replications=2000, seed=1)))
 rows.append(("erl + randomization",
              randomization_ci(panel, exp.graph, "erl", replications=2000, seed=1)))
-moments = exposure_moment_table(exp.graph, panel.p, panel.graph_rows)
-rows.append(("erl + pairwise", pairwise_variance_ci(panel, moments)))
+# builds the exposure moment table of the panel's graph itself
+rows.append(("erl + pairwise", pairwise_variance_ci(panel, exp.graph)))
 rows.append(("crerl + randomization",
              randomization_ci(panel, exp.graph, "crerl", replications=2000, seed=1)))
 

@@ -16,13 +16,10 @@ from pathlib import Path
 # per_variant_subgraph is called through its module, like the inference
 # functions, so a wrapper set on the module (perfbench's tracer) sees it
 from . import graph, inference, simulator
-from .estimators import ESTIMATOR_IDS
 from .exposure import assemble_panel, exposure_histogram, write_exposure_histogram
 from .graph import GraphBuildConfig, build_graph, dump_graph, graph_stats
 from .ingest import parse_assignments, parse_events, parse_outcomes
 from .report import EstimateReport, ReportEntry, forest_plot_svg, histogram_svg
-
-METHOD_IDS = ("bootstrap", "randomization", "pairwise")
 
 
 @dataclass
@@ -46,29 +43,15 @@ class AnalysisConfig:
     dump_graphs: bool = False
 
     def __post_init__(self):
-        if not self.estimators:
-            raise ValueError("estimator list must be non-empty")
-        if not self.methods:
-            raise ValueError("method list must be non-empty")
-        for e in self.estimators:
-            if e not in ESTIMATOR_IDS:
-                raise ValueError(f"unknown estimator {e!r}")
-        for m in self.methods:
-            if m not in METHOD_IDS:
-                raise ValueError(f"unknown method {m!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level {self.level} outside (0,1)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        inference.check_request(
+            self.estimators, self.methods, self.replications, self.level, self.seed
+        )
         if self.treatment == self.control:
             raise ValueError(f"treatment and control are both {self.treatment!r}")
-        # pairwise takes no replications
-        resampled = {"bootstrap", "randomization"} & set(self.methods)
-        if resampled and self.replications < inference.MIN_REPLICATIONS:
-            raise ValueError(
-                f"replications must be >= {inference.MIN_REPLICATIONS}, "
-                f"got {self.replications}"
-            )
+        # each kind group's graph settings, refused here before any input is read
+        self.graph_configs = [
+            GraphBuildConfig(self.weighting, frozenset(g)) for g in self.kind_groups
+        ]
 
 
 def _config_echo(config: AnalysisConfig) -> dict:
@@ -88,14 +71,27 @@ def _config_echo(config: AnalysisConfig) -> dict:
     }
 
 
-def _analysis_targets(assignments, group_label):
-    """(label, mode) of each graph analysis of a kind group: the
-    straightforward two-variant case, or for multi-variant designs both the
-    restricted-subgraph and the normalized full-graph exposure schemes."""
+def _analysis_targets(assignments, group_label, control):
+    """(label, control) of each graph analysis of a kind group. Control None
+    analyses the full graph, a control variant the subgraph restricted to it
+    and the treatment. A two-variant design takes the full graph; a
+    multi-variant one compares the restricted and the normalized scheme."""
     if len(assignments.labels) <= 2:
         return [(group_label, None)]
-    return [(f"{group_label}/separate_graph", "restricted"),
-            (f"{group_label}/normalized", "full")]
+    return [(f"{group_label}/separate_graph", control),
+            (f"{group_label}/normalized", None)]
+
+
+def _entry(label, est, method, ci) -> ReportEntry:
+    if isinstance(ci, ValueError):
+        return ReportEntry(label, est, method, "error", str(ci))
+    point = ci.point
+    return ReportEntry(
+        label, est, method, tau_hat=point.tau_hat, ci_low=ci.ci_low,
+        ci_high=ci.ci_high, level=ci.level, replications=ci.replications,
+        seed=ci.seed, n_units=point.n_units, lam=point.lam,
+        diagnostics={k: float(v) for k, v in point.diagnostics.items()},
+    )
 
 
 def cmd_analyze(config: AnalysisConfig) -> int:
@@ -109,13 +105,13 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     events, ev_report = parse_events(config.events_path, all_kinds, config.window)
     report.config["events_dropped_rows"] = ev_report.rows_dropped
 
-    resampling = (config.replications, config.seed, config.level)
     histograms, dumps = {}, {}
-    for group in config.kind_groups:
+    for build_cfg in config.graph_configs:
         # drop the last group's graphs and panel before this one is built
-        full = g = panel = moments = None
-        targets = _analysis_targets(assignments, "+".join(sorted(group)))
-        build_cfg = GraphBuildConfig(config.weighting, frozenset(group))
+        full = g = panel = None
+        targets = _analysis_targets(
+            assignments, "+".join(sorted(build_cfg.kind_filter)), config.control
+        )
         try:
             full, _ = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
@@ -123,26 +119,18 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                 _record_all_failed(report, label, config, str(exc))
             continue
 
-        for label, mode in targets:
-            if mode == "restricted":
-                try:
-                    g = graph.per_variant_subgraph(
-                        full, assignments, config.control, config.treatment
-                    )
-                except ValueError as exc:
-                    _record_all_failed(report, label, config, str(exc))
-                    continue
-                control = config.control
-            else:
-                g, control = full, None
-            st = graph_stats(g)
-            report.graph_stats[label] = {
-                "n_buyers": st.n_buyers,
-                "n_sellers": st.n_sellers,
-                "n_edges": st.n_edges,
-                "single_edge_sellers": st.single_edge_sellers,
-            }
+        for label, control in targets:
             try:
+                g = full if control is None else graph.per_variant_subgraph(
+                    full, assignments, control, config.treatment
+                )
+                st = graph_stats(g)
+                report.graph_stats[label] = {
+                    "n_buyers": st.n_buyers,
+                    "n_sellers": st.n_sellers,
+                    "n_edges": st.n_edges,
+                    "single_edge_sellers": st.single_edge_sellers,
+                }
                 panel, degen = assemble_panel(
                     g,
                     assignments,
@@ -161,38 +149,13 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             histograms[label] = panel.h
             if config.dump_graphs:
                 dumps[label] = g
-
-            moments = None
-            for est in config.estimators:
-                for method in config.methods:
-                    try:
-                        if method == "bootstrap":
-                            ci = inference.bootstrap_ci(panel, est, *resampling)
-                        elif method == "randomization":
-                            ci = inference.randomization_ci(panel, g, est, *resampling)
-                        else:
-                            if est != "erl":
-                                raise inference.InferenceError(
-                                    "pairwise variance applies to the erl estimator only"
-                                )
-                            if moments is None:
-                                inference.check_pairwise_size(panel.n)
-                                moments = inference.exposure_moment_table(
-                                    g, panel.p, panel.graph_rows
-                                )
-                            ci = inference.pairwise_variance_ci(
-                                panel, moments, level=config.level
-                            )
-                    except ValueError as exc:
-                        report.entries.append(ReportEntry(label, est, method, "error", str(exc)))
-                        continue
-                    point = ci.point
-                    report.entries.append(ReportEntry(
-                        label, est, method, tau_hat=point.tau_hat, ci_low=ci.ci_low,
-                        ci_high=ci.ci_high, level=ci.level, replications=ci.replications,
-                        seed=ci.seed, n_units=point.n_units, lam=point.lam,
-                        diagnostics={k: float(v) for k, v in point.diagnostics.items()},
-                    ))
+            report.entries += [
+                _entry(label, *result)
+                for result in inference.intervals(
+                    panel, g, config.estimators, config.methods,
+                    config.replications, config.seed, config.level,
+                )
+            ]
 
     # nothing is written until every stage has run
     out = Path(config.out_dir)
@@ -239,12 +202,7 @@ def cmd_validate(config_path, estimators, methods, replications, ci_replications
                  seed, out_dir) -> int:
     config = simulator.load_sim_config(config_path)
     table = simulator.run_validation(
-        config,
-        estimator_ids=estimators,
-        methods=methods,
-        sim_replications=replications,
-        ci_replications=ci_replications,
-        seed=seed,
+        config, estimators, methods, replications, ci_replications, seed=seed
     )
     print(table)
     if out_dir is not None:
@@ -344,15 +302,11 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out)
         if args.command == "validate":
-            estimators = [e for e in args.estimators.split(",") if e]
-            methods = [m for m in args.methods.split(",") if m]
-            if not estimators:
-                parser.error("at least one estimator required")
-            if not methods:
-                parser.error("at least one method required")
             return cmd_validate(
-                args.config, estimators, methods, args.replications,
-                args.ci_replications, args.seed, args.out,
+                args.config,
+                [e for e in args.estimators.split(",") if e],
+                [m for m in args.methods.split(",") if m],
+                args.replications, args.ci_replications, args.seed, args.out,
             )
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation that failed; a bare one

@@ -1,6 +1,8 @@
-"""Resampling inference and the exact pairwise variance estimator.
-
-Three methods:
+"""Interval estimates: two resampling methods and the exact pairwise
+variance. `check_request` is the one check of an analysis request
+(estimator and method ids, replications, level, seed), and `intervals`
+yields every estimator x method interval of a panel, or the error it
+raised; the analyze and validate commands both go through it.
 
 * bootstrap_ci: percentile bootstrap over outcome units (panel rows).
 * randomization_ci: point +/- z * sd of the estimator over re-draws of
@@ -8,14 +10,15 @@ Three methods:
   CR-ERL (lambda fixed) are linear in the assignment, so their sd is the
   exact p(1 - p) |W'g|^2 under the declared Bernoulli design; REG and
   REG_PRE are recomputed on Monte Carlo draws.
-* pairwise_variance: the design-based variance estimator
-  V = (1/n^2) sum_ij Y_i Y_j R_ij(H_i, H_j), where each R_ij is the
+* pairwise_variance_ci: ERL +/- z * sqrt(V), V the design-based variance
+  estimator (1/n^2) sum_ij Y_i Y_j R_ij(H_i, H_j), where each R_ij is the
   affine-in-(H_i H_j, H_i, H_j, 1) weighting whose design expectation
   matches Cov(tau_i, tau_j) under the linear response model. The exposure
-  moments come from closed-form Bernoulli cumulants and sparse products
-  over the O(n + overlapping pairs) structure, and the weightings are
-  solved as batched 3x3 and 4x4 systems. A PAIRWISE_N_MAX limit guards the
-  quadratic worst case, in which every pair of units overlaps.
+  moment table, built from the panel's graph inside the call, comes from
+  closed-form Bernoulli cumulants and sparse products over the
+  O(n + overlapping pairs) structure, and the weightings are solved as
+  batched 3x3 and 4x4 systems. PAIRWISE_N_MAX, checked before the table
+  is built, guards the quadratic worst case in which every pair overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
 once: a bootstrap block as a count matrix over the panel's units, a
@@ -56,6 +59,7 @@ from .estimators import (
 from .exposure import ExposurePanel, assemble_panel  # noqa: F401
 from .graph import BipartiteGraph
 
+METHOD_IDS = ("bootstrap", "randomization", "pairwise")
 MIN_REPLICATIONS = 200
 DEFAULT_REPLICATIONS = 1000
 PAIRWISE_N_MAX = 5000
@@ -109,8 +113,6 @@ class IntervalEstimate:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise InferenceError(f"level {self.level} outside (0,1)")
         if self.ci_low > self.ci_high:
             raise InferenceError("ci_low exceeds ci_high")
 
@@ -129,15 +131,49 @@ def _replicate_blocks(seed: int, replications: int, width: int):
         yield start, min(size, replications - start), rng
 
 
-def _validate_common(estimator_id: str, replications: int, level: float):
-    if estimator_id not in ESTIMATOR_IDS:
-        raise InferenceError(f"unknown estimator {estimator_id!r}")
-    if replications < MIN_REPLICATIONS:
+def check_request(estimators, methods, replications: int, level: float, seed: int):
+    """Refuse an analysis request no interval can serve: empty or unknown
+    estimator or method ids, a level outside (0, 1), a negative seed, or
+    fewer than MIN_REPLICATIONS when a resampling method is asked for."""
+    if not estimators:
+        raise InferenceError("estimator list must be non-empty")
+    if not methods:
+        raise InferenceError("method list must be non-empty")
+    for e in estimators:
+        if e not in ESTIMATOR_IDS:
+            raise InferenceError(f"unknown estimator {e!r}")
+    for m in methods:
+        if m not in METHOD_IDS:
+            raise InferenceError(f"unknown method {m!r}")
+    if not 0.0 < level < 1.0:
+        raise InferenceError(f"level {level} outside (0,1)")
+    if seed < 0:
+        raise InferenceError(f"seed must be >= 0, got {seed}")
+    # pairwise takes no replications
+    if {"bootstrap", "randomization"} & set(methods) and replications < MIN_REPLICATIONS:
         raise InferenceError(
             f"replications must be >= {MIN_REPLICATIONS}, got {replications}"
         )
-    if not 0.0 < level < 1.0:
-        raise InferenceError(f"level {level} outside (0,1)")
+
+
+def intervals(panel, graph, estimators, methods, replications, seed, level):
+    """(estimator, method, interval) for every pair, estimators outer, on a
+    panel assembled from `graph`; a pair that fails yields the ValueError
+    it raised in place of its IntervalEstimate."""
+    for est in estimators:
+        for method in methods:
+            try:
+                if method == "bootstrap":
+                    ci = bootstrap_ci(panel, est, replications, seed, level)
+                elif method == "randomization":
+                    ci = randomization_ci(panel, graph, est, replications, seed, level)
+                elif est != "erl":
+                    raise InferenceError("pairwise variance applies to the erl estimator only")
+                else:
+                    ci = pairwise_variance_ci(panel, graph, level)
+            except ValueError as exc:
+                ci = exc
+            yield est, method, ci
 
 
 def _replicate_taus(panel, estimator_id, c, h):
@@ -230,7 +266,7 @@ def bootstrap_ci(
     count matrix and the estimator is evaluated on its rows as weights.
     Estimator failures in more than 1% of replicates abort the interval.
     """
-    _validate_common(estimator_id, replications, level)
+    check_request((estimator_id,), ("bootstrap",), replications, level, seed)
     point = point_estimate(panel, estimator_id)
     n = panel.n
     taus = np.empty(replications)
@@ -297,7 +333,7 @@ def randomization_ci(
     interval reports replications = seed = 0. REG and REG_PRE are evaluated
     on blocks of draws, on the exposures H = W Z.
     """
-    _validate_common(estimator_id, replications, level)
+    check_request((estimator_id,), ("randomization",), replications, level, seed)
     point = point_estimate(panel, estimator_id)
     if estimator_id in ("erl", "crerl"):
         g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
@@ -628,15 +664,17 @@ def pairwise_variance(
 
 def pairwise_variance_ci(
     panel: ExposurePanel,
-    joint_moments: JointMomentTable,
+    graph: BipartiteGraph,
     level: float = 0.95,
-    **kwargs,
+    policy: str = "merge",
 ) -> IntervalEstimate:
-    """Normal-quantile interval for the ERL estimate using the pairwise
-    variance estimate (clipped at zero)."""
-    from .estimators import erl_estimate
-
-    point = erl_estimate(panel)
-    pv = pairwise_variance(panel, joint_moments, **kwargs)
+    """Normal-quantile interval for the ERL estimate of a panel assembled
+    from `graph`, using the pairwise variance estimate (clipped at zero).
+    The panel size is checked before the moment table is built."""
+    check_request(("erl",), ("pairwise",), 0, level, 0)
+    check_pairwise_size(panel.n)
+    moments = exposure_moment_table(graph, panel.p, panel.graph_rows)
+    point = point_estimate(panel, "erl")
+    pv = pairwise_variance(panel, moments, policy)
     sd = float(np.sqrt(max(pv.value, 0.0)))
     return _normal_interval(point, sd, level, "pairwise")

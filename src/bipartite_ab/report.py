@@ -9,7 +9,7 @@ given report always renders to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,29 +65,17 @@ class EstimateReport:
             "config": self.config,
             "graph_stats": self.graph_stats,
             "degenerate_units": self.degenerate_units,
-            "entries": [
-                {
-                    "graph": e.graph_label,
-                    "estimator": e.estimator,
-                    "method": e.method,
-                    "status": e.status,
-                    "error": e.error,
-                    "tau_hat": e.tau_hat,
-                    "ci_low": e.ci_low,
-                    "ci_high": e.ci_high,
-                    "level": e.level,
-                    "replications": e.replications,
-                    "seed": e.seed,
-                    "n_units": e.n_units,
-                    "lambda": e.lam,
-                    "diagnostics": e.diagnostics,
-                }
-                for e in self.entries
-            ],
+            "entries": [_entry_dict(e) for e in self.entries],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _entry_dict(entry: ReportEntry) -> dict:
+    d = asdict(entry)
+    d["graph"], d["lambda"] = d.pop("graph_label"), d.pop("lam")
+    return d
 
 
 def _fmt(x: float) -> str:

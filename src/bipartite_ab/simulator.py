@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import estimators, inference
+from . import inference
 from .exposure import ExposurePanel, assemble_panel, realized_exposure
 from .graph import BipartiteGraph, GraphBuildConfig, build_graph
 from .ingest import (
@@ -335,53 +335,36 @@ def run_validation(
 ) -> ValidationTable:
     """Bias / variance / coverage study: one base experiment, then
     `sim_replications` fresh randomizations over the same graph, running
-    the full estimator + CI pipeline each time."""
+    the full estimator + CI pipeline each time. A pair counts a replicate
+    as failed where its interval raised, as `analyze` records an error."""
     if sim_replications < 1:
         raise SimulationError("sim_replications must be >= 1")
-    if not estimator_ids:
-        raise SimulationError("at least one estimator required")
-    for mid in methods:
-        if mid not in ("bootstrap", "randomization"):
-            raise SimulationError(f"unknown inference method {mid!r}")
+    inference.check_request(estimator_ids, methods, ci_replications, level, seed)
     base = simulate_experiment(config)
     true_tau = base.truth.true_tau
-    results: dict[tuple[str, str], dict[str, list]] = {
-        (e, m): {"tau": [], "width": [], "covered": [], "failed": 0}
-        for e in estimator_ids
-        for m in methods
-    }
+    # per pair, each replicate's interval, None where it failed
+    buckets = {(e, m): [] for e in estimator_ids for m in methods}
     for rep in range(sim_replications):
         rep_seed = seed * 1_000_003 + rep
         exp = rerandomize(base, seed=rep_seed)
-        panel = experiment_panel(exp)
-        resampling = (ci_replications, rep_seed, level)
-        for est in estimator_ids:
-            for method in methods:
-                bucket = results[(est, method)]
-                try:
-                    if method == "bootstrap":
-                        ci = inference.bootstrap_ci(panel, est, *resampling)
-                    else:
-                        ci = inference.randomization_ci(panel, exp.graph, est, *resampling)
-                except (ValueError, estimators.EstimationError):
-                    bucket["failed"] += 1
-                    continue
-                bucket["tau"].append(ci.point.tau_hat)
-                bucket["width"].append(ci.width)
-                bucket["covered"].append(ci.ci_low <= true_tau <= ci.ci_high)
+        for est, method, ci in inference.intervals(
+            experiment_panel(exp), exp.graph, estimator_ids, methods,
+            ci_replications, rep_seed, level,
+        ):
+            buckets[est, method].append(None if isinstance(ci, ValueError) else ci)
     table = ValidationTable(true_tau=true_tau, sim_replications=sim_replications)
-    for est in estimator_ids:
-        for method in methods:
-            bucket = results[(est, method)]
-            taus, n_ok, nan = np.array(bucket["tau"]), len(bucket["tau"]), float("nan")
-            table.rows.append(ValidationRow(
-                estimator=est, method=method, n_ok=n_ok, n_failed=bucket["failed"],
-                mean_tau=float(taus.mean()) if n_ok else nan,
-                bias=float(taus.mean() - true_tau) if n_ok else nan,
-                mc_sd=float(taus.std(ddof=1)) if n_ok > 1 else nan,
-                coverage=float(np.mean(bucket["covered"])) if n_ok else nan,
-                median_ci_width=float(np.median(bucket["width"])) if n_ok else nan,
-            ))
+    for (est, method), bucket in buckets.items():
+        ok = [ci for ci in bucket if ci is not None]
+        taus, n_ok, nan = np.array([ci.point.tau_hat for ci in ok]), len(ok), float("nan")
+        table.rows.append(ValidationRow(
+            estimator=est, method=method, n_ok=n_ok, n_failed=len(bucket) - n_ok,
+            mean_tau=float(taus.mean()) if n_ok else nan,
+            bias=float(taus.mean() - true_tau) if n_ok else nan,
+            mc_sd=float(taus.std(ddof=1)) if n_ok > 1 else nan,
+            coverage=float(np.mean([ci.ci_low <= true_tau <= ci.ci_high for ci in ok]))
+            if n_ok else nan,
+            median_ci_width=float(np.median([ci.width for ci in ok])) if n_ok else nan,
+        ))
     return table
 
 

@@ -193,6 +193,28 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kinds", [[","], ["view", " , "]])
+    def test_empty_kind_group_refused_before_any_input_is_read(
+        self, sim_dir, tmp_path, capsys, monkeypatch, kinds
+    ):
+        def must_not_parse(*args, **kwargs):
+            raise AssertionError("an input was parsed for a request that is refused")
+
+        for name in ("parse_assignments", "parse_outcomes", "parse_events"):
+            monkeypatch.setattr(cli, name, must_not_parse)
+        out = tmp_path / "out"
+        flags = [arg for kind in kinds for arg in ("--kinds", kind)]
+        assert main(analyze_args(sim_dir, out, *flags)) == 1
+        assert capsys.readouterr().err == "error: kind_filter must be non-empty\n"
+        assert not out.exists()
+
+    def test_unknown_weighting_refused_by_config(self, sim_dir, tmp_path):
+        with pytest.raises(ValueError, match="^unknown weighting 'wat'$"):
+            cli.AnalysisConfig(
+                str(sim_dir / "events.csv"), str(sim_dir / "assignments.csv"),
+                str(sim_dir / "outcomes.csv"), str(tmp_path / "out"), weighting="wat",
+            )
+
     @pytest.mark.parametrize("module, stage, message", [
         (cli, "parse_events", "MemoryError"),
         # 1 EiB is past any address space, so the allocation fails at once
@@ -404,23 +426,54 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_validate_requires_estimators(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(
-            sim_config_to_dict(SimConfig(m=10, n=5))
-        ))
-        with pytest.raises(SystemExit):
-            main(["validate", "--config", str(config_path),
-                  "--estimators", ""])
-
-    def test_validate_requires_methods(self, tmp_path, capsys):
+    @staticmethod
+    def _request_error(tmp_path, capsys, flags):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(
             sim_config_to_dict(SimConfig(m=10, n=5))
         ))
         out = tmp_path / "val"
-        with pytest.raises(SystemExit):
-            main(["validate", "--config", str(config_path),
-                  "--methods", "", "--out", str(out)])
-        assert "at least one method required" in capsys.readouterr().err
+        code = main(["validate", "--config", str(config_path),
+                     "--replications", "1", "--out", str(out), *flags])
         assert not out.exists()
+        return code, capsys.readouterr()
+
+    def test_validate_requires_estimators(self, tmp_path, capsys):
+        code, captured = self._request_error(tmp_path, capsys, ["--estimators", ""])
+        assert code == 1
+        assert captured.err == "error: estimator list must be non-empty\n"
+        assert captured.out == ""
+
+    def test_validate_requires_methods(self, tmp_path, capsys):
+        code, captured = self._request_error(tmp_path, capsys, ["--methods", ""])
+        assert code == 1
+        assert captured.err == "error: method list must be non-empty\n"
+        assert captured.out == ""
+
+    # the analysis request is checked as analyze checks it, before anything
+    # is simulated: one error line, exit 1, no output directory
+    @pytest.mark.parametrize("flags, message", [
+        (["--estimators", "foo"], "unknown estimator 'foo'"),
+        (["--methods", "bootstrap,wat"], "unknown method 'wat'"),
+        (["--ci-replications", "50"], "replications must be >= 200, got 50"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_validate_request_error_is_one_line(self, tmp_path, capsys, flags, message):
+        code, captured = self._request_error(tmp_path, capsys, flags)
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_validate_accepts_pairwise(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            sim_config_to_dict(SimConfig(m=120, n=60, seed=9))
+        ))
+        out = tmp_path / "val"
+        code = main([
+            "validate", "--config", str(config_path), "--estimators", "erl",
+            "--methods", "pairwise", "--replications", "3", "--out", str(out),
+        ])
+        assert code == 0
+        lines = (out / "validation.csv").read_text().splitlines()
+        assert lines[1].startswith("erl,pairwise,3,0,")

@@ -39,6 +39,7 @@ from bipartite_ab.inference import (
     bootstrap_ci,
     exposure_moment_table,
     pairwise_variance,
+    pairwise_variance_ci,
     randomization_ci,
 )
 from bipartite_ab.simulator import (
@@ -59,6 +60,8 @@ from conftest import (
     unit_variance_terms,
 )
 from test_estimators import make_panel, simulated_panel
+
+FIXTURE = Path(__file__).parent / "data" / "analyze3"
 
 
 class TestBootstrap:
@@ -754,19 +757,25 @@ def randomization_panels(tmp_path):
     ):
         exp = simulate_experiment(config)
         yield experiment_panel(exp), exp.graph
-    fixture = Path(__file__).parent / "data" / "analyze3"
-    text = (fixture / "outcomes.csv").read_text(encoding="utf-8")
+    text = (FIXTURE / "outcomes.csv").read_text(encoding="utf-8")
     (tmp_path / "outcomes.csv").write_text(text.replace(",\n", ",0\n"))
-    outcomes = parse_outcomes(tmp_path / "outcomes.csv")
-    assignments = parse_assignments(fixture / "assignments.csv")
-    events, _ = parse_events(fixture / "events.csv", frozenset({"view"}), (0, 2**62))
+    for panel, graph in fixture_panels(tmp_path / "outcomes.csv"):
+        assert panel.n < graph.n_sellers
+        yield panel, graph
+
+
+def fixture_panels(outcomes_path):
+    """The tests/data fixture's A-vs-Off panels, on the restricted subgraph
+    and on the full view graph, with outcomes read from `outcomes_path`."""
+    outcomes = parse_outcomes(outcomes_path)
+    assignments = parse_assignments(FIXTURE / "assignments.csv")
+    events, _ = parse_events(FIXTURE / "events.csv", frozenset({"view"}), (0, 2**62))
     full, _ = build_graph(events, assignments, GraphBuildConfig())
     sub = per_variant_subgraph(full, assignments, "Off", "A")
     for graph, control in ((sub, "Off"), (full, None)):
         panel, _ = assemble_panel(
             graph, assignments, outcomes, "A", control, allow_missing_outcomes=True
         )
-        assert panel.n < graph.n_sellers
         yield panel, graph
 
 
@@ -949,3 +958,116 @@ def test_analyze_loads_scipy_only_where_needed(estimator, method, loads, skips, 
     )
     assert loads <= loaded
     assert not [m for m in loaded for s in skips if m == s or m.startswith(s + ".")]
+
+
+def request_panels():
+    """(panel, graph): two simulated experiments, the second without y_pre,
+    and the tests/data fixture's two panels, whose missing pre-period cells
+    make CR-ERL and REG_PRE fail."""
+    for config, keep_pre in (
+        (SimConfig(m=120, n=50, pre_corr=0.6, seed=17), True),
+        (SimConfig(m=300, n=150, degree=ZipfDegree(1.5, 30), seed=18), False),
+    ):
+        exp = simulate_experiment(config)
+        panel = experiment_panel(exp)
+        yield panel if keep_pre else replace(panel, y_pre=None), exp.graph
+    yield from fixture_panels(FIXTURE / "outcomes.csv")
+
+
+def interval_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def test_intervals_match_direct_calls():
+    """Every estimator x method pair `intervals` yields, estimators outer, is
+    the interval the direct call returns, bit for bit, or an error of the
+    same type and message; the pairwise interval is the one the moment
+    table, pairwise_variance and ERL give."""
+    request = (inference.ESTIMATOR_IDS, inference.METHOD_IDS, 200, 7, 0.9)
+    failed = set()
+    for panel, graph in request_panels():
+        got = list(inference.intervals(panel, graph, *request))
+        assert [(e, m) for e, m, _ in got] == list(
+            itertools.product(inference.ESTIMATOR_IDS, inference.METHOD_IDS)
+        )
+        for est, method, ci in got:
+            if method == "bootstrap":
+                want = interval_or_error(bootstrap_ci, panel, est, 200, 7, 0.9)
+            elif method == "randomization":
+                want = interval_or_error(randomization_ci, panel, graph, est, 200, 7, 0.9)
+            elif est == "erl":
+                want = interval_or_error(pairwise_variance_ci, panel, graph, 0.9)
+                table = exposure_moment_table(graph, panel.p, panel.graph_rows)
+                sd = np.sqrt(max(pairwise_variance(panel, table).value, 0.0))
+                point = erl_estimate(panel)
+                z = ndtri(0.95)
+                assert (want.ci_low, want.ci_high) == (
+                    point.tau_hat - z * sd, point.tau_hat + z * sd
+                )
+            else:
+                want = InferenceError("pairwise variance applies to the erl estimator only")
+            if isinstance(want, Exception):
+                failed.add((est, method))
+                assert (type(ci), str(ci)) == (type(want), str(want)), (est, method)
+            else:
+                assert isinstance(ci, inference.IntervalEstimate), (est, method, ci)
+                assert ci == want, (est, method)
+    # the failing pairs are exercised: REG and friends under pairwise, and
+    # REG_PRE and CR-ERL without a pre-period outcome
+    assert {("reg", "pairwise"), ("reg_pre", "bootstrap"), ("crerl", "randomization")} <= failed
+
+
+def test_intervals_call_through_module_names(monkeypatch):
+    """`intervals` looks each interval function up on the module, so a
+    wrapper set there (a tracer's, say) sees every call."""
+    calls = []
+    for name in ("bootstrap_ci", "randomization_ci", "pairwise_variance_ci"):
+        real = getattr(inference, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, spy)
+    panel, graph = next(request_panels())
+    got = list(inference.intervals(
+        panel, graph, ["erl"], inference.METHOD_IDS, 200, 0, 0.95
+    ))
+    assert all(isinstance(ci, inference.IntervalEstimate) for _, _, ci in got)
+    assert calls == ["bootstrap_ci", "randomization_ci", "pairwise_variance_ci"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (([], ["bootstrap"], 200, 0.95, 0), "estimator list must be non-empty"),
+    ((["erl"], [], 200, 0.95, 0), "method list must be non-empty"),
+    ((["erl", "foo"], ["bootstrap"], 200, 0.95, 0), "unknown estimator 'foo'"),
+    ((["erl"], ["pairwise", "wat"], 200, 0.95, 0), "unknown method 'wat'"),
+    ((["erl"], ["pairwise"], 200, 1.0, 0), "level 1.0 outside (0,1)"),
+    ((["erl"], ["pairwise"], 200, float("nan"), 0), "level nan outside (0,1)"),
+    ((["erl"], ["pairwise"], 200, 0.95, -1), "seed must be >= 0, got -1"),
+    ((["erl"], ["randomization"], 199, 0.95, 0), "replications must be >= 200, got 199"),
+])
+def test_check_request_messages(args, message):
+    with pytest.raises(InferenceError) as got:
+        inference.check_request(*args)
+    assert str(got.value) == message
+
+
+def test_check_request_needs_replications_only_for_resampling():
+    inference.check_request(["erl"], ["pairwise"], 0, 0.95, 0)
+    with pytest.raises(InferenceError, match="replications must be >= 200, got 0"):
+        inference.check_request(["erl"], ["pairwise", "bootstrap"], 0, 0.95, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda panel, graph: bootstrap_ci(panel, "erl", 200, -1),
+    lambda panel, graph: randomization_ci(panel, graph, "erl", 200, 0, 1.5),
+    lambda panel, graph: pairwise_variance_ci(panel, graph, level=0.0),
+])
+def test_interval_functions_check_their_request(call):
+    panel, graph = next(request_panels())
+    with pytest.raises(InferenceError, match=r"^(seed must be >= 0|level .* outside)"):
+        call(panel, graph)

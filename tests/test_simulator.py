@@ -7,6 +7,7 @@ import pytest
 from bipartite_ab.estimators import erl_estimate, regression_estimate
 from bipartite_ab.exposure import exposure_histogram
 from bipartite_ab import simulator
+from bipartite_ab.inference import InferenceError
 from bipartite_ab.ingest import parse_assignments, parse_events, parse_outcomes
 from bipartite_ab.simulator import (
     FixedDegree,
@@ -252,5 +253,17 @@ class TestRunValidation:
         assert len(lines) == 5
 
     def test_requires_estimators(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(InferenceError, match="^estimator list must be non-empty$"):
             run_validation(SimConfig(m=10, n=5), [], ["bootstrap"], 2)
+
+    def test_pairwise_fails_where_analyze_records_an_error(self):
+        # erl's pairwise interval succeeds every time; reg has none, so every
+        # replicate of that pair counts as failed
+        table = run_validation(
+            SimConfig(m=120, n=60, seed=43), ["erl", "reg"], ["pairwise"], 4
+        )
+        rows = {r.estimator: r for r in table.rows}
+        assert (rows["erl"].n_ok, rows["erl"].n_failed) == (4, 0)
+        assert rows["erl"].median_ci_width > 0
+        assert (rows["reg"].n_ok, rows["reg"].n_failed) == (0, 4)
+        assert np.isnan(rows["reg"].coverage)
