@@ -91,8 +91,6 @@ class ExposurePanel:
     y_pre: np.ndarray | None
     p: float
     graph_rows: np.ndarray
-    treatment: str
-    control: str | None = None
 
     def __post_init__(self):
         n = len(self.seller_ids)
@@ -118,8 +116,6 @@ class ExposurePanel:
             y_pre=None if self.y_pre is None else self.y_pre[idx],
             p=self.p,
             graph_rows=self.graph_rows[idx],
-            treatment=self.treatment,
-            control=self.control,
         )
 
 
@@ -179,8 +175,6 @@ def assemble_panel(
         y_pre=y_pre if outcomes.has_pre else None,
         p=p,
         graph_rows=rows_arr,
-        treatment=treatment,
-        control=control,
     )
     return panel, DegenerateReport(excluded)
 
@@ -193,8 +187,8 @@ def exposure_histogram(
     return counts, edges
 
 
-def write_exposure_histogram(h, path, bins: int = 50):
-    counts, edges = exposure_histogram(h, bins)
+def write_exposure_histogram(h, path):
+    counts, edges = exposure_histogram(h)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bin_lower,bin_upper,count\n")
         for i, c in enumerate(counts):

@@ -98,10 +98,6 @@ class PairwiseSizeError(InferenceError):
     pass
 
 
-class DegeneratePairError(InferenceError):
-    pass
-
-
 @dataclass
 class IntervalEstimate:
     point: PointEstimate
@@ -132,19 +128,19 @@ def _replicate_blocks(seed: int, replications: int, width: int):
 
 
 def check_request(estimators, methods, replications: int, level: float, seed: int):
-    """Refuse an analysis request no interval can serve: empty or unknown
-    estimator or method ids, a level outside (0, 1), a negative seed, or
-    fewer than MIN_REPLICATIONS when a resampling method is asked for."""
-    if not estimators:
-        raise InferenceError("estimator list must be non-empty")
-    if not methods:
-        raise InferenceError("method list must be non-empty")
-    for e in estimators:
-        if e not in ESTIMATOR_IDS:
-            raise InferenceError(f"unknown estimator {e!r}")
-    for m in methods:
-        if m not in METHOD_IDS:
-            raise InferenceError(f"unknown method {m!r}")
+    """Refuse an analysis request no interval can serve: empty lists, unknown
+    or repeated estimator or method ids, a level outside (0, 1), a negative
+    seed, or fewer than MIN_REPLICATIONS when a resampling method is asked
+    for."""
+    for kind, ids, known in (("estimator", estimators, ESTIMATOR_IDS),
+                             ("method", methods, METHOD_IDS)):
+        if not ids:
+            raise InferenceError(f"{kind} list must be non-empty")
+        for k, x in enumerate(ids):
+            if x not in known:
+                raise InferenceError(f"unknown {kind} {x!r}")
+            if x in ids[:k]:
+                raise InferenceError(f"{kind} {x!r} listed more than once")
     if not 0.0 < level < 1.0:
         raise InferenceError(f"level {level} outside (0,1)")
     if seed < 0:
@@ -578,28 +574,22 @@ class PairwiseVariance:
     n_units: int
     n_pairs_evaluated: int
     degenerate_pairs: list[tuple[str, str]]
-    policy: str
     degenerate_units: list[str] = field(default_factory=list)
 
 
 def pairwise_variance(
-    panel: ExposurePanel,
-    joint_moments: JointMomentTable,
-    policy: str = "merge",
+    panel: ExposurePanel, joint_moments: JointMomentTable
 ) -> PairwiseVariance:
     """Design-based variance estimate via pair-level moment matching.
 
     Units whose exposure takes fewer than three values (e.g. single-buyer
     sellers) get the minimum-norm least-squares weighting and are listed
     as degenerate. Pairs whose exposure covariance matrix is (near)
-    singular — e.g. two sellers with identically weighted edges — are
-    flagged and handled per `policy`: 'merge' adds a conservative
-    product-of-sds upper bound, 'drop' zeroes them with a warning, 'strict'
-    raises. The quadratic worst case is guarded by PAIRWISE_N_MAX (use the
-    bootstrap beyond it).
+    singular, e.g. two sellers with identically weighted edges, are listed
+    in (i, j) order and add the conservative bound 2 sd_i sd_j in place of
+    their matched term. The quadratic worst case is guarded by
+    PAIRWISE_N_MAX (use the bootstrap beyond it).
     """
-    if policy not in ("merge", "drop", "strict"):
-        raise InferenceError(f"unknown degeneracy policy {policy!r}")
     n = panel.n
     check_pairwise_size(n)
     uni = joint_moments.uni
@@ -614,12 +604,6 @@ def pairwise_variance(
     coef = _solve_where(M, rhs, regular)
     regular &= np.isfinite(coef).all(axis=1)
     singular = np.flatnonzero(~regular)
-    degenerate_units = [ids[t] for t in singular.tolist()]
-    if degenerate_units and policy == "strict":
-        raise DegeneratePairError(
-            f"unit {degenerate_units[0]!r} has a degenerate exposure "
-            "distribution (fewer than three support points)"
-        )
     for t in singular:
         coef[t] = np.linalg.lstsq(M[t], rhs[t], rcond=None)[0]
     diag = y * y * (coef[:, 0] * h * h + coef[:, 1] * h + coef[:, 2])
@@ -635,38 +619,22 @@ def pairwise_variance(
     coef = _solve_where(M, rhs, ok)
     ok &= np.isfinite(coef).all(axis=1)
     bad = np.flatnonzero(~ok)
-    degenerate = [(ids[a], ids[b]) for a, b in zip(i[bad].tolist(), j[bad].tolist())]
-    if degenerate and policy == "strict":
-        raise DegeneratePairError(
-            f"degenerate exposure pair {degenerate[0]!r}: det(Sigma) <= {EPS_DET}"
-        )
     hi, hj = h[i], h[j]
     matched = 2.0 * y[i] * y[j] * (
         coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
     )
-    fallback = 2.0 * unit_sd[i] * unit_sd[j] if policy == "merge" else 0.0
-    total = float(diag.sum() + np.where(ok, matched, fallback).sum())
-    if degenerate and policy == "drop":
-        warnings.warn(
-            f"{len(degenerate)} degenerate exposure pairs dropped from the "
-            "variance estimate",
-            stacklevel=2,
-        )
+    total = float(diag.sum() + np.where(ok, matched, 2.0 * unit_sd[i] * unit_sd[j]).sum())
     return PairwiseVariance(
         value=total / (n * n),
         n_units=n,
         n_pairs_evaluated=int(ok.sum()),
-        degenerate_pairs=degenerate,
-        policy=policy,
-        degenerate_units=degenerate_units,
+        degenerate_pairs=[(ids[a], ids[b]) for a, b in zip(i[bad].tolist(), j[bad].tolist())],
+        degenerate_units=[ids[t] for t in singular.tolist()],
     )
 
 
 def pairwise_variance_ci(
-    panel: ExposurePanel,
-    graph: BipartiteGraph,
-    level: float = 0.95,
-    policy: str = "merge",
+    panel: ExposurePanel, graph: BipartiteGraph, level: float = 0.95
 ) -> IntervalEstimate:
     """Normal-quantile interval for the ERL estimate of a panel assembled
     from `graph`, using the pairwise variance estimate (clipped at zero).
@@ -675,6 +643,6 @@ def pairwise_variance_ci(
     check_pairwise_size(panel.n)
     moments = exposure_moment_table(graph, panel.p, panel.graph_rows)
     point = point_estimate(panel, "erl")
-    pv = pairwise_variance(panel, moments, policy)
+    pv = pairwise_variance(panel, moments)
     sd = float(np.sqrt(max(pv.value, 0.0)))
     return _normal_interval(point, sd, level, "pairwise")

@@ -27,14 +27,14 @@ point's bits most significant first, and a longer sequence starts with a
 larger lead byte, so comparing two ids' bytes compares their code points,
 as Python compares `str`. So every vocabulary comes out sorted with no
 Python sort. Value cells go through the spec's converter (timestamps by
-numpy where they are plain digits, else by `int()`; outcomes by numpy
-where they are plain decimals, else by `float()`). A file holding a
-quote, a CR that does not end a CRLF or a line longer than the csv
-module's field_size_limit is split by the csv module instead, one decoded
-line at a time, and its cells go through the same checks. Both paths give
-the same results and errors: errors are decided in file order, and a line
-is checked for invalid UTF-8, then its column count, then empty ids, then
-a repeated id, then its values from left to right.
+numpy where they are plain digits, else by `int()`; outcomes by `float()`
+on each cell's decoded text). A file holding a quote, a CR that does not
+end a CRLF or a line longer than the csv module's field_size_limit is
+split by the csv module instead, one decoded line at a time, and its
+cells go through the same checks. Both paths give the same results and
+errors: errors are decided in file order, and a line is checked for
+invalid UTF-8, then its column count, then empty ids, then a repeated id,
+then its values from left to right.
 """
 from __future__ import annotations
 
@@ -61,19 +61,6 @@ PROB_SUM_TOL = 1e-9
 
 BLOCK_BYTES = 1 << 20  # bytes of whole lines tokenized at a time
 _TS_DIGITS = 18  # at most 18 decimal digits always fit in an int64
-_FLOAT_BYTES = 40  # a longer outcome cell is converted by float() on its own
-# classes of a byte in an outcome cell: digit, sign, '.', 'e' or 'E', other
-_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
-_BYTE_CLASS[list(b"0123456789+-.eE")] = [0] * 10 + [1, 1, 2, 3, 3]
-# The automaton of a plain decimal [+-]?D+(.D+)?([eE][+-]?D+)?: the next state
-# by state (row) and byte class (column; 5 is past the cell's end). States:
-# 0 start, 1 sign, 2 digits, 3 '.', 4 fraction, 5 'e', 6 exponent sign,
-# 7 exponent digits, 8 rejected, 9 accepted. Flattened, a state s is held as
-# 6 s, so that the entry of s and class c is at 6 s + c.
-_PLAIN_DECIMAL = np.array([
-    [6 * int(c) for c in row] for row in
-    "218888 288888 283589 488888 488589 768888 788888 788889 888888 888889".split()
-], dtype=np.uint8).ravel()
 # _WORD_MASK[k] keeps the first k bytes of a little-endian uint64 word
 _WORD_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -672,36 +659,14 @@ def _float(cell: str) -> float | None:
         return None
 
 
-def _plain_decimals(data, start, end):
-    """(values, plain): a mask of the cells `data[start:end]` that are plain
-    decimals of at most _FLOAT_BYTES bytes, and their values, converted by
-    numpy in one call exactly as float() converts them; NaN elsewhere."""
-    length = end - start
-    offset = np.arange(min(int(length.max(initial=0)), _FLOAT_BYTES) + 1)[:, None]
-    outside = offset >= length
-    cell = np.frombuffer(data, dtype=np.uint8).take(start + offset, mode="clip")
-    cell[outside] = 0
-    byte_class = _BYTE_CLASS.take(cell)
-    byte_class[outside] = 5
-    state = np.zeros(len(start), dtype=np.uint8)
-    for column in byte_class:  # one byte of every cell at a time
-        state = _PLAIN_DECIMAL.take(state + column)
-    plain = state == 6 * 9
-    values = np.full(len(start), np.nan)
-    text = np.ascontiguousarray(cell[:, plain].T).view(f"S{len(offset)}")
-    values[plain] = text.ravel().astype(np.float64)
-    return values, plain
-
-
 def _outcome_values(data, start, end, names):
-    """y_in and y_pre: numpy converts the plain decimal cells and `float()`
-    the decoded text of the others. An empty y_pre is NaN and any other
-    cell must parse to a finite value. The first bad cell in row order is
-    the error."""
-    values, plain = _plain_decimals(data, start.ravel(), end.ravel())
-    for k in np.flatnonzero(~plain & (end > start).ravel()).tolist():
-        values[k] = _float(data[start.flat[k] : end.flat[k]].decode("utf-8"))
-    values = values.reshape(start.shape)
+    """y_in and y_pre, by `float()` on the decoded text of each non-empty
+    cell. An empty y_pre is NaN and any other cell must parse to a finite
+    value. The first bad cell in row order is the error."""
+    values = np.array([
+        _float(data[s:e].decode("utf-8")) if e > s else math.nan
+        for s, e in zip(start.ravel().tolist(), end.ravel().tolist())
+    ], dtype=np.float64).reshape(start.shape)
     ok = np.isfinite(values) | (start == end) & (np.array(names) == "y_pre")
     if ok.all():
         return values, None, None

@@ -82,7 +82,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def forest_plot_svg(report: EstimateReport, title: str = "Estimator comparison") -> str:
+def forest_plot_svg(report: EstimateReport) -> str:
     """One row per report entry: point marker plus CI whisker, grouped by
     graph label. Failed entries render as a text-only row."""
     entries = report.entries
@@ -109,7 +109,7 @@ def forest_plot_svg(report: EstimateReport, title: str = "Estimator comparison")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="12">',
-        f'<text x="{left}" y="24" font-size="14">{title}</text>',
+        f'<text x="{left}" y="24" font-size="14">Estimator comparison</text>',
         f'<line x1="{_fmt(x_of(0.0))}" y1="{top - 8}" x2="{_fmt(x_of(0.0))}" '
         f'y2="{height - bottom + 8}" stroke="#999" stroke-dasharray="4,3"/>',
     ]

@@ -126,8 +126,8 @@ def _draw_noise(rng, config, h):
     return config.noise_sd * base
 
 
-def _make_outcomes(config, graph, assignments, truth, eps, y_pre, treatment="On"):
-    h = realized_exposure(graph, assignments, treatment)
+def _make_outcomes(config, graph, assignments, truth, eps, y_pre):
+    h = realized_exposure(graph, assignments, "On")
     # graph sellers are sorted "s%06d" ids, so index i recovers the seller number
     order = [int(s[1:]) for s in graph.sellers]
     alpha = truth.alpha[order]
@@ -268,10 +268,8 @@ def rerandomize(exp: SimulatedExperiment, seed: int) -> SimulatedExperiment:
     return replace(exp, assignments=assignments, outcomes=outcomes)
 
 
-def experiment_panel(
-    exp: SimulatedExperiment, treatment: str = "On"
-) -> ExposurePanel:
-    panel, _ = assemble_panel(exp.graph, exp.assignments, exp.outcomes, treatment)
+def experiment_panel(exp: SimulatedExperiment) -> ExposurePanel:
+    panel, _ = assemble_panel(exp.graph, exp.assignments, exp.outcomes, "On")
     return panel
 
 
@@ -338,7 +336,7 @@ def run_validation(
     the full estimator + CI pipeline each time. A pair counts a replicate
     as failed where its interval raised, as `analyze` records an error."""
     if sim_replications < 1:
-        raise SimulationError("sim_replications must be >= 1")
+        raise SimulationError(f"--replications must be >= 1, got {sim_replications}")
     inference.check_request(estimator_ids, methods, ci_replications, level, seed)
     base = simulate_experiment(config)
     true_tau = base.truth.true_tau

@@ -245,7 +245,7 @@ def test_08_identical_edge_pair_flagged():
     panel = make_panel(h, rng.normal(0, 1, 3), p=p, var_h=var_h)
     panel.seller_ids = list(graph.sellers)
     moments = exposure_moment_table(graph, p, np.arange(3))
-    result = pairwise_variance(panel, moments, policy="merge")
+    result = pairwise_variance(panel, moments)
     check(
         8,
         f"identically weighted edge pair flagged: {result.degenerate_pairs}",

@@ -184,6 +184,8 @@ class TestAnalyze:
         (["--treatment", "Nope"], "unknown variant 'Nope'"),
         (["--control", "Nope"], "unknown variant 'Nope'"),
         (["--treatment", "On", "--control", "On"], "treatment and control are both 'On'"),
+        (["--estimators", "erl,reg,erl"], "estimator 'erl' listed more than once"),
+        (["--methods", "bootstrap,bootstrap"], "method 'bootstrap' listed more than once"),
     ])
     def test_bad_level_or_replications_is_usage_error(
         self, sim_dir, tmp_path, capsys, flags, message
@@ -457,6 +459,10 @@ class TestValidateCommand:
         (["--methods", "bootstrap,wat"], "unknown method 'wat'"),
         (["--ci-replications", "50"], "replications must be >= 200, got 50"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--estimators", "erl,erl"], "estimator 'erl' listed more than once"),
+        (["--methods", "randomization,bootstrap,randomization"],
+         "method 'randomization' listed more than once"),
+        (["--replications", "0"], "--replications must be >= 1, got 0"),
     ])
     def test_validate_request_error_is_one_line(self, tmp_path, capsys, flags, message):
         code, captured = self._request_error(tmp_path, capsys, flags)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipartite_ab.estimators import (
+    COMPENSATED_SUM_THRESHOLD,
     CollinearDesignError,
     EstimationError,
     crerl_estimate,
@@ -31,7 +34,6 @@ def make_panel(h, y, y_pre=None, p=0.5, var_h=None):
         y_pre=None if y_pre is None else np.asarray(y_pre, dtype=float),
         p=p,
         graph_rows=np.arange(n),
-        treatment="On",
     )
 
 
@@ -84,6 +86,26 @@ class TestErl:
     def test_empty_panel_error(self):
         with pytest.raises(EstimationError, match="empty"):
             erl_estimate(make_panel([], []))
+
+    def test_large_panel_sums_its_terms_exactly(self, rng):
+        # from COMPENSATED_SUM_THRESHOLD units on, tau_hat is the correctly
+        # rounded mean of the terms, in any row order
+        n = COMPENSATED_SUM_THRESHOLD
+        # terms of order 1 plus pairs of order 1e16 that cancel exactly
+        terms = rng.normal(size=n)
+        big = rng.normal(size=n // 4) * 1e16
+        terms[: n // 2] = np.concatenate([big, -big])
+        terms = rng.permutation(terms)
+        h = rng.integers(0, 2, n).astype(float)
+        # each weight is +-2, so y = terms / weight is exact
+        panel = make_panel(h, terms / ((h - 0.5) / 0.25))
+        assert (panel.y_in * exposure_weights(panel) == terms).all()
+        want = math.fsum(terms) / n
+        # terms a plain np.sum rounds differently, in either order
+        perm = rng.permutation(n)
+        assert float(np.sum(terms)) / n != want != float(np.sum(terms[perm])) / n
+        assert erl_estimate(panel).tau_hat == want
+        assert erl_estimate(panel.subset(perm)).tau_hat == want
 
     def test_affine_shift_identity(self, rng):
         panel, *_ = simulated_panel(rng)

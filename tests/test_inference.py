@@ -33,7 +33,6 @@ from bipartite_ab.graph import (
 from bipartite_ab.ingest import parse_assignments, parse_events, parse_outcomes
 from bipartite_ab.inference import (
     BootstrapFailureError,
-    DegeneratePairError,
     InferenceError,
     PairwiseSizeError,
     bootstrap_ci,
@@ -241,6 +240,19 @@ class TestPairwiseVariance:
         per_unit = unit_variance_terms(panel, moments)
         assert pv.value == pytest.approx(per_unit.sum() / n**2, rel=1e-12)
 
+    @staticmethod
+    def merged_by_hand(graph, panel, p):
+        """(sum of unit terms + 2 sd_1 sd_2) / n^2 for a panel over every
+        seller of `graph` whose first two sellers form the one degenerate
+        pair, from per-buyer moments and one unit at a time."""
+        terms = np.empty(panel.n)
+        for i in range(panel.n):
+            (a, b, c), _ = diag_weighting(oracle_uni_moments(graph.row(i)[1], p))
+            h = panel.h[i]
+            terms[i] = panel.y_in[i] ** 2 * (a * h * h + b * h + c)
+        sd = np.sqrt(np.maximum(terms, 0.0))
+        return (terms.sum() + 2.0 * sd[0] * sd[1]) / panel.n**2
+
     def test_identical_edges_flagged(self, rng):
         # two sellers with identically weighted edges -> det(Sigma) = 0
         w = [0.4, 0.6]
@@ -256,14 +268,12 @@ class TestPairwiseVariance:
         panel.seller_ids = list(graph.sellers)
         pv = pairwise_variance(panel, moments)
         assert pv.degenerate_pairs == [("dup1", "dup2")]
-        with pytest.raises(DegeneratePairError):
-            pairwise_variance(panel, moments, policy="strict")
-        with pytest.warns(UserWarning, match="dropped"):
-            dropped = pairwise_variance(panel, moments, policy="drop")
-        assert dropped.value <= pv.value  # merge adds a nonnegative bound
+        assert pv.degenerate_units == ["other"]
+        assert pv.n_pairs_evaluated == 0
+        assert pv.value == pytest.approx(self.merged_by_hand(graph, panel, p), rel=1e-12)
 
     def test_merge_policy_is_conservative(self, rng):
-        # merged upper bound never reduces the estimate vs dropping the pair
+        # the degenerate pair adds exactly 2 sd_1 sd_2, a nonnegative bound
         w = [0.5, 0.5]
         graph = BipartiteGraph(
             ["b0", "b1"], ["dup1", "dup2"], [0, 2, 4], [0, 1, 0, 1], w + w
@@ -273,10 +283,12 @@ class TestPairwiseVariance:
         moments = exposure_moment_table(graph, p, np.arange(2))
         h = graph.matrix() @ np.array([1.0, 0.0])
         panel = make_panel(h, np.array([2.0, -1.0]), p=p, var_h=var_h)
-        merged = pairwise_variance(panel, moments, policy="merge")
-        with pytest.warns(UserWarning):
-            dropped = pairwise_variance(panel, moments, policy="drop")
-        assert merged.value >= dropped.value
+        panel.seller_ids = list(graph.sellers)
+        merged = pairwise_variance(panel, moments)
+        assert merged.degenerate_pairs == [("dup1", "dup2")]
+        want = self.merged_by_hand(graph, panel, p)
+        assert merged.value == pytest.approx(want, rel=1e-12)
+        assert merged.value >= unit_variance_terms(panel, moments).sum() / panel.n**2
 
     def test_size_guard(self, rng, monkeypatch):
         n = 10
@@ -381,9 +393,10 @@ def oracle_pair_weighting(T, mi, mj, vi, vj):
     return sol
 
 
-def oracle_pairwise_variance(panel, uni, pairs, policy, eps_det=1e-12):
-    """The unit-by-unit, pair-by-pair moment-matching loop: (value,
-    n_pairs_evaluated, degenerate_pairs, degenerate_units)."""
+def oracle_pairwise_variance(panel, uni, pairs, eps_det=1e-12):
+    """The unit-by-unit, pair-by-pair moment-matching loop, a degenerate
+    pair adding 2 sd_i sd_j: (value, n_pairs_evaluated, degenerate_pairs,
+    degenerate_units)."""
     n = panel.n
     y, h = panel.y_in, panel.h
     diag_vals = np.empty(n)
@@ -392,8 +405,6 @@ def oracle_pairwise_variance(panel, uni, pairs, policy, eps_det=1e-12):
         (a, b, c), singular = diag_weighting(uni[i])
         if singular:
             degenerate_units.append(panel.seller_ids[i])
-            if policy == "strict":
-                raise DegeneratePairError(f"unit {panel.seller_ids[i]!r}")
         diag_vals[i] = y[i] * y[i] * (a * h[i] * h[i] + b * h[i] + c)
     total = float(np.sum(diag_vals))
     unit_sd = np.sqrt(np.maximum(diag_vals, 0.0))
@@ -407,12 +418,8 @@ def oracle_pairwise_variance(panel, uni, pairs, policy, eps_det=1e-12):
         det = vi * vj - cov * cov
         sol = oracle_pair_weighting(T, mi, mj, vi, vj) if det > eps_det else None
         if sol is None:
-            pair_ids = (panel.seller_ids[i], panel.seller_ids[j])
-            degenerate.append(pair_ids)
-            if policy == "strict":
-                raise DegeneratePairError(f"degenerate exposure pair {pair_ids!r}")
-            if policy == "merge":
-                total += 2.0 * unit_sd[i] * unit_sd[j]
+            degenerate.append((panel.seller_ids[i], panel.seller_ids[j]))
+            total += 2.0 * unit_sd[i] * unit_sd[j]
             continue
         a, b, c, d = sol
         total += 2.0 * y[i] * y[j] * (a * h[i] * h[j] + b * h[i] + c * h[j] + d)
@@ -468,22 +475,14 @@ def test_closed_form_table_and_variance_match_recursions(p):
         var_h = p * (1 - p) * graph.row_sumsq()[rows]
         panel = make_panel(h, rng.normal(1.0, 2.0, len(rows)), p=p, var_h=var_h)
         panel.seller_ids = [graph.sellers[r] for r in rows]
-        for policy in ("merge", "drop", "strict"):
-            try:
-                want = oracle_pairwise_variance(panel, uni, pairs, policy)
-            except DegeneratePairError as exc:
-                with pytest.raises(DegeneratePairError) as got:
-                    pairwise_variance(panel, table, policy=policy)
-                assert str(got.value).startswith(str(exc))
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                pv = pairwise_variance(panel, table, policy=policy)
-            value, evaluated, degenerate, degenerate_units = want
-            assert pv.value == pytest.approx(value, rel=1e-10, abs=1e-10)
-            assert pv.n_pairs_evaluated == evaluated
-            assert pv.degenerate_pairs == degenerate
-            assert pv.degenerate_units == degenerate_units
+        pv = pairwise_variance(panel, table)
+        value, evaluated, degenerate, degenerate_units = oracle_pairwise_variance(
+            panel, uni, pairs
+        )
+        assert pv.value == pytest.approx(value, rel=1e-10, abs=1e-10)
+        assert pv.n_pairs_evaluated == evaluated
+        assert pv.degenerate_pairs == degenerate
+        assert pv.degenerate_units == degenerate_units
         seen_units += bool(degenerate_units)
         seen_pairs += bool(degenerate)
     # the generator must exercise both degeneracies
@@ -536,7 +535,7 @@ def oracle_randomization_ci(graph, assignments, outcomes, estimator_id,
         draw = ExposurePanel(
             seller_ids=panel.seller_ids, h=(matrix @ z)[panel.graph_rows],
             e_h=panel.e_h, var_h=panel.var_h, y_in=panel.y_in, y_pre=panel.y_pre,
-            p=panel.p, graph_rows=panel.graph_rows, treatment=panel.treatment,
+            p=panel.p, graph_rows=panel.graph_rows,
         )
         if estimator_id == "crerl":
             taus[r] = crerl_estimate(draw, lam=point.lam).tau_hat
