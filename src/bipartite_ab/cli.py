@@ -173,10 +173,12 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             encoding="utf-8",
         )
 
-    n_fail = sum(1 for e in report.entries if e.status != "ok")
-    if not report.entries or n_fail == len(report.entries):
+    failed = [e.error for e in report.entries if e.status != "ok"]
+    if len(failed) == len(report.entries):
+        # the report lists each failure (every target has an entry); name the first
+        print(f"error: every estimate failed, the first: {failed[0]}", file=sys.stderr)
         return 1
-    return 2 if n_fail else 0
+    return 2 if failed else 0
 
 
 def _record_all_failed(report, label, config, message):

@@ -7,9 +7,10 @@ Two weighting schemes are supported:
 * ``count_proportional``: w = (events from buyer r to seller i) / (events to i)
 * ``binary_dedup``:       w = 1 / (distinct buyers interacting with i)
 
-A graph is numpy arrays: building, restricting and multiplying by it need
-no scipy; `BipartiteGraph.matrix()` imports `scipy.sparse` for the callers
-that want a sparse matrix.
+A graph is numpy arrays: building, restricting and multiplying by it and
+the pairwise moment table need no scipy. `BipartiteGraph.matrix()`, which
+no command calls, imports `scipy.sparse` for the callers that want a
+sparse matrix.
 """
 
 from __future__ import annotations

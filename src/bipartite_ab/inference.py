@@ -15,10 +15,10 @@ raised; the analyze and validate commands both go through it.
   affine-in-(H_i H_j, H_i, H_j, 1) weighting whose design expectation
   matches Cov(tau_i, tau_j) under the linear response model. The exposure
   moment table, built from the panel's graph inside the call, comes from
-  closed-form Bernoulli cumulants and sparse products over the
-  O(n + overlapping pairs) structure, and the weightings are solved as
-  batched 3x3 and 4x4 systems. PAIRWISE_N_MAX, checked before the table
-  is built, guards the quadratic worst case in which every pair overlaps.
+  Bernoulli cumulants summed over the (pair, shared buyer) incidences,
+  and the weightings are solved as batched 3x3 and 4x4 systems, a block
+  of pairs at a time. PAIRWISE_N_MAX, checked before the table is built,
+  guards the quadratic worst case in which every pair overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
 once: a bootstrap block as a count matrix over the panel's units, a
@@ -30,11 +30,10 @@ resampled interval draws its replicates in order from one generator,
 default_rng(seed), and every per-replicate sum runs along one row, so
 the block size does not change the interval.
 
-Importing this module loads no scipy. The randomization interval's graph
-products are the graph's bincounts, bit-equal to scipy's sparse products,
-and the normal quantile is `_ndtri`, a port of Cephes ndtri bit-equal to
-scipy.special.ndtri. The pairwise moment table imports scipy.sparse when
-it is built.
+This module loads no scipy. The graph products of the randomization
+interval and the sums of the pairwise moment table are bit-equal to
+scipy's sparse products, and `_ndtri`, the normal quantile, is a port of
+Cephes ndtri bit-equal to scipy.special.ndtri.
 """
 
 from __future__ import annotations
@@ -78,6 +77,9 @@ BLOCK_BYTES = 1 << 17
 # so this untouched 8 * BLOCK_BYTES lifts it above the blocks. Other
 # allocators just allocate and free it.
 np.empty(BLOCK_BYTES)
+# The pairwise variance solves its pair systems in blocks of as many pairs
+# as fit this many bytes of 4x4 float64 systems.
+PAIR_BLOCK_BYTES = 1 << 22
 # A least-squares replicate is handed to the estimator itself when its
 # design is within this factor of the pivoted-QR rank tolerance ...
 QR_MARGIN = 1e6
@@ -127,11 +129,12 @@ def _replicate_blocks(seed: int, replications: int, width: int):
         yield start, min(size, replications - start), rng
 
 
-def check_request(estimators, methods, replications: int, level: float, seed: int):
+def check_request(estimators, methods, replications: int, level: float, seed: int,
+                  replications_name: str = "replications"):
     """Refuse an analysis request no interval can serve: empty lists, unknown
     or repeated estimator or method ids, a level outside (0, 1), a negative
     seed, or fewer than MIN_REPLICATIONS when a resampling method is asked
-    for."""
+    for; the message calls `replications` by `replications_name`."""
     for kind, ids, known in (("estimator", estimators, ESTIMATOR_IDS),
                              ("method", methods, METHOD_IDS)):
         if not ids:
@@ -148,7 +151,7 @@ def check_request(estimators, methods, replications: int, level: float, seed: in
     # pairwise takes no replications
     if {"bootstrap", "randomization"} & set(methods) and replications < MIN_REPLICATIONS:
         raise InferenceError(
-            f"replications must be >= {MIN_REPLICATIONS}, got {replications}"
+            f"{replications_name} must be >= {MIN_REPLICATIONS}, got {replications}"
         )
 
 
@@ -297,6 +300,8 @@ def bootstrap_ci(
             stacklevel=2,
         )
     good = taus[~np.isnan(taus)]
+    if not np.isfinite(good).any():
+        raise BootstrapFailureError(f"none of {replications} bootstrap replicates is finite")
     alpha = 1.0 - level
     lo, hi = np.quantile(good, [alpha / 2.0, 1.0 - alpha / 2.0])
     return IntervalEstimate(
@@ -447,16 +452,18 @@ def exposure_moment_table(
     kappa_j(H_i) = k_j sum_r w_ir^j, and the joint cumulant of a copies of
     H_i with b copies of H_j is k_{a+b} S_ab, where S_ab = sum_r w_ir^a w_jr^b
     runs over the shared buyers. The moments follow from the
-    moment-cumulant identities, and every S_ab is a sparse product.
+    moment-cumulant identities. Each buyer adds its terms to the pairs of
+    its units, and every sum runs from 0 in edge or buyer order, as
+    scipy's sparse row sums and product W W' do, bit-equal to them.
     """
-    import scipy.sparse as sp
-
     k = _bernoulli_cumulants(p)
-    W = graph.matrix()[np.asarray(rows)]
-    W2 = W.multiply(W).tocsr()
-    c1, c2, c3, c4 = (
-        k[r] * np.asarray(W.power(r).sum(axis=1)).ravel() for r in range(1, 5)
-    )
+    n = len(rows)
+    degree = graph.seller_degrees()[rows]
+    starts = np.cumsum(degree) - degree
+    # the panel rows' edges, unit after unit, each in its graph row's order
+    edges = np.arange(degree.sum()) + np.repeat(graph.indptr[rows] - starts, degree)
+    w = graph.weights[edges]
+    c1, c2, c3, c4 = (k[r] * np.add.reduceat(w**r, starts) for r in range(1, 5))
     uni = np.column_stack(
         [
             np.ones_like(c1),
@@ -467,18 +474,26 @@ def exposure_moment_table(
         ]
     )
 
-    S11 = sp.triu(W @ W.T, k=1, format="csr")
-    S11.sort_indices()
-    i = np.repeat(np.arange(W.shape[0]), np.diff(S11.indptr))
-    j = S11.indices.astype(np.int64)
-
-    def shared(A, B):
-        return np.asarray((A @ B.T)[i, j]).ravel()
-
-    k11 = k[2] * S11.data
-    k12 = k[3] * shared(W, W2)
-    k21 = k[3] * shared(W2, W)
-    k22 = k[4] * shared(W2, W2)
+    # the edges buyer-major, units ascending within a buyer: edge q pairs
+    # with the `later` edges after it in its buyer's run, its t-th pair
+    # being (q, q + 1 + t)
+    order = np.argsort(graph.buyer_idx[edges], kind="stable")
+    w, unit = w[order], np.repeat(np.arange(n), degree)[order]
+    run_end = np.flatnonzero(np.diff(graph.buyer_idx[edges[order]], append=-1)) + 1
+    q = np.arange(len(order))
+    later = np.repeat(run_end, np.diff(run_end, prepend=0)) - q - 1
+    first = np.repeat(q, later)
+    second = np.arange(len(first)) + np.repeat(q + 1 - np.cumsum(later) + later, later)
+    # bincount adds each pair's terms from 0 in this, buyer, order
+    key, pair = np.unique(unit[first] * n + unit[second], return_inverse=True)
+    i, j = np.divmod(key, n)
+    wi, wj = w[first], w[second]
+    k11, k12, k21, k22 = (
+        k[a] * np.bincount(pair, x * y, len(i))
+        for a, x, y in ((2, wi, wj), (3, wi, wj * wj), (3, wi * wi, wj), (4, wi * wi, wj * wj))
+    )
+    # free the per-incidence arrays before T, the largest, is built
+    del order, unit, first, second, key, pair, wi, wj
     x1, x2, y1, y2 = c1[i], c2[i], c1[j], c2[j]
     T = np.empty((len(i), 3, 3))
     T[:, :, 0] = uni[i, :3]
@@ -609,26 +624,35 @@ def pairwise_variance(
     diag = y * y * (coef[:, 0] * h * h + coef[:, 1] * h + coef[:, 2])
     unit_sd = np.sqrt(np.maximum(diag, 0.0))
 
-    i, j, T = joint_moments.pair_i, joint_moments.pair_j, joint_moments.pairs
-    mi, mj = uni[i, 1], uni[j, 1]
-    vi = uni[i, 2] - mi * mi
-    vj = uni[j, 2] - mj * mj
-    cov = T[:, 1, 1] - mi * mj
-    M, rhs = _pair_system(T, mi, mj, vi, vj)
-    ok = vi * vj - cov * cov > EPS_DET
-    coef = _solve_where(M, rhs, ok)
-    ok &= np.isfinite(coef).all(axis=1)
-    bad = np.flatnonzero(~ok)
-    hi, hj = h[i], h[j]
-    matched = 2.0 * y[i] * y[j] * (
-        coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
-    )
-    total = float(diag.sum() + np.where(ok, matched, 2.0 * unit_sd[i] * unit_sd[j]).sum())
+    # the pairs' systems are solved a block of pairs at a time, each pair's
+    # term written to its slot, and the terms summed once: the value does
+    # not depend on the block size
+    terms = np.empty(len(joint_moments.pairs))
+    degenerate = []
+    size = max(1, PAIR_BLOCK_BYTES // (8 * 16))
+    for start in range(0, len(terms), size):
+        block = slice(start, start + size)
+        i, j = joint_moments.pair_i[block], joint_moments.pair_j[block]
+        T = joint_moments.pairs[block]
+        mi, mj = uni[i, 1], uni[j, 1]
+        vi = uni[i, 2] - mi * mi
+        vj = uni[j, 2] - mj * mj
+        cov = T[:, 1, 1] - mi * mj
+        M, rhs = _pair_system(T, mi, mj, vi, vj)
+        ok = vi * vj - cov * cov > EPS_DET
+        coef = _solve_where(M, rhs, ok)
+        ok &= np.isfinite(coef).all(axis=1)
+        hi, hj = h[i], h[j]
+        matched = 2.0 * y[i] * y[j] * (
+            coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
+        )
+        terms[block] = np.where(ok, matched, 2.0 * unit_sd[i] * unit_sd[j])
+        degenerate += [(ids[a], ids[b]) for a, b in zip(i[~ok].tolist(), j[~ok].tolist())]
     return PairwiseVariance(
-        value=total / (n * n),
+        value=float(diag.sum() + terms.sum()) / (n * n),
         n_units=n,
-        n_pairs_evaluated=int(ok.sum()),
-        degenerate_pairs=[(ids[a], ids[b]) for a, b in zip(i[bad].tolist(), j[bad].tolist())],
+        n_pairs_evaluated=len(terms) - len(degenerate),
+        degenerate_pairs=degenerate,
         degenerate_units=[ids[t] for t in singular.tolist()],
     )
 

@@ -714,11 +714,15 @@ def parse_events(
     (buyer, seller, kind), kinds = tokens.codes, tokens.ids[2]
     timestamp = tokens.values[:, 0]
     is_known = np.isin(kind, [c for c, k in enumerate(kinds) if k in known])
-    unknown = np.flatnonzero(~is_known)
-    lines = unknown + 2 + np.searchsorted(tokens.blank_rows, unknown, side="right")
-    for line_no, code in zip(lines.tolist(), kind[unknown].tolist()):
+    # one warning per unknown kind, in order of first appearance, at its
+    # first line
+    codes, first, count = np.unique(kind[~is_known], return_index=True, return_counts=True)
+    first = np.flatnonzero(~is_known)[first]
+    lines = first + 2 + np.searchsorted(tokens.blank_rows, first, side="right")
+    for t in np.argsort(first).tolist():
         warnings.warn(
-            f"{path}:{line_no}: unknown event kind {kinds[code]!r}, skipped",
+            f"{path}:{lines[t]}: unknown event kind {kinds[codes[t]]!r}, "
+            f"{count[t]} row(s) skipped",
             stacklevel=2,
         )
     if tokens.error is not None:

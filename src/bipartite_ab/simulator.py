@@ -184,13 +184,12 @@ def simulate_experiment(
     )
     omitted = config.n - graph.n_sellers
 
+    # "seller,buyer,weight;" per edge in the graph's order, hashed as one
+    # string; tolist() gives Python floats, whose repr is the shortest one
+    edges = zip(np.repeat(graph.sellers, graph.seller_degrees()).tolist(),
+                np.array(graph.buyers)[graph.buyer_idx].tolist(), graph.weights.tolist())
     edge_digest = hashlib.sha256()
-    for i, seller in enumerate(graph.sellers):
-        idx, w = graph.row(i)
-        for j, weight in zip(idx, w):
-            # float(): a numpy 2 scalar's repr is "np.float64(...)"
-            text = f"{seller},{graph.buyers[j]},{float(weight)!r};"
-            edge_digest.update(text.encode())
+    edge_digest.update("".join(f"{s},{b},{w!r};" for s, b, w in edges).encode())
     truth = SimTruth(
         true_tau=float(np.mean(beta)),
         alpha=alpha,
@@ -337,7 +336,9 @@ def run_validation(
     as failed where its interval raised, as `analyze` records an error."""
     if sim_replications < 1:
         raise SimulationError(f"--replications must be >= 1, got {sim_replications}")
-    inference.check_request(estimator_ids, methods, ci_replications, level, seed)
+    inference.check_request(
+        estimator_ids, methods, ci_replications, level, seed, "--ci-replications"
+    )
     base = simulate_experiment(config)
     true_tau = base.truth.true_tau
     # per pair, each replicate's interval, None where it failed

@@ -288,6 +288,31 @@ class TestAnalyze:
         assert code == 1
         assert "has no label" in capsys.readouterr().err
 
+    def test_bootstrap_without_a_finite_replicate_is_one_error_line(
+        self, sim_dir, tmp_path, capsys
+    ):
+        # outcomes near the float maximum overflow every ERL term, so no
+        # bootstrap replicate is finite: the run ends in exit 1 and one
+        # error line, with the failure in the report
+        lines = (sim_dir / "outcomes.csv").read_text().splitlines()
+        path = tmp_path / "outcomes.csv"
+        path.write_text("\n".join(
+            [lines[0]] + [f"{row.split(',')[0]},1e308," for row in lines[1:]]
+        ) + "\n")
+        out = tmp_path / "out"
+        args = analyze_args(
+            sim_dir, out, "--estimators", "erl", "--methods", "bootstrap",
+            "--replications", "200",
+        )
+        args[args.index("--outcomes") + 1] = str(path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args) == 1
+        message = "none of 200 bootstrap replicates is finite"
+        assert capsys.readouterr().err == (
+            f"error: every estimate failed, the first: {message}\n"
+        )
+        assert [e["error"] for e in load_report(out)["entries"]] == [message]
+
     def test_window_filter_drops_everything(self, sim_dir, tmp_path, capsys):
         code = main(analyze_args(
             sim_dir, tmp_path / "out", "--window", "999999999999:999999999999",
@@ -457,7 +482,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--estimators", "foo"], "unknown estimator 'foo'"),
         (["--methods", "bootstrap,wat"], "unknown method 'wat'"),
-        (["--ci-replications", "50"], "replications must be >= 200, got 50"),
+        (["--ci-replications", "50"], "--ci-replications must be >= 200, got 50"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--estimators", "erl,erl"], "estimator 'erl' listed more than once"),
         (["--methods", "randomization,bootstrap,randomization"],

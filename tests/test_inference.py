@@ -441,14 +441,7 @@ def random_degenerate_graph(rng, m, n):
         cols = np.sort(rng.choice(m, size=d, replace=False))
         raw = rng.random(d) + 0.2
         rows.append((cols, raw / raw.sum()))
-    indptr = np.cumsum([0] + [len(c) for c, _ in rows])
-    return BipartiteGraph(
-        [f"b{i}" for i in range(m)],
-        [f"s{i}" for i in range(n)],
-        indptr,
-        np.concatenate([c for c, _ in rows]),
-        np.concatenate([w for _, w in rows]),
-    )
+    return graph_of_rows(rows, m)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
@@ -487,6 +480,140 @@ def test_closed_form_table_and_variance_match_recursions(p):
         seen_pairs += bool(degenerate)
     # the generator must exercise both degeneracies
     assert seen_units >= 5 and seen_pairs >= 5
+
+
+# --- the numpy moment table against the scipy table it replaced -----------
+
+
+def scipy_moment_table(graph, p, rows):
+    """exposure_moment_table as it was built from scipy.sparse row sums and
+    products W W', W2 W' and W2 W2', kept as the reference the numpy table
+    must equal bit for bit."""
+    import scipy.sparse as sp
+
+    k = inference._bernoulli_cumulants(p)
+    W = graph.matrix()[np.asarray(rows)]
+    W2 = W.multiply(W).tocsr()
+    c1, c2, c3, c4 = (
+        k[r] * np.asarray(W.power(r).sum(axis=1)).ravel() for r in range(1, 5)
+    )
+    uni = np.column_stack(
+        [
+            np.ones_like(c1),
+            c1,
+            c2 + c1**2,
+            c3 + 3 * c2 * c1 + c1**3,
+            c4 + 4 * c3 * c1 + 3 * c2**2 + 6 * c2 * c1**2 + c1**4,
+        ]
+    )
+    S11 = sp.triu(W @ W.T, k=1, format="csr")
+    S11.sort_indices()
+    i = np.repeat(np.arange(W.shape[0]), np.diff(S11.indptr))
+    j = S11.indices.astype(np.int64)
+
+    def shared(A, B):
+        return np.asarray((A @ B.T)[i, j]).ravel()
+
+    k11 = k[2] * S11.data
+    k12 = k[3] * shared(W, W2)
+    k21 = k[3] * shared(W2, W)
+    k22 = k[4] * shared(W2, W2)
+    x1, x2, y1, y2 = c1[i], c2[i], c1[j], c2[j]
+    T = np.empty((len(i), 3, 3))
+    T[:, :, 0] = uni[i, :3]
+    T[:, 0, :] = uni[j, :3]
+    T[:, 1, 1] = k11 + x1 * y1
+    T[:, 2, 1] = k21 + 2 * k11 * x1 + x2 * y1 + x1**2 * y1
+    T[:, 1, 2] = k12 + 2 * k11 * y1 + y2 * x1 + x1 * y1**2
+    T[:, 2, 2] = (
+        k22 + 2 * k21 * y1 + 2 * k12 * x1 + x2 * y2 + 2 * k11**2
+        + x2 * y1**2 + y2 * x1**2 + 4 * k11 * x1 * y1 + x1**2 * y1**2
+    )
+    return inference.JointMomentTable(p=p, uni=uni, pair_i=i, pair_j=j, pairs=T)
+
+
+def graph_of_rows(rows, m):
+    """BipartiteGraph over buyers 0..m-1 with one seller per (buyer indices,
+    weights) row."""
+    return BipartiteGraph(
+        [f"b{i}" for i in range(m)],
+        [f"s{i}" for i in range(len(rows))],
+        np.cumsum([0] + [len(c) for c, _ in rows]),
+        np.concatenate([c for c, _ in rows]),
+        np.concatenate([w for _, w in rows]),
+    )
+
+
+def random_dense_rows(rng, m, n, degrees):
+    """n rows of random degree in `degrees` over m buyers, with raw weights
+    in [0.1, 1.1) normalized; a small m makes every buyer shared by many."""
+    rows = []
+    for _ in range(n):
+        cols = np.sort(rng.choice(m, size=int(rng.choice(degrees)), replace=False))
+        raw = rng.random(len(cols)) + 0.1
+        rows.append((cols, raw / raw.sum()))
+    return rows
+
+
+def moment_table_cases():
+    """(name, graph, p, rows) for the numpy-against-scipy table test."""
+    rng = np.random.default_rng(2024)
+    for seed in range(6):
+        # rows of degree 9..20 over 40 buyers: each buyer has ~40 sellers
+        graph = graph_of_rows(random_dense_rows(rng, 40, 120, range(9, 21)), 40)
+        yield f"dense{seed}", graph, (0.3, 0.5, 0.7)[seed % 3], np.arange(120)
+        # a permuted strict subset of the rows as the panel
+        rows = rng.permutation(120)[: int(rng.integers(20, 100))]
+        yield f"subset{seed}", graph, 0.4, rows
+    # single-edge rows, some sharing their buyer, beside wider rows
+    single = [(np.array([b]), np.array([1.0])) for b in rng.integers(0, 6, 30)]
+    graph = graph_of_rows(single + random_dense_rows(rng, 12, 20, range(1, 5)), 12)
+    yield "single", graph, 0.5, rng.permutation(50)
+    # a star: 1000 sellers share buyer 0 and each has two buyers of its own
+    n = 1000
+    star = [(np.array([0, 2 * i + 1, 2 * i + 2]), np.array([0.5, 0.25, 0.25]))
+            for i in range(n)]
+    yield "star", graph_of_rows(star, 2 * n + 1), 0.5, np.arange(n)
+    for k, (panel, graph) in enumerate(fixture_panels(FIXTURE / "outcomes.csv")):
+        yield f"analyze3-{k}", graph, panel.p, panel.graph_rows
+
+
+def test_moment_table_matches_scipy_table():
+    """The numpy table equals the scipy table bit for bit, in every field
+    and dtype: dense rows whose buyers many sellers share, permuted subset
+    panels, single-edge rows, a 1000-seller star and the fixture panels."""
+    for name, graph, p, rows in moment_table_cases():
+        got, want = exposure_moment_table(graph, p, rows), scipy_moment_table(graph, p, rows)
+        for field in ("uni", "pair_i", "pair_j", "pairs"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), (name, field)
+            assert a.tobytes() == b.tobytes(), (name, field)
+        assert got.p == p and len(got.pairs) > 0, name
+
+
+def test_pairwise_variance_does_not_depend_on_block_size(monkeypatch):
+    """Blocks of one, two and three pairs give the PairwiseVariance of the
+    default block: the same value bit for bit, the same number of pairs
+    evaluated, and the same degenerate pairs and units, in order."""
+    seen = 0
+    for seed in range(12):
+        rng = np.random.default_rng([7, seed])
+        m, n, p = int(rng.integers(6, 16)), int(rng.integers(8, 16)), 0.5
+        graph = random_degenerate_graph(rng, m, n)
+        rows = rng.permutation(n)
+        table = exposure_moment_table(graph, p, rows)
+        h = graph.times((rng.random(m) < p).astype(float))[rows]
+        var_h = p * (1 - p) * graph.row_sumsq()[rows]
+        panel = make_panel(h, rng.normal(1.0, 2.0, n), p=p, var_h=var_h)
+        panel.seller_ids = [graph.sellers[r] for r in rows]
+        want = pairwise_variance(panel, table)
+        assert len(table.pairs) > 3
+        for pairs in (1, 2, 3):
+            monkeypatch.setattr(inference, "PAIR_BLOCK_BYTES", pairs * 8 * 16)
+            assert pairwise_variance(panel, table) == want
+        monkeypatch.undo()
+        seen += bool(want.degenerate_pairs)
+    assert seen >= 3
 
 
 # --- per-replicate oracles for the batched bootstrap and randomization ----
@@ -933,14 +1060,14 @@ def test_package_import_loads_no_scipy_stats():
         ("erl,crerl", "bootstrap,randomization", set(), {"scipy"}),
         ("reg", "bootstrap", {"scipy.linalg"}, {"scipy.sparse", "scipy.stats"}),
         ("reg_pre", "randomization", {"scipy.linalg"}, {"scipy.sparse", "scipy.stats"}),
-        ("erl", "pairwise", {"scipy.sparse"}, {"scipy.stats"}),
+        ("erl", "pairwise", set(), {"scipy"}),
     ],
 )
 def test_analyze_loads_scipy_only_where_needed(estimator, method, loads, skips, tmp_path):
     """An analyze run on the tests/data fixture imports the scipy
     subpackages its estimators and methods need, and no others: ERL and
-    CR-ERL with the bootstrap or randomization need none, REG needs
-    scipy.linalg's pivoted QR and pairwise the sparse moment products."""
+    CR-ERL need none with any method, REG needs scipy.linalg's pivoted
+    QR."""
     fixture = Path(__file__).parent / "data" / "analyze3"
     # CR-ERL and REG_PRE need a pre-period outcome for every seller
     outcomes = (fixture / "outcomes.csv").read_text(encoding="utf-8")

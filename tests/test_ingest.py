@@ -96,6 +96,24 @@ class TestParseEvents:
         assert len(events) == 1
         assert report.dropped_unknown_kind == 1
 
+    def test_one_warning_per_unknown_kind(self, tmp_path):
+        """Each unknown kind warns once, at its first line with its row
+        count, in order of first appearance; blank lines count as lines."""
+        path = tmp_path / "events.csv"
+        path.write_text(
+            "buyer_id,seller_id,event_kind,timestamp_ms\n"
+            "b1,s1,zap,1\nb2,s1,view,2\n\nb3,s1,teleport,3\nb4,s2,zap,4\n"
+            + "b5,s2,teleport,5\n" * 3
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            events, report = parse_events(path, {"view"}, WINDOW)
+        assert [str(w.message) for w in caught] == [
+            f"{path}:2: unknown event kind 'zap', 2 row(s) skipped",
+            f"{path}:5: unknown event kind 'teleport', 4 row(s) skipped",
+        ]
+        assert len(events) == 1 and report.dropped_unknown_kind == 6
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("buyer_id,seller_id,event_kind,timestamp_ms\nb1,s1,view,notanumber\n")
@@ -416,31 +434,37 @@ def oracle_parse_events(path, kind_filter, window, known_kinds=DEFAULT_EVENT_KIN
     t0, t1 = window
     buyer_ids, seller_ids, kind_ids = {}, {}, {}
     buyer, seller, kind, timestamp = (array("q") for _ in range(4))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        oracle_check_header(path, header, EVENTS_HEADER)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
-            buyer_id, seller_id, kind_id, ts_raw = row
-            if not buyer_id or not seller_id:
-                raise ParseError(path, line_no, "empty buyer_id or seller_id")
-            try:
-                timestamp.append(int(ts_raw))
-            except (ValueError, OverflowError) as exc:
-                what = "non-integer" if isinstance(exc, ValueError) else "non-int64"
-                raise ParseError(path, line_no, f"{what} timestamp {ts_raw!r}") from None
-            if kind_id not in known:
-                warnings.warn(
-                    f"{path}:{line_no}: unknown event kind {kind_id!r}, skipped",
-                    stacklevel=2,
-                )
-            buyer.append(buyer_ids.setdefault(buyer_id, len(buyer_ids)))
-            seller.append(seller_ids.setdefault(seller_id, len(seller_ids)))
-            kind.append(kind_ids.setdefault(kind_id, len(kind_ids)))
+    unknown = {}  # kind -> [first line, rows], in order of first appearance
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            oracle_check_header(path, header, EVENTS_HEADER)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
+                buyer_id, seller_id, kind_id, ts_raw = row
+                if not buyer_id or not seller_id:
+                    raise ParseError(path, line_no, "empty buyer_id or seller_id")
+                try:
+                    timestamp.append(int(ts_raw))
+                except (ValueError, OverflowError) as exc:
+                    what = "non-integer" if isinstance(exc, ValueError) else "non-int64"
+                    raise ParseError(path, line_no, f"{what} timestamp {ts_raw!r}") from None
+                if kind_id not in known:
+                    unknown.setdefault(kind_id, [line_no, 0])[1] += 1
+                buyer.append(buyer_ids.setdefault(buyer_id, len(buyer_ids)))
+                seller.append(seller_ids.setdefault(seller_id, len(seller_ids)))
+                kind.append(kind_ids.setdefault(kind_id, len(kind_ids)))
+    finally:
+        # one warning per unknown kind, for the rows read before any error
+        for kind_id, (line_no, rows) in unknown.items():
+            warnings.warn(
+                f"{path}:{line_no}: unknown event kind {kind_id!r}, {rows} row(s) skipped",
+                stacklevel=2,
+            )
     buyer, seller, kind, timestamp = (
         np.frombuffer(c, dtype=np.int64) for c in (buyer, seller, kind, timestamp)
     )
