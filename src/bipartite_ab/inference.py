@@ -28,7 +28,10 @@ itself, so failures count and raise as they would replicate by replicate.
 All methods are pure functions of (inputs, seed, replications): a
 resampled interval draws its replicates in order from one generator,
 default_rng(seed), and every per-replicate sum runs along one row, so
-the block size does not change the interval.
+the block size does not change the interval. The draws do not depend on
+the estimator either, so `intervals` draws each block once for all the
+estimators of a method and computes each point estimate once; every
+interval is still the one its single-estimator call returns.
 
 This module loads no scipy. The graph products of the randomization
 interval and the sums of the pairwise moment table are bit-equal to
@@ -158,21 +161,47 @@ def check_request(estimators, methods, replications: int, level: float, seed: in
 def intervals(panel, graph, estimators, methods, replications, seed, level):
     """(estimator, method, interval) for every pair, estimators outer, on a
     panel assembled from `graph`; a pair that fails yields the ValueError
-    it raised in place of its IntervalEstimate."""
+    it raised in place of its IntervalEstimate. A resampling method draws
+    each block once for all the estimators; each point estimate is computed
+    once, when a method first needs it."""
+    # the request check is the same for both resampling methods
+    point = functools.cache(lambda est: _caught(
+        check_request, (est,), ("bootstrap",), replications, level, seed
+    ) or _caught(point_estimate, panel, est))
+    results = {}
+    for method in methods:
+        if method not in ("bootstrap", "randomization"):
+            results[method] = {
+                est: _caught(pairwise_variance_ci, panel, graph, level) if est == "erl"
+                else InferenceError("pairwise variance applies to the erl estimator only")
+                for est in estimators}
+            continue
+        got = results[method] = {est: point(est) for est in estimators}
+        live = {est: pt for est, pt in got.items() if not isinstance(pt, ValueError)}
+        # with none live, the seed may be one no generator takes
+        if live and method == "bootstrap":
+            got.update(_bootstrap_cis(panel, live, replications, seed, level))
+        elif live:
+            got.update(_randomization_cis(panel, graph, live, replications, seed, level))
     for est in estimators:
         for method in methods:
-            try:
-                if method == "bootstrap":
-                    ci = bootstrap_ci(panel, est, replications, seed, level)
-                elif method == "randomization":
-                    ci = randomization_ci(panel, graph, est, replications, seed, level)
-                elif est != "erl":
-                    raise InferenceError("pairwise variance applies to the erl estimator only")
-                else:
-                    ci = pairwise_variance_ci(panel, graph, level)
-            except ValueError as exc:
-                ci = exc
-            yield est, method, ci
+            yield est, method, results[method][est]
+
+
+def _caught(fn, *args):
+    """fn(*args), or the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _only(results: dict):
+    """The one interval of a one-estimator kernel call; raises its error."""
+    (ci,) = results.values()
+    if isinstance(ci, ValueError):
+        raise ci
+    return ci
 
 
 def _replicate_taus(panel, estimator_id, c, h):
@@ -266,53 +295,56 @@ def bootstrap_ci(
     Estimator failures in more than 1% of replicates abort the interval.
     """
     check_request((estimator_id,), ("bootstrap",), replications, level, seed)
-    point = point_estimate(panel, estimator_id)
-    n = panel.n
-    taus = np.empty(replications)
-    failures = lam0_count = 0
+    points = {estimator_id: point_estimate(panel, estimator_id)}
+    return _only(_bootstrap_cis(panel, points, replications, seed, level))
+
+
+def _bootstrap_cis(panel, live, replications, seed, level) -> dict:
+    """{estimator: bootstrap interval or error} for the point estimates in
+    `live`; each block's count matrix is drawn once for all of them."""
+    out, n = {}, panel.n
+    taus = {est: np.empty(replications) for est in live}
+    failures, lam0_count = dict.fromkeys(live, 0), dict.fromkeys(live, 0)
     for start, count, rng in _replicate_blocks(seed, replications, n):
         idx = rng.integers(0, n, (count, n))
-        offsets = n * np.arange(count)[:, None]
-        counts = np.bincount((idx + offsets).ravel(), minlength=idx.size)
-        tau, exact, lam0 = _replicate_taus(
-            panel, estimator_id, counts.reshape(idx.shape).astype(np.float64), panel.h
-        )
-        for k in np.flatnonzero(exact):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    tau[k] = point_estimate(panel.subset(idx[k]), estimator_id).tau_hat
-                except (EstimationError, ValueError):
-                    tau[k] = np.nan
-                    failures += 1
-            lam0[k] = estimator_id == "crerl" and bool(caught)
-        taus[start : start + count] = tau
-        lam0_count += int(lam0.sum())
-    if failures > 0.01 * replications:
-        raise BootstrapFailureError(
-            f"estimator failed in {failures}/{replications} bootstrap replicates"
-        )
-    if lam0_count:
-        warnings.warn(
-            f"covariate term has (near) zero variance in {lam0_count}/"
-            f"{replications} bootstrap replicates; those use lambda = 0 "
-            "(plain ERL)",
-            stacklevel=2,
-        )
-    good = taus[~np.isnan(taus)]
-    if not np.isfinite(good).any():
-        raise BootstrapFailureError(f"none of {replications} bootstrap replicates is finite")
+        counts = np.bincount((idx + n * np.arange(count)[:, None]).ravel(), minlength=idx.size)
+        counts = counts.reshape(idx.shape).astype(np.float64)
+        for est in live:
+            tau, exact, lam0 = _replicate_taus(panel, est, counts, panel.h)
+            for k in np.flatnonzero(exact):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        tau[k] = point_estimate(panel.subset(idx[k]), est).tau_hat
+                    except (EstimationError, ValueError):
+                        tau[k] = np.nan
+                        failures[est] += 1
+                lam0[k] = est == "crerl" and bool(caught)
+            taus[est][start : start + count] = tau
+            lam0_count[est] += int(lam0.sum())
     alpha = 1.0 - level
-    lo, hi = np.quantile(good, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return IntervalEstimate(
-        point=point,
-        ci_low=float(lo),
-        ci_high=float(hi),
-        level=level,
-        method="bootstrap",
-        replications=replications,
-        seed=seed,
-    )
+    for est, tau in taus.items():
+        good = tau[~np.isnan(tau)]
+        if failures[est] > 0.01 * replications:
+            out[est] = BootstrapFailureError(
+                f"estimator failed in {failures[est]}/{replications} bootstrap replicates"
+            )
+            continue
+        if lam0_count[est]:
+            # stacklevel 3: the caller of bootstrap_ci, or the code iterating intervals
+            warnings.warn(
+                f"covariate term has (near) zero variance in {lam0_count[est]}/"
+                f"{replications} bootstrap replicates; those use lambda = 0 "
+                "(plain ERL)",
+                stacklevel=3,
+            )
+        if not np.isfinite(good).any():
+            out[est] = BootstrapFailureError(f"none of {replications} bootstrap replicates is finite")
+            continue
+        lo, hi = np.quantile(good, [alpha / 2.0, 1.0 - alpha / 2.0])
+        out[est] = IntervalEstimate(live[est], float(lo), float(hi), level, "bootstrap",
+                                    replications, seed)
+    return out
 
 
 def randomization_ci(
@@ -335,27 +367,46 @@ def randomization_ci(
     on blocks of draws, on the exposures H = W Z.
     """
     check_request((estimator_id,), ("randomization",), replications, level, seed)
-    point = point_estimate(panel, estimator_id)
-    if estimator_id in ("erl", "crerl"):
-        g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
+    points = {estimator_id: point_estimate(panel, estimator_id)}
+    return _only(_randomization_cis(panel, graph, points, replications, seed, level))
+
+
+def _randomization_cis(panel, graph, live, replications, seed, level) -> dict:
+    """{estimator: randomization interval or error} for the point estimates
+    in `live`; REG and REG_PRE share each block of draws."""
+    out = {}
+    drawn = {est: pt for est, pt in live.items() if est in ("reg", "reg_pre")}
+    for est, pt in live.items():
+        if est in drawn:
+            continue
+        g = panel.y_in if pt.lam is None else panel.y_in - pt.lam * panel.y_pre
         # W'g over the panel's rows: g scattered to the graph's rows, whose
         # others, at 0, add +0.0 to each sum, which leaves it bit-equal
         g = np.bincount(panel.graph_rows, g / (panel.n * panel.var_h), graph.n_sellers)
         a = graph.transpose_times(g)
         sd = float(np.sqrt(panel.p * (1.0 - panel.p)) * np.linalg.norm(a))
-        replications = seed = 0
-    else:
-        taus = np.empty(replications)
-        for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
-            Z = rng.random((count, graph.n_buyers)) < panel.p
-            # C order, so that each replicate's sums run along its own row
-            H = graph.times(Z).take(panel.graph_rows, axis=1)
-            tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
-            for k in np.flatnonzero(exact):
-                tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
-            taus[start : start + count] = tau
-        sd = float(np.std(taus, ddof=1))
-    return _normal_interval(point, sd, level, "randomization", replications, seed)
+        out[est] = _normal_interval(pt, sd, level, "randomization")
+    taus = {est: np.empty(replications) for est in drawn}
+    for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
+        if not taus:  # none is drawn, or every one has failed
+            break
+        Z = rng.random((count, graph.n_buyers)) < panel.p
+        # C order, so that each replicate's sums run along its own row
+        H = graph.times(Z).take(panel.graph_rows, axis=1)
+        for est in list(taus):
+            tau, exact, _ = _replicate_taus(panel, est, np.ones((1, panel.n)), H)
+            try:
+                for k in np.flatnonzero(exact):
+                    tau[k] = point_estimate(replace(panel, h=H[k]), est).tau_hat
+            except ValueError as exc:
+                out[est] = exc
+                del taus[est]
+            else:
+                taus[est][start : start + count] = tau
+    for est, tau in taus.items():
+        sd = float(np.std(tau, ddof=1))
+        out[est] = _normal_interval(drawn[est], sd, level, "randomization", replications, seed)
+    return out
 
 
 # Cephes ndtri, the normal quantile scipy.special.ndtri computes, in the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -51,8 +52,16 @@ class ZipfDegree:
     k_max: int = 50
 
 
+SIZE_MAX = 10_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """Parameters of a simulated experiment. m, n and n times the degree (k,
+    or ZipfDegree's k_max) may not exceed SIZE_MAX, checked before anything
+    is allocated: the simulator builds an id string per buyer and seller and
+    up to n times the degree views, about a gigabyte at the bound."""
+
     m: int = 200
     n: int = 150
     degree: FixedDegree | ZipfDegree = FixedDegree(3)
@@ -71,6 +80,10 @@ class SimConfig:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise SimulationError("m and n must be >= 1")
+        degree = self.degree.k if isinstance(self.degree, FixedDegree) else self.degree.k_max
+        for name, size in (("m", self.m), ("n", self.n), ("n times the degree", self.n * degree)):
+            if size > SIZE_MAX:
+                raise SimulationError(f"{name} is {size}, above the limit {SIZE_MAX}")
         if not 0.0 < self.p_treat < 1.0:
             raise SimulationError("p_treat must lie in (0,1)")
         if not 0.0 <= self.pre_corr <= 1.0:
@@ -399,25 +412,31 @@ def sim_config_to_dict(config: SimConfig) -> dict:
 
 def _field(payload: dict, key: str, cast, default=None, where: str = "config"):
     """payload[key] converted by `cast`; a missing key without a default or
-    a value `cast` rejects is a SimulationError."""
+    a value _number refuses is a SimulationError."""
     if key not in payload:
         if default is None:
             raise SimulationError(f"{where} is missing {key!r}")
         return default
     try:
-        return cast(payload[key])
-    except (TypeError, ValueError) as exc:
+        return _number(payload[key], cast)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"{where} field {key!r}: {exc}") from None
+
+
+def _number(value, cast):
+    """`value` as `cast` (int or float) gives it; a boolean, a string, a
+    fraction where an int is due, or a non-finite number is refused."""
+    number = cast(value)
+    if isinstance(value, bool) or number != value or not math.isfinite(number):
+        raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
+    return number
 
 
 def _pair(value, key: str) -> tuple[float, float]:
     """A two-number list such as [mean, sd] as a pair of floats."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SimulationError(f"config field {key!r} must be a list of two numbers")
-    try:
-        return float(value[0]), float(value[1])
-    except (TypeError, ValueError) as exc:
-        raise SimulationError(f"config field {key!r}: {exc}") from None
+    return _field({key: value[0]}, key, float), _field({key: value[1]}, key, float)
 
 
 def _object(value, where: str) -> dict:

@@ -221,7 +221,7 @@ class TestAnalyze:
         (cli, "parse_events", "MemoryError"),
         # 1 EiB is past any address space, so the allocation fails at once
         (cli, "build_graph", "Unable to allocate 1.00 EiB for an array"),
-        (inference, "bootstrap_ci", "MemoryError"),
+        (inference, "_bootstrap_cis", "MemoryError"),
     ])
     def test_out_of_memory_is_one_error_line(
         self, sim_dir, tmp_path, capsys, monkeypatch, module, stage, message
@@ -374,7 +374,8 @@ class TestJoinOnce:
 class TestGolden:
     """Outputs pinned byte for byte, recorded before graphs carried codes:
     analyze on the three-variant fixture (run from the fixture directory, so
-    report.json echoes relative paths) and a simulate run's truth.json."""
+    report.json echoes relative paths) and a simulate run's truth.json; and
+    a validate run's validation.csv."""
 
     def test_analyze_reproduces_golden(self, tmp_path, monkeypatch):
         monkeypatch.chdir(FIXTURE)
@@ -386,6 +387,18 @@ class TestGolden:
         assert "report.json" in names and len(names) == 14
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_validate_reproduces_golden(self, tmp_path):
+        """validate's table for three estimators under both resampling
+        methods, recorded while each estimator drew its own blocks."""
+        golden = DATA / "validate"
+        assert main(["validate", "--config", str(golden / "config.json"),
+                     "--estimators", "erl,reg,crerl", "--methods", "bootstrap,randomization",
+                     "--replications", "5", "--ci-replications", "200", "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "validation.csv").read_bytes() == (
+            golden / "validation.csv"
+        ).read_bytes()
 
     def test_simulate_truth_matches_golden(self, tmp_path):
         golden = DATA / "simulate_truth.json"
@@ -452,6 +465,19 @@ class TestValidateCommand:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_finite_config_is_one_error_line(self, tmp_path, capsys):
+        # json writes NaN, which json reads back as a float
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"m": 10, "n": 5, "noise_sd": float("nan")}))
+        out = tmp_path / "val"
+        code = main(["validate", "--config", str(config_path), "--replications", "2",
+                     "--ci-replications", "200", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: config field 'noise_sd': expected a finite float, got nan\n"
+        )
+        assert not out.exists()
 
     @staticmethod
     def _request_error(tmp_path, capsys, flags):

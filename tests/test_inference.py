@@ -1086,10 +1086,27 @@ def test_analyze_loads_scipy_only_where_needed(estimator, method, loads, skips, 
     assert not [m for m in loaded for s in skips if m == s or m.startswith(s + ".")]
 
 
+def single_buyer_panel():
+    """(panel, graph) of four sellers with one buyer each: h is 0 or 1, so
+    one bootstrap replicate or assignment draw in eight leaves h constant
+    and REG and REG_PRE collinear."""
+    buyers, sellers = ["b0", "b1", "b2", "b3"], ["s0", "s1", "s2", "s3"]
+    graph = BipartiteGraph(buyers, sellers, [0, 1, 2, 3, 4], [0, 1, 2, 3], [1.0] * 4)
+    assignments = two_variant_assignments(["b0", "b1"], ["b2", "b3"])
+    outcomes = outcome_table(
+        {s: (float(i), 0.3 * i * i) for i, s in enumerate(sellers)}, has_pre=True
+    )
+    panel, _ = assemble_panel(graph, assignments, outcomes, "On")
+    return panel, graph
+
+
 def request_panels():
     """(panel, graph): two simulated experiments, the second without y_pre,
-    and the tests/data fixture's two panels, whose missing pre-period cells
-    make CR-ERL and REG_PRE fail."""
+    the first again with y_pre = 0 (every CR-ERL bootstrap replicate falls
+    back to lambda = 0, REG_PRE is collinear), four single-buyer sellers
+    (REG fails in more than 1% of bootstrap replicates and on a randomization
+    draw, while ERL succeeds), and the tests/data fixture's two panels, whose
+    missing pre-period cells make CR-ERL and REG_PRE fail."""
     for config, keep_pre in (
         (SimConfig(m=120, n=50, pre_corr=0.6, seed=17), True),
         (SimConfig(m=300, n=150, degree=ZipfDegree(1.5, 30), seed=18), False),
@@ -1097,6 +1114,8 @@ def request_panels():
         exp = simulate_experiment(config)
         panel = experiment_panel(exp)
         yield panel if keep_pre else replace(panel, y_pre=None), exp.graph
+    yield replace(panel, y_pre=np.zeros(panel.n)), exp.graph
+    yield single_buyer_panel()
     yield from fixture_panels(FIXTURE / "outcomes.csv")
 
 
@@ -1110,20 +1129,30 @@ def interval_or_error(fn, *args):
 def test_intervals_match_direct_calls():
     """Every estimator x method pair `intervals` yields, estimators outer, is
     the interval the direct call returns, bit for bit, or an error of the
-    same type and message; the pairwise interval is the one the moment
-    table, pairwise_variance and ERL give."""
+    same type and message, though the estimators of one method share draws
+    and point estimates; the pairwise interval is the one the moment table,
+    pairwise_variance and ERL give."""
     request = (inference.ESTIMATOR_IDS, inference.METHOD_IDS, 200, 7, 0.9)
     failed = set()
+    mixed_bootstraps = lambda0_bootstraps = 0
     for panel, graph in request_panels():
-        got = list(inference.intervals(panel, graph, *request))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = list(inference.intervals(panel, graph, *request))
+        got_warned = [str(w.message) for w in caught if "bootstrap replicates" in str(w.message)]
+        lambda0_bootstraps += lambda0_replicates(got_warned) > 0
         assert [(e, m) for e, m, _ in got] == list(
             itertools.product(inference.ESTIMATOR_IDS, inference.METHOD_IDS)
         )
+        outcome, want_warned = {}, []
         for est, method, ci in got:
             if method == "bootstrap":
-                want = interval_or_error(bootstrap_ci, panel, est, 200, 7, 0.9)
+                want, warned = outcome_or_error(interval_or_error, bootstrap_ci, panel, est,
+                                                200, 7, 0.9)
+                want_warned += [m for m in warned if "bootstrap replicates" in m]
             elif method == "randomization":
-                want = interval_or_error(randomization_ci, panel, graph, est, 200, 7, 0.9)
+                want, _ = outcome_or_error(interval_or_error, randomization_ci, panel, graph,
+                                           est, 200, 7, 0.9)
             elif est == "erl":
                 want = interval_or_error(pairwise_variance_ci, panel, graph, 0.9)
                 table = exposure_moment_table(graph, panel.p, panel.graph_rows)
@@ -1141,16 +1170,26 @@ def test_intervals_match_direct_calls():
             else:
                 assert isinstance(ci, inference.IntervalEstimate), (est, method, ci)
                 assert ci == want, (est, method)
-    # the failing pairs are exercised: REG and friends under pairwise, and
-    # REG_PRE and CR-ERL without a pre-period outcome
-    assert {("reg", "pairwise"), ("reg_pre", "bootstrap"), ("crerl", "randomization")} <= failed
+            outcome[est, method] = type(ci)
+        # the lambda = 0 replicate warnings, one per estimator, in request order
+        assert got_warned == want_warned
+        mixed_bootstraps += (outcome["reg", "bootstrap"], outcome["erl", "bootstrap"]) == (
+            BootstrapFailureError, inference.IntervalEstimate
+        )
+    # the failing pairs are exercised: REG and friends under pairwise, REG
+    # under a collinear draw, and REG_PRE and CR-ERL without a pre-period
+    # outcome; so are ERL beside REG over the bootstrap failure limit, and
+    # CR-ERL lambda = 0 replicates
+    assert {("reg", "pairwise"), ("reg_pre", "bootstrap"), ("crerl", "randomization"),
+            ("reg", "randomization")} <= failed
+    assert mixed_bootstraps >= 1 and lambda0_bootstraps >= 1
 
 
 def test_intervals_call_through_module_names(monkeypatch):
-    """`intervals` looks each interval function up on the module, so a
-    wrapper set there (a tracer's, say) sees every call."""
+    """`intervals` looks each method's kernel up on the module, so a wrapper
+    set there (a tracer's, say) sees every interval computation."""
     calls = []
-    for name in ("bootstrap_ci", "randomization_ci", "pairwise_variance_ci"):
+    for name in ("_bootstrap_cis", "_randomization_cis", "pairwise_variance_ci"):
         real = getattr(inference, name)
 
         def spy(*args, real=real, name=name, **kwargs):
@@ -1163,7 +1202,69 @@ def test_intervals_call_through_module_names(monkeypatch):
         panel, graph, ["erl"], inference.METHOD_IDS, 200, 0, 0.95
     ))
     assert all(isinstance(ci, inference.IntervalEstimate) for _, _, ci in got)
-    assert calls == ["bootstrap_ci", "randomization_ci", "pairwise_variance_ci"]
+    assert calls == ["_bootstrap_cis", "_randomization_cis", "pairwise_variance_ci"]
+
+
+def test_intervals_draw_each_block_once(monkeypatch):
+    """A three-estimator request draws each bootstrap block once, not once
+    per estimator, and computes each point estimate once per panel; a
+    pairwise request computes none for the estimators it refuses."""
+    panel, graph = next(request_panels())
+    real_rng = np.random.default_rng
+    draws = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def integers(self, *args):
+            draws.append(args)
+            return self.rng.integers(*args)
+
+        def random(self, *args):
+            return self.rng.random(*args)
+
+    points = []
+
+    def counted_point_estimate(p, estimator_id):
+        points.append((p is panel, estimator_id))
+        return point_estimate(p, estimator_id)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(inference, "point_estimate", counted_point_estimate)
+    reps = 1000
+    got = list(inference.intervals(
+        panel, graph, ["erl", "reg", "crerl"], ["bootstrap", "randomization"], reps, 3, 0.95
+    ))
+    assert all(isinstance(ci, inference.IntervalEstimate) for _, _, ci in got)
+    size = inference.BLOCK_BYTES // (8 * panel.n)
+    assert 1 < len(draws) == -(-reps // size)
+    assert sorted(est for own, est in points if own) == ["crerl", "erl", "reg"]
+    points.clear()
+    got = list(inference.intervals(panel, graph, ["erl", "reg"], ["pairwise"], 0, 3, 0.95))
+    assert isinstance(got[1][2], InferenceError)
+    assert points == [(True, "erl")]
+
+
+def test_lambda0_warning_points_at_the_caller():
+    """The bootstrap's lambda = 0 warning names the line that called
+    bootstrap_ci or iterated intervals."""
+    exp = simulate_experiment(SimConfig(m=120, n=50, pre_corr=0.6, seed=17))
+    panel, graph = replace(experiment_panel(exp), y_pre=np.zeros(50)), exp.graph
+    for call in (
+        lambda: bootstrap_ci(panel, "crerl", 250, seed=1),
+        lambda: list(inference.intervals(panel, graph, ["erl", "crerl"], ["bootstrap"],
+                                         250, 1, 0.95)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        replicates = [w for w in caught if "bootstrap replicates" in str(w.message)]
+        assert [str(w.message) for w in replicates] == [
+            "covariate term has (near) zero variance in 250/250 bootstrap replicates; "
+            "those use lambda = 0 (plain ERL)"
+        ]
+        assert replicates[0].filename == __file__
 
 
 @pytest.mark.parametrize("args, message", [
@@ -1192,6 +1293,8 @@ def test_check_request_needs_replications_only_for_resampling():
     lambda panel, graph: bootstrap_ci(panel, "erl", 200, -1),
     lambda panel, graph: randomization_ci(panel, graph, "erl", 200, 0, 1.5),
     lambda panel, graph: pairwise_variance_ci(panel, graph, level=0.0),
+    lambda panel, graph: randomization_ci(panel, graph, "reg", 200, -1),
+    lambda panel, graph: randomization_ci(panel, graph, "erl", 200, -1),
 ])
 def test_interval_functions_check_their_request(call):
     panel, graph = next(request_panels())

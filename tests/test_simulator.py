@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bipartite_ab import simulator
 from bipartite_ab.inference import InferenceError
 from bipartite_ab.ingest import parse_assignments, parse_events, parse_outcomes
 from bipartite_ab.simulator import (
+    SIZE_MAX,
     FixedDegree,
     SimConfig,
     SimulationError,
@@ -23,6 +25,32 @@ from bipartite_ab.simulator import (
 )
 
 from conftest import assignment_entries, outcome_entries
+
+
+# Non-finite numbers, booleans, fractions and oversized counts in a JSON
+# config, each with the field its error must name.
+NAMED_CONFIG_ERRORS = [
+    ({"m": True, "n": 10}, "'m'"),
+    ({"m": 2.5, "n": 10}, "'m'"),
+    ({"m": "10", "n": 10}, "'m'"),
+    ({"m": 10, "n": float("nan")}, "'n'"),
+    ({"m": 10**30, "n": 10}, "m is"),
+    ({"m": 10**400, "n": 10}, "'m'"),
+    ({"m": 10, "n": 10, "seed": 1.5}, "'seed'"),
+    ({"m": 10, "n": 10, "degree": {"kind": "fixed", "k": True}}, "'k'"),
+    ({"m": 10, "n": 10, "degree": {"kind": "zipf", "s": 2.0, "k_max": 10**30}},
+     "n times the degree"),
+    ({"m": 10, "n": 10, "degree": {"kind": "zipf", "s": float("nan"), "k_max": 5}}, "'s'"),
+    ({"m": 10, "n": 10, "noise_sd": float("nan")}, "'noise_sd'"),
+    ({"m": 10, "n": 10, "noise_sd": True}, "'noise_sd'"),
+    ({"m": 10, "n": 10, "noise_sd": 10**400}, "'noise_sd'"),
+    ({"m": 10, "n": 10, "alpha": [0.0, float("inf")]}, "'alpha'"),
+    ({"m": 10, "n": 10, "beta": [False, 0.25]}, "'beta'"),
+    ({"m": 10, "n": 10, "p_treat": float("nan")}, "'p_treat'"),
+    ({"m": 10, "n": 10, "violation": {"kind": "quadratic", "gamma": float("inf")}},
+     "'gamma'"),
+    ({"m": 10, "n": 10, "favorite_rates": [float("nan"), 0.2]}, "'favorite_rates'"),
+]
 
 
 class TestSimulateExperiment:
@@ -133,6 +161,18 @@ class TestSimulateExperiment:
             SimConfig(m=5, n=10, degree=FixedDegree(6))
         with pytest.raises(SimulationError):
             SimConfig(m=10, n=10, violation=("cubic", 1.0))
+        # the sizes are refused before anything is allocated
+        for kwargs, message in [
+            ({"m": SIZE_MAX + 1}, f"m is {SIZE_MAX + 1}, above the limit {SIZE_MAX}"),
+            ({"n": 10**30}, f"n is {10**30}, above the limit {SIZE_MAX}"),
+            ({"n": SIZE_MAX, "degree": FixedDegree(2)},
+             f"n times the degree is {2 * SIZE_MAX}, above the limit {SIZE_MAX}"),
+            ({"degree": ZipfDegree(2.0, SIZE_MAX)},
+             f"n times the degree is {10 * SIZE_MAX}, above the limit {SIZE_MAX}"),
+        ]:
+            with pytest.raises(SimulationError) as caught:
+                SimConfig(**{"m": 10, "n": 10, **kwargs})
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "payload",
@@ -158,10 +198,16 @@ class TestSimulateExperiment:
             {"m": 10, "n": 10, "beta": ["one", 0.25]},
             {"m": 10, "n": 10, "favorite_rates": [0.1]},
             {"m": 10, "n": 10, "p_treat": None},
+            *(payload for payload, _ in NAMED_CONFIG_ERRORS),
         ],
     )
     def test_malformed_config_dict_rejected(self, payload):
         with pytest.raises(SimulationError):
+            sim_config_from_dict(payload)
+
+    @pytest.mark.parametrize("payload, field", NAMED_CONFIG_ERRORS)
+    def test_config_dict_error_names_the_field(self, payload, field):
+        with pytest.raises(SimulationError, match=re.escape(field)):
             sim_config_from_dict(payload)
 
     def test_config_json_round_trip(self):
