@@ -28,9 +28,9 @@ itself, so failures count and raise as they would replicate by replicate.
 All methods are pure functions of (inputs, seed, replications): a
 resampled interval draws its replicates in order from one generator,
 default_rng(seed), and every per-replicate sum runs along one row, so
-the block size does not change the interval. The draws do not depend on
-the estimator either, so `intervals` draws each block once for all the
-estimators of a method and computes each point estimate once; every
+the block size does not change the interval. The bootstrap's draws do not
+depend on the estimator either, so `intervals` draws each bootstrap block
+once for all the estimators and computes each point estimate once; every
 interval is still the one its single-estimator call returns.
 
 This module loads no scipy. The graph products of the randomization
@@ -161,31 +161,29 @@ def check_request(estimators, methods, replications: int, level: float, seed: in
 def intervals(panel, graph, estimators, methods, replications, seed, level):
     """(estimator, method, interval) for every pair, estimators outer, on a
     panel assembled from `graph`; a pair that fails yields the ValueError
-    it raised in place of its IntervalEstimate. A resampling method draws
-    each block once for all the estimators; each point estimate is computed
-    once, when a method first needs it."""
+    it raised in place of its IntervalEstimate. Each point estimate is
+    computed once, and each bootstrap block drawn once for all estimators."""
     # the request check is the same for both resampling methods
-    point = functools.cache(lambda est: _caught(
-        check_request, (est,), ("bootstrap",), replications, level, seed
-    ) or _caught(point_estimate, panel, est))
-    results = {}
-    for method in methods:
-        if method not in ("bootstrap", "randomization"):
-            results[method] = {
-                est: _caught(pairwise_variance_ci, panel, graph, level) if est == "erl"
-                else InferenceError("pairwise variance applies to the erl estimator only")
-                for est in estimators}
-            continue
-        got = results[method] = {est: point(est) for est in estimators}
-        live = {est: pt for est, pt in got.items() if not isinstance(pt, ValueError)}
-        # with none live, the seed may be one no generator takes
-        if live and method == "bootstrap":
-            got.update(_bootstrap_cis(panel, live, replications, seed, level))
-        elif live:
-            got.update(_randomization_cis(panel, graph, live, replications, seed, level))
+    points = {est: _caught(check_request, (est,), ("bootstrap",), replications, level, seed)
+              or _caught(point_estimate, panel, est)
+              for est in estimators if {"bootstrap", "randomization"} & set(methods)}
+    live = {est: pt for est, pt in points.items() if not isinstance(pt, ValueError)}
+    cis = dict(points)  # a failed point estimate is its estimator's error
+    # with none live, the seed may be one no generator takes
+    if live and "bootstrap" in methods:
+        cis.update(_bootstrap_cis(panel, live, replications, seed, level))
     for est in estimators:
         for method in methods:
-            yield est, method, results[method][est]
+            if method == "bootstrap" or (method == "randomization" and est not in live):
+                ci = cis[est]
+            elif method == "randomization":
+                ci = _caught(_randomization_ci, panel, graph, est, live[est], replications,
+                             seed, level)
+            elif est != "erl":
+                ci = InferenceError("pairwise variance applies to the erl estimator only")
+            else:
+                ci = _caught(pairwise_variance_ci, panel, graph, level)
+            yield est, method, ci
 
 
 def _caught(fn, *args):
@@ -194,14 +192,6 @@ def _caught(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return exc
-
-
-def _only(results: dict):
-    """The one interval of a one-estimator kernel call; raises its error."""
-    (ci,) = results.values()
-    if isinstance(ci, ValueError):
-        raise ci
-    return ci
 
 
 def _replicate_taus(panel, estimator_id, c, h):
@@ -296,7 +286,10 @@ def bootstrap_ci(
     """
     check_request((estimator_id,), ("bootstrap",), replications, level, seed)
     points = {estimator_id: point_estimate(panel, estimator_id)}
-    return _only(_bootstrap_cis(panel, points, replications, seed, level))
+    ci = _bootstrap_cis(panel, points, replications, seed, level)[estimator_id]
+    if isinstance(ci, ValueError):
+        raise ci
+    return ci
 
 
 def _bootstrap_cis(panel, live, replications, seed, level) -> dict:
@@ -367,46 +360,32 @@ def randomization_ci(
     on blocks of draws, on the exposures H = W Z.
     """
     check_request((estimator_id,), ("randomization",), replications, level, seed)
-    points = {estimator_id: point_estimate(panel, estimator_id)}
-    return _only(_randomization_cis(panel, graph, points, replications, seed, level))
+    point = point_estimate(panel, estimator_id)
+    return _randomization_ci(panel, graph, estimator_id, point, replications, seed, level)
 
 
-def _randomization_cis(panel, graph, live, replications, seed, level) -> dict:
-    """{estimator: randomization interval or error} for the point estimates
-    in `live`; REG and REG_PRE share each block of draws."""
-    out = {}
-    drawn = {est: pt for est, pt in live.items() if est in ("reg", "reg_pre")}
-    for est, pt in live.items():
-        if est in drawn:
-            continue
-        g = panel.y_in if pt.lam is None else panel.y_in - pt.lam * panel.y_pre
+def _randomization_ci(panel, graph, estimator_id, point, replications, seed, level):
+    """randomization_ci on a checked request whose point estimate is `point`."""
+    if estimator_id in ("erl", "crerl"):
+        g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
         # W'g over the panel's rows: g scattered to the graph's rows, whose
         # others, at 0, add +0.0 to each sum, which leaves it bit-equal
         g = np.bincount(panel.graph_rows, g / (panel.n * panel.var_h), graph.n_sellers)
         a = graph.transpose_times(g)
         sd = float(np.sqrt(panel.p * (1.0 - panel.p)) * np.linalg.norm(a))
-        out[est] = _normal_interval(pt, sd, level, "randomization")
-    taus = {est: np.empty(replications) for est in drawn}
-    for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
-        if not taus:  # none is drawn, or every one has failed
-            break
-        Z = rng.random((count, graph.n_buyers)) < panel.p
-        # C order, so that each replicate's sums run along its own row
-        H = graph.times(Z).take(panel.graph_rows, axis=1)
-        for est in list(taus):
-            tau, exact, _ = _replicate_taus(panel, est, np.ones((1, panel.n)), H)
-            try:
-                for k in np.flatnonzero(exact):
-                    tau[k] = point_estimate(replace(panel, h=H[k]), est).tau_hat
-            except ValueError as exc:
-                out[est] = exc
-                del taus[est]
-            else:
-                taus[est][start : start + count] = tau
-    for est, tau in taus.items():
-        sd = float(np.std(tau, ddof=1))
-        out[est] = _normal_interval(drawn[est], sd, level, "randomization", replications, seed)
-    return out
+        replications = seed = 0
+    else:
+        taus = np.empty(replications)
+        for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
+            Z = rng.random((count, graph.n_buyers)) < panel.p
+            # C order, so that each replicate's sums run along its own row
+            H = graph.times(Z).take(panel.graph_rows, axis=1)
+            tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
+            for k in np.flatnonzero(exact):
+                tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
+            taus[start : start + count] = tau
+        sd = float(np.std(taus, ddof=1))
+    return _normal_interval(point, sd, level, "randomization", replications, seed)
 
 
 # Cephes ndtri, the normal quantile scipy.special.ndtri computes, in the

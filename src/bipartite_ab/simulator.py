@@ -411,24 +411,22 @@ def sim_config_to_dict(config: SimConfig) -> dict:
 
 
 def _field(payload: dict, key: str, cast, default=None, where: str = "config"):
-    """payload[key] converted by `cast`; a missing key without a default or
-    a value _number refuses is a SimulationError."""
-    if key not in payload:
-        if default is None:
-            raise SimulationError(f"{where} is missing {key!r}")
-        return default
+    """payload[key], or `default`, as _number gives it; a missing key
+    without a default is a SimulationError."""
+    if key not in payload and default is None:
+        raise SimulationError(f"{where} is missing {key!r}")
+    return _number(payload.get(key, default), cast, key, where)
+
+
+def _number(value, cast, key: str, where: str = "config"):
+    """`value` as `cast` (int or float) gives it; a boolean, a string, a fraction
+    where an int is due or a non-finite number is a SimulationError naming `key`."""
     try:
-        return _number(payload[key], cast)
+        number = cast(value)
+        if isinstance(value, bool) or number != value or not math.isfinite(number):
+            raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"{where} field {key!r}: {exc}") from None
-
-
-def _number(value, cast):
-    """`value` as `cast` (int or float) gives it; a boolean, a string, a
-    fraction where an int is due, or a non-finite number is refused."""
-    number = cast(value)
-    if isinstance(value, bool) or number != value or not math.isfinite(number):
-        raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
     return number
 
 
@@ -436,7 +434,7 @@ def _pair(value, key: str) -> tuple[float, float]:
     """A two-number list such as [mean, sd] as a pair of floats."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SimulationError(f"config field {key!r} must be a list of two numbers")
-    return _field({key: value[0]}, key, float), _field({key: value[1]}, key, float)
+    return _number(value[0], float, key), _number(value[1], float, key)
 
 
 def _object(value, where: str) -> dict:

@@ -1129,8 +1129,8 @@ def interval_or_error(fn, *args):
 def test_intervals_match_direct_calls():
     """Every estimator x method pair `intervals` yields, estimators outer, is
     the interval the direct call returns, bit for bit, or an error of the
-    same type and message, though the estimators of one method share draws
-    and point estimates; the pairwise interval is the one the moment table,
+    same type and message, though the estimators share each bootstrap draw
+    and the methods share each point estimate; the pairwise interval is the one the moment table,
     pairwise_variance and ERL give."""
     request = (inference.ESTIMATOR_IDS, inference.METHOD_IDS, 200, 7, 0.9)
     failed = set()
@@ -1189,7 +1189,7 @@ def test_intervals_call_through_module_names(monkeypatch):
     """`intervals` looks each method's kernel up on the module, so a wrapper
     set there (a tracer's, say) sees every interval computation."""
     calls = []
-    for name in ("_bootstrap_cis", "_randomization_cis", "pairwise_variance_ci"):
+    for name in ("_bootstrap_cis", "_randomization_ci", "pairwise_variance_ci"):
         real = getattr(inference, name)
 
         def spy(*args, real=real, name=name, **kwargs):
@@ -1202,7 +1202,7 @@ def test_intervals_call_through_module_names(monkeypatch):
         panel, graph, ["erl"], inference.METHOD_IDS, 200, 0, 0.95
     ))
     assert all(isinstance(ci, inference.IntervalEstimate) for _, _, ci in got)
-    assert calls == ["_bootstrap_cis", "_randomization_cis", "pairwise_variance_ci"]
+    assert calls == ["_bootstrap_cis", "_randomization_ci", "pairwise_variance_ci"]
 
 
 def test_intervals_draw_each_block_once(monkeypatch):
