@@ -15,10 +15,12 @@ raised; the analyze and validate commands both go through it.
   affine-in-(H_i H_j, H_i, H_j, 1) weighting whose design expectation
   matches Cov(tau_i, tau_j) under the linear response model. The exposure
   moment table, built from the panel's graph inside the call, comes from
-  Bernoulli cumulants summed over the (pair, shared buyer) incidences,
-  and the weightings are solved as batched 3x3 and 4x4 systems, a block
-  of pairs at a time. PAIRWISE_N_MAX, checked before the table is built,
-  guards the quadratic worst case in which every pair overlaps.
+  Bernoulli cumulants summed over the (pair, shared buyer) incidences.
+  The unit weightings are solved as batched 3x3 systems; each pair's
+  weighting has a closed form in its joint cumulants (a 2x2 solve by
+  Cramer's rule), evaluated a block of pairs at a time. PAIRWISE_N_MAX,
+  checked before the table is built, guards the quadratic worst case in
+  which every pair overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
 once: a bootstrap block as a count matrix over the panel's units, a
@@ -80,8 +82,8 @@ BLOCK_BYTES = 1 << 17
 # so this untouched 8 * BLOCK_BYTES lifts it above the blocks. Other
 # allocators just allocate and free it.
 np.empty(BLOCK_BYTES)
-# The pairwise variance solves its pair systems in blocks of as many pairs
-# as fit this many bytes of 4x4 float64 systems.
+# The pairwise variance evaluates its pair terms in blocks of as many pairs
+# as fit this many bytes at 16 float64 temporaries per pair.
 PAIR_BLOCK_BYTES = 1 << 22
 # A least-squares replicate is handed to the estimator itself when its
 # design is within this factor of the pivoted-QR rank tolerance ...
@@ -451,18 +453,39 @@ def _normal_interval(point, sd, level, method, replications=0, seed=0) -> Interv
 class JointMomentTable:
     """Exact exposure moments under independent Bernoulli(p) assignment.
 
-    `uni[i, k]` holds E[H_i^k] for k = 0..4 (panel-indexed). The pairs of
-    units with overlapping buyer neighborhoods are (pair_i[t], pair_j[t]),
-    i < j, in (i, j) order, and `pairs[t]` is their 3x3 table
-    T[a, b] = E[H_i^a H_j^b]. Disjoint pairs are not stored: their matched
-    weighting is identically zero.
+    `uni[i, k]` holds E[H_i^k] for k = 0..4 and `var[i]` Var H_i (panel-
+    indexed). The pairs of units with overlapping buyer neighborhoods are
+    (pair_i[t], pair_j[t]), i < j, in (i, j) order, `kab[t]` their joint
+    cumulant of a copies of H_i with b of H_j, and `pairs[t]`, built on first
+    access, their 3x3 table T[a, b] = E[H_i^a H_j^b]. Disjoint pairs are not
+    stored: their matched weighting is identically zero.
     """
 
     p: float
     uni: np.ndarray
+    var: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
-    pairs: np.ndarray
+    k11: np.ndarray
+    k12: np.ndarray
+    k21: np.ndarray
+    k22: np.ndarray
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        i, j, k11, k12, k21 = self.pair_i, self.pair_j, self.k11, self.k12, self.k21
+        x1, x2, y1, y2 = self.uni[i, 1], self.var[i], self.uni[j, 1], self.var[j]
+        T = np.empty((len(i), 3, 3))
+        T[:, :, 0] = self.uni[i, :3]
+        T[:, 0, :] = self.uni[j, :3]
+        T[:, 1, 1] = k11 + x1 * y1
+        T[:, 2, 1] = k21 + 2 * k11 * x1 + x2 * y1 + x1**2 * y1
+        T[:, 1, 2] = k12 + 2 * k11 * y1 + y2 * x1 + x1 * y1**2
+        T[:, 2, 2] = (
+            self.k22 + 2 * k21 * y1 + 2 * k12 * x1 + x2 * y2 + 2 * k11**2
+            + x2 * y1**2 + y2 * x1**2 + 4 * k11 * x1 * y1 + x1**2 * y1**2
+        )
+        return T
 
 
 def _bernoulli_cumulants(p: float) -> np.ndarray:
@@ -481,10 +504,11 @@ def exposure_moment_table(
     H_i = sum_r w_ir Z_r sums independent draws, so cumulants add up:
     kappa_j(H_i) = k_j sum_r w_ir^j, and the joint cumulant of a copies of
     H_i with b copies of H_j is k_{a+b} S_ab, where S_ab = sum_r w_ir^a w_jr^b
-    runs over the shared buyers. The moments follow from the
-    moment-cumulant identities. Each buyer adds its terms to the pairs of
-    its units, and every sum runs from 0 in edge or buyer order, as
-    scipy's sparse row sums and product W W' do, bit-equal to them.
+    runs over the shared buyers. The unit moments follow from the
+    moment-cumulant identities; the pairs keep their cumulants. Each buyer
+    adds its terms to the pairs of its units, and every sum runs from 0 in
+    edge or buyer order, as scipy's sparse row sums and product W W' do,
+    bit-equal to them.
     """
     k = _bernoulli_cumulants(p)
     n = len(rows)
@@ -518,24 +542,13 @@ def exposure_moment_table(
     key, pair = np.unique(unit[first] * n + unit[second], return_inverse=True)
     i, j = np.divmod(key, n)
     wi, wj = w[first], w[second]
+    # free the per-incidence arrays before the sums
+    del first, second, key
     k11, k12, k21, k22 = (
         k[a] * np.bincount(pair, x * y, len(i))
         for a, x, y in ((2, wi, wj), (3, wi, wj * wj), (3, wi * wi, wj), (4, wi * wi, wj * wj))
     )
-    # free the per-incidence arrays before T, the largest, is built
-    del order, unit, first, second, key, pair, wi, wj
-    x1, x2, y1, y2 = c1[i], c2[i], c1[j], c2[j]
-    T = np.empty((len(i), 3, 3))
-    T[:, :, 0] = uni[i, :3]
-    T[:, 0, :] = uni[j, :3]
-    T[:, 1, 1] = k11 + x1 * y1
-    T[:, 2, 1] = k21 + 2 * k11 * x1 + x2 * y1 + x1**2 * y1
-    T[:, 1, 2] = k12 + 2 * k11 * y1 + y2 * x1 + x1 * y1**2
-    T[:, 2, 2] = (
-        k22 + 2 * k21 * y1 + 2 * k12 * x1 + x2 * y2 + 2 * k11**2
-        + x2 * y1**2 + y2 * x1**2 + 4 * k11 * x1 * y1 + x1**2 * y1**2
-    )
-    return JointMomentTable(p=p, uni=uni, pair_i=i, pair_j=j, pairs=T)
+    return JointMomentTable(p, uni, c2, i, j, k11, k12, k21, k22)
 
 
 def _solve_where(M: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -544,10 +557,8 @@ def _solve_where(M: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray
     sol = np.full(rhs.shape, np.nan)
     if not mask.any():
         return sol
-    # a full mask selects by slice, which views the systems instead of copying
-    sel = slice(None) if mask.all() else mask
     try:
-        sol[sel] = np.linalg.solve(M[sel], rhs[sel][..., None])[..., 0]
+        sol[mask] = np.linalg.solve(M[mask], rhs[mask][..., None])[..., 0]
     except np.linalg.LinAlgError:
         # a singular system fails the whole batch: redo it one at a time
         for t in np.flatnonzero(mask):
@@ -568,37 +579,6 @@ def _diag_system(uni: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e_h_c2 = uni[:, 3] - 2 * m1 * uni[:, 2] + m1**2 * uni[:, 1]  # E[H (H-m)^2]
     e_h2_c2 = uni[:, 4] - 2 * m1 * uni[:, 3] + m1**2 * uni[:, 2]  # E[H^2 (H-m)^2]
     rhs = np.column_stack([1.0 / v, e_h_c2 / v**2, e_h2_c2 / v**2 - 1.0])
-    return M, rhs
-
-
-# R(H_i, H_j) = a H_i H_j + b H_i + c H_j + d is matched against
-# g in (1, H_j, H_i, H_i H_j): entry (g, b) of the system is
-# E[g basis_b] = T[g_i + b_i, g_j + b_j] with the exponent pairs below.
-_PAIR_G = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-_PAIR_B = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
-
-
-def _pair_system(T, mi, mj, vi, vj) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair, the system whose solution matches the covariance terms of
-    (Y_i W_i, Y_j W_j)."""
-    M = T[
-        :,
-        _PAIR_G[:, None, 0] + _PAIR_B[None, :, 0],
-        _PAIR_G[:, None, 1] + _PAIR_B[None, :, 1],
-    ]
-    denom = vi * vj
-    rhs = np.column_stack(
-        [
-            (T[:, 1, 1] - mi * mj) / denom,
-            (T[:, 1, 2] - mj * T[:, 1, 1] - mi * T[:, 0, 2] + mi * mj * T[:, 0, 1])
-            / denom,
-            (T[:, 2, 1] - mi * T[:, 1, 1] - mj * T[:, 2, 0] + mi * mj * T[:, 1, 0])
-            / denom,
-            (T[:, 2, 2] - mi * T[:, 1, 2] - mj * T[:, 2, 1] + mi * mj * T[:, 1, 1])
-            / denom
-            - 1.0,
-        ]
-    )
     return M, rhs
 
 
@@ -627,13 +607,14 @@ def pairwise_variance(
 ) -> PairwiseVariance:
     """Design-based variance estimate via pair-level moment matching.
 
-    Units whose exposure takes fewer than three values (e.g. single-buyer
-    sellers) get the minimum-norm least-squares weighting and are listed
-    as degenerate. Pairs whose exposure covariance matrix is (near)
-    singular, e.g. two sellers with identically weighted edges, are listed
-    in (i, j) order and add the conservative bound 2 sd_i sd_j in place of
-    their matched term. The quadratic worst case is guarded by
-    PAIRWISE_N_MAX (use the bootstrap beyond it).
+    Each unit's weighting solves a 3x3 system; units whose exposure takes
+    fewer than three values (e.g. single-buyer sellers) get the minimum-norm
+    least-squares weighting and are listed as degenerate. Each pair's
+    weighting is a closed form in its joint cumulants. Pairs whose exposure
+    covariance matrix is (near) singular, e.g. two sellers with identically
+    weighted edges, or whose weighting is not finite, are listed in (i, j)
+    order and add the conservative bound 2 sd_i sd_j in place of their
+    matched term. The quadratic worst case is guarded by PAIRWISE_N_MAX.
     """
     n = panel.n
     check_pairwise_size(n)
@@ -654,30 +635,36 @@ def pairwise_variance(
     diag = y * y * (coef[:, 0] * h * h + coef[:, 1] * h + coef[:, 2])
     unit_sd = np.sqrt(np.maximum(diag, 0.0))
 
-    # the pairs' systems are solved a block of pairs at a time, each pair's
-    # term written to its slot, and the terms summed once: the value does
-    # not depend on the block size
-    terms = np.empty(len(joint_moments.pairs))
+    # A pair's weighting R in span{1, H_i, H_j, H_i H_j} matches
+    # E[g R] = E[g phi] - [g = H_i H_j] for every g in the span, where
+    # phi = u v / (v_i v_j), u = H_i - m_i and v = H_j - m_j. phi lies in the
+    # span, so R is phi less the dual element of H_i H_j, the residual of
+    # u v on (1, u, v) over its squared norm rho. With c, a, b the joint
+    # cumulants k11, k21, k12, (alpha, beta) solves
+    # [[v_i, c], [c, v_j]] (alpha, beta) = (a, b), and
+    # rho = E[u^2 v^2] - c^2 - alpha a - beta b = k22 + v_i v_j + c^2 - alpha a - beta b.
+    # The terms are evaluated a block of pairs at a time, each written to its
+    # slot, and summed once: the value does not depend on the block size.
+    terms = np.empty(len(joint_moments.pair_i))
     degenerate = []
+    m, var = uni[:, 1], joint_moments.var
     size = max(1, PAIR_BLOCK_BYTES // (8 * 16))
     for start in range(0, len(terms), size):
         block = slice(start, start + size)
         i, j = joint_moments.pair_i[block], joint_moments.pair_j[block]
-        T = joint_moments.pairs[block]
-        mi, mj = uni[i, 1], uni[j, 1]
-        vi = uni[i, 2] - mi * mi
-        vj = uni[j, 2] - mj * mj
-        cov = T[:, 1, 1] - mi * mj
-        M, rhs = _pair_system(T, mi, mj, vi, vj)
-        ok = vi * vj - cov * cov > EPS_DET
-        coef = _solve_where(M, rhs, ok)
-        ok &= np.isfinite(coef).all(axis=1)
-        hi, hj = h[i], h[j]
-        matched = 2.0 * y[i] * y[j] * (
-            coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
-        )
-        terms[block] = np.where(ok, matched, 2.0 * unit_sd[i] * unit_sd[j])
-        degenerate += [(ids[a], ids[b]) for a, b in zip(i[~ok].tolist(), j[~ok].tolist())]
+        c, a, b = joint_moments.k11[block], joint_moments.k21[block], joint_moments.k12[block]
+        vi, vj = var[i], var[j]
+        u, v = h[i] - m[i], h[j] - m[j]
+        det = vi * vj - c * c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            alpha = (a * vj - b * c) / det
+            beta = (b * vi - a * c) / det
+            rho = joint_moments.k22[block] + vi * vj + c * c - alpha * a - beta * b
+            uv = u * v
+            R = uv / (vi * vj) - (uv - c - alpha * u - beta * v) / rho
+        ok = (det > EPS_DET) & np.isfinite(R)
+        terms[block] = np.where(ok, 2.0 * y[i] * y[j] * R, 2.0 * unit_sd[i] * unit_sd[j])
+        degenerate += [(ids[s], ids[r]) for s, r in zip(i[~ok].tolist(), j[~ok].tolist())]
     return PairwiseVariance(
         value=float(diag.sum() + terms.sum()) / (n * n),
         n_units=n,

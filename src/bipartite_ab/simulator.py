@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -36,6 +36,28 @@ class SimulationError(ValueError):
     pass
 
 
+def _number(value, cast, key: str, where: str = "config"):
+    """`value` as `cast` (int or float) gives it; a boolean, a string, a fraction
+    where an int is due or a non-finite number is a SimulationError naming `key`."""
+    try:
+        number = cast(value)
+        if isinstance(value, bool) or number != value or not math.isfinite(number):
+            raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SimulationError(f"{where} field {key!r}: {exc}") from None
+    return number
+
+
+def _check_numbers(obj, where: str = "config"):
+    """Put each int and float field of the frozen dataclass `obj` through
+    _number, in place, named by its key in the JSON config."""
+    for f in fields(obj):
+        cast = {"int": int, "float": float}.get(f.type)
+        if cast:
+            key = f.metadata.get("key", f.name)
+            object.__setattr__(obj, f.name, _number(getattr(obj, f.name), cast, key, where))
+
+
 @dataclass(frozen=True)
 class FixedDegree:
     """Every seller interacts with k distinct buyers."""
@@ -52,24 +74,28 @@ class ZipfDegree:
     k_max: int = 50
 
 
+_DEGREE_KINDS = {"fixed": FixedDegree, "zipf": ZipfDegree}
+# each violation kind's parameter, as the JSON config names it
+_VIOLATION_KEYS = {"quadratic": "gamma", "threshold": "t"}
 SIZE_MAX = 10_000_000
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of a simulated experiment. m, n and n times the degree (k,
-    or ZipfDegree's k_max) may not exceed SIZE_MAX, checked before anything
-    is allocated: the simulator builds an id string per buyer and seller and
-    up to n times the degree views, about a gigabyte at the bound."""
+    """Parameters of a simulated experiment; numbers are checked finite and
+    cast to their type. m, n and n times the degree (k, or ZipfDegree's
+    k_max) may not exceed SIZE_MAX, checked before anything is allocated:
+    the simulator builds an id string per buyer and seller and up to n times
+    the degree views, about a gigabyte at the bound."""
 
     m: int = 200
     n: int = 150
     degree: FixedDegree | ZipfDegree = FixedDegree(3)
     p_treat: float = 0.5
-    alpha_mean: float = 0.0
-    alpha_sd: float = 1.0
-    beta_mean: float = 1.0
-    beta_sd: float = 0.25
+    alpha_mean: float = field(default=0.0, metadata={"key": "alpha"})
+    alpha_sd: float = field(default=1.0, metadata={"key": "alpha"})
+    beta_mean: float = field(default=1.0, metadata={"key": "beta"})
+    beta_sd: float = field(default=0.25, metadata={"key": "beta"})
     noise_sd: float = 1.0
     noise_mode: str = "homoskedastic"  # or "exposure_scaled"
     pre_corr: float = 0.5
@@ -78,6 +104,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self.degree, "degree")
+        _check_numbers(self)
+        if self.favorite_rates is not None:
+            rates = _pair(self.favorite_rates, "favorite_rates")
+            object.__setattr__(self, "favorite_rates", rates)
         if self.m < 1 or self.n < 1:
             raise SimulationError("m and n must be >= 1")
         degree = self.degree.k if isinstance(self.degree, FixedDegree) else self.degree.k_max
@@ -92,11 +123,12 @@ class SimConfig:
             raise SimulationError("fixed degree k cannot exceed buyer count m")
         if self.noise_mode not in ("homoskedastic", "exposure_scaled"):
             raise SimulationError(f"unknown noise_mode {self.noise_mode!r}")
-        if self.violation is not None and self.violation[0] not in (
-            "quadratic",
-            "threshold",
-        ):
-            raise SimulationError(f"unknown violation {self.violation!r}")
+        if self.violation is not None:
+            kind, *value = self.violation
+            if kind not in _VIOLATION_KEYS or len(value) != 1:
+                raise SimulationError(f"unknown violation {self.violation!r}")
+            value = _number(value[0], float, _VIOLATION_KEYS[kind], "violation")
+            object.__setattr__(self, "violation", (kind, value))
 
 
 @dataclass
@@ -139,6 +171,9 @@ def _draw_noise(rng, config, h):
     return config.noise_sd * base
 
 
+# a config whose scales overflow float64 is refused once its outcomes are
+# drawn, before anything is written: the overflow is an error, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _make_outcomes(config, graph, assignments, truth, eps, y_pre):
     h = realized_exposure(graph, assignments, "On")
     # graph sellers are sorted "s%06d" ids, so index i recovers the seller number
@@ -147,9 +182,13 @@ def _make_outcomes(config, graph, assignments, truth, eps, y_pre):
     beta = truth.beta[order]
     y_in = _seller_response(config, alpha, beta, h, eps[order])
     y = np.column_stack((y_in, y_pre[order]))
+    if not np.isfinite(y).all():
+        raise SimulationError("a simulated outcome or covariate is not finite: the "
+                              "config's scales overflow float64")
     return OutcomeTable(graph.sellers, y, has_pre=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_experiment(
     config: SimConfig, out_dir: str | Path | None = None
 ) -> SimulatedExperiment:
@@ -391,7 +430,7 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     violation = None
     if config.violation is not None:
         kind, value = config.violation
-        violation = {"kind": kind, ("gamma" if kind == "quadratic" else "t"): value}
+        violation = {"kind": kind, _VIOLATION_KEYS[kind]: value}
     return {
         "m": config.m,
         "n": config.n,
@@ -410,24 +449,12 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     }
 
 
-def _field(payload: dict, key: str, cast, default=None, where: str = "config"):
-    """payload[key], or `default`, as _number gives it; a missing key
-    without a default is a SimulationError."""
+def _field(payload: dict, key: str, default=None, where: str = "config"):
+    """payload[key], or `default`; a missing key without a default is a
+    SimulationError. The dataclass the value goes to checks the number."""
     if key not in payload and default is None:
         raise SimulationError(f"{where} is missing {key!r}")
-    return _number(payload.get(key, default), cast, key, where)
-
-
-def _number(value, cast, key: str, where: str = "config"):
-    """`value` as `cast` (int or float) gives it; a boolean, a string, a fraction
-    where an int is due or a non-finite number is a SimulationError naming `key`."""
-    try:
-        number = cast(value)
-        if isinstance(value, bool) or number != value or not math.isfinite(number):
-            raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SimulationError(f"{where} field {key!r}: {exc}") from None
-    return number
+    return payload.get(key, default)
 
 
 def _pair(value, key: str) -> tuple[float, float]:
@@ -447,44 +474,35 @@ def sim_config_from_dict(payload: dict) -> SimConfig:
     payload = _object(payload, "simulation config")
     degree_raw = _object(payload.get("degree", {"kind": "fixed", "k": 3}), "degree")
     kind = degree_raw.get("kind")
-    if kind == "fixed":
-        degree = FixedDegree(_field(degree_raw, "k", int, where="degree"))
-    elif kind == "zipf":
-        degree = ZipfDegree(
-            _field(degree_raw, "s", float, where="degree"),
-            _field(degree_raw, "k_max", int, where="degree"),
-        )
-    else:
+    if kind not in _DEGREE_KINDS:
         raise SimulationError(f"unknown degree kind {kind!r}")
+    degree = _DEGREE_KINDS[kind](*(_field(degree_raw, f.name, where="degree")
+                                   for f in fields(_DEGREE_KINDS[kind])))
     violation = None
     v_raw = payload.get("violation")
     if v_raw is not None:
         v_raw = _object(v_raw, "violation")
         kind = v_raw.get("kind")
-        if kind == "quadratic":
-            violation = ("quadratic", _field(v_raw, "gamma", float, where="violation"))
-        elif kind == "threshold":
-            violation = ("threshold", _field(v_raw, "t", float, where="violation"))
-        else:
+        if kind not in _VIOLATION_KEYS:
             raise SimulationError(f"unknown violation kind {kind!r}")
+        violation = (kind, _field(v_raw, _VIOLATION_KEYS[kind], where="violation"))
     alpha_mean, alpha_sd = _pair(payload.get("alpha", (0.0, 1.0)), "alpha")
     beta_mean, beta_sd = _pair(payload.get("beta", (1.0, 0.25)), "beta")
-    fav = payload.get("favorite_rates")
     return SimConfig(
-        m=_field(payload, "m", int),
-        n=_field(payload, "n", int),
+        m=_field(payload, "m"),
+        n=_field(payload, "n"),
         degree=degree,
-        p_treat=_field(payload, "p_treat", float, 0.5),
+        p_treat=_field(payload, "p_treat", 0.5),
         alpha_mean=alpha_mean,
         alpha_sd=alpha_sd,
         beta_mean=beta_mean,
         beta_sd=beta_sd,
-        noise_sd=_field(payload, "noise_sd", float, 1.0),
+        noise_sd=_field(payload, "noise_sd", 1.0),
         noise_mode=payload.get("noise_mode", "homoskedastic"),
-        pre_corr=_field(payload, "pre_corr", float, 0.5),
+        pre_corr=_field(payload, "pre_corr", 0.5),
         violation=violation,
-        favorite_rates=_pair(fav, "favorite_rates") if fav else None,
-        seed=_field(payload, "seed", int, 0),
+        favorite_rates=payload.get("favorite_rates") or None,
+        seed=_field(payload, "seed", 0),
     )
 
 

@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -487,8 +488,9 @@ def test_closed_form_table_and_variance_match_recursions(p):
 
 def scipy_moment_table(graph, p, rows):
     """exposure_moment_table as it was built from scipy.sparse row sums and
-    products W W', W2 W' and W2 W2', kept as the reference the numpy table
-    must equal bit for bit."""
+    products W W', W2 W' and W2 W2', with every pair's 3x3 table T built
+    at once, kept as the reference the numpy table must equal bit for bit:
+    a namespace of the table's fields and `pairs`."""
     import scipy.sparse as sp
 
     k = inference._bernoulli_cumulants(p)
@@ -529,7 +531,8 @@ def scipy_moment_table(graph, p, rows):
         k22 + 2 * k21 * y1 + 2 * k12 * x1 + x2 * y2 + 2 * k11**2
         + x2 * y1**2 + y2 * x1**2 + 4 * k11 * x1 * y1 + x1**2 * y1**2
     )
-    return inference.JointMomentTable(p=p, uni=uni, pair_i=i, pair_j=j, pairs=T)
+    return SimpleNamespace(p=p, uni=uni, var=c2, pair_i=i, pair_j=j,
+                           k11=k11, k12=k12, k21=k21, k22=k22, pairs=T)
 
 
 def graph_of_rows(rows, m):
@@ -584,7 +587,7 @@ def test_moment_table_matches_scipy_table():
     panels, single-edge rows, a 1000-seller star and the fixture panels."""
     for name, graph, p, rows in moment_table_cases():
         got, want = exposure_moment_table(graph, p, rows), scipy_moment_table(graph, p, rows)
-        for field in ("uni", "pair_i", "pair_j", "pairs"):
+        for field in ("uni", "var", "pair_i", "pair_j", "k11", "k12", "k21", "k22", "pairs"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a.shape, a.dtype) == (b.shape, b.dtype), (name, field)
             assert a.tobytes() == b.tobytes(), (name, field)
@@ -614,6 +617,124 @@ def test_pairwise_variance_does_not_depend_on_block_size(monkeypatch):
         monkeypatch.undo()
         seen += bool(want.degenerate_pairs)
     assert seen >= 3
+
+
+# --- the closed-form pair weighting against the 4x4 solves it replaced ----
+
+
+# R(H_i, H_j) = a H_i H_j + b H_i + c H_j + d is matched against
+# g in (1, H_j, H_i, H_i H_j): entry (g, b) of the system is
+# E[g basis_b] = T[g_i + b_i, g_j + b_j] with the exponent pairs below.
+_PAIR_G = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+_PAIR_B = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
+
+
+def _pair_system(T, mi, mj, vi, vj):
+    """Per pair, the system whose solution matches the covariance terms of
+    (Y_i W_i, Y_j W_j)."""
+    M = T[
+        :,
+        _PAIR_G[:, None, 0] + _PAIR_B[None, :, 0],
+        _PAIR_G[:, None, 1] + _PAIR_B[None, :, 1],
+    ]
+    denom = vi * vj
+    rhs = np.column_stack(
+        [
+            (T[:, 1, 1] - mi * mj) / denom,
+            (T[:, 1, 2] - mj * T[:, 1, 1] - mi * T[:, 0, 2] + mi * mj * T[:, 0, 1])
+            / denom,
+            (T[:, 2, 1] - mi * T[:, 1, 1] - mj * T[:, 2, 0] + mi * mj * T[:, 1, 0])
+            / denom,
+            (T[:, 2, 2] - mi * T[:, 1, 2] - mj * T[:, 2, 1] + mi * mj * T[:, 1, 1])
+            / denom
+            - 1.0,
+        ]
+    )
+    return M, rhs
+
+
+def solved_pairwise_variance(panel, table):
+    """pairwise_variance as it was computed before the closed form: the unit
+    systems as now, and one 4x4 system per overlapping pair, built from its
+    3x3 table T and solved in one batched np.linalg.solve; (value,
+    n_pairs_evaluated, degenerate_pairs, degenerate_units)."""
+    uni, y, h, ids = table.uni, panel.y_in, panel.h, panel.seller_ids
+    M, rhs = inference._diag_system(uni)
+    regular = np.linalg.cond(M) < inference.COND_MAX
+    coef = inference._solve_where(M, rhs, regular)
+    regular &= np.isfinite(coef).all(axis=1)
+    singular = np.flatnonzero(~regular)
+    for t in singular:
+        coef[t] = np.linalg.lstsq(M[t], rhs[t], rcond=None)[0]
+    diag = y * y * (coef[:, 0] * h * h + coef[:, 1] * h + coef[:, 2])
+    unit_sd = np.sqrt(np.maximum(diag, 0.0))
+
+    i, j, T = table.pair_i, table.pair_j, table.pairs
+    mi, mj = uni[i, 1], uni[j, 1]
+    vi, vj = uni[i, 2] - mi * mi, uni[j, 2] - mj * mj
+    cov = T[:, 1, 1] - mi * mj
+    M, rhs = _pair_system(T, mi, mj, vi, vj)
+    ok = vi * vj - cov * cov > inference.EPS_DET
+    coef = inference._solve_where(M, rhs, ok)
+    ok &= np.isfinite(coef).all(axis=1)
+    hi, hj = h[i], h[j]
+    matched = 2.0 * y[i] * y[j] * (
+        coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
+    )
+    terms = np.where(ok, matched, 2.0 * unit_sd[i] * unit_sd[j])
+    degenerate = [(ids[a], ids[b]) for a, b in zip(i[~ok].tolist(), j[~ok].tolist())]
+    n = panel.n
+    return (float(diag.sum() + terms.sum()) / (n * n), int(ok.sum()), degenerate,
+            [ids[t] for t in singular.tolist()])
+
+
+def closed_form_cases():
+    """(name, panel, table): random degenerate graphs, the moment-table
+    cases (dense, subset, single-edge, star and fixture panels) with random
+    outcomes and assignments, and the acceptance toy and identical-edge
+    graphs."""
+    rng = np.random.default_rng(1807)
+    graphs = []
+    for seed in range(60):
+        m, n = int(rng.integers(6, 20)), int(rng.integers(5, 30))
+        graph = random_degenerate_graph(rng, m, n)
+        graphs.append((f"degenerate{seed}", graph, (0.3, 0.5, 0.7)[seed % 3],
+                       rng.permutation(n)[: int(rng.integers(3, n + 1))]))
+    graphs += list(moment_table_cases())
+    toy = random_sparse_graph(np.random.default_rng(20240819), 10, 6)
+    graphs.append(("toy", toy, 0.5, np.arange(6)))
+    dup = BipartiteGraph(["b0", "b1", "b2", "b3"], ["dup1", "dup2", "other"],
+                         [0, 2, 4, 6], [0, 1, 0, 1, 2, 3], [0.4, 0.6, 0.4, 0.6, 0.5, 0.5])
+    graphs.append(("identical-edges", dup, 0.5, np.arange(3)))
+    for name, graph, p, rows in graphs:
+        table = exposure_moment_table(graph, p, rows)
+        for draw in range(3):
+            h = graph.times((rng.random(graph.n_buyers) < p).astype(float))[rows]
+            var_h = p * (1 - p) * graph.row_sumsq()[rows]
+            y = rng.normal(1.0, 2.0, len(rows))
+            if draw == 2:
+                y[rng.random(len(rows)) < 0.3] = 0.0
+            panel = make_panel(h, y, p=p, var_h=var_h)
+            panel.seller_ids = [graph.sellers[r] for r in rows]
+            yield f"{name}/{draw}", panel, table
+
+
+def test_closed_form_pair_weighting_matches_4x4_solves():
+    """The closed-form pair weighting gives the batched 4x4 solve's
+    variance within 1e-10 relative, with the same degenerate pairs (in
+    order), degenerate units and number of pairs evaluated."""
+    seen_units = seen_pairs = 0
+    for name, panel, table in closed_form_cases():
+        got = pairwise_variance(panel, table)
+        value, evaluated, degenerate, degenerate_units = solved_pairwise_variance(panel, table)
+        assert got.value == pytest.approx(value, rel=1e-10, abs=1e-300), name
+        assert got.degenerate_pairs == degenerate, name
+        assert got.degenerate_units == degenerate_units, name
+        assert got.n_pairs_evaluated == evaluated, name
+        seen_units += bool(degenerate_units)
+        seen_pairs += bool(degenerate)
+    # the cases must exercise both degeneracies
+    assert seen_units >= 20 and seen_pairs >= 20
 
 
 # --- per-replicate oracles for the batched bootstrap and randomization ----

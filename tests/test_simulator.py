@@ -218,6 +218,41 @@ class TestSimulateExperiment:
         payload = json.loads(json.dumps(sim_config_to_dict(config)))
         assert sim_config_from_dict(payload) == config
 
+    @pytest.mark.parametrize("payload, field", NAMED_CONFIG_ERRORS)
+    def test_config_built_in_python_is_checked_as_read(self, payload, field):
+        """SimConfig, FixedDegree and ZipfDegree built directly refuse what
+        the config reader refuses, with the same message."""
+        with pytest.raises(SimulationError) as read:
+            sim_config_from_dict(payload)
+        degree = payload.get("degree", {"kind": "fixed", "k": 3})
+        violation = payload.get("violation")
+        kwargs = {
+            "m": payload["m"], "n": payload["n"],
+            **{key: payload[key] for key in ("noise_sd", "p_treat", "seed") if key in payload},
+            **{f"{key}_{part}": value for key in ("alpha", "beta") if key in payload
+               for part, value in zip(("mean", "sd"), payload[key])},
+            "favorite_rates": payload.get("favorite_rates"),
+            "violation": violation and (violation["kind"], violation["gamma"]),
+        }
+        with pytest.raises(SimulationError) as built:
+            make_degree = FixedDegree if degree["kind"] == "fixed" else ZipfDegree
+            SimConfig(degree=make_degree(*list(degree.values())[1:]), **kwargs)
+        assert str(built.value) == str(read.value)
+
+    def test_config_built_in_python_is_cast_as_read(self):
+        config = SimConfig(m=np.int64(10), n=5.0, degree=FixedDegree(np.int64(2)),
+                           beta_mean=1, noise_sd=np.float64(0.5), favorite_rates=[0, 1])
+        assert (type(config.m), type(config.n), type(config.degree.k)) == (int, int, int)
+        assert (type(config.beta_mean), config.favorite_rates) == (float, (0.0, 1.0))
+        payload = json.loads(json.dumps(sim_config_to_dict(config)))
+        assert sim_config_to_dict(sim_config_from_dict(payload)) == payload
+
+    def test_overflowing_outcomes_refused_before_writing(self, tmp_path):
+        config = SimConfig(m=50, n=20, noise_sd=1e308)
+        with pytest.raises(SimulationError, match="outcome or covariate is not finite"):
+            simulate_experiment(config, out_dir=tmp_path / "sim")
+        assert not (tmp_path / "sim").exists()
+
 
 class TestViolationModes:
     def test_quadratic_biases_erl(self):
