@@ -16,11 +16,13 @@ raised; the analyze and validate commands both go through it.
   matches Cov(tau_i, tau_j) under the linear response model. The exposure
   moment table, built from the panel's graph inside the call, comes from
   Bernoulli cumulants summed over the (pair, shared buyer) incidences.
-  The unit weightings are solved as batched 3x3 systems; each pair's
-  weighting has a closed form in its joint cumulants (a 2x2 solve by
-  Cramer's rule), evaluated a block of pairs at a time. PAIRWISE_N_MAX,
-  checked before the table is built, guards the quadratic worst case in
-  which every pair overlaps.
+  Each unit's weighting has a closed form in its cumulants, and each
+  pair's in its joint cumulants (a 2x2 solve by Cramer's rule), evaluated
+  a block of pairs at a time; no linear algebra routine is called. A unit
+  whose exposure takes only two values (a single-buyer seller) gets the
+  weighting that splits its two conflicting conditions equally.
+  PAIRWISE_N_MAX, checked before the table is built, guards the quadratic
+  worst case in which every pair overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
 once: a bootstrap block as a count matrix over the panel's units, a
@@ -68,7 +70,6 @@ MIN_REPLICATIONS = 200
 DEFAULT_REPLICATIONS = 1000
 PAIRWISE_N_MAX = 5000
 EPS_DET = 1e-12
-COND_MAX = 1e12
 EPS_MACH = float(np.finfo(float).eps)
 # A block of resampling replicates holds as many as fit this many bytes of
 # float64 rows, one per replicate and as wide as the panel (bootstrap) or
@@ -451,19 +452,21 @@ def _normal_interval(point, sd, level, method, replications=0, seed=0) -> Interv
 
 @dataclass
 class JointMomentTable:
-    """Exact exposure moments under independent Bernoulli(p) assignment.
+    """Exact exposure cumulants under independent Bernoulli(p) assignment.
 
-    `uni[i, k]` holds E[H_i^k] for k = 0..4 and `var[i]` Var H_i (panel-
-    indexed). The pairs of units with overlapping buyer neighborhoods are
-    (pair_i[t], pair_j[t]), i < j, in (i, j) order, `kab[t]` their joint
-    cumulant of a copies of H_i with b of H_j, and `pairs[t]`, built on first
-    access, their 3x3 table T[a, b] = E[H_i^a H_j^b]. Disjoint pairs are not
-    stored: their matched weighting is identically zero.
+    `mean[i]`, `var[i]`, `k3[i]` and `k4[i]` are the first four cumulants
+    of H_i (panel-indexed). The pairs of units with overlapping buyer
+    neighborhoods are (pair_i[t], pair_j[t]), i < j, in (i, j) order,
+    `kab[t]` their joint cumulant of a copies of H_i with b of H_j, and
+    `pairs[t]`, built on first access, their 3x3 table T[a, b] =
+    E[H_i^a H_j^b]. Disjoint pairs are not stored: their matched weighting
+    is identically zero.
     """
 
-    p: float
-    uni: np.ndarray
+    mean: np.ndarray
     var: np.ndarray
+    k3: np.ndarray
+    k4: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     k11: np.ndarray
@@ -474,10 +477,11 @@ class JointMomentTable:
     @functools.cached_property
     def pairs(self) -> np.ndarray:
         i, j, k11, k12, k21 = self.pair_i, self.pair_j, self.k11, self.k12, self.k21
-        x1, x2, y1, y2 = self.uni[i, 1], self.var[i], self.uni[j, 1], self.var[j]
+        x1, x2, y1, y2 = self.mean[i], self.var[i], self.mean[j], self.var[j]
         T = np.empty((len(i), 3, 3))
-        T[:, :, 0] = self.uni[i, :3]
-        T[:, 0, :] = self.uni[j, :3]
+        T[:, 0, 0] = 1.0
+        T[:, 1, 0], T[:, 2, 0] = x1, x2 + x1**2
+        T[:, 0, 1], T[:, 0, 2] = y1, y2 + y1**2
         T[:, 1, 1] = k11 + x1 * y1
         T[:, 2, 1] = k21 + 2 * k11 * x1 + x2 * y1 + x1**2 * y1
         T[:, 1, 2] = k12 + 2 * k11 * y1 + y2 * x1 + x1 * y1**2
@@ -497,18 +501,16 @@ def _bernoulli_cumulants(p: float) -> np.ndarray:
 def exposure_moment_table(
     graph: BipartiteGraph, p: float, rows: np.ndarray
 ) -> JointMomentTable:
-    """Univariate moments for every panel unit plus joint moments for every
-    pair of units sharing at least one buyer.
+    """Cumulants for every panel unit plus joint cumulants for every pair of
+    units sharing at least one buyer.
 
     `rows` maps panel index -> graph row, as in ExposurePanel.graph_rows.
     H_i = sum_r w_ir Z_r sums independent draws, so cumulants add up:
     kappa_j(H_i) = k_j sum_r w_ir^j, and the joint cumulant of a copies of
     H_i with b copies of H_j is k_{a+b} S_ab, where S_ab = sum_r w_ir^a w_jr^b
-    runs over the shared buyers. The unit moments follow from the
-    moment-cumulant identities; the pairs keep their cumulants. Each buyer
-    adds its terms to the pairs of its units, and every sum runs from 0 in
-    edge or buyer order, as scipy's sparse row sums and product W W' do,
-    bit-equal to them.
+    runs over the shared buyers. Each buyer adds its terms to the pairs of
+    its units, and every sum runs from 0 in edge or buyer order, as scipy's
+    sparse row sums and product W W' do, bit-equal to them.
     """
     k = _bernoulli_cumulants(p)
     n = len(rows)
@@ -518,15 +520,6 @@ def exposure_moment_table(
     edges = np.arange(degree.sum()) + np.repeat(graph.indptr[rows] - starts, degree)
     w = graph.weights[edges]
     c1, c2, c3, c4 = (k[r] * np.add.reduceat(w**r, starts) for r in range(1, 5))
-    uni = np.column_stack(
-        [
-            np.ones_like(c1),
-            c1,
-            c2 + c1**2,
-            c3 + 3 * c2 * c1 + c1**3,
-            c4 + 4 * c3 * c1 + 3 * c2**2 + 6 * c2 * c1**2 + c1**4,
-        ]
-    )
 
     # the edges buyer-major, units ascending within a buyer: edge q pairs
     # with the `later` edges after it in its buyer's run, its t-th pair
@@ -548,38 +541,7 @@ def exposure_moment_table(
         k[a] * np.bincount(pair, x * y, len(i))
         for a, x, y in ((2, wi, wj), (3, wi, wj * wj), (3, wi * wi, wj), (4, wi * wi, wj * wj))
     )
-    return JointMomentTable(p, uni, c2, i, j, k11, k12, k21, k22)
-
-
-def _solve_where(M: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Solve M[t] x = rhs[t] for every t in `mask` as one batch; NaN for the
-    others and for systems that are exactly singular."""
-    sol = np.full(rhs.shape, np.nan)
-    if not mask.any():
-        return sol
-    try:
-        sol[mask] = np.linalg.solve(M[mask], rhs[mask][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # a singular system fails the whole batch: redo it one at a time
-        for t in np.flatnonzero(mask):
-            try:
-                sol[t] = np.linalg.solve(M[t], rhs[t])
-            except np.linalg.LinAlgError:
-                pass
-    return sol
-
-
-def _diag_system(uni: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per unit, the system for R(H) = a H^2 + b H + c with E[H^g R]
-    matching the variance terms of Y W for g = 0, 1, 2."""
-    m1 = uni[:, 1]
-    v = uni[:, 2] - m1**2
-    # row g is E[H^g (H^2, H, 1)]
-    M = np.stack([uni[:, 2::-1], uni[:, 3:0:-1], uni[:, 4:1:-1]], axis=1)
-    e_h_c2 = uni[:, 3] - 2 * m1 * uni[:, 2] + m1**2 * uni[:, 1]  # E[H (H-m)^2]
-    e_h2_c2 = uni[:, 4] - 2 * m1 * uni[:, 3] + m1**2 * uni[:, 2]  # E[H^2 (H-m)^2]
-    rhs = np.column_stack([1.0 / v, e_h_c2 / v**2, e_h2_c2 / v**2 - 1.0])
-    return M, rhs
+    return JointMomentTable(c1, c2, c3, c4, i, j, k11, k12, k21, k22)
 
 
 def check_pairwise_size(n: int):
@@ -607,32 +569,42 @@ def pairwise_variance(
 ) -> PairwiseVariance:
     """Design-based variance estimate via pair-level moment matching.
 
-    Each unit's weighting solves a 3x3 system; units whose exposure takes
-    fewer than three values (e.g. single-buyer sellers) get the minimum-norm
-    least-squares weighting and are listed as degenerate. Each pair's
-    weighting is a closed form in its joint cumulants. Pairs whose exposure
-    covariance matrix is (near) singular, e.g. two sellers with identically
-    weighted edges, or whose weighting is not finite, are listed in (i, j)
-    order and add the conservative bound 2 sd_i sd_j in place of their
-    matched term. The quadratic worst case is guarded by PAIRWISE_N_MAX.
+    Each unit's weighting is a closed form in its cumulants. A unit whose
+    exposure takes only two values (a single-buyer seller) cannot match all
+    three of its conditions; it gets the weighting that misses its two
+    conflicting ones by equal halves and is listed as degenerate. Each
+    pair's weighting is a closed form in its joint cumulants. Pairs whose
+    exposure covariance matrix is (near) singular, e.g. two sellers with
+    identically weighted edges, or whose weighting is not finite, are listed
+    in (i, j) order and add the conservative bound 2 sd_i sd_j in place of
+    their matched term. The quadratic worst case is guarded by
+    PAIRWISE_N_MAX.
     """
     n = panel.n
     check_pairwise_size(n)
-    uni = joint_moments.uni
-    if uni.shape[0] != n:
+    m, var, k3 = joint_moments.mean, joint_moments.var, joint_moments.k3
+    if len(m) != n:
         raise InferenceError("moment table does not match panel size")
     ids = panel.seller_ids
     y = panel.y_in
     h = panel.h
 
-    M, rhs = _diag_system(uni)
-    regular = np.linalg.cond(M) < COND_MAX
-    coef = _solve_where(M, rhs, regular)
-    regular &= np.isfinite(coef).all(axis=1)
-    singular = np.flatnonzero(~regular)
-    for t in singular:
-        coef[t] = np.linalg.lstsq(M[t], rhs[t], rcond=None)[0]
-    diag = y * y * (coef[:, 0] * h * h + coef[:, 1] * h + coef[:, 2])
+    # A unit's weighting R in span{1, H, H^2} matches E[g R] = E[g phi] -
+    # [g = H^2] for every g in the span, where phi = u^2 / v^2, u = H - m
+    # and v = Var H. phi lies in the span, so R is phi less the dual element
+    # of H^2, the residual of u^2 on (1, u) over its squared norm
+    # rho = E[u^4] - v^2 - k3^2 / v = k4 + 2 v^2 - k3^2 / v. When H takes two
+    # values, H^2 is affine in H and rho = 0; the conditions at g = H and
+    # g = H^2 then ask E[H R] for values 1 apart, and R = phi - u / (2 v)
+    # misses each by 1/2.
+    u = h - m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = u * u / (var * var)
+        rho = joint_moments.k4 + 2 * var * var - k3 * k3 / var
+        R = phi - (u * u - var - k3 / var * u) / rho
+        singular = np.flatnonzero((rho <= EPS_DET * var * var) | ~np.isfinite(R))
+        R[singular] = phi[singular] - u[singular] / (2 * var[singular])
+    diag = y * y * R
     unit_sd = np.sqrt(np.maximum(diag, 0.0))
 
     # A pair's weighting R in span{1, H_i, H_j, H_i H_j} matches
@@ -647,7 +619,6 @@ def pairwise_variance(
     # slot, and summed once: the value does not depend on the block size.
     terms = np.empty(len(joint_moments.pair_i))
     degenerate = []
-    m, var = uni[:, 1], joint_moments.var
     size = max(1, PAIR_BLOCK_BYTES // (8 * 16))
     for start in range(0, len(terms), size):
         block = slice(start, start + size)

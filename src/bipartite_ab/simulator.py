@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -38,10 +39,12 @@ class SimulationError(ValueError):
 
 def _number(value, cast, key: str, where: str = "config"):
     """`value` as `cast` (int or float) gives it; a boolean, a string, a fraction
-    where an int is due or a non-finite number is a SimulationError naming `key`."""
+    where an int is due or a non-finite number is a SimulationError naming `key`.
+    An integer too large for a float is refused with the OverflowError's text."""
     try:
         number = cast(value)
-        if isinstance(value, bool) or number != value or not math.isfinite(number):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or (cast is int and number != value) or not math.isfinite(number)):
             raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"{where} field {key!r}: {exc}") from None

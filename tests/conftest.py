@@ -332,12 +332,28 @@ def diag_weighting(mu):
     return sol, True
 
 
+def raw_moments(table):
+    """E[H^k], k = 0..4, per unit (rows) from the moment table's cumulants,
+    by the moment-cumulant identities."""
+    c1, c2, c3, c4 = table.mean, table.var, table.k3, table.k4
+    return np.column_stack(
+        [
+            np.ones_like(c1),
+            c1,
+            c2 + c1**2,
+            c3 + 3 * c2 * c1 + c1**3,
+            c4 + 4 * c3 * c1 + 3 * c2**2 + 6 * c2 * c1**2 + c1**4,
+        ]
+    )
+
+
 def unit_variance_terms(panel, joint_moments):
     """Per-unit variance estimates Y_i^2 R_i(H_i); pairwise_variance reduces
     to (1/n^2) times their sum when buyer neighborhoods are disjoint."""
     out = np.empty(panel.n)
+    uni = raw_moments(joint_moments)
     for i in range(panel.n):
-        (a, b, c), _ = diag_weighting(joint_moments.uni[i])
+        (a, b, c), _ = diag_weighting(uni[i])
         h = panel.h[i]
         out[i] = panel.y_in[i] ** 2 * (a * h * h + b * h + c)
     return out

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -56,6 +57,7 @@ from conftest import (
     diag_weighting,
     enumerate_assignments,
     random_sparse_graph,
+    raw_moments,
     two_variant_assignments,
     unit_variance_terms,
 )
@@ -447,9 +449,10 @@ def random_degenerate_graph(rng, m, n):
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 def test_closed_form_table_and_variance_match_recursions(p):
-    """The cumulant table and the batched solve agree with the per-buyer
-    recursions and the pair-by-pair loop on 40 random graphs per p, with
-    panels over a shuffled strict subset of the sellers."""
+    """The cumulant table and the closed-form weightings agree with the
+    per-buyer recursions and the unit-by-unit, pair-by-pair solves on 40
+    random graphs per p, with panels over a shuffled strict subset of the
+    sellers."""
     seen_units = seen_pairs = 0
     for seed in range(40):
         rng = np.random.default_rng([int(p * 10), seed])
@@ -458,7 +461,15 @@ def test_closed_form_table_and_variance_match_recursions(p):
         rows = rng.permutation(n)[: int(rng.integers(3, n))]
         table = exposure_moment_table(graph, p, rows)
         uni, pairs = oracle_moment_table(graph, p, rows)
-        np.testing.assert_allclose(table.uni, uni, rtol=0, atol=1e-10)
+        mu = uni.T
+        cumulants = (
+            mu[1],
+            mu[2] - mu[1] ** 2,
+            mu[3] - 3 * mu[2] * mu[1] + 2 * mu[1] ** 3,
+            mu[4] - 4 * mu[3] * mu[1] - 3 * mu[2] ** 2 + 12 * mu[2] * mu[1] ** 2 - 6 * mu[1] ** 4,
+        )
+        for got, want in zip((table.mean, table.var, table.k3, table.k4), cumulants):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
         assert list(zip(table.pair_i.tolist(), table.pair_j.tolist())) == list(pairs)
         np.testing.assert_allclose(
             table.pairs, np.array(list(pairs.values())).reshape(-1, 3, 3),
@@ -499,15 +510,7 @@ def scipy_moment_table(graph, p, rows):
     c1, c2, c3, c4 = (
         k[r] * np.asarray(W.power(r).sum(axis=1)).ravel() for r in range(1, 5)
     )
-    uni = np.column_stack(
-        [
-            np.ones_like(c1),
-            c1,
-            c2 + c1**2,
-            c3 + 3 * c2 * c1 + c1**3,
-            c4 + 4 * c3 * c1 + 3 * c2**2 + 6 * c2 * c1**2 + c1**4,
-        ]
-    )
+    uni = np.column_stack([np.ones_like(c1), c1, c2 + c1**2])
     S11 = sp.triu(W @ W.T, k=1, format="csr")
     S11.sort_indices()
     i = np.repeat(np.arange(W.shape[0]), np.diff(S11.indptr))
@@ -522,8 +525,8 @@ def scipy_moment_table(graph, p, rows):
     k22 = k[4] * shared(W2, W2)
     x1, x2, y1, y2 = c1[i], c2[i], c1[j], c2[j]
     T = np.empty((len(i), 3, 3))
-    T[:, :, 0] = uni[i, :3]
-    T[:, 0, :] = uni[j, :3]
+    T[:, :, 0] = uni[i]
+    T[:, 0, :] = uni[j]
     T[:, 1, 1] = k11 + x1 * y1
     T[:, 2, 1] = k21 + 2 * k11 * x1 + x2 * y1 + x1**2 * y1
     T[:, 1, 2] = k12 + 2 * k11 * y1 + y2 * x1 + x1 * y1**2
@@ -531,7 +534,7 @@ def scipy_moment_table(graph, p, rows):
         k22 + 2 * k21 * y1 + 2 * k12 * x1 + x2 * y2 + 2 * k11**2
         + x2 * y1**2 + y2 * x1**2 + 4 * k11 * x1 * y1 + x1**2 * y1**2
     )
-    return SimpleNamespace(p=p, uni=uni, var=c2, pair_i=i, pair_j=j,
+    return SimpleNamespace(mean=c1, var=c2, k3=c3, k4=c4, pair_i=i, pair_j=j,
                            k11=k11, k12=k12, k21=k21, k22=k22, pairs=T)
 
 
@@ -587,11 +590,12 @@ def test_moment_table_matches_scipy_table():
     panels, single-edge rows, a 1000-seller star and the fixture panels."""
     for name, graph, p, rows in moment_table_cases():
         got, want = exposure_moment_table(graph, p, rows), scipy_moment_table(graph, p, rows)
-        for field in ("uni", "var", "pair_i", "pair_j", "k11", "k12", "k21", "k22", "pairs"):
+        for field in ("mean", "var", "k3", "k4", "pair_i", "pair_j", "k11", "k12", "k21", "k22",
+                      "pairs"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a.shape, a.dtype) == (b.shape, b.dtype), (name, field)
             assert a.tobytes() == b.tobytes(), (name, field)
-        assert got.p == p and len(got.pairs) > 0, name
+        assert len(got.pairs) > 0, name
 
 
 def test_pairwise_variance_does_not_depend_on_block_size(monkeypatch):
@@ -619,7 +623,41 @@ def test_pairwise_variance_does_not_depend_on_block_size(monkeypatch):
     assert seen >= 3
 
 
-# --- the closed-form pair weighting against the 4x4 solves it replaced ----
+# --- the closed-form weightings against the solves they replaced ---------
+
+
+COND_MAX = 1e12
+
+
+def _solve_where(M: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Solve M[t] x = rhs[t] for every t in `mask` as one batch; NaN for the
+    others and for systems that are exactly singular."""
+    sol = np.full(rhs.shape, np.nan)
+    if not mask.any():
+        return sol
+    try:
+        sol[mask] = np.linalg.solve(M[mask], rhs[mask][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # a singular system fails the whole batch: redo it one at a time
+        for t in np.flatnonzero(mask):
+            try:
+                sol[t] = np.linalg.solve(M[t], rhs[t])
+            except np.linalg.LinAlgError:
+                pass
+    return sol
+
+
+def _diag_system(uni: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit, the system for R(H) = a H^2 + b H + c with E[H^g R]
+    matching the variance terms of Y W for g = 0, 1, 2."""
+    m1 = uni[:, 1]
+    v = uni[:, 2] - m1**2
+    # row g is E[H^g (H^2, H, 1)]
+    M = np.stack([uni[:, 2::-1], uni[:, 3:0:-1], uni[:, 4:1:-1]], axis=1)
+    e_h_c2 = uni[:, 3] - 2 * m1 * uni[:, 2] + m1**2 * uni[:, 1]  # E[H (H-m)^2]
+    e_h2_c2 = uni[:, 4] - 2 * m1 * uni[:, 3] + m1**2 * uni[:, 2]  # E[H^2 (H-m)^2]
+    rhs = np.column_stack([1.0 / v, e_h_c2 / v**2, e_h2_c2 / v**2 - 1.0])
+    return M, rhs
 
 
 # R(H_i, H_j) = a H_i H_j + b H_i + c H_j + d is matched against
@@ -654,14 +692,16 @@ def _pair_system(T, mi, mj, vi, vj):
 
 
 def solved_pairwise_variance(panel, table):
-    """pairwise_variance as it was computed before the closed form: the unit
-    systems as now, and one 4x4 system per overlapping pair, built from its
-    3x3 table T and solved in one batched np.linalg.solve; (value,
+    """pairwise_variance as it was computed before the closed forms: one 3x3
+    system per unit in the raw moments E[H^0..4], solved in one batch when
+    its condition number is below COND_MAX and by least squares (listing
+    the unit as degenerate) otherwise, and one 4x4 system per overlapping
+    pair, built from its 3x3 table T and solved in one batch; (value,
     n_pairs_evaluated, degenerate_pairs, degenerate_units)."""
-    uni, y, h, ids = table.uni, panel.y_in, panel.h, panel.seller_ids
-    M, rhs = inference._diag_system(uni)
-    regular = np.linalg.cond(M) < inference.COND_MAX
-    coef = inference._solve_where(M, rhs, regular)
+    uni, y, h, ids = raw_moments(table), panel.y_in, panel.h, panel.seller_ids
+    M, rhs = _diag_system(uni)
+    regular = np.linalg.cond(M) < COND_MAX
+    coef = _solve_where(M, rhs, regular)
     regular &= np.isfinite(coef).all(axis=1)
     singular = np.flatnonzero(~regular)
     for t in singular:
@@ -675,7 +715,7 @@ def solved_pairwise_variance(panel, table):
     cov = T[:, 1, 1] - mi * mj
     M, rhs = _pair_system(T, mi, mj, vi, vj)
     ok = vi * vj - cov * cov > inference.EPS_DET
-    coef = inference._solve_where(M, rhs, ok)
+    coef = _solve_where(M, rhs, ok)
     ok &= np.isfinite(coef).all(axis=1)
     hi, hj = h[i], h[j]
     matched = 2.0 * y[i] * y[j] * (
@@ -720,9 +760,10 @@ def closed_form_cases():
 
 
 def test_closed_form_pair_weighting_matches_4x4_solves():
-    """The closed-form pair weighting gives the batched 4x4 solve's
-    variance within 1e-10 relative, with the same degenerate pairs (in
-    order), degenerate units and number of pairs evaluated."""
+    """The closed-form unit and pair weightings give the variance of the
+    batched 3x3 unit and 4x4 pair solves within 1e-10 relative, with the
+    same degenerate pairs (in order), degenerate units and number of pairs
+    evaluated."""
     seen_units = seen_pairs = 0
     for name, panel, table in closed_form_cases():
         got = pairwise_variance(panel, table)
@@ -735,6 +776,60 @@ def test_closed_form_pair_weighting_matches_4x4_solves():
         seen_pairs += bool(degenerate)
     # the cases must exercise both degeneracies
     assert seen_units >= 20 and seen_pairs >= 20
+
+
+def test_unit_weighting_is_exact_at_high_degree():
+    """One seller with 10^5 equal-weight buyers: the variance is the closed
+    form evaluated in exact rational arithmetic on the same float inputs,
+    within 1e-12 relative, and the unit is not degenerate. A 3x3 solve in
+    the raw moments E[H^k] loses about 1e-6 of it to cancellation."""
+    m, p, y = 10**5, 0.3, 2.5
+    graph = BipartiteGraph([f"b{r}" for r in range(m)], ["s0"], [0, m], np.arange(m),
+                           np.full(m, 1.0 / m))
+    h = graph.times((np.random.default_rng(3).random(m) < p).astype(float))
+    panel = make_panel(h, [y], p=p, var_h=p * (1 - p) * graph.row_sumsq())
+    pv = pairwise_variance(panel, exposure_moment_table(graph, p, np.arange(1)))
+    assert pv.degenerate_units == [] and pv.n_pairs_evaluated == 0
+
+    P, w = Fraction(p), Fraction(graph.weights[0])
+    pq = P * (1 - P)
+    v, k3, k4 = pq * m * w**2, pq * (1 - 2 * P) * m * w**3, pq * (1 - 6 * pq) * m * w**4
+    u = Fraction(h[0]) - P * m * w
+    rho = k4 + 2 * v * v - k3 * k3 / v
+    want = Fraction(y) ** 2 * (u * u / (v * v) - (u * u - v - k3 / v * u) / rho)
+    assert pv.value == pytest.approx(float(want), rel=1e-12)
+
+
+def test_pairwise_variance_calls_no_linear_algebra(monkeypatch):
+    """The pairwise interval on the fixture panels, and the variance on
+    graphs with single-buyer sellers, call no np.linalg solver and raise no
+    warning: the division by rho = 0 of a degenerate unit stays inside
+    np.errstate."""
+    fixtures = list(fixture_panels(FIXTURE / "outcomes.csv"))
+    cases = []
+    for seed in range(10):
+        rng = np.random.default_rng([19, seed])
+        m, n, p = int(rng.integers(6, 16)), int(rng.integers(5, 14)), 0.5
+        graph = random_degenerate_graph(rng, m, n)
+        h = graph.times((rng.random(m) < p).astype(float))
+        panel = make_panel(h, rng.normal(1.0, 2.0, n), p=p, var_h=p * (1 - p) * graph.row_sumsq())
+        cases.append((panel, exposure_moment_table(graph, p, np.arange(n))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg solver called")
+
+    for name in ("solve", "lstsq", "cond"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for panel, graph in fixtures:
+            assert np.isfinite(pairwise_variance_ci(panel, graph).width)
+        for panel, table in cases:
+            pv = pairwise_variance(panel, table)
+            assert np.isfinite(pv.value)
+            seen += bool(pv.degenerate_units)
+    assert seen >= 5
 
 
 # --- per-replicate oracles for the batched bootstrap and randomization ----

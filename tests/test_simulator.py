@@ -50,6 +50,8 @@ NAMED_CONFIG_ERRORS = [
     ({"m": 10, "n": 10, "violation": {"kind": "quadratic", "gamma": float("inf")}},
      "'gamma'"),
     ({"m": 10, "n": 10, "favorite_rates": [float("nan"), 0.2]}, "'favorite_rates'"),
+    ({"m": 10, "n": 10, "noise_sd": "1.5"}, "'noise_sd'"),
+    ({"m": 10, "n": 10, "degree": {"kind": "zipf", "s": 10**400, "k_max": 5}}, "'s'"),
 ]
 
 
@@ -209,6 +211,21 @@ class TestSimulateExperiment:
     def test_config_dict_error_names_the_field(self, payload, field):
         with pytest.raises(SimulationError, match=re.escape(field)):
             sim_config_from_dict(payload)
+
+    def test_large_integer_in_float_field_is_read_as_float(self):
+        config = sim_config_from_dict(
+            {"m": 10, "n": 10, "noise_sd": 10**30,
+             "degree": {"kind": "zipf", "s": 10**30, "k_max": 5}}
+        )
+        assert (config.noise_sd, config.degree.s) == (1e30, 1e30)
+        assert type(config.noise_sd) is float and type(config.degree.s) is float
+        for payload, message in [
+            ({"noise_sd": 10**400}, "config field 'noise_sd'"),
+            ({"degree": {"kind": "zipf", "s": 10**400, "k_max": 5}}, "degree field 's'"),
+        ]:
+            with pytest.raises(SimulationError) as caught:
+                sim_config_from_dict({"m": 10, "n": 10, **payload})
+            assert str(caught.value) == f"{message}: int too large to convert to float"
 
     def test_config_json_round_trip(self):
         config = SimConfig(
