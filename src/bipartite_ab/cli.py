@@ -10,65 +10,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 # per_variant_subgraph is called through its module, like the inference
 # functions, so a wrapper set on the module (perfbench's tracer) sees it
 from . import graph, inference, simulator
 from .exposure import assemble_panel, exposure_histogram, write_exposure_histogram
-from .graph import GraphBuildConfig, build_graph, dump_graph, graph_stats
+from .graph import WEIGHTINGS, GraphBuildConfig, build_graph, dump_graph, graph_stats
 from .ingest import parse_assignments, parse_events, parse_outcomes
 from .report import EstimateReport, ReportEntry, forest_plot_svg, histogram_svg
-
-
-@dataclass
-class AnalysisConfig:
-    events_path: str
-    assignments_path: str
-    outcomes_path: str
-    out_dir: str
-    kind_groups: list[frozenset] = field(default_factory=lambda: [frozenset({"view"})])
-    treatment: str = "On"
-    control: str = "Off"
-    weighting: str = "count_proportional"
-    estimators: tuple = ("erl",)
-    methods: tuple = ("bootstrap",)
-    level: float = 0.95
-    replications: int = 1000
-    seed: int = 0
-    window: tuple[int, int] = (0, 2**62)
-    design_path: str | None = None
-    allow_missing_outcomes: bool = False
-    dump_graphs: bool = False
-
-    def __post_init__(self):
-        inference.check_request(
-            self.estimators, self.methods, self.replications, self.level, self.seed
-        )
-        if self.treatment == self.control:
-            raise ValueError(f"treatment and control are both {self.treatment!r}")
-        # each kind group's graph settings, refused here before any input is read
-        self.graph_configs = [
-            GraphBuildConfig(self.weighting, frozenset(g)) for g in self.kind_groups
-        ]
-
-
-def _config_echo(config: AnalysisConfig) -> dict:
-    return {
-        "events": str(config.events_path),
-        "assignments": str(config.assignments_path),
-        "outcomes": str(config.outcomes_path),
-        "kind_groups": [sorted(g) for g in config.kind_groups],
-        "treatment": config.treatment,
-        "control": config.control,
-        "weighting": config.weighting,
-        "estimators": list(config.estimators),
-        "methods": list(config.methods),
-        "level": config.level,
-        "replications": config.replications,
-        "seed": config.seed,
-    }
 
 
 def _analysis_targets(assignments, group_label, control):
@@ -94,35 +44,75 @@ def _entry(label, est, method, ci) -> ReportEntry:
     )
 
 
-def cmd_analyze(config: AnalysisConfig) -> int:
-    assignments = parse_assignments(config.assignments_path, config.design_path)
-    for label in (config.treatment, config.control):
-        assignments.code(label)  # a variant the design does not declare is an error
-    outcomes = parse_outcomes(config.outcomes_path)
+def _split(value: str) -> list[str]:
+    """The non-empty items of a comma-separated list."""
+    return [v for v in value.split(",") if v]
 
-    report = EstimateReport(config=_config_echo(config))
-    all_kinds = frozenset().union(*config.kind_groups)
-    events, ev_report = parse_events(config.events_path, all_kinds, config.window)
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    # the request is refused before any input is read
+    window = (0, 2**62)
+    if args.window:
+        try:
+            window = tuple(map(int, args.window.split(":")))
+        except ValueError:
+            window = ()
+        if len(window) != 2 or window[0] > window[1]:
+            raise ValueError("--window must be 't0:t1' with integers "
+                             f"t0 <= t1, got {args.window!r}")
+    estimators, methods = _split(args.estimators), _split(args.methods)
+    inference.check_request(estimators, methods, args.replications, args.level, args.seed)
+    if args.treatment == args.control:
+        raise ValueError(f"treatment and control are both {args.treatment!r}")
+    # each --kinds occurrence builds one graph from its comma-separated kinds
+    kind_groups = [frozenset(map(str.strip, _split(k))) - {""}
+                   for k in args.kinds or ["view"]]
+    build_cfgs = [GraphBuildConfig(args.weighting, g) for g in kind_groups]
+
+    assignments = parse_assignments(args.assignments, args.design)
+    for label in (args.treatment, args.control):
+        assignments.code(label)  # a variant the design does not declare is an error
+    outcomes = parse_outcomes(args.outcomes)
+
+    report = EstimateReport(config={
+        "events": args.events,
+        "assignments": args.assignments,
+        "outcomes": args.outcomes,
+        "kind_groups": [sorted(g) for g in kind_groups],
+        "treatment": args.treatment,
+        "control": args.control,
+        "weighting": args.weighting,
+        "estimators": estimators,
+        "methods": methods,
+        "level": args.level,
+        "replications": args.replications,
+        "seed": args.seed,
+    })
+    events, ev_report = parse_events(args.events, frozenset().union(*kind_groups), window)
     report.config["events_dropped_rows"] = ev_report.rows_dropped
 
+    def all_failed(label, message):
+        report.entries += [ReportEntry(label, est, method, status="error", error=message)
+                           for est in estimators for method in methods]
+
     histograms, dumps = {}, {}
-    for build_cfg in config.graph_configs:
+    for build_cfg in build_cfgs:
         # drop the last group's graphs and panel before this one is built
         full = g = panel = None
         targets = _analysis_targets(
-            assignments, "+".join(sorted(build_cfg.kind_filter)), config.control
+            assignments, "+".join(sorted(build_cfg.kind_filter)), args.control
         )
         try:
             full, _ = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
             for label, _ in targets:
-                _record_all_failed(report, label, config, str(exc))
+                all_failed(label, str(exc))
             continue
 
         for label, control in targets:
             try:
                 g = full if control is None else graph.per_variant_subgraph(
-                    full, assignments, control, config.treatment
+                    full, assignments, control, args.treatment
                 )
                 st = graph_stats(g)
                 report.graph_stats[label] = {
@@ -135,30 +125,30 @@ def cmd_analyze(config: AnalysisConfig) -> int:
                     g,
                     assignments,
                     outcomes,
-                    config.treatment,
+                    args.treatment,
                     control=control,
-                    allow_missing_outcomes=config.allow_missing_outcomes,
+                    allow_missing_outcomes=args.allow_missing_outcomes,
                 )
             except ValueError as exc:
-                _record_all_failed(report, label, config, str(exc))
+                all_failed(label, str(exc))
                 continue
             report.degenerate_units[label] = {
                 "missing_outcome": degen.n_missing_outcome,
                 "zero_variance": degen.n_zero_variance,
             }
             histograms[label] = panel.h
-            if config.dump_graphs:
+            if args.dump_graphs:
                 dumps[label] = g
             report.entries += [
                 _entry(label, *result)
                 for result in inference.intervals(
-                    panel, g, config.estimators, config.methods,
-                    config.replications, config.seed, config.level,
+                    panel, g, estimators, methods,
+                    args.replications, args.seed, args.level,
                 )
             ]
 
     # nothing is written until every stage has run
-    out = Path(config.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "forest.svg").write_text(forest_plot_svg(report), encoding="utf-8")
@@ -181,42 +171,29 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     return 2 if failed else 0
 
 
-def _record_all_failed(report, label, config, message):
-    report.entries += [
-        ReportEntry(label, est, method, status="error", error=message)
-        for est in config.estimators for method in config.methods
-    ]
-
-
-def cmd_simulate(config_path, out_dir) -> int:
-    config = simulator.load_sim_config(config_path)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = simulator.load_sim_config(args.config)
     start = time.perf_counter()
-    exp = simulator.simulate_experiment(config, out_dir=out_dir)
+    exp = simulator.simulate_experiment(config, out_dir=args.out)
     elapsed = time.perf_counter() - start
     print(f"wrote {len(exp.events)} events, {config.m} buyers, "
-          f"{exp.graph.n_sellers} sellers to {out_dir}")
+          f"{exp.graph.n_sellers} sellers to {args.out}")
     print(f"true_tau = {exp.truth.true_tau:.6f}")
     print(f"elapsed: {elapsed:.2f}s")
     return 0
 
 
-def cmd_validate(config_path, estimators, methods, replications, ci_replications,
-                 seed, out_dir) -> int:
-    config = simulator.load_sim_config(config_path)
+def cmd_validate(args: argparse.Namespace) -> int:
     table = simulator.run_validation(
-        config, estimators, methods, replications, ci_replications, seed=seed
+        simulator.load_sim_config(args.config), _split(args.estimators),
+        _split(args.methods), args.replications, args.ci_replications, seed=args.seed,
     )
     print(table)
-    if out_dir is not None:
-        out = Path(out_dir)
+    if args.out is not None:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         table.to_csv(out / "validation.csv")
     return 0
-
-
-def _parse_kind_groups(values: list[str]) -> list[frozenset]:
-    # each --kinds occurrence builds one graph from its comma-separated kinds
-    return [frozenset(v.strip() for v in value.split(",") if v.strip()) for value in values]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--treatment", default="On")
     pa.add_argument("--control", default="Off")
     pa.add_argument("--weighting", default="count_proportional",
-                    choices=("count_proportional", "binary_dedup"))
+                    choices=WEIGHTINGS)
     pa.add_argument("--estimators", default="erl")
     pa.add_argument("--methods", default="bootstrap")
     pa.add_argument("--level", type=float, default=0.95)
@@ -250,10 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--allow-missing-outcomes", action="store_true")
     pa.add_argument("--dump-graphs", action="store_true")
     pa.add_argument("--out", required=True)
+    pa.set_defaults(run=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="generate a synthetic experiment")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", required=True)
+    ps.set_defaults(run=cmd_simulate)
 
     pv = sub.add_parser("validate", help="bias/coverage study on simulated data")
     pv.add_argument("--config", required=True)
@@ -263,59 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--ci-replications", type=int, default=500)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default=None)
+    pv.set_defaults(run=cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            window = (0, 2**62)
-            if args.window:
-                try:
-                    window = tuple(map(int, args.window.split(":")))
-                except ValueError:
-                    window = ()
-                if len(window) != 2 or window[0] > window[1]:
-                    raise ValueError("--window must be 't0:t1' with integers "
-                                     f"t0 <= t1, got {args.window!r}")
-            config = AnalysisConfig(
-                events_path=args.events,
-                assignments_path=args.assignments,
-                outcomes_path=args.outcomes,
-                out_dir=args.out,
-                kind_groups=_parse_kind_groups(args.kinds or ["view"]),
-                treatment=args.treatment,
-                control=args.control,
-                weighting=args.weighting,
-                estimators=tuple(e for e in args.estimators.split(",") if e),
-                methods=tuple(m for m in args.methods.split(",") if m),
-                level=args.level,
-                replications=args.replications,
-                seed=args.seed,
-                window=window,
-                design_path=args.design,
-                allow_missing_outcomes=args.allow_missing_outcomes,
-                dump_graphs=args.dump_graphs,
-            )
-            return cmd_analyze(config)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "validate":
-            return cmd_validate(
-                args.config,
-                [e for e in args.estimators.split(",") if e],
-                [m for m in args.methods.split(",") if m],
-                args.replications, args.ci_replications, args.seed, args.out,
-            )
+        return args.run(args)
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation that failed; a bare one
         # has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

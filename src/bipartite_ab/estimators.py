@@ -120,11 +120,8 @@ def _breusch_pagan(X: np.ndarray, resid: np.ndarray) -> float:
     u2 = resid**2
     if float(np.sum((u2 - u2.mean()) ** 2)) <= 0:
         return 0.0
-    try:
-        _, _, r2_aux = _solve_ols(X, u2)
-    except CollinearDesignError:
-        return 0.0
-    return len(resid) * r2_aux
+    # cannot raise CollinearDesignError: the rank test reads only X, which the fit passed
+    return len(resid) * _solve_ols(X, u2)[2]
 
 
 def regression_estimate(panel: ExposurePanel, use_pre: bool = False) -> PointEstimate:

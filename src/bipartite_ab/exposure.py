@@ -189,7 +189,8 @@ def exposure_histogram(
 
 def write_exposure_histogram(h, path):
     counts, edges = exposure_histogram(h)
+    edges = edges.tolist()  # Python floats: a numpy float's repr is np.float64(...)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bin_lower,bin_upper,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
+        for lo, hi, c in zip(edges, edges[1:], counts.tolist()):
+            fh.write(f"{lo!r},{hi!r},{c}\n")

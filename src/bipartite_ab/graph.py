@@ -7,10 +7,8 @@ Two weighting schemes are supported:
 * ``count_proportional``: w = (events from buyer r to seller i) / (events to i)
 * ``binary_dedup``:       w = 1 / (distinct buyers interacting with i)
 
-A graph is numpy arrays: building, restricting and multiplying by it and
-the pairwise moment table need no scipy. `BipartiteGraph.matrix()`, which
-no command calls, imports `scipy.sparse` for the callers that want a
-sparse matrix.
+A graph is CSR-style numpy arrays: building, restricting and multiplying
+by it and the pairwise moment table need no scipy.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ class BipartiteGraph:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.buyer_idx = np.asarray(buyer_idx, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self._matrix = None
         self._bins = np.empty(0, dtype=np.int64)
         self._validate()
 
@@ -124,20 +121,9 @@ class BipartiteGraph:
     def n_edges(self) -> int:
         return len(self.weights)
 
-    def matrix(self):
-        """The weights as a `scipy.sparse.csr_matrix`, built on first use."""
-        if self._matrix is None:
-            import scipy.sparse as sp
-
-            self._matrix = sp.csr_matrix(
-                (self.weights, self.buyer_idx, self.indptr),
-                shape=(self.n_sellers, self.n_buyers),
-            )
-        return self._matrix
-
     def times(self, x: np.ndarray) -> np.ndarray:
         """W x, or W x_k for each row x_k of a 2-D `x`: each sum runs from 0
-        along the row's edges in order, bit-equal to scipy's `matrix() @ x`."""
+        along the row's edges in order, bit-equal to a scipy CSR product."""
         k = len(x) if x.ndim == 2 else 1
         product = np.asarray(x, dtype=np.float64).take(self.buyer_idx, axis=-1)
         product *= self.weights
@@ -145,8 +131,8 @@ class BipartiteGraph:
         return sums.reshape(*x.shape[:-1], -1)
 
     def transpose_times(self, v: np.ndarray) -> np.ndarray:
-        """W' v, bit-equal to `matrix().T @ v`: each buyer's sum runs from 0
-        over its edges in row order."""
+        """W' v, bit-equal to a scipy CSR `W.T @ v`: each buyer's sum runs
+        from 0 over its edges in row order."""
         return np.bincount(self.buyer_idx, self.weights * v[self._edge_bins(1)], self.n_buyers)
 
     def _edge_bins(self, k: int) -> np.ndarray:
@@ -164,10 +150,6 @@ class BipartiteGraph:
 
     def row_sumsq(self) -> np.ndarray:
         return np.add.reduceat(self.weights**2, self.indptr[:-1])
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.buyer_idx[lo:hi], self.weights[lo:hi]
 
     def seller_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -271,7 +253,7 @@ def per_variant_subgraph(
         graph.buyer_variants(assignments),
         [assignments.code(control), assignments.code(treatment)],
     )
-    # the kept edges keep their order, as slicing matrix() by columns does
+    # the kept edges keep their order within each row
     kept = keep[graph.buyer_idx]
     degree = np.add.reduceat(kept, graph.indptr[:-1], dtype=np.int64)
     kept = np.flatnonzero(kept)

@@ -106,6 +106,23 @@ def random_sparse_graph(rng, m, n, min_deg=2, max_deg=4):
     )
 
 
+def csr(graph):
+    """The graph's weights as a `scipy.sparse.csr_matrix`: the oracle for the
+    numpy products, restrictions and moment sums of the package."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix(
+        (graph.weights, graph.buyer_idx, graph.indptr),
+        shape=(graph.n_sellers, graph.n_buyers),
+    )
+
+
+def graph_row(graph, i):
+    """(buyer indices, weights) of the graph's seller row i."""
+    lo, hi = graph.indptr[i], graph.indptr[i + 1]
+    return graph.buyer_idx[lo:hi], graph.weights[lo:hi]
+
+
 # --- row-at-a-time graph code, kept as oracles for the columnar versions ---
 
 
@@ -155,7 +172,7 @@ def oracle_per_variant_subgraph(graph, assignments, control, treatment):
     remap[keep_old] = np.arange(len(kept_buyers))
     sellers, indptr, buyer_idx, weights = [], [0], [], []
     for i, seller in enumerate(graph.sellers):
-        idx, w = graph.row(i)
+        idx, w = graph_row(graph, i)
         mask = keep_old[idx]
         if not mask.any():
             continue
@@ -188,7 +205,7 @@ def oracle_realized_exposure(graph, assignments, treatment):
     assignments.code(treatment)  # an unknown label is an error
     assigned = assignment_entries(assignments)
     treated = [assigned.get(b) == treatment for b in graph.buyers]
-    return graph.matrix() @ np.array(treated, dtype=np.float64)
+    return csr(graph) @ np.array(treated, dtype=np.float64)
 
 
 def oracle_assemble_panel(graph, assignments, outcomes, treatment, control=None):
@@ -296,7 +313,7 @@ def edge_set(graph):
     """(seller, buyer, weight) triples of a graph, for order-free comparison."""
     out = set()
     for i, seller in enumerate(graph.sellers):
-        idx, w = graph.row(i)
+        idx, w = graph_row(graph, i)
         for j, weight in zip(idx, w):
             out.add((seller, graph.buyers[j], float(weight)))
     return out

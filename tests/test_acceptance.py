@@ -36,6 +36,7 @@ from bipartite_ab.simulator import (
 from conftest import (
     assignment_table,
     assignment_probability,
+    csr,
     enumerate_assignments,
     make_events,
     random_sparse_graph,
@@ -56,7 +57,7 @@ def test_01_design_moments_match_enumeration():
     rng = np.random.default_rng(4)
     for m, n in ((5, 4), (8, 6), (12, 7)):
         graph = random_sparse_graph(rng, m, n, min_deg=1, max_deg=min(m, 4))
-        W = graph.matrix().toarray()
+        W = csr(graph).toarray()
         for p in (0.3, 0.5):
             assignments = two_variant_assignments(list(graph.buyers), [], p_on=p)
             e_h, var_h = design_moments(graph, assignments, "On")
@@ -132,7 +133,7 @@ def test_04_pairwise_variance_exact_at_toy_scale():
     p = 0.5
     var_h = p * (1 - p) * graph.row_sumsq()
     moments = exposure_moment_table(graph, p, np.arange(6))
-    W = graph.matrix().toarray()
+    W = csr(graph).toarray()
     taus, vhats = [], []
     for z in enumerate_assignments(10):
         h = W @ z
@@ -241,7 +242,7 @@ def test_08_identical_edge_pair_flagged():
     p = 0.5
     var_h = p * (1 - p) * graph.row_sumsq()
     rng = np.random.default_rng(8)
-    h = graph.matrix() @ rng.integers(0, 2, 4).astype(float)
+    h = csr(graph) @ rng.integers(0, 2, 4).astype(float)
     panel = make_panel(h, rng.normal(0, 1, 3), p=p, var_h=var_h)
     panel.seller_ids = list(graph.sellers)
     moments = exposure_moment_table(graph, p, np.arange(3))

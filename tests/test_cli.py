@@ -210,12 +210,25 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: kind_filter must be non-empty\n"
         assert not out.exists()
 
-    def test_unknown_weighting_refused_by_config(self, sim_dir, tmp_path):
-        with pytest.raises(ValueError, match="^unknown weighting 'wat'$"):
-            cli.AnalysisConfig(
-                str(sim_dir / "events.csv"), str(sim_dir / "assignments.csv"),
-                str(sim_dir / "outcomes.csv"), str(tmp_path / "out"), weighting="wat",
-            )
+    def test_unknown_weighting_is_argparse_error(self, sim_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(analyze_args(sim_dir, tmp_path / "out", "--weighting", "wat"))
+        assert exc.value.code == 2
+        assert "invalid choice: 'wat'" in capsys.readouterr().err
+
+    def test_request_errors_in_order(self, sim_dir, tmp_path, capsys):
+        """The window is checked first, then the interval request, then the
+        variant pair; each ends the run before any output is written."""
+        out = tmp_path / "out"
+        flags = ["--level", "2", "--treatment", "On", "--control", "On"]
+        for extra, message in [
+            (["--window", "x"], "--window must be 't0:t1' with integers t0 <= t1, got 'x'"),
+            ([], "level 2.0 outside (0,1)"),
+            (["--level", "0.9"], "treatment and control are both 'On'"),
+        ]:
+            assert main(analyze_args(sim_dir, out, *flags, *extra)) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("module, stage, message", [
         (cli, "parse_events", "MemoryError"),

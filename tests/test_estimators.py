@@ -17,7 +17,7 @@ from bipartite_ab.estimators import (
 )
 from bipartite_ab.exposure import ExposurePanel
 
-from conftest import random_sparse_graph
+from conftest import csr, random_sparse_graph
 
 
 def make_panel(h, y, y_pre=None, p=0.5, var_h=None):
@@ -44,7 +44,7 @@ def simulated_panel(rng, m=300, n=150, beta=None, alpha=None, noise=0.5, p=0.5):
     if beta is None:
         beta = rng.normal(1, 0.3, n)
     z = (rng.random(m) < p).astype(float)
-    h = graph.matrix() @ z
+    h = csr(graph) @ z
     y = alpha + beta * h + rng.normal(0, noise, n)
     y_pre = alpha + rng.normal(0, 0.3, n)
     var_h = p * (1 - p) * graph.row_sumsq()
@@ -71,7 +71,7 @@ class TestErl:
         graph = random_sparse_graph(rng, m, n)
         alpha = rng.normal(0, 1, n)
         beta = rng.normal(1, 0.3, n)
-        W = graph.matrix()
+        W = csr(graph)
         var_h = p * (1 - p) * graph.row_sumsq()
         reps = 2000
         taus = np.empty(reps)
@@ -218,7 +218,7 @@ class TestCrErl:
         alpha = rng.normal(0, 2.0, n)
         beta = rng.normal(1, 0.2, n)
         y_pre = alpha + rng.normal(0, 0.5, n)  # corr(alpha, y_pre) > 0.9
-        W = graph.matrix()
+        W = csr(graph)
         var_h = p * (1 - p) * graph.row_sumsq()
         erl_taus, cr_taus = [], []
         for _ in range(2000):
@@ -245,7 +245,7 @@ class TestMonteCarloRecovery:
         alpha = rng.normal(0, 1, n)
         beta = rng.normal(1, 0.25, n)
         y_pre = 0.8 * alpha + rng.normal(0, 0.6, n)
-        W = graph.matrix()
+        W = csr(graph)
         var_h = p * (1 - p) * graph.row_sumsq()
         reps = 2000
         taus = np.empty(reps)

@@ -28,6 +28,7 @@ from conftest import (
     assert_same_panel,
     assignment_table,
     assignment_probability,
+    csr,
     enumerate_assignments,
     make_events,
     oracle_assemble_panel,
@@ -150,7 +151,7 @@ class TestDesignMoments:
                 [Variant("Off", 1 - p, control=True), Variant("On", p)],
             )
             e_h, var_h = design_moments(graph, assignments, "On")
-            W = graph.matrix().toarray()
+            W = csr(graph).toarray()
             mean = np.zeros(n)
             second = np.zeros(n)
             for z in enumerate_assignments(m):
@@ -169,7 +170,7 @@ class TestDesignMoments:
             [Variant("Off", 1 - p, control=True), Variant("On", p)],
         )
         e_h, var_h = design_moments(graph, assignments, "On")
-        W = graph.matrix()
+        W = csr(graph)
         R = 20_000
         Z = (rng.random((40, R)) < p).astype(float)
         H = W @ Z
@@ -398,3 +399,9 @@ class TestHistogram:
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_lower,bin_upper,count"
         assert len(lines) == 51
+        # every bound is a plain float, the bin edges written in order
+        rows = [line.split(",") for line in lines[1:]]
+        want = np.linspace(0, 1, 51)
+        assert [float(lo) for lo, _, _ in rows] == want[:-1].tolist()
+        assert [float(hi) for _, hi, _ in rows] == want[1:].tolist()
+        assert [int(c) for _, _, c in rows] == counts.tolist()

@@ -32,8 +32,10 @@ from conftest import (
     assert_same_graph,
     assignment_entries,
     assignment_table,
+    csr,
     edge_set,
     event_rows,
+    graph_row,
     make_events,
     oracle_build_graph,
     oracle_graph_stats,
@@ -70,7 +72,7 @@ def counts_events():
 class TestBuildGraph:
     def test_count_proportional_shares(self):
         graph, _ = build_graph(counts_events(), three_variant_assignments(), CFG_COUNT)
-        idx, w = graph.row(0)
+        idx, w = graph_row(graph, 0)
         weights = {graph.buyers[j]: weight for j, weight in zip(idx, w)}
         assert weights["a"] == pytest.approx(1 / 6, abs=1e-12)
         assert weights["b"] == pytest.approx(2 / 6, abs=1e-12)
@@ -79,12 +81,12 @@ class TestBuildGraph:
     def test_single_buyer_seller_weight_one(self):
         events = make_events([("a", "solo", "view", 1)])
         graph, _ = build_graph(events, three_variant_assignments(), CFG_COUNT)
-        _, w = graph.row(graph.sellers.index("solo"))
+        _, w = graph_row(graph, graph.sellers.index("solo"))
         assert w.tolist() == [1.0]
 
     def test_binary_dedup(self):
         graph, _ = build_graph(counts_events(), three_variant_assignments(), CFG_DEDUP)
-        _, w = graph.row(0)
+        _, w = graph_row(graph, 0)
         assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_unassigned_buyer_excluded_and_counted(self):
@@ -92,13 +94,17 @@ class TestBuildGraph:
         graph, report = build_graph(events, three_variant_assignments(), CFG_COUNT)
         assert report.skipped_unassigned == 1
         assert "ghost" not in graph.buyers
-        _, w = graph.row(0)
+        _, w = graph_row(graph, 0)
         assert np.isclose(w.sum(), 1.0, atol=1e-9)
 
     def test_empty_graph_error(self):
         events = make_events([("a", "s1", "favorite", 1)])
         with pytest.raises(EmptyGraphError):
             build_graph(events, three_variant_assignments(), CFG_COUNT)
+
+    def test_unknown_weighting_refused(self):
+        with pytest.raises(GraphError, match="^unknown weighting 'wat'$"):
+            GraphBuildConfig(weighting="wat")
 
     def test_permutation_invariance(self, rng):
         rows = counts_rows() + [("a", "s2", "view", 7), ("b", "s2", "view", 8)]
@@ -130,8 +136,8 @@ class TestBuildGraph:
         after, _ = build_graph(
             make_events(counts_rows() + [("d", "s1", "view", 9)]), assignments2, CFG_COUNT
         )
-        w_before = {before.buyers[j]: w for j, w in zip(*before.row(0))}
-        w_after = {after.buyers[j]: w for j, w in zip(*after.row(0))}
+        w_before = {before.buyers[j]: w for j, w in zip(*graph_row(before, 0))}
+        w_after = {after.buyers[j]: w for j, w in zip(*graph_row(after, 0))}
         for buyer in ("a", "b", "c"):
             assert w_after[buyer] < w_before[buyer]
 
@@ -159,7 +165,7 @@ class TestPerVariantSubgraph:
     def test_restriction_renormalizes(self):
         graph, _ = build_graph(counts_events(), three_variant_assignments(), CFG_COUNT)
         sub = per_variant_subgraph(graph, three_variant_assignments(), "Off", "A")
-        weights = {sub.buyers[j]: w for j, w in zip(*sub.row(0))}
+        weights = {sub.buyers[j]: w for j, w in zip(*graph_row(sub, 0))}
         # oracle: recomputed shares from the raw counts a:1, b:2 by hand
         assert weights == pytest.approx({"a": 1 / 3, "b": 2 / 3}, abs=1e-12)
         assert "c" not in sub.buyers
@@ -418,7 +424,7 @@ def scipy_per_variant_subgraph(graph, assignments, control, treatment):
         graph.buyer_variants(assignments),
         [assignments.code(control), assignments.code(treatment)],
     )
-    sub = graph.matrix()[:, keep]
+    sub = csr(graph)[:, keep]
     rows = np.flatnonzero(np.diff(sub.indptr))
     if not len(rows):
         raise EmptyGraphError("empty graph")
@@ -466,7 +472,7 @@ def test_products_match_scipy(rng):
     products bit for bit."""
     compared = 0
     for graph in product_graphs(rng):
-        W = graph.matrix()
+        W = csr(graph)
         x = rng.standard_normal(graph.n_buyers)
         assert graph.times(x).tobytes() == (W @ x).tobytes()
         Z = rng.random((7, graph.n_buyers)) < 0.4

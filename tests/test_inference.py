@@ -54,8 +54,10 @@ from bipartite_ab.simulator import (
 from conftest import (
     outcome_table,
     assignment_probability,
+    csr,
     diag_weighting,
     enumerate_assignments,
+    graph_row,
     random_sparse_graph,
     raw_moments,
     two_variant_assignments,
@@ -188,7 +190,7 @@ class TestPairwiseVariance:
         return graph, alpha, beta, var_h, moments
 
     def enumerate_v(self, graph, alpha, beta, var_h, moments, p=0.5):
-        W = graph.matrix().toarray()
+        W = csr(graph).toarray()
         n = graph.n_sellers
         taus, vhats, probs = [], [], []
         for z in enumerate_assignments(graph.n_buyers):
@@ -236,7 +238,7 @@ class TestPairwiseVariance:
         var_h = p * (1 - p) * graph.row_sumsq()
         moments = exposure_moment_table(graph, p, np.arange(n))
         assert len(moments.pairs) == 0  # no overlapping neighborhoods
-        h = graph.matrix() @ (rng.random(m) < p).astype(float)
+        h = csr(graph) @ (rng.random(m) < p).astype(float)
         y = rng.normal(0, 1, n)
         panel = make_panel(h, y, p=p, var_h=var_h)
         pv = pairwise_variance(panel, moments)
@@ -250,7 +252,7 @@ class TestPairwiseVariance:
         pair, from per-buyer moments and one unit at a time."""
         terms = np.empty(panel.n)
         for i in range(panel.n):
-            (a, b, c), _ = diag_weighting(oracle_uni_moments(graph.row(i)[1], p))
+            (a, b, c), _ = diag_weighting(oracle_uni_moments(graph_row(graph, i)[1], p))
             h = panel.h[i]
             terms[i] = panel.y_in[i] ** 2 * (a * h * h + b * h + c)
         sd = np.sqrt(np.maximum(terms, 0.0))
@@ -266,7 +268,7 @@ class TestPairwiseVariance:
         p = 0.5
         var_h = p * (1 - p) * graph.row_sumsq()
         moments = exposure_moment_table(graph, p, np.arange(3))
-        h = graph.matrix() @ np.array([1.0, 0.0, 1.0])
+        h = csr(graph) @ np.array([1.0, 0.0, 1.0])
         panel = make_panel(h, np.array([1.0, 2.0, 3.0]), p=p, var_h=var_h)
         panel.seller_ids = list(graph.sellers)
         pv = pairwise_variance(panel, moments)
@@ -284,7 +286,7 @@ class TestPairwiseVariance:
         p = 0.5
         var_h = p * (1 - p) * graph.row_sumsq()
         moments = exposure_moment_table(graph, p, np.arange(2))
-        h = graph.matrix() @ np.array([1.0, 0.0])
+        h = csr(graph) @ np.array([1.0, 0.0])
         panel = make_panel(h, np.array([2.0, -1.0]), p=p, var_h=var_h)
         panel.seller_ids = list(graph.sellers)
         merged = pairwise_variance(panel, moments)
@@ -299,7 +301,7 @@ class TestPairwiseVariance:
         p = 0.5
         var_h = p * (1 - p) * graph.row_sumsq()
         moments = exposure_moment_table(graph, p, np.arange(n))
-        h = graph.matrix() @ (rng.random(30) < p).astype(float)
+        h = csr(graph) @ (rng.random(30) < p).astype(float)
         panel = make_panel(h, rng.normal(size=n), p=p, var_h=var_h)
         assert np.isfinite(pairwise_variance(panel, moments).value)
         monkeypatch.setattr(inference, "PAIRWISE_N_MAX", 5)
@@ -357,7 +359,7 @@ def oracle_moment_table(graph, p, rows):
     supports = []
     uni = np.empty((len(rows), 5))
     for k, i in enumerate(rows):
-        idx, w = graph.row(int(i))
+        idx, w = graph_row(graph, int(i))
         uni[k] = oracle_uni_moments(w, p)
         supports.append(dict(zip(idx.tolist(), w.tolist())))
     buyer_to_units = {}
@@ -476,7 +478,7 @@ def test_closed_form_table_and_variance_match_recursions(p):
             rtol=0, atol=1e-10,
         )
 
-        h = (graph.matrix() @ (rng.random(m) < p).astype(float))[rows]
+        h = (csr(graph) @ (rng.random(m) < p).astype(float))[rows]
         var_h = p * (1 - p) * graph.row_sumsq()[rows]
         panel = make_panel(h, rng.normal(1.0, 2.0, len(rows)), p=p, var_h=var_h)
         panel.seller_ids = [graph.sellers[r] for r in rows]
@@ -505,7 +507,7 @@ def scipy_moment_table(graph, p, rows):
     import scipy.sparse as sp
 
     k = inference._bernoulli_cumulants(p)
-    W = graph.matrix()[np.asarray(rows)]
+    W = csr(graph)[np.asarray(rows)]
     W2 = W.multiply(W).tocsr()
     c1, c2, c3, c4 = (
         k[r] * np.asarray(W.power(r).sum(axis=1)).ravel() for r in range(1, 5)
@@ -871,7 +873,7 @@ def oracle_randomization_ci(graph, assignments, outcomes, estimator_id,
     panel, _ = assemble_panel(graph, assignments, outcomes, treatment)
     point = point_estimate(panel, estimator_id)
     p = effective_treatment_prob(assignments, treatment)
-    matrix = graph.matrix()
+    matrix = csr(graph)
     taus = np.empty(replications)
     for r, rng in enumerate(oracle_rngs(seed, replications)):
         z = (rng.random(graph.n_buyers) < p).astype(np.float64)
@@ -1068,7 +1070,7 @@ def scipy_randomization_bounds(panel, graph, estimator_id, replications, seed):
     """randomization_ci's 95% bounds computed with the scipy sparse products
     and scipy.special.ndtri it used before, kept as the reference."""
     point = point_estimate(panel, estimator_id)
-    W = graph.matrix()[panel.graph_rows]
+    W = csr(graph)[panel.graph_rows]
     if estimator_id in ("erl", "crerl"):
         g = panel.y_in if point.lam is None else panel.y_in - point.lam * panel.y_pre
         a = W.T @ (g / (panel.n * panel.var_h))
@@ -1165,7 +1167,7 @@ def test_linear_randomization_sd_matches_closed_form(estimator_id):
         panel = experiment_panel(exp)
         ci = randomization_ci(panel, exp.graph, estimator_id, reps, seed=seed)
         g = linear_coefficients(panel, ci.point.lam)
-        a = exp.graph.matrix()[panel.graph_rows].T @ g
+        a = csr(exp.graph)[panel.graph_rows].T @ g
         want = np.sqrt(panel.p * (1 - panel.p)) * np.linalg.norm(a)
         got = ci.width / (2 * norm.ppf(0.975))
         z_scores.append((got - want) / (want / np.sqrt(2 * (reps - 1))))
@@ -1199,7 +1201,7 @@ def test_linear_randomization_interval_matches_enumeration(estimator_id):
         panel, _ = assemble_panel(graph, assignments, outcomes, "On")
         ci = randomization_ci(panel, graph, estimator_id, 200, seed=seed)
         lam = ci.point.lam
-        matrix = graph.matrix()
+        matrix = csr(graph)
         taus, weights = [], []
         for z in enumerate_assignments(m):
             draw = replace(panel, h=(matrix @ z)[panel.graph_rows])
