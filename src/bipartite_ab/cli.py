@@ -45,8 +45,8 @@ def _entry(label, est, method, ci) -> ReportEntry:
 
 
 def _split(value: str) -> list[str]:
-    """The non-empty items of a comma-separated list."""
-    return [v for v in value.split(",") if v]
+    """The items of a comma-separated list, stripped, empty ones dropped."""
+    return [v for v in map(str.strip, value.split(",")) if v]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -65,8 +65,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.treatment == args.control:
         raise ValueError(f"treatment and control are both {args.treatment!r}")
     # each --kinds occurrence builds one graph from its comma-separated kinds
-    kind_groups = [frozenset(map(str.strip, _split(k))) - {""}
-                   for k in args.kinds or ["view"]]
+    kind_groups = [frozenset(_split(k)) for k in args.kinds or ["view"]]
     build_cfgs = [GraphBuildConfig(args.weighting, g) for g in kind_groups]
 
     assignments = parse_assignments(args.assignments, args.design)
@@ -196,8 +195,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as the module docstring says; subparsers too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bipartite-ab",
         description="Seller-side treatment effects for buyer-side experiments "
         "via in-experiment bipartite exposure graphs.",

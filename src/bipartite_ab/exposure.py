@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import BipartiteGraph, _ids
+from .graph import BipartiteGraph
 from .ingest import AssignmentTable, OutcomeTable
 
 EPS_VAR = 1e-12
@@ -167,7 +167,7 @@ def assemble_panel(
     y_in, y_pre = outcomes.y[rows[rows_arr]].T.copy()
     panel = ExposurePanel(
         # from the codes: graph.sellers would list every seller of the graph
-        seller_ids=_ids(graph.seller_vocabulary, graph.seller_codes[rows_arr]),
+        seller_ids=graph.seller_vocabulary.ids_at(graph.seller_codes[rows_arr]),
         h=h[rows_arr],
         e_h=e_h[rows_arr],
         var_h=var_h[rows_arr],

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ingest import AssignmentTable, EventLog
+from .ingest import AssignmentTable, EventLog, Vocabulary
 
 ROW_SUM_TOL = 1e-9
 
@@ -46,22 +46,19 @@ class GraphBuildConfig:
             raise GraphError("kind_filter must be non-empty")
 
 
-def _ids(vocabulary: tuple, codes: np.ndarray) -> list[str]:
-    return list(map(vocabulary.__getitem__, codes.tolist()))
-
-
 class BipartiteGraph:
     """Sparse seller-by-buyer weight matrix with fixed unit orderings.
 
     Buyer column j is `buyer_vocabulary[buyer_codes[j]]`, seller row i
     `seller_vocabulary[seller_codes[i]]`: a built or restricted graph shares
     its event log's sorted vocabularies, with ascending codes; without
-    `codes`, `buyers` and `sellers` are the vocabularies. Edges are stored
-    CSR-style over sellers, buyer indices ascending within each row.
+    `codes`, `buyers` and `sellers` are the vocabularies (as Vocabulary
+    objects). Edges are stored CSR-style over sellers, buyer indices
+    ascending within each row.
     """
 
     def __init__(self, buyers, sellers, indptr, buyer_idx, weights, codes=None):
-        vocabularies = tuple(buyers), tuple(sellers)
+        vocabularies = Vocabulary.of(buyers), Vocabulary.of(sellers)
         self.buyer_vocabulary, self.seller_vocabulary = vocabularies
         codes = codes or [range(len(v)) for v in vocabularies]
         self.buyer_codes, self.seller_codes = (np.asarray(c, np.int64) for c in codes)
@@ -72,8 +69,8 @@ class BipartiteGraph:
         self._validate()
 
     # the ids of the columns and rows, built on first use
-    buyers = cached_property(lambda g: _ids(g.buyer_vocabulary, g.buyer_codes))
-    sellers = cached_property(lambda g: _ids(g.seller_vocabulary, g.seller_codes))
+    buyers = cached_property(lambda g: g.buyer_vocabulary.ids_at(g.buyer_codes))
+    sellers = cached_property(lambda g: g.seller_vocabulary.ids_at(g.seller_codes))
 
     def buyer_variants(self, assignments: AssignmentTable) -> np.ndarray:
         """The variant code of each buyer column, -1 for an unassigned one."""

@@ -14,27 +14,27 @@ Each file enters once as integer-coded columns: an `EventLog` of codes
 into sorted buyer, seller and kind vocabularies, in file order; an
 `AssignmentTable` of a sorted buyer vocabulary and a variant code per
 buyer; an `OutcomeTable` of a sorted seller vocabulary and a (y_in, y_pre)
-row per seller. Ids are joined to table rows once per table per run,
-through one dict per table, and graphs index the result with their codes.
+row per seller. A `Vocabulary` holds its ids as packed bytes, decoded to
+`str` only on first text access. Ids are joined to table rows once per
+table per run, by `np.searchsorted` on those bytes.
 
 One tokenizer, driven by a column spec (`_Columns`), reads all three files
 as bytes, BLOCK_BYTES of whole lines at a time, and splits them with numpy
-and no Python per row: LF or CRLF line ends, blank lines skipped, as many
-fields per line as the header has. Ids are keyed by their bytes; when the
-file ends they are sorted bytewise with numpy, decoded once each, and their
-codes renumbered into that order. That is `str` order: UTF-8 writes a code
-point's bits most significant first, and a longer sequence starts with a
-larger lead byte, so comparing two ids' bytes compares their code points,
-as Python compares `str`. So every vocabulary comes out sorted with no
-Python sort. Value cells go through the spec's converter (timestamps by
-numpy where they are plain digits, else by `int()`; outcomes by `float()`
-on each cell's decoded text). A file holding a quote, a CR that does not
-end a CRLF or a line longer than the csv module's field_size_limit is
-split by the csv module instead, one decoded line at a time, and its
-cells go through the same checks. Both paths give the same results and
-errors: errors are decided in file order, and a line is checked for
-invalid UTF-8, then its column count, then empty ids, then a repeated id,
-then its values from left to right.
+and no Python per row: one scan finds a block's separators (LF and comma)
+and every cell bound is read off that index. LF or CRLF line ends, blank
+lines skipped, as many fields per line as the header has. Ids are keyed by
+their bytes and, when the file ends, sorted bytewise with numpy. That is
+`str` order: UTF-8 writes a code point's bits most significant first, and
+a longer sequence starts with a larger lead byte, so comparing two ids'
+bytes compares their code points, as Python compares `str`. Value cells go
+through the spec's converter (timestamps by numpy where they are plain
+digits, else by `int()`; outcomes by `float()` on each cell's decoded
+text). A file holding a quote, a CR that does not end a CRLF or a line
+longer than the csv module's field_size_limit is split by the csv module
+instead, one decoded line at a time, with the same checks. Both paths give
+the same results and errors: errors are decided in file order, and a line
+is checked for invalid UTF-8, then its column count, then empty ids, then
+a repeated id, then its values from left to right.
 """
 from __future__ import annotations
 
@@ -42,11 +42,10 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -76,24 +75,108 @@ class ParseError(IngestError):
         self.line_no = line_no
 
 
-def _trimmed(ids: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """(vocabulary, codes): the ids of `ids` that the int64 array `codes`
-    uses, in the order of `ids`, and `codes` renumbered into them in place
-    (as in `_tokenize`)."""
-    used = np.bincount(codes, minlength=len(ids)) > 0
-    np.take(np.cumsum(used) - 1, codes, out=codes, mode="clip")
-    return tuple(compress(ids, used.tolist())), codes
+def _n_words(length):  # the words that hold ids of `length` bytes, zero-padded
+    return np.maximum(1, -(-length // 8))
 
 
-def _sorted_vocabulary(ids: Sequence[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
-    """(vocabulary, codes): the ids of `ids` that `codes` use, sorted, and
-    `codes` renumbered into that vocabulary."""
-    codes = np.asarray(codes, dtype=np.int64)
-    used = np.flatnonzero(np.bincount(codes, minlength=len(ids)))
-    order = sorted(used.tolist(), key=ids.__getitem__)
-    remap = np.empty(len(ids), dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    return tuple(map(ids.__getitem__, order)), remap[codes]
+def _gather(words, first, length, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, first, length) of the packed ids at the positions `index`."""
+    length = length[index]
+    n_words = _n_words(length)
+    at = np.cumsum(n_words) - n_words
+    return words[np.repeat(first[index] - at, n_words) + np.arange(n_words.sum())], at, length
+
+
+class Vocabulary(Sequence):
+    """An immutable sequence of ids as `packed` UTF-8 bytes: id p is the
+    first `length[p]` bytes of the uint64 words `words[first[p]:]`. Its
+    `text` is decoded once, on first text access (indexing, iteration,
+    equality). Ids given as `str` keep their order and are encoded once, on
+    first join. `ordered` tells that the ids are in `str` order."""
+
+    def __init__(self, ids: Iterable[str] = (), packed=None, ordered=False):
+        if packed is None:
+            self.text = tuple(ids)
+        else:
+            self.packed = packed
+        self.ordered = ordered
+
+    @classmethod
+    def of(cls, ids: Sequence[str]) -> Vocabulary:  # a Vocabulary as it is
+        return ids if isinstance(ids, cls) else cls(ids)
+
+    @cached_property
+    def text(self) -> tuple[str, ...]:
+        words, first, length = self.packed
+        data = words.tobytes()  # decoded at once, padding included
+        text = data.decode("utf-8", "surrogatepass")
+        bounds = np.stack((8 * first, 8 * first + length))
+        if not data.isascii():  # to characters: bytes that do not continue one
+            chars = np.cumsum(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
+            bounds = np.concatenate(([0], chars))[bounds]
+        return tuple(text[s:e] for s, e in zip(*bounds.tolist()))
+
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        data = "".join(self.text).encode("utf-8", "surrogatepass")
+        a = np.frombuffer(data, dtype=np.uint8)
+        length = np.fromiter(map(len, self.text), np.int64, len(self.text))
+        if len(a) != length.sum():  # to bytes: where each id's characters end
+            lead = np.append(np.flatnonzero(a & 0xC0 != 0x80), len(a))
+            length = np.diff(lead[np.cumsum(length)], prepend=0)
+        n_words = _n_words(length)
+        first = np.cumsum(n_words) - n_words
+        padded = np.zeros(8 * n_words.sum(), dtype=np.uint8)
+        padded[np.repeat(8 * first + length - np.cumsum(length), length)
+               + np.arange(len(a))] = a
+        return padded.view("<u8"), first, length
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The positions of the ids in `str` order."""
+        words, first, length = self.packed
+        if self.ordered:
+            return np.arange(len(length))
+        return _bytewise_order(words.byteswap(), first, _n_words(length), length)
+
+    @cached_property
+    def _groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Byte length -> (its ids' packed words as sorted keys, their
+        positions): a big-endian number for one word, memcmp'd void beyond."""
+        words, first, length = self.packed
+        sizes, groups = length[self.order], {}
+        for size in np.flatnonzero(np.bincount(length)).tolist():
+            at = self.order[sizes == size]
+            n_words = max(1, -(-size // 8))
+            keys = words[first[at, None] + np.arange(n_words)]
+            keys = keys.view(f"V{8 * n_words}") if n_words > 1 else keys.byteswap()
+            groups[size] = keys.reshape(-1), at
+        return groups
+
+    def ids_at(self, codes: np.ndarray) -> list[str]:
+        return list(map(self.text.__getitem__, codes.tolist()))
+
+    def __len__(self):
+        return len(self.text if "text" in self.__dict__ else self.packed[2])
+
+    def __getitem__(self, index):
+        return self.text[index]
+
+    def __eq__(self, other):
+        return self.text == (other.text if isinstance(other, Vocabulary) else other)
+
+
+def _trimmed(vocabulary: Vocabulary, codes: np.ndarray) -> tuple[Vocabulary, np.ndarray]:
+    """(vocabulary, codes): the ids of `vocabulary` that the int64 array
+    `codes` uses, in `str` order, and `codes` renumbered into them in place."""
+    used = np.bincount(codes, minlength=len(vocabulary)) > 0
+    order = vocabulary.order[used[vocabulary.order]]
+    rank = np.zeros(len(vocabulary), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    # in place, so that no second copy of the code column is made (np.take
+    # copies `out` first in its default mode="raise")
+    np.take(rank, codes, out=codes, mode="clip")
+    return Vocabulary(packed=_gather(*vocabulary.packed, order), ordered=True), codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +188,9 @@ class EventLog:
     The vocabularies are sorted and hold only ids some event uses.
     """
 
-    buyers: tuple[str, ...]
-    sellers: tuple[str, ...]
-    kinds: tuple[str, ...]
+    buyers: Vocabulary
+    sellers: Vocabulary
+    kinds: Vocabulary
     buyer: np.ndarray
     seller: np.ndarray
     kind: np.ndarray
@@ -119,7 +202,9 @@ class EventLog:
         vocabulary keeps the ids its codes use, sorted, and the codes are
         renumbered into it."""
         columns = ((buyers, buyer), (sellers, seller), (kinds, kind))
-        vocabularies, codes = zip(*(_sorted_vocabulary(*c) for c in columns))
+        vocabularies, codes = zip(*(
+            _trimmed(Vocabulary.of(ids), np.array(c, dtype=np.int64)) for ids, c in columns
+        ))
         return cls(*vocabularies, *codes, np.asarray(timestamp, dtype=np.int64))
 
     def __len__(self):
@@ -164,24 +249,27 @@ def _validate_design(variants: Sequence[Variant]):
 
 
 class _Keyed:
-    """A table with one row per id of `keys`, each id held once."""
+    """A table with one row per id of the Vocabulary `keys`, each id once."""
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return dict(zip(self.keys, range(len(self.keys))))
-
-    def _join(self, ids: Sequence[str]) -> np.ndarray:
-        return np.fromiter(map(self._index.get, ids, repeat(-1)), np.int64, len(ids))
+    def _join(self, ids: Vocabulary) -> np.ndarray:
+        """Each id's row, searched among the keys of its byte length."""
+        found = np.full(len(ids), -1, dtype=np.int64)
+        mine = self.keys._groups
+        for size in mine.keys() & ids._groups.keys():
+            (table, rows), (keys, at) = mine[size], ids._groups[size]
+            k = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+            hit = table[k] == keys
+            found[at[hit]] = rows[k[hit]]
+        return found
 
     def rows(self, ids: Sequence[str]) -> np.ndarray:
-        """The row of each of `ids`, -1 for an id the table does not hold. The
-        result for a tuple (a graph's vocabulary) is kept, read-only, until
-        another tuple is joined; a list is joined on every call."""
+        """The row of each of `ids`, -1 for an id the table lacks. The result
+        for a Vocabulary or tuple is kept, read-only, till another is joined."""
         last = self.__dict__.get("_last")
         if last is not None and last[0] is ids:
             return last[1]
-        found = self._join(ids)
-        if type(ids) is tuple:
+        found = self._join(Vocabulary.of(ids))
+        if isinstance(ids, (tuple, Vocabulary)):
             found.flags.writeable = False
             self.__dict__["_last"] = (ids, found)
         return found
@@ -192,13 +280,13 @@ class AssignmentTable(_Keyed):
     """Buyer `buyers[r]` is assigned variant `variants[variant[r]]` of the
     randomization design; a parsed table holds its buyers sorted."""
 
-    buyers: tuple[str, ...]
+    buyers: Vocabulary
     variant: np.ndarray
     variants: Sequence[Variant]
 
     def __post_init__(self):
         _validate_design(self.variants)
-        object.__setattr__(self, "buyers", tuple(self.buyers))
+        object.__setattr__(self, "buyers", Vocabulary.of(self.buyers))
         object.__setattr__(self, "variant", np.asarray(self.variant, dtype=np.int64))
 
     keys = property(lambda self: self.buyers)
@@ -224,12 +312,12 @@ class OutcomeTable(_Keyed):
     `y[r, 1]`, NaN where it has none; `has_pre` tells whether the table
     has a y_pre column. A parsed table holds its sellers sorted."""
 
-    sellers: tuple[str, ...]
+    sellers: Vocabulary
     y: np.ndarray
     has_pre: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "sellers", tuple(self.sellers))
+        object.__setattr__(self, "sellers", Vocabulary.of(self.sellers))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
 
     keys = property(lambda self: self.sellers)
@@ -262,9 +350,9 @@ class _Columns:
 
 class _Tokens:
     """The rows of a file before its first malformed one: `codes` into the
-    id lists `ids` (sorted by `_tokenize`), one pair per coded column, and `values`
-    (rows x value columns); `blank_rows[j]` is the number of rows before
-    the j-th blank line, and `error` the malformed row's ParseError."""
+    vocabularies `ids` (made by `_tokenize`), one pair per coded column, and
+    `values` (rows x value columns); `blank_rows[j]` is the number of rows
+    before the j-th blank line, and `error` the malformed row's ParseError."""
 
     def __init__(self, path, spec: _Columns, header: list[str] | None):
         expected = list(spec.header)
@@ -278,7 +366,6 @@ class _Tokens:
         self.path, self.spec, self.width = path, spec, len(header)
         self.names = header[spec.n_coded:]
         self.columns = [_IdCodes() for _ in range(spec.n_coded)]
-        self.ids = [column.ids for column in self.columns]  # filled by `_tokenize`
         # codes, values, blank rows; a bytearray grows in place, unlike a
         # concatenation
         self.out = [bytearray() for _ in range(spec.n_coded + 2)]
@@ -296,7 +383,8 @@ class _Tokens:
             nonlocal rows, error
             rows, error = k, ParseError(self.path, int(line_no[k]), message)
 
-        no_id = (start[:, : spec.n_ids] == end[:, : spec.n_ids]).any(axis=1)
+        # a column at a time: a strided 2-D slice's .any(axis=1) is slower
+        no_id = np.logical_or.reduce([start[:, c] == end[:, c] for c in range(spec.n_ids)])
         if no_id.any():
             fail(int(np.argmax(no_id)), spec.empty_id)
         a = np.frombuffer(data, dtype=np.uint8)
@@ -344,12 +432,9 @@ class _Tokens:
 
 
 def _tokenize(path, spec: _Columns) -> _Tokens:
-    """The file's tokens, each id list sorted and its codes renumbered in
-    place to match, so that no second copy of the code columns is made
-    (np.take copies `out` first in its default mode="raise")."""
+    """The file's tokens, a vocabulary in code order per coded column."""
     tokens = _tokenize_unquoted(path, spec) or _tokenize_quoted(path, spec)
-    for column, codes in zip(tokens.columns, tokens.codes):
-        np.take(column.sort(), codes, out=codes, mode="clip")
+    tokens.ids = [column.vocabulary() for column in tokens.columns]
     return tokens
 
 
@@ -364,13 +449,9 @@ class _IdCodes:
     time. Ids are packed into little-endian uint64 words and kept in sorted
     runs per byte length: a numpy `S` array drops trailing NULs and would
     merge "b1" and "b1\\x00". A code is given to an id when it is first
-    seen. When the file ends, `sort` orders the ids by their bytes, decodes
-    them into `ids` and renumbers the codes into that order. Bytewise order
-    of UTF-8 is code point order, which is how Python orders `str` (see the
-    module docstring), so `ids` comes out sorted with no Python sort."""
+    seen; when the file ends, `vocabulary` holds the ids in code order."""
 
     def __init__(self):
-        self.ids: list[str] = []  # sorted, filled by `sort`
         self.count = 0  # codes given
         self.seen = {}  # byte length -> sorted runs [(packed ids, their codes)]
 
@@ -416,32 +497,18 @@ class _IdCodes:
             runs.append((np.insert(a, at, b), np.insert(a_codes, at, b_codes)))
         return codes
 
-    def sort(self) -> np.ndarray:
-        """Fill `ids` in sorted order and return the new code of each old
-        one. The runs, which map keys to the old codes, are dropped."""
+    def vocabulary(self) -> Vocabulary:
+        """The ids, id k having code k. The runs are dropped."""
         runs = [(size, *run) for size, group in self.seen.items() for run in group]
         self.seen = {}
         if not runs:
-            return np.empty(0, dtype=np.int64)
+            return Vocabulary()
         length = np.concatenate([np.full(len(keys), size) for size, keys, _ in runs])
         words = np.concatenate([keys.view(np.uint64) for _, keys, _ in runs])
-        n_words = np.maximum(1, -(-length // 8))
-        first = np.cumsum(n_words) - n_words
-        order = _bytewise_order(words.byteswap(), first, n_words, length)
-        # the ids' words in sorted order, decoded at once
-        first, n_words, length = first[order], n_words[order], length[order]
-        at = np.cumsum(n_words) - n_words  # where each id's words go
-        data = words[np.repeat(first - at, n_words) + np.arange(len(words))].tobytes()
-        text = data.decode("utf-8")
-        bounds = np.stack((8 * at, 8 * at + length))
-        if not data.isascii():  # to characters: bytes that do not continue one
-            chars = np.cumsum(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
-            bounds = np.concatenate(([0], chars))[bounds]
-        self.ids[:] = [text[s:e] for s, e in zip(*bounds.tolist())]
-        old = np.concatenate([codes for _, _, codes in runs])[order]
-        rank = np.empty(len(old), dtype=np.int64)
-        rank[old] = np.arange(len(old))
-        return rank
+        n_words = _n_words(length)
+        at = np.empty(len(length), dtype=np.int64)  # where each code's id is
+        at[np.concatenate([codes for _, _, codes in runs])] = np.arange(len(length))
+        return Vocabulary(packed=_gather(words, np.cumsum(n_words) - n_words, length, at))
 
 
 def _bytewise_order(words, first, n_words, length) -> np.ndarray:
@@ -511,8 +578,8 @@ def _csv_safe(data: bytes, longest: int) -> bool:
 
 def _tokenize_unquoted(path, spec: _Columns) -> _Tokens | None:
     """Split with numpy over the file's bytes, BLOCK_BYTES of whole lines
-    at a time, with no Python per row. None when `_csv_safe` does not hold
-    for the file."""
+    at a time: a cell ends at a separator, LF or comma, found by one scan,
+    and starts after the one before. None when `_csv_safe` does not hold."""
     line0 = 2  # file line of the block's first line
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -525,42 +592,41 @@ def _tokenize_unquoted(path, spec: _Columns) -> _Tokens | None:
         while tokens.error is None and (block := fh.read(BLOCK_BYTES)):
             if not block.endswith(b"\n"):  # read to the end of the line
                 block = (block + fh.readline()).removesuffix(b"\n") + b"\n"
-            n = len(block)
             data = block + bytes(8)
-            a = np.frombuffer(data, dtype=np.uint8)
-            ends = np.flatnonzero(a[:n] == ord("\n"))
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            if not _csv_safe(block, int((ends - starts).max())):
+            a = np.frombuffer(data, dtype=np.uint8)[: len(block)]
+            end = np.flatnonzero((a == ord("\n")) | (a == ord(",")))
+            start = np.concatenate(([0], end[:-1] + 1))
+            lf = np.flatnonzero(a[end] == ord("\n"))  # the cells that end lines
+            fields = np.diff(lf, prepend=-1)
+            starts = start[lf - fields + 1]  # where each line starts
+            if not _csv_safe(block, int((end[lf] - starts).max())):
                 return None
             if b"\r" in block:
-                ends -= a[ends - 1] == ord("\r")
+                end[lf] -= a[end[lf] - 1] == ord("\r")
             # `bad` is the block's first line with invalid UTF-8 or the
             # wrong number of fields; the rows before it go to `add`
-            bad, error = len(ends), None
+            bad, error = len(lf), None
             if not block.isascii():
                 try:
                     block.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     bad = int(np.searchsorted(starts, exc.start, side="right")) - 1
                     error = _utf8_error(path, line0 + bad, exc)
-            commas = np.flatnonzero(a[:n] == ord(","))
-            first = np.searchsorted(commas, starts[:bad])
-            fields = np.searchsorted(commas, ends[:bad]) - first + 1
-            nonblank = ends[:bad] > starts[:bad]
-            wrong = np.flatnonzero(nonblank & (fields != width))
+            nonblank = end[lf[:bad]] > starts[:bad]
+            wrong = np.flatnonzero(nonblank & (fields[:bad] != width))
             if len(wrong):
                 bad = int(wrong[0])
-                error = ParseError(
-                    path, line0 + bad, f"expected {width} columns, got {fields[bad]}"
-                )
+                message = f"expected {width} columns, got {fields[bad]}"
+                error = ParseError(path, line0 + bad, message)
             line = np.flatnonzero(nonblank[:bad])
-            cut = commas[first[line, None] + np.arange(width - 1)]
-            start = np.column_stack((starts[line], cut + 1))
-            end = np.column_stack((cut, ends[line]))
             blank = np.flatnonzero(~nonblank[:bad])
+            # the cells of the lines before `bad`, less a blank line's one
+            cells = lf[bad - 1] + 1 if bad else 0
+            start, end = (np.delete(x[:cells], lf[blank]) for x in (start, end))
+            start, end = start.reshape(-1, width), end.reshape(-1, width)
             blank -= np.arange(len(blank))  # rows before each blank line
             tokens.add(data, start, end, line0 + line, blank, error)
-            line0 += len(ends)
+            line0 += len(lf)
     return tokens
 
 
@@ -662,16 +728,21 @@ def _float(cell: str) -> float | None:
 def _outcome_values(data, start, end, names):
     """y_in and y_pre, by `float()` on the decoded text of each non-empty
     cell. An empty y_pre is NaN and any other cell must parse to a finite
-    value. The first bad cell in row order is the error."""
-    values = np.array([
-        _float(data[s:e].decode("utf-8")) if e > s else math.nan
-        for s, e in zip(start.ravel().tolist(), end.ravel().tolist())
-    ], dtype=np.float64).reshape(start.shape)
+    value. The first bad cell in row order is the error. A pure-ASCII block
+    is decoded once, its byte offsets being character offsets."""
+    bounds = zip(start.ravel().tolist(), end.ravel().tolist())
+    if data.isascii():
+        text = data.decode("ascii")
+        cells = [text[s:e] for s, e in bounds]
+    else:
+        cells = [data[s:e].decode("utf-8") for s, e in bounds]
+    values = np.array([_float(c) if c else math.nan for c in cells], dtype=np.float64)
+    values = values.reshape(start.shape)
     ok = np.isfinite(values) | (start == end) & (np.array(names) == "y_pre")
     if ok.all():
         return values, None, None
     k, c = np.argwhere(~ok)[0].tolist()
-    cell = data[start[k, c] : end[k, c]].decode("utf-8")
+    cell = cells[k * start.shape[1] + c]
     problem = "non-numeric" if _float(cell) is None else "non-finite"
     return values[:k], k, f"{problem} {names[c]} {cell!r}"
 
@@ -792,6 +863,7 @@ def parse_assignments(path, design_path=None) -> AssignmentTable:
         raise tokens.error
     _validate_design(variants)
     (buyer_ids, labels), (buyer, label) = tokens.ids, tokens.codes
+    buyer_ids, buyer = _trimmed(buyer_ids, buyer)
     declared = {v.label: k for k, v in enumerate(variants)}
     codes = np.array([declared.get(x, -1) for x in labels], dtype=np.int64)
     undeclared = np.flatnonzero(codes[label] < 0)
@@ -815,9 +887,9 @@ def parse_outcomes(path) -> OutcomeTable:
     tokens = _tokenize(path, _OUTCOMES)
     if tokens.error is not None:
         raise tokens.error
-    sellers = tokens.ids[0]
+    sellers, seller = _trimmed(tokens.ids[0], tokens.codes[0])
     y = np.full((len(sellers), 2), np.nan)
-    y[tokens.codes[0], : tokens.width - 1] = tokens.values
+    y[seller, : tokens.width - 1] = tokens.values
     return OutcomeTable(sellers, y, has_pre=tokens.width == 3)
 
 
@@ -826,8 +898,7 @@ def parse_outcomes(path) -> OutcomeTable:
 
 def write_events(path, events: EventLog):
     ids = [
-        np.array(vocabulary, dtype=object)[codes].tolist()
-        for vocabulary, codes in zip(
+        vocabulary.ids_at(codes) for vocabulary, codes in zip(
             (events.buyers, events.sellers, events.kinds),
             (events.buyer, events.seller, events.kind),
         )

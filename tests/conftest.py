@@ -36,6 +36,13 @@ def make_events(rows):
     )
 
 
+def dict_rows(keys, ids):
+    """The row of each of `ids` among `keys`, -1 where absent: the join as it
+    was before `_Keyed.rows` searched packed keys, one dict per table."""
+    index = dict(zip(keys, range(len(keys))))
+    return np.fromiter(map(index.get, ids, itertools.repeat(-1)), np.int64, len(ids))
+
+
 def event_rows(events):
     """The (buyer, seller, kind, ts) rows of an EventLog, in log order."""
     return [

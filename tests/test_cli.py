@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -213,8 +214,20 @@ class TestAnalyze:
     def test_unknown_weighting_is_argparse_error(self, sim_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(analyze_args(sim_dir, tmp_path / "out", "--weighting", "wat"))
-        assert exc.value.code == 2
+        assert exc.value.code == 1  # a usage error, not "some estimates failed"
         assert "invalid choice: 'wat'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],  # the required flags are missing
+        ["validate", "--config", "c.json", "--replications", "x"],
+        ["nope"],
+    ])
+    def test_every_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bipartite-ab") and "error: " in err
 
     def test_request_errors_in_order(self, sim_dir, tmp_path, capsys):
         """The window is checked first, then the interval request, then the
@@ -366,6 +379,26 @@ class TestJoinOnce:
             "graph_stats"]) == 4
         assert sorted(name for name, _ in joins) == ["AssignmentTable", "OutcomeTable"]
 
+    def test_analyze_never_decodes_the_buyer_vocabulary(self, tmp_path, monkeypatch):
+        """Buyers are joined as packed bytes and never become `str`; the
+        sellers do, for the panels' seller ids."""
+        decoded, parsed, decode = [], [], ingest.Vocabulary.text.func
+        text = cached_property(lambda v: decoded.append(v) or decode(v))
+        text.__set_name__(ingest.Vocabulary, "text")
+        for name in ("parse_events", "parse_assignments"):
+            parse = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, parse=parse: parsed.append(parse(*a)) or parsed[-1]
+            )
+        monkeypatch.setattr(ingest.Vocabulary, "text", text)
+        monkeypatch.chdir(FIXTURE)
+        args = [a for a in FIXTURE_ARGS if a != "--dump-graphs"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assignments, (events, _) = parsed
+        buyers = (events.buyers, assignments.buyers)
+        assert not [v for v in decoded if any(v is b for b in buyers)]
+        assert any(v is events.sellers for v in decoded)
+
     def test_rows_memo_is_safe(self, joins):
         table = outcome_table({"s1": (1.0, None), "s1\x00": (2.0, None)}, False)
         ids = ("s1\x00", "s2", "s1")
@@ -450,6 +483,29 @@ class TestSimulateCommand:
 
 
 class TestValidateCommand:
+    def test_spaced_lists_read_alike_in_analyze_and_validate(
+        self, sim_dir, tmp_path, capsys
+    ):
+        lists = ["--estimators", " erl, crerl ,", "--methods", "bootstrap , randomization"]
+        out = tmp_path / "analyze"
+        assert main(analyze_args(sim_dir, out, *lists, "--replications", "200")) == 0
+        entries = load_report(out)["entries"]
+        assert {(e["estimator"], e["method"]) for e in entries} == {
+            (e, m) for e in ("erl", "crerl") for m in ("bootstrap", "randomization")
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            sim_config_to_dict(SimConfig(m=120, n=60, seed=9))
+        ))
+        out = tmp_path / "validate"
+        assert main(["validate", "--config", str(config_path), *lists,
+                     "--replications", "2", "--ci-replications", "200",
+                     "--out", str(out)]) == 0
+        rows = (out / "validation.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [e, m] for e in ("erl", "crerl") for m in ("bootstrap", "randomization")
+        ]
+
     def test_validate_table_and_csv(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(

@@ -18,13 +18,14 @@ from bipartite_ab.ingest import (
     IngestError,
     ParseError,
     Variant,
+    Vocabulary,
     parse_assignments,
     parse_events,
     parse_outcomes,
     write_outcomes,
 )
 
-from conftest import event_rows, outcome_entries, outcome_table
+from conftest import dict_rows, event_rows, outcome_entries, outcome_table
 
 WINDOW = (0, 10_000)
 
@@ -963,9 +964,8 @@ def test_sorted_codes_at_scale_match_sorted(
 
 
 def test_parsers_never_sort_ids_in_python(rng, tmp_path, monkeypatch):
-    """The ids come out of the tokenizer in order: the Python sort that
-    stays behind EventLog.from_codes, for in-memory id lists, is never
-    reached by the three parsers."""
+    """The ids come out of the tokenizer in order, and EventLog.from_codes
+    orders in-memory id lists with numpy: no Python sort is reached."""
     sorts = []
 
     def spy(*args, **kwargs):
@@ -978,5 +978,107 @@ def test_parsers_never_sort_ids_in_python(rng, tmp_path, monkeypatch):
     parse_assignments(tmp_path / "assignments.csv")
     parse_outcomes(tmp_path / "outcomes.csv")
     assert len(events.buyers) > 1000 and sorts == []
-    EventLog.from_codes(["b2", "b1"], ["s1"], ["view"], [0, 1], [0, 0], [0, 0], [5, 6])
-    assert len(sorts) == 3  # the spy sees the sort that stays
+    events = EventLog.from_codes(
+        ["b2", "b1"], ["s1"], ["view"], [0, 1], [0, 0], [0, 0], [5, 6]
+    )
+    assert events.buyers == ("b1", "b2") and sorts == []
+
+
+# --- packed vocabularies: order, joins and block boundaries ---
+
+
+def test_from_codes_orders_ids_as_sorted_does(rng):
+    """from_codes orders by bytes with numpy, as `sorted` orders `str`:
+    non-ASCII text, "b1" beside "b1\\x00", "b999999" beside "b1000000",
+    ids of more than 8 bytes, in any order and with unused ids."""
+    fixed = ["b1", "b1\x00", "b999999", "b1000000", "é", "e\u0301", "中", "😀",
+             "\x7f", "\x80", "b", "", "a" * 17, "a" * 16 + "\x00", "a" * 16]
+    for _ in range(30):
+        ids = list(dict.fromkeys(fixed + random_ids(rng, int(rng.integers(0, 40)), 11)))
+        ids = [ids[k] for k in rng.permutation(len(ids))]
+        codes = rng.integers(0, len(ids), size=int(rng.integers(1, 3 * len(ids))))
+        events = EventLog.from_codes(ids, ["s"], ["view"], codes, np.zeros_like(codes),
+                                     np.zeros_like(codes), np.arange(len(codes)))
+        used = sorted({ids[c] for c in codes.tolist()})
+        assert events.buyers == tuple(used)
+        assert [events.buyers[b] for b in events.buyer.tolist()] == [
+            ids[c] for c in codes.tolist()
+        ]
+
+
+def random_ids(rng, count, longest):
+    """Up to `count` distinct ids of 1 to `longest` characters, NUL among
+    them (which a numpy `str` array would drop at the end of an id)."""
+    alphabet = "ab1\x00é中😀"
+    return list(dict.fromkeys(
+        "".join(alphabet[k] for k in rng.integers(0, 7, int(rng.integers(1, longest + 1))))
+        for _ in range(count)
+    ))
+
+
+def test_packed_joins_match_the_dict_join(rng, tmp_path):
+    """`rows` finds each id among a table's packed keys as a dict of the
+    `str` ids did: for parsed and hand-made tables, against lists, tuples
+    and vocabularies, with the two sides' longest ids of different lengths."""
+    path = tmp_path / "outcomes.csv"
+    for _ in range(40):
+        longest = [int(rng.integers(1, 4)), int(rng.integers(4, 14))]
+        rng.shuffle(longest)
+        keys = random_ids(rng, int(rng.integers(1, 60)), longest[0])
+        others = random_ids(rng, int(rng.integers(0, 60)), longest[1])
+        ids = keys[::2] + others + [k + "\x00" for k in keys[:3]] + [""]
+        ids = [ids[k] for k in rng.permutation(len(ids))]
+        hand = outcome_table({k: (1.0, None) for k in keys[::-1]}, False)
+        # no csv writer: an older one refuses NUL
+        path.write_text("seller_id,y_in\n" + "".join(f"{k},1.0\n" for k in keys))
+        parsed = parse_outcomes(path)
+        assert parsed.sellers == tuple(sorted(keys))
+        queries = [ids, tuple(ids), Vocabulary(ids),
+                   EventLog.from_codes(ids, ["s"], ["v"], np.arange(len(ids)),
+                                       *np.zeros((2, len(ids)), int), np.arange(len(ids))
+                                       ).buyers]
+        for table in (hand, parsed):
+            for query in queries:
+                np.testing.assert_array_equal(
+                    table.rows(query), dict_rows(table.sellers.text, query)
+                )
+
+
+def block_starts(data: bytes, block_bytes: int) -> set[int]:
+    """Where `_tokenize_unquoted` starts its blocks: each block is
+    `block_bytes` bytes, read on to the end of its last line."""
+    at, starts = data.index(b"\n") + 1, set()
+    while at < len(data):
+        starts.add(at)
+        at = data.find(b"\n", at + block_bytes - 1) + 1 or len(data)
+    return starts
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16, 200])
+def test_special_lines_on_block_boundaries(tmp_path, monkeypatch, block_bytes):
+    """A blank line, a CRLF line and a line of the wrong width are read as
+    the csv module reads them wherever they sit: each is moved through the
+    file, so that it starts a block and ends one at every block size."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(ingest, "_tokenize_quoted", None)  # the numpy path only
+    header = b"buyer_id,seller_id,event_kind,timestamp_ms\r\n"
+    lines = [f"b{k},s{k % 7},view,{k}\n".encode() for k in range(30)]
+    path = tmp_path / "events.csv"
+    for special in (b"\n", b"\r\n", b"b99,s9,view,99\r\n", b"b99,s9,view\n"):
+        placed = {"starts": 0, "ends": 0}
+        for at in range(len(lines) + 1):
+            data = header + b"".join(lines[:at] + [special] + lines[at:])
+            path.write_bytes(data)
+            offset = len(header) + sum(map(len, lines[:at]))
+            starts = block_starts(data, block_bytes)
+            placed["starts"] += offset in starts
+            placed["ends"] += offset + len(special) in starts | {len(data)}
+            want = outcome(oracle_parse_events, path, {"view"})
+            got = outcome(parse_events, path, {"view"})
+            if isinstance(want[0][0], str):
+                assert got == want, data
+                continue
+            (want_events, want_report), (got_events, got_report) = want[0], got[0]
+            assert got_report == want_report and got[1] == want[1], data
+            assert event_rows(got_events) == event_rows(want_events), data
+        assert min(placed.values()) >= 1, (special, placed)
