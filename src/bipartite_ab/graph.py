@@ -127,6 +127,15 @@ class BipartiteGraph:
         sums = np.bincount(self._edge_bins(k), product.ravel(), k * self.n_sellers)
         return sums.reshape(*x.shape[:-1], -1)
 
+    def take_rows(self, rows: np.ndarray) -> BipartiteGraph:
+        """The graph of sellers `rows`, in that order, over the same buyers."""
+        # each row keeps its edges in order, so its products are bit-equal
+        indptr = np.concatenate(([0], np.cumsum(self.seller_degrees()[rows])))
+        edges = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], np.diff(indptr))
+        return BipartiteGraph(self.buyer_vocabulary, self.seller_vocabulary, indptr,
+                              self.buyer_idx[edges], self.weights[edges],
+                              codes=(self.buyer_codes, self.seller_codes[rows]))
+
     def transpose_times(self, v: np.ndarray) -> np.ndarray:
         """W' v, bit-equal to a scipy CSR `W.T @ v`: each buyer's sum runs
         from 0 over its edges in row order."""
@@ -169,9 +178,12 @@ def _row_normalized(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     the weights are bit-equal to dividing row by row.
     """
     degree = np.diff(indptr)
+    count = np.bincount(degree)
+    # one stable sort groups the rows by length, each group in row order
+    end, by_degree = np.cumsum(count), np.argsort(degree, kind="stable")
     sums = np.empty(len(degree))
-    for d in np.unique(degree).tolist():
-        rows = np.flatnonzero(degree == d)
+    for d in np.flatnonzero(count).tolist():
+        rows = by_degree[end[d] - count[d] : end[d]]
         sums[rows] = data[indptr[rows, None] + np.arange(d)].sum(axis=1)
     return data / np.repeat(sums, degree)
 

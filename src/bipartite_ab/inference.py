@@ -25,17 +25,18 @@ raised; the analyze and validate commands both go through it.
   worst case in which every pair overlaps.
 
 The resampling methods evaluate a memory-bounded block of replicates at
-once: a bootstrap block as a count matrix over the panel's units, a
-randomization block as a stack of assignment draws. A replicate near one
-of an estimator's decision boundaries is recomputed by the estimator
-itself, so failures count and raise as they would replicate by replicate.
-All methods are pure functions of (inputs, seed, replications): a
-resampled interval draws its replicates in order from one generator,
-default_rng(seed), and every per-replicate sum runs along one row, so
-the block size does not change the interval. The bootstrap's draws do not
-depend on the estimator either, so `intervals` draws each bootstrap block
-once for all the estimators and computes each point estimate once; every
-interval is still the one its single-estimator call returns.
+once: a bootstrap block as a count matrix over the panel's units, whose
+sums read by more than one estimator are computed once, a randomization
+block as a stack of assignment draws, whose units weigh 1 and are summed
+with no weight multiply. A replicate near one of an estimator's decision
+boundaries is recomputed by the estimator itself, so failures count and
+raise as they would replicate by replicate. All methods are pure functions
+of (inputs, seed, replications): a resampled interval draws its replicates
+in order from one generator, default_rng(seed), and every per-replicate
+sum runs along one row, so the block size does not change the interval.
+The bootstrap's draws do not depend on the estimator, so `intervals` draws
+each block once for all estimators and computes each point estimate once:
+every interval is the one a single-estimator call returns.
 
 This module loads no scipy. The graph products of the randomization
 interval and the sums of the pairwise moment table are bit-equal to
@@ -197,44 +198,47 @@ def _caught(fn, *args):
         return exc
 
 
-def _replicate_taus(panel, estimator_id, c, h):
+def _replicate_taus(panel, estimator_id, c, h, shared=None):
     """The estimator on many replicates at once, as weighted sufficient
-    statistics of the panel's units.
-
-    Row k of `c` (replicates x units, or 1 x units for unit weights)
-    weights the units of replicate k, whose exposures are `h` (units, or
-    replicates x units); every row of weights sums to n, and each sum runs
-    along one row. CR-ERL fits lambda per replicate. Returns (tau, exact,
-    lam0): `exact` marks the replicates too close to one of the
-    estimator's decision boundaries (the pivoted-QR rank test, the CR-ERL
-    variance floor) to be settled from these sums, and `lam0` those where
-    CR-ERL falls back to lambda = 0.
+    statistics of the panel's units. Row k of `c` (replicates x units, or
+    1 x units; None for unit weights) weights the units of replicate k,
+    whose exposures are `h` (units, or replicates x units); every row of
+    weights sums to n, and each sum runs along one row. `shared`, a dict
+    kept for one block, hands the sums of one estimator to the next: ERL's
+    to CR-ERL, REG's to REG_PRE. CR-ERL fits lambda per replicate. Returns
+    (tau, exact, lam0): `exact` marks the replicates too close to one of
+    the estimator's decision boundaries (the pivoted-QR rank test, the
+    CR-ERL variance floor) to be settled from these sums, and `lam0` those
+    where CR-ERL falls back to lambda = 0.
     """
     n = panel.n
     y, f = panel.y_in, panel.y_pre
-    rows = np.broadcast_shapes(c.shape, h.shape)[0]
-    exact = np.zeros(rows, dtype=bool)
-    lam0 = np.zeros(rows, dtype=bool)
+    shared = {} if shared is None else shared
 
+    # 1.0 * x == x, so unit weights need no multiply
     def mean(x):
-        return (c * x).sum(axis=-1) / n
+        return (x if c is None else c * x).sum(axis=-1) / n
 
     def centred(x):
-        d = x - mean(x)[:, None]
-        return d, c * d
+        m = mean(x)
+        d = x - m[..., None]
+        return m, d, d if c is None else c * d
 
     with np.errstate(divide="ignore", invalid="ignore"):
         if estimator_id in ("erl", "crerl"):
-            w = (h - panel.e_h) / panel.var_h
-            a = y * w
-            tau = mean(a)
+            if "erl" not in shared:
+                w = (h - panel.e_h) / panel.var_h
+                a = y * w
+                shared["erl"] = w, a, mean(a)
+            w, a, tau = shared["erl"]
             if estimator_id == "erl":
-                return tau, exact, lam0
+                # a copy: the exact-replicate fallback writes to what is returned
+                return tau.copy(), np.zeros(len(tau), bool), np.zeros(len(tau), bool)
             b = f * w
             da = a - tau[:, None]
-            db, cdb = centred(b)
+            m_b, db, cdb = centred(b)
             s_bb = (cdb * db).sum(axis=-1)
-            var_b = s_bb / (n - 1) if n > 1 else np.zeros(rows)
+            var_b = s_bb / (n - 1) if n > 1 else np.zeros(len(s_bb))
             lam0 = var_b < EPS_COVARIATE_VAR
             lam = np.where(lam0, 0.0, (cdb * da).sum(axis=-1) / s_bb)
             # near the floor, rounding could put np.var on the other side
@@ -242,36 +246,42 @@ def _replicate_taus(panel, estimator_id, c, h):
                 np.sqrt(var_b) + np.sqrt(EPS_COVARIATE_VAR)
             )
             exact = np.abs(var_b - EPS_COVARIATE_VAR) <= slack
-            return tau - lam * mean(b), exact, lam0
+            return tau - lam * m_b, exact, lam0
 
         # OLS of y on [1, h (, y_pre)], centred: the exposure slope solves the
-        # 1x1 or 2x2 system of centred cross products
-        dh, cdh = centred(h)
-        s_hh = (cdh * dh).sum(axis=-1)
-        s_hy = (cdh * y).sum(axis=-1)
-        norms = [np.full(rows, float(n)), n * mean(h) ** 2 + s_hh]
+        # 1x1 or 2x2 system of centred cross products; the design's squared
+        # column norms are n, q_h (and q_f)
+        if "reg" not in shared:
+            m_h, dh, cdh = centred(h)
+            s_hh = (cdh * dh).sum(axis=-1)
+            shared["reg"] = cdh, s_hh, (cdh * y).sum(axis=-1), n * m_h**2 + s_hh
+        cdh, s_hh, s_hy, q_h = shared["reg"]
         if estimator_id == "reg":
-            tau = s_hy / s_hh
-            det = s_hh
-            accurate = True
+            tau, det, accurate, q_f = s_hy / s_hh, s_hh, True, None
         else:
-            df, cdf = centred(f)
+            m_f, df, cdf = centred(f)
             s_ff = (cdf * df).sum(axis=-1)
             s_hf = (cdh * df).sum(axis=-1)
             det = s_hh * s_ff - s_hf**2
             tau = (s_ff * s_hy - s_hf * (cdf * y).sum(axis=-1)) / det
-            norms.append(n * mean(f) ** 2 + s_ff)
             # h and y_pre all but collinear: the 2x2 solve would lose digits
             accurate = det > GRAM_REL * s_hh * s_ff
-        # Pivoted QR takes |r_11| = the largest column norm, its |r_jj| do
-        # not increase, and prod r_jj^2 = det(X'X) = n * det. With q_j the
-        # sorted squared column norms the last |r_kk|^2 is at least
-        # n * det / (q_1 ... q_{k-1}); the rank test fails at
-        # |r_kk| <= sqrt(q_1) * n * eps.
-        q = np.sort(np.vstack(np.broadcast_arrays(*norms)), axis=0)[::-1]
-        bound = (QR_MARGIN * n * EPS_MACH) ** 2 * q[0] * np.prod(q[:-1], axis=0)
-        exact = ~(accurate & (n * det > bound))
-        return tau, exact, lam0
+            q_f = n * m_f**2 + s_ff
+        exact = ~(accurate & (n * det > _rank_bound(n, q_h, q_f)))
+        return tau, exact, np.zeros(len(tau), bool)
+
+
+# Pivoted QR takes |r_11| = the largest column norm, its |r_jj| do not
+# increase, and prod r_jj^2 = det(X'X) = n * det. With q_1 >= q_2 >= ... the
+# squared column norms, the last |r_kk|^2 is at least
+# n * det / (q_1 ... q_{k-1}); the rank test fails at |r_kk| <= sqrt(q_1) * n * eps.
+def _rank_bound(n, q_h, q_f=None):
+    """(QR_MARGIN n eps)^2 q_1 (q_1 ... q_{k-1}) of the squared column norms n, q_h (, q_f)."""
+    q_1 = q_prod = np.maximum(n, q_h)
+    if q_f is not None:
+        q_1, q_2 = np.maximum(q_1, q_f), np.maximum(np.minimum(n, q_h), np.minimum(q_1, q_f))
+        q_prod = q_1 * q_2
+    return (QR_MARGIN * n * EPS_MACH) ** 2 * q_1 * q_prod
 
 
 def bootstrap_ci(
@@ -305,8 +315,9 @@ def _bootstrap_cis(panel, live, replications, seed, level) -> dict:
         idx = rng.integers(0, n, (count, n))
         counts = np.bincount((idx + n * np.arange(count)[:, None]).ravel(), minlength=idx.size)
         counts = counts.reshape(idx.shape).astype(np.float64)
+        shared = {}
         for est in live:
-            tau, exact, lam0 = _replicate_taus(panel, est, counts, panel.h)
+            tau, exact, lam0 = _replicate_taus(panel, est, counts, panel.h, shared)
             for k in np.flatnonzero(exact):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -379,11 +390,14 @@ def _randomization_ci(panel, graph, estimator_id, point, replications, seed, lev
         replications = seed = 0
     else:
         taus = np.empty(replications)
+        # the panel's rows of the graph, taken once: a block's products are
+        # then its exposures, in C order, so each replicate's sums run along
+        # its own row
+        rows = graph.take_rows(panel.graph_rows)
         for start, count, rng in _replicate_blocks(seed, replications, graph.n_buyers):
             Z = rng.random((count, graph.n_buyers)) < panel.p
-            # C order, so that each replicate's sums run along its own row
-            H = graph.times(Z).take(panel.graph_rows, axis=1)
-            tau, exact, _ = _replicate_taus(panel, estimator_id, np.ones((1, panel.n)), H)
+            H = rows.times(Z)
+            tau, exact, _ = _replicate_taus(panel, estimator_id, None, H)
             for k in np.flatnonzero(exact):
                 tau[k] = point_estimate(replace(panel, h=H[k]), estimator_id).tau_hat
             taus[start : start + count] = tau
@@ -514,19 +528,16 @@ def exposure_moment_table(
     """
     k = _bernoulli_cumulants(p)
     n = len(rows)
-    degree = graph.seller_degrees()[rows]
-    starts = np.cumsum(degree) - degree
     # the panel rows' edges, unit after unit, each in its graph row's order
-    edges = np.arange(degree.sum()) + np.repeat(graph.indptr[rows] - starts, degree)
-    w = graph.weights[edges]
-    c1, c2, c3, c4 = (k[r] * np.add.reduceat(w**r, starts) for r in range(1, 5))
+    sub = graph.take_rows(rows)
+    c1, c2, c3, c4 = (k[r] * np.add.reduceat(sub.weights**r, sub.indptr[:-1]) for r in range(1, 5))
 
     # the edges buyer-major, units ascending within a buyer: edge q pairs
     # with the `later` edges after it in its buyer's run, its t-th pair
     # being (q, q + 1 + t)
-    order = np.argsort(graph.buyer_idx[edges], kind="stable")
-    w, unit = w[order], np.repeat(np.arange(n), degree)[order]
-    run_end = np.flatnonzero(np.diff(graph.buyer_idx[edges[order]], append=-1)) + 1
+    order = np.argsort(sub.buyer_idx, kind="stable")
+    w, unit = sub.weights[order], np.repeat(np.arange(n), sub.seller_degrees())[order]
+    run_end = np.flatnonzero(np.diff(sub.buyer_idx[order], append=-1)) + 1
     q = np.arange(len(order))
     later = np.repeat(run_end, np.diff(run_end, prepend=0)) - q - 1
     first = np.repeat(q, later)

@@ -154,6 +154,8 @@ class SimulatedExperiment:
     graph: BipartiteGraph
     eps: np.ndarray
     y_pre: np.ndarray
+    # the seller number of each graph row, which indexes eps, y_pre and truth
+    seller_number: np.ndarray
     omitted_sellers: int = 0
 
 
@@ -177,14 +179,10 @@ def _draw_noise(rng, config, h):
 # a config whose scales overflow float64 is refused once its outcomes are
 # drawn, before anything is written: the overflow is an error, not a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _make_outcomes(config, graph, assignments, truth, eps, y_pre):
+def _make_outcomes(config, graph, number, assignments, truth, eps, y_pre):
     h = realized_exposure(graph, assignments, "On")
-    # graph sellers are sorted "s%06d" ids, so index i recovers the seller number
-    order = [int(s[1:]) for s in graph.sellers]
-    alpha = truth.alpha[order]
-    beta = truth.beta[order]
-    y_in = _seller_response(config, alpha, beta, h, eps[order])
-    y = np.column_stack((y_in, y_pre[order]))
+    y_in = _seller_response(config, truth.alpha[number], truth.beta[number], h, eps[number])
+    y = np.column_stack((y_in, y_pre[number]))
     if not np.isfinite(y).all():
         raise SimulationError("a simulated outcome or covariate is not finite: the "
                               "config's scales overflow float64")
@@ -255,10 +253,12 @@ def simulate_experiment(
     # noise is part of the potential outcomes: drawn once, fixed across Z
     h0 = realized_exposure(graph, assignments, "On")
     eps_graph = _draw_noise(rng, config, h0)
+    # graph sellers are "s%06d" ids, so row i's id gives its seller number
+    number = np.array([int(s[1:]) for s in graph.sellers], dtype=np.int64)
     eps = np.zeros(config.n)
-    eps[[int(s[1:]) for s in graph.sellers]] = eps_graph
+    eps[number] = eps_graph
 
-    outcomes = _make_outcomes(config, graph, assignments, truth, eps, y_pre)
+    outcomes = _make_outcomes(config, graph, number, assignments, truth, eps, y_pre)
 
     if config.favorite_rates is not None:
         # each view turns into a favorite with its buyer's variant's rate;
@@ -284,6 +284,7 @@ def simulate_experiment(
         graph=graph,
         eps=eps,
         y_pre=y_pre,
+        seller_number=number,
         omitted_sellers=omitted,
     )
     if out_dir is not None:
@@ -317,7 +318,7 @@ def rerandomize(exp: SimulatedExperiment, seed: int) -> SimulatedExperiment:
     treated = rng.random(exp.config.m) < exp.config.p_treat
     assignments = replace(exp.assignments, variant=treated)
     outcomes = _make_outcomes(
-        exp.config, exp.graph, assignments, exp.truth, exp.eps, exp.y_pre
+        exp.config, exp.graph, exp.seller_number, assignments, exp.truth, exp.eps, exp.y_pre
     )
     return replace(exp, assignments=assignments, outcomes=outcomes)
 

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -416,10 +419,16 @@ def test_build_graph_matches_coo_build(rng):
 DATA = Path(__file__).parent / "data" / "analyze3"
 
 
+def row_by_row_normalized(indptr, data):
+    """Each CSR row of `data` divided by its own sum, one row at a time: the
+    reference `_row_normalized` is bit-equal to."""
+    return np.concatenate([data[s:e] / data[s:e].sum() for s, e in zip(indptr[:-1], indptr[1:])])
+
+
 def scipy_per_variant_subgraph(graph, assignments, control, treatment):
     """The column slicing that index arithmetic replaced, kept as the
     reference: scipy drops the other variants' columns, a second index
-    drops the rows left empty, and rows are renormalized as before."""
+    drops the rows left empty, and each row is divided by its own sum."""
     keep = np.isin(
         graph.buyer_variants(assignments),
         [assignments.code(control), assignments.code(treatment)],
@@ -434,7 +443,7 @@ def scipy_per_variant_subgraph(graph, assignments, control, treatment):
         graph.seller_vocabulary,
         sub.indptr,
         sub.indices,
-        _row_normalized(sub.indptr, sub.data),
+        row_by_row_normalized(sub.indptr, sub.data),
         codes=(graph.buyer_codes[keep], graph.seller_codes[rows]),
     )
 
@@ -538,3 +547,51 @@ def test_per_variant_subgraph_matches_scipy_slicing(rng):
     for name in ("indptr", "buyer_idx", "weights", "buyer_codes", "seller_codes"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert compared + 1 >= 60
+
+
+def test_row_normalized_matches_row_by_row_division(rng):
+    """Rows summed a degree group at a time divide bit-equal to rows summed
+    one by one, on both sides of each bound of numpy's pairwise sum (a
+    plain loop below 8 terms, 8 partial sums up to 128, halving above), with
+    the rows of a degree scattered through the array and heavy-tailed
+    weights whose sum depends on the order it runs in."""
+    degrees = [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 255, 256, 257, 1000, 3663]
+    degree = rng.permutation(np.repeat(degrees, 5))
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    data = rng.lognormal(0.0, 4.0, indptr[-1])
+    got = _row_normalized(indptr, data)
+    want = row_by_row_normalized(indptr, data)
+    assert got.tobytes() == want.tobytes()
+    # the grouped sums differ from a plain left-to-right sum in some row
+    plain = np.concatenate([data[s:e] / sum(data[s:e].tolist())
+                            for s, e in zip(indptr[:-1], indptr[1:])])
+    assert plain.tobytes() != want.tobytes()
+
+
+def test_restricted_analyze_leaves_numpy_ma_unloaded(tmp_path):
+    """An analyze run on the tests/data fixture that restricts its graph to
+    two variants (per_variant_subgraph, so _row_normalized) loads no
+    numpy.ma: a bare np.unique imports it on first use. The run asks for
+    the pairwise and randomization intervals, as the bootstrap's
+    np.quantile imports numpy.ma itself."""
+    argv = [
+        "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+        "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
+        "--estimators", "erl", "--methods", "randomization,pairwise",
+        "--allow-missing-outcomes", "--out", str(tmp_path / "out"),
+    ]
+    code = "\n".join([
+        "import sys",
+        "from bipartite_ab import graph",
+        "from bipartite_ab.cli import main",
+        "restrict, calls = graph.per_variant_subgraph, []",
+        "graph.per_variant_subgraph = lambda *a: calls.append(a) or restrict(*a)",
+        f"assert main({argv!r}) == 0 and calls",
+        "print(' '.join(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, cwd=DATA,
+    )
+    assert done.stdout.split() == []

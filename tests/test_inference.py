@@ -1518,3 +1518,199 @@ def test_interval_functions_check_their_request(call):
     panel, graph = next(request_panels())
     with pytest.raises(InferenceError, match=r"^(seed must be >= 0|level .* outside)"):
         call(panel, graph)
+
+
+# --- the replicate kernel against the formulas it replaced ------------------
+
+
+def oracle_replicate_taus(panel, estimator_id, c, h):
+    """The replicate kernel as it was before unit weights, shared sums and
+    the max/min rank bound, kept as the reference: every weight multiplied
+    in, each mean recomputed where it is read, and the rank bound from
+    sorted, stacked column norms."""
+    n = panel.n
+    y, f = panel.y_in, panel.y_pre
+    rows = np.broadcast_shapes(c.shape, h.shape)[0]
+    exact = np.zeros(rows, dtype=bool)
+    lam0 = np.zeros(rows, dtype=bool)
+
+    def mean(x):
+        return (c * x).sum(axis=-1) / n
+
+    def centred(x):
+        d = x - mean(x)[:, None]
+        return d, c * d
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if estimator_id in ("erl", "crerl"):
+            w = (h - panel.e_h) / panel.var_h
+            a = y * w
+            tau = mean(a)
+            if estimator_id == "erl":
+                return tau, exact, lam0
+            b = f * w
+            da = a - tau[:, None]
+            db, cdb = centred(b)
+            s_bb = (cdb * db).sum(axis=-1)
+            var_b = s_bb / (n - 1) if n > 1 else np.zeros(rows)
+            lam0 = var_b < EPS_COVARIATE_VAR
+            lam = np.where(lam0, 0.0, (cdb * da).sum(axis=-1) / s_bb)
+            slack = 0.5 * EPS_COVARIATE_VAR + 64 * inference.EPS_MACH * np.abs(b).max() * (
+                np.sqrt(var_b) + np.sqrt(EPS_COVARIATE_VAR)
+            )
+            exact = np.abs(var_b - EPS_COVARIATE_VAR) <= slack
+            return tau - lam * mean(b), exact, lam0
+        dh, cdh = centred(h)
+        s_hh = (cdh * dh).sum(axis=-1)
+        s_hy = (cdh * y).sum(axis=-1)
+        norms = [np.full(rows, float(n)), n * mean(h) ** 2 + s_hh]
+        if estimator_id == "reg":
+            tau = s_hy / s_hh
+            det = s_hh
+            accurate = True
+        else:
+            df, cdf = centred(f)
+            s_ff = (cdf * df).sum(axis=-1)
+            s_hf = (cdh * df).sum(axis=-1)
+            det = s_hh * s_ff - s_hf**2
+            tau = (s_ff * s_hy - s_hf * (cdf * y).sum(axis=-1)) / det
+            norms.append(n * mean(f) ** 2 + s_ff)
+            accurate = det > inference.GRAM_REL * s_hh * s_ff
+        exact = ~(accurate & (n * det > oracle_rank_bound(n, norms)))
+        return tau, exact, lam0
+
+
+def oracle_rank_bound(n, norms):
+    """The pivoted-QR rank bound from the sorted, stacked column norms."""
+    q = np.sort(np.vstack(np.broadcast_arrays(*norms)), axis=0)[::-1]
+    return (inference.QR_MARGIN * n * inference.EPS_MACH) ** 2 * q[0] * np.prod(q[:-1], axis=0)
+
+
+def assert_same_replicates(got, want, context):
+    for name, g, w in zip(("tau", "exact", "lam0"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, (context, name)
+        assert g.tobytes() == w.tobytes(), (context, name)
+
+
+def kernel_cases():
+    """(panel, c, h) on which the kernel runs: bootstrap count blocks over
+    the differential panels, and unit-weight blocks of exposure draws, real
+    ones (H = W Z) on the request panels with a pre-period outcome and
+    synthetic ones, among them constant and tied exposures, that put REG on
+    its rank test and CR-ERL on its variance floor."""
+    for k, (n, panel, _) in enumerate(differential_panels()):
+        rng = np.random.default_rng([29, k])
+        idx = rng.integers(0, n, (7, n))
+        counts = np.bincount((idx + n * np.arange(7)[:, None]).ravel(), minlength=idx.size)
+        yield panel, counts.reshape(idx.shape).astype(np.float64), panel.h
+        H = np.clip(panel.h + rng.normal(0.0, 0.2, (6, n)), 0.0, 1.0)
+        H[0], H[1], H[2] = 0.5, panel.h, np.round(panel.h, 1)
+        yield panel, None, H
+    for panel, graph in request_panels():
+        if panel.y_pre is None:
+            continue
+        rng = np.random.default_rng(panel.n)
+        Z = rng.random((11, graph.n_buyers)) < panel.p
+        yield panel, None, np.ascontiguousarray((csr(graph)[panel.graph_rows] @ Z.T).T)
+
+
+@pytest.mark.parametrize("estimator_id", ["erl", "reg", "reg_pre", "crerl"])
+def test_unit_weights_match_the_ones_matrix(estimator_id):
+    """c = None, which sums each term unmultiplied, gives the tau, exact and
+    lam0 that the 1 x n matrix of ones gave, byte for byte, and so does the
+    ones matrix itself; count weights give what they gave."""
+    compared = 0
+    for k, (panel, c, h) in enumerate(kernel_cases()):
+        ones = np.ones((1, panel.n))
+        if c is None:
+            want = oracle_replicate_taus(panel, estimator_id, ones, h)
+            assert_same_replicates(
+                inference._replicate_taus(panel, estimator_id, None, h), want, k
+            )
+            assert_same_replicates(
+                inference._replicate_taus(panel, estimator_id, ones, h), want, k
+            )
+        else:
+            want = oracle_replicate_taus(panel, estimator_id, c, h)
+            assert_same_replicates(inference._replicate_taus(panel, estimator_id, c, h), want, k)
+        compared += 1
+    assert compared >= 100
+
+
+def test_kernel_cases_reach_the_decision_boundaries():
+    """The cases above exercise REG's rank test, CR-ERL's variance floor and
+    its lambda = 0 fallback, with unit and with count weights."""
+    hit = set()
+    for panel, c, h in kernel_cases():
+        weights = "unit" if c is None else "counts"
+        c = np.ones((1, panel.n)) if c is None else c
+        for est in ("reg", "reg_pre", "crerl"):
+            _, exact, lam0 = oracle_replicate_taus(panel, est, c, h)
+            hit |= {(est, weights, "exact")} if exact.any() else set()
+            hit |= {(est, weights, "lam0")} if lam0.any() else set()
+    for weights in ("unit", "counts"):
+        assert {("reg", weights, "exact"), ("reg_pre", weights, "exact"),
+                ("crerl", weights, "lam0")} <= hit, weights
+
+
+@pytest.mark.parametrize("order", [
+    ("erl", "crerl", "reg", "reg_pre"),
+    ("crerl", "erl", "reg_pre", "reg"),
+    ("reg_pre", "crerl", "reg", "erl"),
+])
+def test_shared_sums_match_separate_calls(order):
+    """Estimators that share one block's sums, in any order, each get what
+    they get alone, and what they got before the sums were shared."""
+    for k, (panel, c, h) in enumerate(kernel_cases()):
+        shared = {}
+        for est in order:
+            got = inference._replicate_taus(panel, est, c, h, shared)
+            want = oracle_replicate_taus(panel, est, np.ones((1, panel.n)) if c is None else c, h)
+            assert_same_replicates(got, want, (k, est))
+        assert set(shared) == {"erl", "reg"}
+
+
+def test_rank_bound_matches_sorted_product(rng):
+    """The max/min bound equals the sorted, stacked product byte for byte,
+    for two and three norms, with ties, zeros, infinities, NaN and
+    products that overflow or underflow, and for a scalar third norm (the
+    unit-weight y_pre norm)."""
+    for n in (1, 2, 5, 37, 1000):
+        pool = np.array([0.0, 1e-300, 0.5, 1.0, float(n), float(n), 3e5, 1e300,
+                         np.inf, np.nan])
+        for _ in range(40):
+            size = int(rng.integers(1, 60))
+            q_h, q_f = (np.where(rng.random(size) < 0.5, rng.choice(pool, size),
+                                 rng.random(size) * 2 * n) for _ in range(2))
+            full = np.full(size, float(n))
+            for norms in ((q_h,), (q_h, q_f), (q_h, rng.choice(pool))):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = inference._rank_bound(n, *norms)
+                    want = oracle_rank_bound(n, [full, *norms])
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, norms)
+
+
+def test_shared_bootstrap_matches_single_estimator_calls():
+    """The bootstrap over all four estimators at once, which shares each
+    block's sums, gives each estimator the interval, failure or warning
+    count its single-estimator bootstrap_ci gives."""
+    for k, (n, panel, reps) in enumerate(differential_panels()):
+        if k % 4:
+            continue
+        points = {}
+        for est in ("crerl", "reg_pre", "erl", "reg"):
+            try:
+                points[est] = point_estimate(panel, est)
+            except ValueError:
+                pass
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            shared = inference._bootstrap_cis(panel, points, reps, k, 0.95)
+        for est in points:
+            want, _ = outcome_or_error(interval_or_error, bootstrap_ci, panel, est, reps, k)
+            got = shared[est]
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want)), (k, est)
+            else:
+                assert got == want, (k, est)
