@@ -57,6 +57,9 @@ class BipartiteGraph:
     ascending within each row.
     """
 
+    # the edge bins of the largest block of products so far (`_edge_bins`)
+    _bins = np.empty(0, dtype=np.int64)
+
     def __init__(self, buyers, sellers, indptr, buyer_idx, weights, codes=None):
         vocabularies = Vocabulary.of(buyers), Vocabulary.of(sellers)
         self.buyer_vocabulary, self.seller_vocabulary = vocabularies
@@ -65,7 +68,6 @@ class BipartiteGraph:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.buyer_idx = np.asarray(buyer_idx, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        self._bins = np.empty(0, dtype=np.int64)
         self._validate()
 
     # the ids of the columns and rows, built on first use
@@ -132,9 +134,18 @@ class BipartiteGraph:
         # each row keeps its edges in order, so its products are bit-equal
         indptr = np.concatenate(([0], np.cumsum(self.seller_degrees()[rows])))
         edges = np.arange(indptr[-1]) + np.repeat(self.indptr[rows] - indptr[:-1], np.diff(indptr))
-        return BipartiteGraph(self.buyer_vocabulary, self.seller_vocabulary, indptr,
-                              self.buyer_idx[edges], self.weights[edges],
-                              codes=(self.buyer_codes, self.seller_codes[rows]))
+        return self._derived(slice(None), rows, indptr, self.buyer_idx[edges], self.weights[edges])
+
+    def _derived(self, columns, rows, indptr, buyer_idx, weights):
+        """The graph on these buyer columns and seller rows whose int64 and
+        float64 edge arrays are taken from this valid graph's, each row's in
+        order: it is valid as made, so it is not checked again."""
+        graph = object.__new__(BipartiteGraph)
+        graph.buyer_vocabulary = self.buyer_vocabulary
+        graph.seller_vocabulary = self.seller_vocabulary
+        graph.buyer_codes, graph.seller_codes = self.buyer_codes[columns], self.seller_codes[rows]
+        graph.indptr, graph.buyer_idx, graph.weights = indptr, buyer_idx, weights
+        return graph
 
     def transpose_times(self, v: np.ndarray) -> np.ndarray:
         """W' v, bit-equal to a scipy CSR `W.T @ v`: each buyer's sum runs
@@ -272,14 +283,9 @@ def per_variant_subgraph(
             f"empty graph: no sellers touched by {control!r} or {treatment!r} buyers"
         )
     indptr = np.concatenate(([0], np.cumsum(degree[rows])))
-    return BipartiteGraph(
-        graph.buyer_vocabulary,
-        graph.seller_vocabulary,
-        indptr,
-        (np.cumsum(keep) - 1)[graph.buyer_idx[kept]],
-        _row_normalized(indptr, graph.weights[kept]),
-        codes=(graph.buyer_codes[keep], graph.seller_codes[rows]),
-    )
+    buyer_idx = (np.cumsum(keep, dtype=np.int64) - 1)[graph.buyer_idx[kept]]
+    # renormalized rows of positive weights sum to 1 within rounding
+    return graph._derived(keep, rows, indptr, buyer_idx, _row_normalized(indptr, graph.weights[kept]))
 
 
 @dataclass

@@ -204,12 +204,11 @@ def _replicate_taus(panel, estimator_id, c, h, shared=None):
     1 x units; None for unit weights) weights the units of replicate k,
     whose exposures are `h` (units, or replicates x units); every row of
     weights sums to n, and each sum runs along one row. `shared`, a dict
-    kept for one block, hands the sums of one estimator to the next: ERL's
-    to CR-ERL, REG's to REG_PRE. CR-ERL fits lambda per replicate. Returns
-    (tau, exact, lam0): `exact` marks the replicates too close to one of
-    the estimator's decision boundaries (the pivoted-QR rank test, the
-    CR-ERL variance floor) to be settled from these sums, and `lam0` those
-    where CR-ERL falls back to lambda = 0.
+    kept for one block, hands ERL's weights and tau to CR-ERL, which fits
+    lambda per replicate. Returns (tau, exact, lam0): `exact` marks the
+    replicates too close to one of the estimator's decision boundaries
+    (the pivoted-QR rank test, the CR-ERL variance floor) to be settled
+    from these sums, and `lam0` those where CR-ERL falls back to lambda = 0.
     """
     n = panel.n
     y, f = panel.y_in, panel.y_pre
@@ -251,11 +250,10 @@ def _replicate_taus(panel, estimator_id, c, h, shared=None):
         # OLS of y on [1, h (, y_pre)], centred: the exposure slope solves the
         # 1x1 or 2x2 system of centred cross products; the design's squared
         # column norms are n, q_h (and q_f)
-        if "reg" not in shared:
-            m_h, dh, cdh = centred(h)
-            s_hh = (cdh * dh).sum(axis=-1)
-            shared["reg"] = cdh, s_hh, (cdh * y).sum(axis=-1), n * m_h**2 + s_hh
-        cdh, s_hh, s_hy, q_h = shared["reg"]
+        m_h, dh, cdh = centred(h)
+        s_hh = (cdh * dh).sum(axis=-1)
+        s_hy = (cdh * y).sum(axis=-1)
+        q_h = n * m_h**2 + s_hh
         if estimator_id == "reg":
             tau, det, accurate, q_f = s_hy / s_hh, s_hh, True, None
         else:

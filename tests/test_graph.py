@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -502,6 +503,41 @@ def test_products_match_scipy(rng):
     assert compared == 14
 
 
+def test_take_rows_matches_scipy_row_slicing(rng):
+    """take_rows, which is not checked again, gives the arrays and dtypes of
+    a checked graph built from scipy's row slicing, for all, some,
+    reordered and single rows, and its products are bit-equal to the
+    slice's."""
+    names = ("indptr", "buyer_idx", "weights", "buyer_codes", "seller_codes")
+    compared = 0
+    for graph in product_graphs(rng):
+        W = csr(graph)
+        Z = rng.random((5, graph.n_buyers)) < 0.4
+        for rows in (
+            np.arange(graph.n_sellers),
+            np.flatnonzero(rng.random(graph.n_sellers) < 0.6),
+            rng.permutation(graph.n_sellers),
+            np.array([graph.n_sellers - 1]),
+        ):
+            if not len(rows):
+                continue
+            got = graph.take_rows(rows)
+            sub = W[rows]
+            want = BipartiteGraph(
+                graph.buyer_vocabulary, graph.seller_vocabulary, sub.indptr, sub.indices,
+                sub.data, codes=(graph.buyer_codes, graph.seller_codes[rows]),
+            )
+            got._validate()
+            for name in names:
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+            assert got.sellers == want.sellers and got.buyers == graph.buyers
+            product = np.ascontiguousarray((sub @ Z.T).T)
+            assert got.times(Z).tobytes() == product.tobytes()
+            compared += 1
+    assert compared >= 50
+
+
 def test_per_variant_subgraph_matches_scipy_slicing(rng):
     """Index arithmetic gives the arrays the scipy slicing gave: on random
     and fixture graphs, with single-edge rows, rows that lose every edge
@@ -526,7 +562,8 @@ def test_per_variant_subgraph_matches_scipy_slicing(rng):
                 got = per_variant_subgraph(graph, assignments, control, treatment)
                 for name in ("indptr", "buyer_idx", "weights", "buyer_codes",
                              "seller_codes"):
-                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                 compared += 1
     # every buyer kept: the arrays come back unchanged
     exp = simulate_experiment(SimConfig(m=300, n=150, seed=8))
@@ -571,9 +608,11 @@ def test_row_normalized_matches_row_by_row_division(rng):
 def test_restricted_analyze_leaves_numpy_ma_unloaded(tmp_path):
     """An analyze run on the tests/data fixture that restricts its graph to
     two variants (per_variant_subgraph, so _row_normalized) loads no
-    numpy.ma: a bare np.unique imports it on first use. The run asks for
-    the pairwise and randomization intervals, as the bootstrap's
-    np.quantile imports numpy.ma itself."""
+    numpy.ma: a bare np.unique imports it on first use. Each restriction
+    must add no numpy.ma module. numpy 2 loads numpy.ma only on demand, so
+    there the whole run must leave it unloaded; numpy 1 imports it with
+    numpy itself. The run asks for the pairwise and randomization
+    intervals, as the bootstrap's np.quantile imports numpy.ma itself."""
     argv = [
         "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
         "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
@@ -581,17 +620,27 @@ def test_restricted_analyze_leaves_numpy_ma_unloaded(tmp_path):
         "--allow-missing-outcomes", "--out", str(tmp_path / "out"),
     ]
     code = "\n".join([
-        "import sys",
+        "import json, sys",
         "from bipartite_ab import graph",
         "from bipartite_ab.cli import main",
-        "restrict, calls = graph.per_variant_subgraph, []",
-        "graph.per_variant_subgraph = lambda *a: calls.append(a) or restrict(*a)",
-        f"assert main({argv!r}) == 0 and calls",
-        "print(' '.join(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))",
+        "restrict, added = graph.per_variant_subgraph, []",
+        "def spy(*a):",
+        "    before = set(loaded())",
+        "    sub = restrict(*a)",
+        "    added.append(sorted(set(loaded()) - before))",
+        "    return sub",
+        "graph.per_variant_subgraph = spy",
+        f"assert main({argv!r}) == 0",
+        "print(json.dumps({'added': added, 'loaded': loaded()}))",
     ])
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True, cwd=DATA,
     )
-    assert done.stdout.split() == []
+    modules = json.loads(done.stdout)
+    assert modules["added"] and all(a == [] for a in modules["added"])
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert modules["loaded"] == []

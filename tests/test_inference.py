@@ -1667,7 +1667,7 @@ def test_shared_sums_match_separate_calls(order):
             got = inference._replicate_taus(panel, est, c, h, shared)
             want = oracle_replicate_taus(panel, est, np.ones((1, panel.n)) if c is None else c, h)
             assert_same_replicates(got, want, (k, est))
-        assert set(shared) == {"erl", "reg"}
+        assert set(shared) == {"erl"}
 
 
 def test_rank_bound_matches_sorted_product(rng):
