@@ -68,4 +68,4 @@ outcomes = OutcomeTable(
 )
 panel, degen = assemble_panel(graph, assignments, outcomes, "On")
 print(f"\npanel: {panel.n} sellers ready for estimation, "
-      f"{degen.n_zero_variance} excluded for zero design variance")
+      f"{degen.zero_variance} excluded for zero design variance")

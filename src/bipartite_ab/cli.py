@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 # per_variant_subgraph is called through its module, like the inference
@@ -50,8 +51,9 @@ def _split(value: str) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    # the request is refused before any input is read
-    window = (0, 2**62)
+    # the request is refused before any input is read; no window keeps every
+    # int64 timestamp
+    window = (-2**63, 2**63 - 1)
     if args.window:
         try:
             window = tuple(map(int, args.window.split(":")))
@@ -113,13 +115,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 g = full if control is None else graph.per_variant_subgraph(
                     full, assignments, control, args.treatment
                 )
-                st = graph_stats(g)
-                report.graph_stats[label] = {
-                    "n_buyers": st.n_buyers,
-                    "n_sellers": st.n_sellers,
-                    "n_edges": st.n_edges,
-                    "single_edge_sellers": st.single_edge_sellers,
-                }
+                report.graph_stats[label] = asdict(graph_stats(g))
                 panel, degen = assemble_panel(
                     g,
                     assignments,
@@ -131,11 +127,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 all_failed(label, str(exc))
                 continue
-            report.degenerate_units[label] = {
-                "missing_outcome": degen.n_missing_outcome,
-                "zero_variance": degen.n_zero_variance,
-            }
-            histograms[label] = panel.h
+            report.degenerate_units[label] = asdict(degen)
+            histograms[label] = exposure_histogram(panel.h)
             if args.dump_graphs:
                 dumps[label] = g
             report.entries += [
@@ -151,10 +144,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "forest.svg").write_text(forest_plot_svg(report), encoding="utf-8")
-    for label, h in histograms.items():
-        counts, edges = exposure_histogram(h)
+    for label, (counts, edges) in histograms.items():
         safe = label.replace("/", "_").replace("+", "_")
-        write_exposure_histogram(h, out / f"exposure_hist_{safe}.csv")
+        write_exposure_histogram(counts, edges, out / f"exposure_hist_{safe}.csv")
         if label in dumps:
             dump_graph(dumps[label], out / f"graph_{safe}.csv")
         (out / f"exposure_hist_{safe}.svg").write_text(

@@ -121,17 +121,12 @@ class ExposurePanel:
 
 @dataclass
 class DegenerateReport:
-    """Sellers excluded from the panel, with the reason for each."""
+    """The number of sellers left out of the panel for each reason, as
+    report.json records them; a seller with no outcome row counts there
+    whatever its variance."""
 
-    excluded: list[tuple[str, str]]
-
-    @property
-    def n_missing_outcome(self) -> int:
-        return sum(1 for _, r in self.excluded if r == "no outcome row")
-
-    @property
-    def n_zero_variance(self) -> int:
-        return sum(1 for _, r in self.excluded if r == "zero variance")
+    missing_outcome: int
+    zero_variance: int
 
 
 def assemble_panel(
@@ -145,7 +140,7 @@ def assemble_panel(
     """Join exposures with outcomes, excluding degenerate units.
 
     Units with Var[H] <= EPS_VAR carry no identifying variation and are
-    split out into the report; sellers without an outcome row are a hard
+    left out and counted in the report; sellers without an outcome row are a hard
     error unless `allow_missing_outcomes` drops them (imputing 0 would
     bias the estimators).
     """
@@ -156,12 +151,8 @@ def assemble_panel(
     missing = rows < 0
     if missing.any() and not allow_missing_outcomes:
         raise MissingOutcomeError([graph.sellers[i] for i in np.flatnonzero(missing)])
-    dropped = missing | (var_h <= EPS_VAR)
-    excluded = [
-        (graph.sellers[i], "no outcome row" if missing[i] else "zero variance")
-        for i in np.flatnonzero(dropped).tolist()
-    ]
-    rows_arr = np.flatnonzero(~dropped)
+    zero_variance = ~missing & (var_h <= EPS_VAR)
+    rows_arr = np.flatnonzero(~(missing | zero_variance))
     if not len(rows_arr):
         raise ExposureError("no usable outcome units after exclusions")
     y_in, y_pre = outcomes.y[rows[rows_arr]].T.copy()
@@ -176,19 +167,18 @@ def assemble_panel(
         p=p,
         graph_rows=rows_arr,
     )
-    return panel, DegenerateReport(excluded)
+    return panel, DegenerateReport(int(missing.sum()), int(zero_variance.sum()))
 
 
 def exposure_histogram(
     h: Sequence[float], bins: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts over `bins` uniform bins on [0,1]; h == 1 lands in the last bin."""
-    counts, edges = np.histogram(np.asarray(h), bins=bins, range=(0.0, 1.0))
-    return counts, edges
+    return np.histogram(np.asarray(h), bins=bins, range=(0.0, 1.0))
 
 
-def write_exposure_histogram(h, path):
-    counts, edges = exposure_histogram(h)
+def write_exposure_histogram(counts: np.ndarray, edges: np.ndarray, path):
+    """The CSV of an `exposure_histogram` result: one line per bin."""
     edges = edges.tolist()  # Python floats: a numpy float's repr is np.float64(...)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bin_lower,bin_upper,count\n")

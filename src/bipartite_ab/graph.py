@@ -14,7 +14,7 @@ by it and the pairwise moment table need no scipy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -290,24 +290,17 @@ def per_variant_subgraph(
 
 @dataclass
 class GraphStats:
+    """A graph's size and its sellers with one edge, as report.json records them."""
+
     n_buyers: int
     n_sellers: int
     n_edges: int
-    seller_degree_hist: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def single_edge_sellers(self) -> int:
-        return self.seller_degree_hist.get(1, 0)
+    single_edge_sellers: int
 
 
 def graph_stats(graph: BipartiteGraph) -> GraphStats:
-    degrees, counts = np.unique(graph.seller_degrees(), return_counts=True)
-    return GraphStats(
-        n_buyers=graph.n_buyers,
-        n_sellers=graph.n_sellers,
-        n_edges=graph.n_edges,
-        seller_degree_hist=dict(zip(degrees.tolist(), counts.tolist())),
-    )
+    return GraphStats(graph.n_buyers, graph.n_sellers, graph.n_edges,
+                      int((graph.seller_degrees() == 1).sum()))
 
 
 def dump_graph(graph: BipartiteGraph, path):

@@ -567,7 +567,6 @@ def check_pairwise_size(n: int):
 @dataclass
 class PairwiseVariance:
     value: float
-    n_units: int
     n_pairs_evaluated: int
     degenerate_pairs: list[tuple[str, str]]
     degenerate_units: list[str] = field(default_factory=list)
@@ -647,7 +646,6 @@ def pairwise_variance(
         degenerate += [(ids[s], ids[r]) for s, r in zip(i[~ok].tolist(), j[~ok].tolist())]
     return PairwiseVariance(
         value=float(diag.sum() + terms.sum()) / (n * n),
-        n_units=n,
         n_pairs_evaluated=len(terms) - len(degenerate),
         degenerate_pairs=degenerate,
         degenerate_units=[ids[t] for t in singular.tolist()],

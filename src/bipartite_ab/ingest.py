@@ -769,17 +769,17 @@ def parse_events(
     path,
     kind_filter: Iterable[str],
     window: tuple[int, int],
-    known_kinds: Iterable[str] = DEFAULT_EVENT_KINDS,
 ) -> tuple[EventLog, EventParseReport]:
     """Parse an events CSV, keeping rows with kind in `kind_filter` and
     timestamp in the inclusive window [t0, t1].
 
     Returns the kept events in file order plus a report counting every
-    dropped row. Rows whose kind is outside `known_kinds` are skipped with
-    a warning; malformed rows raise ParseError with the line number.
+    dropped row. Rows whose kind is neither in DEFAULT_EVENT_KINDS nor in
+    `kind_filter` are skipped with a warning; malformed rows raise
+    ParseError with the line number.
     """
     kind_filter = set(kind_filter)
-    known = set(known_kinds) | kind_filter
+    known = DEFAULT_EVENT_KINDS | kind_filter
     t0, t1 = window
     tokens = _tokenize(path, _EVENTS)
     (buyer, seller, kind), kinds = tokens.codes, tokens.ids[2]
@@ -909,9 +909,8 @@ def write_events(path, events: EventLog):
         writer.writerows(zip(*ids, events.timestamp.tolist()))
 
 
-def write_assignments(path, table: AssignmentTable, design_path=None):
-    if design_path is None:
-        design_path = default_design_path(path)
+def write_assignments(path, table: AssignmentTable):
+    """The assignments CSV and, beside it, its design JSON sidecar."""
     labels = np.array(table.labels, dtype=object)[table.variant]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -923,7 +922,7 @@ def write_assignments(path, table: AssignmentTable, design_path=None):
             for v in table.variants
         ]
     }
-    with open(design_path, "w", encoding="utf-8") as fh:
+    with open(default_design_path(path), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

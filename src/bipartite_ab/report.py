@@ -82,6 +82,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _text(s: str) -> str:
+    """`s` escaped for an SVG <text> element."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def forest_plot_svg(report: EstimateReport) -> str:
     """One row per report entry: point marker plus CI whisker, grouped by
     graph label. Failed entries render as a text-only row."""
@@ -116,7 +121,7 @@ def forest_plot_svg(report: EstimateReport) -> str:
     for i, e in enumerate(entries):
         y = top + row_h * i + row_h // 2
         parts.append(f'<g class="row">')
-        parts.append(f'<text x="8" y="{y + 4}">{e.label}</text>')
+        parts.append(f'<text x="8" y="{y + 4}">{_text(e.label)}</text>')
         if e.status == "ok":
             x0, x1, xm = x_of(e.ci_low), x_of(e.ci_high), x_of(e.tau_hat)
             parts.append(
@@ -132,7 +137,7 @@ def forest_plot_svg(report: EstimateReport) -> str:
             )
         else:
             parts.append(
-                f'<text x="{left}" y="{y + 4}" fill="#a33">error: {e.error}</text>'
+                f'<text x="{left}" y="{y + 4}" fill="#a33">error: {_text(e.error)}</text>'
             )
         parts.append("</g>")
     parts.append(f'<text x="{left}" y="{height - 8}" font-size="10">{_fmt(lo)}</text>')
@@ -158,7 +163,7 @@ def histogram_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="12">',
-        f'<text x="{left}" y="24" font-size="14">{title}</text>',
+        f'<text x="{left}" y="24" font-size="14">{_text(title)}</text>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="#333"/>',
     ]

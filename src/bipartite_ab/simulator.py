@@ -453,12 +453,12 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     }
 
 
-def _field(payload: dict, key: str, default=None, where: str = "config"):
-    """payload[key], or `default`; a missing key without a default is a
-    SimulationError. The dataclass the value goes to checks the number."""
-    if key not in payload and default is None:
+def _field(payload: dict, key: str, where: str = "config"):
+    """payload[key]; a missing key is a SimulationError. The dataclass the
+    value goes to checks the number."""
+    if key not in payload:
         raise SimulationError(f"{where} is missing {key!r}")
-    return payload.get(key, default)
+    return payload[key]
 
 
 def _pair(value, key: str) -> tuple[float, float]:
@@ -475,39 +475,30 @@ def _object(value, where: str) -> dict:
 
 
 def sim_config_from_dict(payload: dict) -> SimConfig:
+    """The SimConfig of a JSON config: m and n are required, and a key the
+    config leaves out takes SimConfig's default."""
     payload = _object(payload, "simulation config")
-    degree_raw = _object(payload.get("degree", {"kind": "fixed", "k": 3}), "degree")
-    kind = degree_raw.get("kind")
-    if kind not in _DEGREE_KINDS:
-        raise SimulationError(f"unknown degree kind {kind!r}")
-    degree = _DEGREE_KINDS[kind](*(_field(degree_raw, f.name, where="degree")
-                                   for f in fields(_DEGREE_KINDS[kind])))
-    violation = None
+    settings = {key: payload[key] for key in
+                ("p_treat", "noise_sd", "noise_mode", "pre_corr", "seed") if key in payload}
+    if "degree" in payload:
+        degree_raw = _object(payload["degree"], "degree")
+        kind = degree_raw.get("kind")
+        if kind not in _DEGREE_KINDS:
+            raise SimulationError(f"unknown degree kind {kind!r}")
+        settings["degree"] = _DEGREE_KINDS[kind](*(
+            _field(degree_raw, f.name, where="degree") for f in fields(_DEGREE_KINDS[kind])))
     v_raw = payload.get("violation")
     if v_raw is not None:
         v_raw = _object(v_raw, "violation")
         kind = v_raw.get("kind")
         if kind not in _VIOLATION_KEYS:
             raise SimulationError(f"unknown violation kind {kind!r}")
-        violation = (kind, _field(v_raw, _VIOLATION_KEYS[kind], where="violation"))
-    alpha_mean, alpha_sd = _pair(payload.get("alpha", (0.0, 1.0)), "alpha")
-    beta_mean, beta_sd = _pair(payload.get("beta", (1.0, 0.25)), "beta")
-    return SimConfig(
-        m=_field(payload, "m"),
-        n=_field(payload, "n"),
-        degree=degree,
-        p_treat=_field(payload, "p_treat", 0.5),
-        alpha_mean=alpha_mean,
-        alpha_sd=alpha_sd,
-        beta_mean=beta_mean,
-        beta_sd=beta_sd,
-        noise_sd=_field(payload, "noise_sd", 1.0),
-        noise_mode=payload.get("noise_mode", "homoskedastic"),
-        pre_corr=_field(payload, "pre_corr", 0.5),
-        violation=violation,
-        favorite_rates=payload.get("favorite_rates") or None,
-        seed=_field(payload, "seed", 0),
-    )
+        settings["violation"] = (kind, _field(v_raw, _VIOLATION_KEYS[kind], where="violation"))
+    for key in ("alpha", "beta"):
+        if key in payload:
+            settings[f"{key}_mean"], settings[f"{key}_sd"] = _pair(payload[key], key)
+    return SimConfig(m=_field(payload, "m"), n=_field(payload, "n"),
+                     favorite_rates=payload.get("favorite_rates") or None, **settings)
 
 
 def load_sim_config(path) -> SimConfig:

@@ -6,6 +6,7 @@ import pytest
 
 from bipartite_ab import exposure
 from bipartite_ab.exposure import (
+    DegenerateReport,
     ExposureError,
     ExposurePanel,
     design_moments,
@@ -195,15 +196,13 @@ def oracle_per_variant_subgraph(graph, assignments, control, treatment):
 
 
 def oracle_graph_stats(graph):
-    """graph_stats with a per-seller histogram loop."""
-    s_hist = {}
-    for d in graph.seller_degrees().tolist():
-        s_hist[d] = s_hist.get(d, 0) + 1
+    """graph_stats counting the single-edge sellers one row at a time."""
+    indptr = graph.indptr.tolist()
     return GraphStats(
-        n_buyers=graph.n_buyers,
-        n_sellers=graph.n_sellers,
-        n_edges=graph.n_edges,
-        seller_degree_hist=s_hist,
+        n_buyers=len(graph.buyers),
+        n_sellers=len(graph.sellers),
+        n_edges=len(graph.weights),
+        single_edge_sellers=sum(hi - lo == 1 for lo, hi in zip(indptr, indptr[1:])),
     )
 
 
@@ -247,6 +246,15 @@ def oracle_assemble_panel(graph, assignments, outcomes, treatment, control=None)
         graph_rows=np.array(rows, dtype=np.int64),
     )
     return panel, excluded
+
+
+def excluded_counts(excluded):
+    """The DegenerateReport of an oracle's (seller, reason) exclusion list."""
+    reasons = [reason for _, reason in excluded]
+    return DegenerateReport(
+        missing_outcome=reasons.count("no outcome row"),
+        zero_variance=reasons.count("zero variance"),
+    )
 
 
 def assert_same_panel(got, want):

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from functools import cached_property
@@ -8,6 +10,8 @@ import pytest
 
 from bipartite_ab import cli, inference, ingest
 from bipartite_ab.cli import main
+from bipartite_ab.graph import GraphBuildConfig
+from bipartite_ab.report import EstimateReport, ReportEntry, forest_plot_svg
 from bipartite_ab.simulator import (
     SimConfig,
     FixedDegree,
@@ -15,7 +19,14 @@ from bipartite_ab.simulator import (
     simulate_experiment,
 )
 
-from conftest import outcome_table
+from conftest import (
+    excluded_counts,
+    oracle_assemble_panel,
+    oracle_build_graph,
+    oracle_graph_stats,
+    oracle_per_variant_subgraph,
+    outcome_table,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -52,6 +63,25 @@ def analyze_args(sim_dir, out_dir, *extra):
         "--outcomes", str(sim_dir / "outcomes.csv"),
         "--out", str(out_dir),
         *extra,
+    ]
+
+
+def fixture_copy(tmp_path, events_text):
+    """The analyze3 fixture in `tmp_path`, its events file replaced by
+    `events_text`, with the working directory set there by the caller."""
+    for name in ("assignments.csv", "assignments.design.json", "outcomes.csv"):
+        (tmp_path / name).write_bytes((FIXTURE / name).read_bytes())
+    (tmp_path / "events.csv").write_text(events_text, encoding="utf-8")
+
+
+def fixture_args(out_dir, *kinds):
+    """An ERL pairwise analyze of the fixture's files in the working
+    directory, one graph per entry of `kinds`."""
+    return [
+        "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+        "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
+        *(arg for k in kinds for arg in ("--kinds", k)), "--estimators", "erl",
+        "--methods", "pairwise", "--allow-missing-outcomes", "--out", str(out_dir),
     ]
 
 
@@ -339,6 +369,54 @@ class TestAnalyze:
         )
         assert [e["error"] for e in load_report(out)["entries"]] == [message]
 
+    def test_default_window_keeps_every_int64_timestamp(self, tmp_path, monkeypatch):
+        """Without --window no timestamp is dropped, however far from the
+        fixture's; a window still drops the selected rows outside it."""
+        header, *lines = (FIXTURE / "events.csv").read_text(encoding="utf-8").splitlines()
+        stamps = [*(-2**63 + k for k in range(5)), *range(-5, 0),
+                  *(2**62 + k for k in range(5)), *(2**63 - 1 - k for k in range(5))]
+        for r, t in enumerate(stamps):
+            lines[r] = f"{lines[r].rsplit(',', 1)[0]},{t}"
+        rows = list(csv.reader(lines))
+        fixture_copy(tmp_path, "\n".join([header, *lines, ""]))
+        monkeypatch.chdir(tmp_path)
+        kinds = ("view", "view,favorite")
+        messages = sum(row[2] == "message" for row in rows)
+        moved = sum(row[2] != "message" for row in rows[: len(stamps)])
+        assert messages and 0 < moved < len(stamps)
+
+        assert main(fixture_args(tmp_path / "all", *kinds)) == 0
+        report = load_report(tmp_path / "all")
+        assert report["config"]["events_dropped_rows"] == messages
+        golden = json.loads((FIXTURE / "golden" / "report.json").read_text())
+        assert report["graph_stats"] == golden["graph_stats"]
+
+        window = fixture_args(tmp_path / "window", *kinds) + ["--window", "1000:5001"]
+        assert main(window) == 0
+        report = load_report(tmp_path / "window")
+        assert report["config"]["events_dropped_rows"] == messages + moved
+
+    def test_svg_text_is_escaped(self, tmp_path, monkeypatch):
+        """Kinds, and so graph labels, may hold XML's special characters:
+        forest.svg and each histogram SVG parse and read as given."""
+        events = (FIXTURE / "events.csv").read_text(encoding="utf-8")
+        fixture_copy(tmp_path, events.replace(",favorite,", ",a<b&c,"))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(fixture_args(out, "view,a<b&c", "x>y")) == 2
+        svgs = [out / "forest.svg", *out.glob("exposure_hist_*.svg")]
+        assert len(svgs) == 3
+        texts = {t.text for path in svgs for t in ET.parse(path).iter(f"{SVG_NS}text")}
+        assert {
+            "a<b&c+view/separate_graph: ERL+V",
+            "x>y/normalized: ERL+V",
+            "Exposure distribution (a<b&c+view/normalized)",
+        } <= texts
+        # an error's text too
+        failed = ReportEntry("g", "erl", "bootstrap", "error", "no 'a<b&c>'")
+        forest = ET.fromstring(forest_plot_svg(EstimateReport({}, [failed])))
+        assert "error: no 'a<b&c>'" in {t.text for t in forest.iter(f"{SVG_NS}text")}
+
     def test_window_filter_drops_everything(self, sim_dir, tmp_path, capsys):
         code = main(analyze_args(
             sim_dir, tmp_path / "out", "--window", "999999999999:999999999999",
@@ -433,6 +511,35 @@ class TestGolden:
         assert "report.json" in names and len(names) == 14
         for name in names:
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_report_counts_match_row_oracles(self, tmp_path, monkeypatch):
+        """Each label's graph_stats and degenerate_units in report.json are
+        the counts of the row-at-a-time graph and panel oracles."""
+        monkeypatch.chdir(FIXTURE)
+        out = tmp_path / "out"
+        assert main(fixture_args(out, "view", "view,favorite")) == 0
+        report = load_report(out)
+        with open("events.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assignments = ingest.parse_assignments("assignments.csv")
+        outcomes = ingest.parse_outcomes("outcomes.csv")
+        labels = []
+        for kinds in ({"view"}, {"view", "favorite"}):
+            cfg = GraphBuildConfig(kind_filter=frozenset(kinds))
+            full, _ = oracle_build_graph(rows, assignments, cfg)
+            group = "+".join(sorted(kinds))
+            for label, control in ((f"{group}/separate_graph", "Off"),
+                                   (f"{group}/normalized", None)):
+                g = full if control is None else oracle_per_variant_subgraph(
+                    full, assignments, control, "A"
+                )
+                _, excluded = oracle_assemble_panel(g, assignments, outcomes, "A", control)
+                assert report["graph_stats"][label] == dataclasses.asdict(oracle_graph_stats(g))
+                assert report["degenerate_units"][label] == dataclasses.asdict(
+                    excluded_counts(excluded)
+                )
+                labels.append(label)
+        assert sorted(report["graph_stats"]) == sorted(report["degenerate_units"]) == sorted(labels)
 
     def test_validate_reproduces_golden(self, tmp_path):
         """validate's table for three estimators under both resampling

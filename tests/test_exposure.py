@@ -26,6 +26,7 @@ from bipartite_ab.ingest import AssignmentTable, IngestError, Variant
 from conftest import (
     assert_same_graph,
     assert_same_panel,
+    excluded_counts,
     assignment_table,
     assignment_probability,
     csr,
@@ -228,7 +229,7 @@ class TestAssemblePanel:
             graph, assignments, outcomes, "On", allow_missing_outcomes=True
         )
         assert panel.n == graph.n_sellers - 1
-        assert report.n_missing_outcome == 1
+        assert report.missing_outcome == 1
 
     def test_zero_variance_excluded(self, monkeypatch):
         graph, assignments = self.make_fixture()
@@ -300,7 +301,7 @@ class TestAssemblePanel:
             panel, report = assemble_panel(
                 graph, assignments, outcomes, "On", allow_missing_outcomes=True
             )
-            assert report.excluded == excluded
+            assert report == excluded_counts(excluded)
             assert panel.seller_ids == kept
             np.testing.assert_array_equal(panel.graph_rows, kept_rows)
             np.testing.assert_array_equal(panel.y_in, y_in)
@@ -380,7 +381,7 @@ def test_coded_joins_match_string_oracles(rng):
             panel, report = assemble_panel(
                 g, table, outcomes, treatment, control, allow_missing_outcomes=True
             )
-            assert report.excluded == excluded
+            assert report == excluded_counts(excluded)
             assert_same_panel(panel, want_panel)
             panels += 1
     assert panels >= 500
@@ -395,7 +396,7 @@ class TestHistogram:
         assert counts[25] == 1     # 0.5
         assert counts[49] == 3     # ones, inclusive top bin
         path = tmp_path / "hist.csv"
-        write_exposure_histogram(h, path)
+        write_exposure_histogram(counts, edges, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_lower,bin_upper,count"
         assert len(lines) == 51

@@ -15,6 +15,7 @@ from bipartite_ab.graph import (
     GraphBuildConfig,
     GraphBuildReport,
     GraphError,
+    GraphStats,
     _row_normalized,
     build_graph,
     dump_graph,
@@ -223,9 +224,9 @@ class TestGraphStats:
             ]
         )
         graph, _ = build_graph(events, assignments, CFG_COUNT)
-        stats = graph_stats(graph)
-        assert stats.seller_degree_hist == {1: 2, 2: 1}
-        assert stats.single_edge_sellers == 2
+        assert graph_stats(graph) == GraphStats(
+            n_buyers=2, n_sellers=3, n_edges=4, single_edge_sellers=2
+        )
 
     def test_matches_brute_force_recount(self, rng):
         assignments = two_variant_assignments(
@@ -243,10 +244,9 @@ class TestGraphStats:
         by_seller = {}
         for s, b, _ in edges:
             by_seller[s] = by_seller.get(s, 0) + 1
-        hist = {}
-        for d in by_seller.values():
-            hist[d] = hist.get(d, 0) + 1
-        assert stats.seller_degree_hist == hist
+        assert stats.n_sellers == len(by_seller)
+        assert stats.n_buyers == len({b for _, b, _ in edges})
+        assert stats.single_edge_sellers == sum(d == 1 for d in by_seller.values())
 
 
 class TestDump:

@@ -914,7 +914,7 @@ def write_scale_files(rng, tmp_path):
     """An events file of 8000 rows over 3000 buyers, 2000 sellers and 40
     kinds (one of them empty), and an assignments and an outcomes file of
     the same buyers and sellers. Returns the events file's kind filter and
-    known kinds."""
+    known kinds; the caller makes them parse_events' DEFAULT_EVENT_KINDS."""
     buyers, sellers = scale_ids(rng, 3000, "b"), scale_ids(rng, 2000, "s")
     kinds = ["", *scale_ids(rng, 39, "k")]
     write_lines(tmp_path / "events.csv", EVENTS_HEADER, zip(
@@ -942,8 +942,10 @@ def test_sorted_codes_at_scale_match_sorted(
     if tokenizer == "quoted":
         monkeypatch.setattr(ingest, "_tokenize_unquoted", lambda *args: None)
     kind_filter, known = write_scale_files(rng, tmp_path)
-    args = (tmp_path / "events.csv", kind_filter, (0, 1500), known)
-    (want, want_report), (got, got_report) = oracle_parse_events(*args), parse_events(*args)
+    monkeypatch.setattr(ingest, "DEFAULT_EVENT_KINDS", frozenset(known))
+    args = (tmp_path / "events.csv", kind_filter, (0, 1500))
+    want, want_report = oracle_parse_events(*args, known)
+    got, got_report = parse_events(*args)
     assert got_report == want_report
     assert 0 < got_report.rows_kept < got_report.rows_read
     for name in ("buyers", "sellers", "kinds"):
@@ -974,7 +976,8 @@ def test_parsers_never_sort_ids_in_python(rng, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "sorted", spy, raising=False)
     kind_filter, known = write_scale_files(rng, tmp_path)
-    events, _ = parse_events(tmp_path / "events.csv", kind_filter, (0, 1500), known)
+    monkeypatch.setattr(ingest, "DEFAULT_EVENT_KINDS", frozenset(known))
+    events, _ = parse_events(tmp_path / "events.csv", kind_filter, (0, 1500))
     parse_assignments(tmp_path / "assignments.csv")
     parse_outcomes(tmp_path / "outcomes.csv")
     assert len(events.buyers) > 1000 and sorts == []
