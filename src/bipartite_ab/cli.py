@@ -50,6 +50,11 @@ def _split(value: str) -> list[str]:
     return [v for v in map(str.strip, value.split(",")) if v]
 
 
+def _file_part(label: str) -> str:
+    """A label as it appears in the names of its output files."""
+    return label.replace("/", "_").replace("+", "_")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     # the request is refused before any input is read; no window keeps every
     # int64 timestamp
@@ -69,6 +74,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # each --kinds occurrence builds one graph from its comma-separated kinds
     kind_groups = [frozenset(_split(k)) for k in args.kinds or ["view"]]
     build_cfgs = [GraphBuildConfig(args.weighting, g) for g in kind_groups]
+    # a group is labelled by its sorted kinds joined with '+'; no two groups
+    # may share their kinds, their label or their files
+    labels = ["+".join(sorted(g)) for g in kind_groups]
+    for k, (kinds, label) in enumerate(zip(kind_groups, labels)):
+        for other, other_label in zip(kind_groups[:k], labels[:k]):
+            if other == kinds:
+                raise ValueError(f"kind group {label!r} listed more than once")
+            if other_label == label:
+                raise ValueError(f"kind groups {sorted(other)} and {sorted(kinds)} "
+                                 f"are both labelled {label!r}")
+            if _file_part(other_label) == _file_part(label):
+                raise ValueError(f"kind groups {other_label!r} and {label!r} would "
+                                 f"write the same files ({_file_part(label)!r})")
 
     assignments = parse_assignments(args.assignments, args.design)
     for label in (args.treatment, args.control):
@@ -97,12 +115,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                            for est in estimators for method in methods]
 
     histograms, dumps = {}, {}
-    for build_cfg in build_cfgs:
+    for build_cfg, group_label in zip(build_cfgs, labels):
         # drop the last group's graphs and panel before this one is built
         full = g = panel = None
-        targets = _analysis_targets(
-            assignments, "+".join(sorted(build_cfg.kind_filter)), args.control
-        )
+        targets = _analysis_targets(assignments, group_label, args.control)
         try:
             full, _ = build_graph(events, assignments, build_cfg)
         except ValueError as exc:
@@ -145,7 +161,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "forest.svg").write_text(forest_plot_svg(report), encoding="utf-8")
     for label, (counts, edges) in histograms.items():
-        safe = label.replace("/", "_").replace("+", "_")
+        safe = _file_part(label)
         write_exposure_histogram(counts, edges, out / f"exposure_hist_{safe}.csv")
         if label in dumps:
             dump_graph(dumps[label], out / f"graph_{safe}.csv")

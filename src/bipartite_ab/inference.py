@@ -303,6 +303,26 @@ def bootstrap_ci(
     return ci
 
 
+def _percentiles(x, q) -> np.ndarray:
+    """np.quantile(x, q) bit for bit, for a 1-D float array `x` without NaN
+    and `q` in [0, 1]: numpy's linear method, which imports numpy.ma on
+    first use under numpy 2. The order statistics come from the partition
+    np.quantile makes, so that of tied values (0.0 and -0.0) the same one is
+    taken, and they are interpolated by numpy's `_lerp` rule."""
+    n = len(x)
+    at = (n - 1) * np.asarray(q, dtype=np.float64)  # the virtual indexes
+    lo = np.floor(at)
+    hi = lo + 1
+    lo[at >= n - 1] = hi[at >= n - 1] = -1  # the largest value
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    x = np.partition(x, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b, t = x[lo], x[hi], at - lo
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _bootstrap_cis(panel, live, replications, seed, level) -> dict:
     """{estimator: bootstrap interval or error} for the point estimates in
     `live`; each block's count matrix is drawn once for all of them."""
@@ -346,7 +366,7 @@ def _bootstrap_cis(panel, live, replications, seed, level) -> dict:
         if not np.isfinite(good).any():
             out[est] = BootstrapFailureError(f"none of {replications} bootstrap replicates is finite")
             continue
-        lo, hi = np.quantile(good, [alpha / 2.0, 1.0 - alpha / 2.0])
+        lo, hi = _percentiles(good, [alpha / 2.0, 1.0 - alpha / 2.0])
         out[est] = IntervalEstimate(live[est], float(lo), float(hi), level, "bootstrap",
                                     replications, seed)
     return out

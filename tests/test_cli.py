@@ -241,6 +241,34 @@ class TestAnalyze:
         assert capsys.readouterr().err == "error: kind_filter must be non-empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kinds, message", [
+        (["view", "view"], "kind group 'view' listed more than once"),
+        (["view,favorite", "favorite, view,view"],
+         "kind group 'favorite+view' listed more than once"),
+        (["favorite+view", "favorite,view"],
+         "kind groups ['favorite+view'] and ['favorite', 'view'] are both "
+         "labelled 'favorite+view'"),
+        (["a/b", "a_b"], "kind groups 'a/b' and 'a_b' would write the same files ('a_b')"),
+        (["a_b", "view", "a+b"],
+         "kind groups 'a_b' and 'a+b' would write the same files ('a_b')"),
+    ])
+    def test_colliding_kind_groups_refused_before_any_input_is_read(
+        self, sim_dir, tmp_path, capsys, monkeypatch, kinds, message
+    ):
+        """Two groups with the same kinds, the same label or the same file
+        names would write entries no reader can tell apart, or one group's
+        histograms over the other's."""
+        def must_not_parse(*args, **kwargs):
+            raise AssertionError("an input was parsed for a request that is refused")
+
+        for name in ("parse_assignments", "parse_outcomes", "parse_events"):
+            monkeypatch.setattr(cli, name, must_not_parse)
+        out = tmp_path / "out"
+        flags = [arg for kind in kinds for arg in ("--kinds", kind)]
+        assert main(analyze_args(sim_dir, out, *flags)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_weighting_is_argparse_error(self, sim_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(analyze_args(sim_dir, tmp_path / "out", "--weighting", "wat"))
@@ -510,6 +538,17 @@ class TestGolden:
         assert sorted(p.name for p in out.iterdir()) == names
         assert "report.json" in names and len(names) == 14
         for name in names:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+    def test_analyze_reproduces_golden_in_small_blocks(self, tmp_path, monkeypatch):
+        """Read in blocks of 512 bytes, the fixture's events file has its ids
+        coded on the worker thread, and every output is still the golden."""
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 512)
+        monkeypatch.chdir(FIXTURE)
+        out = tmp_path / "out"
+        assert main(FIXTURE_ARGS + ["--out", str(out)]) == 2
+        golden = FIXTURE / "golden"
+        for name in sorted(p.name for p in golden.iterdir()):
             assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
     def test_report_counts_match_row_oracles(self, tmp_path, monkeypatch):

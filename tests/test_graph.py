@@ -612,7 +612,7 @@ def test_restricted_analyze_leaves_numpy_ma_unloaded(tmp_path):
     must add no numpy.ma module. numpy 2 loads numpy.ma only on demand, so
     there the whole run must leave it unloaded; numpy 1 imports it with
     numpy itself. The run asks for the pairwise and randomization
-    intervals, as the bootstrap's np.quantile imports numpy.ma itself."""
+    intervals; the bootstrap is checked by the next test."""
     argv = [
         "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
         "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
@@ -644,3 +644,33 @@ def test_restricted_analyze_leaves_numpy_ma_unloaded(tmp_path):
     assert modules["added"] and all(a == [] for a in modules["added"])
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
         assert modules["loaded"] == []
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="numpy 1 imports numpy.ma with numpy itself",
+)
+def test_default_analyze_leaves_numpy_ma_unloaded(tmp_path):
+    """An analyze run with the default method, the bootstrap, on the
+    restricted tests/data fixture loads no numpy.ma: the percentiles come
+    from np.partition, not np.quantile, which imports it on first use."""
+    argv = [
+        "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+        "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
+        "--replications", "200", "--allow-missing-outcomes", "--out", str(tmp_path / "out"),
+    ]
+    code = "\n".join([
+        "import json, sys",
+        "from bipartite_ab.cli import main",
+        f"assert main({argv!r}) == 0",
+        "print(json.dumps(sorted(m for m in sys.modules",
+        "                        if m == 'numpy.ma' or m.startswith('numpy.ma.'))))",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, cwd=DATA,
+    )
+    assert json.loads(done.stdout) == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {e["method"] for e in report["entries"]} == {"bootstrap"}

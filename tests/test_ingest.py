@@ -2,13 +2,17 @@ import csv
 import json
 import math
 import sys
+import threading
+import time
 import warnings
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bipartite_ab import ingest
+from bipartite_ab.cli import main
 from bipartite_ab.ingest import (
     DEFAULT_EVENT_KINDS,
     EVENTS_HEADER,
@@ -1085,3 +1089,238 @@ def test_special_lines_on_block_boundaries(tmp_path, monkeypatch, block_bytes):
             assert got_report == want_report and got[1] == want[1], data
             assert event_rows(got_events) == event_rows(want_events), data
         assert min(placed.values()) >= 1, (special, placed)
+
+
+# --- the id-coding worker thread ---
+
+
+def alive_workers():
+    return [t for t in threading.enumerate() if t.name == "ingest-ids"]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The id-coding workers started during a test, in order."""
+    started = []
+
+    class Counted(ingest._Worker):
+        def __init__(self):
+            super().__init__()
+            started.append(self)
+
+    monkeypatch.setattr(ingest, "_Worker", Counted)
+    return started
+
+
+@pytest.fixture
+def fast_switching():
+    """The interpreter switching threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def code_inline(monkeypatch):
+    """Have `_Tokens.add` code every block's ids itself, as it codes a
+    file's last block."""
+    add = ingest._Tokens.add
+    monkeypatch.setattr(ingest._Tokens, "add", lambda self, *args: add(self, *args[:6]))
+
+
+def token_dump(path, spec):
+    """The tokens of a file (codes, vocabularies, values, blank rows and the
+    error that ended them), or the ParseError its header raises."""
+    try:
+        tokens = ingest._tokenize(path, spec)
+    except ParseError as exc:
+        return str(exc)
+    return (
+        [c.tolist() for c in tokens.codes], [tuple(ids) for ids in tokens.ids],
+        tokens.values.tobytes(), tokens.blank_rows.tolist(),
+        None if tokens.error is None else str(tokens.error),
+    )
+
+
+def parsed(parse, path, kinds):
+    """parse_events' result as plain lists, or its error, and its warnings."""
+    result, caught = outcome(parse, path, kinds)
+    if not isinstance(result[0], str):
+        events, report = result
+        result = (
+            [tuple(getattr(events, name)) for name in ("buyers", "sellers", "kinds")],
+            [getattr(events, name).tolist()
+             for name in ("buyer", "seller", "kind", "timestamp")],
+            report,
+        )
+    return result, caught
+
+
+def threaded_and_inline(path, monkeypatch, workers, kinds=frozenset({"view"})):
+    """(tokens, parse_events' result) made with the worker thread, checked
+    equal to the ones made coding every block inline, which starts none."""
+    got = token_dump(path, ingest._EVENTS), parsed(parse_events, path, kinds)
+    started = len(workers)
+    with monkeypatch.context() as patch:
+        code_inline(patch)
+        want = token_dump(path, ingest._EVENTS), parsed(parse_events, path, kinds)
+    assert got == want
+    assert len(workers) == started and not alive_workers()
+    return got
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200])
+def test_worker_codes_as_inline_coding_and_the_csv_loop(
+    rng, tmp_path, monkeypatch, workers, fast_switching, block_bytes
+):
+    """A file of several blocks has its ids coded by the worker thread:
+    every code column, vocabulary, value, blank row and error is what
+    coding each block inline gives, and parse_events' results, warnings
+    and errors are the csv loop's. The threads are switched as often as
+    the interpreter allows, so that they interleave finely."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    path = tmp_path / "events.csv"
+    seen = {"threaded": 0, "error": 0, "warned": 0}
+    for _ in range(80):
+        data, _, invalid = random_events_file(rng)
+        path.write_bytes(data)
+        kinds = set(rng.choice(["view", "favorite", "message"], size=2).tolist())
+        started = len(workers)
+        _, (got, got_warnings) = threaded_and_inline(path, monkeypatch, workers, kinds)
+        seen["threaded"] += len(workers) > started
+        if not invalid:
+            assert (got, got_warnings) == parsed(oracle_parse_events, path, kinds), data
+        seen["error"] += isinstance(got[0], str)
+        seen["warned"] += bool(got_warnings)
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("bad", [
+    b"b99,s9,view\n",  # found by the tokenizer
+    b",s9,view,99\n",  # by `add`, before the block is handed over
+    b"b99,s9,view,nine\n",  # by the converter, with the block in flight
+    b"b99,s9,vi\xffew,99\n",  # invalid UTF-8
+])
+def test_error_in_the_block_after_one_in_flight(tmp_path, monkeypatch, workers, bad):
+    """A malformed line in a later block ends the parse as the csv path and
+    inline coding end it, with the block before it still being coded."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)
+    header = b"buyer_id,seller_id,event_kind,timestamp_ms\n"
+    lines = [f"b{k},s{k % 7},view,{k}\n".encode() for k in range(40)]
+    path = tmp_path / "events.csv"
+    for at in range(8, 41, 4):  # past the first block
+        path.write_bytes(header + b"".join(lines[:at] + [bad] + lines[at:]))
+        started = len(workers)
+        _, got = threaded_and_inline(path, monkeypatch, workers)
+        assert len(workers) == started + 2  # one per parse
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_tokenize_unquoted", lambda *args: None)
+            assert got == parsed(parse_events, path, {"view"})
+        if bad.isascii():
+            assert got == parsed(oracle_parse_events, path, {"view"})
+        assert isinstance(got[0][0], str) and got[0][1] == at + 2
+
+
+def test_late_quote_waits_for_then_drops_the_work_in_flight(tmp_path, monkeypatch, workers):
+    """A quote first met after several blocks were handed over sends the
+    file to the csv path only once the worker has coded the block in hand;
+    what it coded is dropped, and the result is the csv loop's."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)
+    log = []
+    codes, quoted = ingest._IdCodes.codes, ingest._tokenize_quoted
+
+    def slow_codes(self, *args):
+        worker = threading.current_thread().name == "ingest-ids"
+        if worker:
+            time.sleep(0.01)
+        out = codes(self, *args)
+        log.append("worker" if worker else "main")
+        return out
+
+    def csv_path(*args):
+        log.append("csv")
+        return quoted(*args)
+
+    monkeypatch.setattr(ingest._IdCodes, "codes", slow_codes)
+    monkeypatch.setattr(ingest, "_tokenize_quoted", csv_path)
+    lines = [f"b{k},s{k % 7},view,{k}\n" for k in range(40)]
+    lines[30] = 'b30,"s,30",view,30\n'
+    path = tmp_path / "events.csv"
+    path.write_text("buyer_id,seller_id,event_kind,timestamp_ms\n" + "".join(lines))
+    got = parsed(parse_events, path, {"view"})
+    assert got == parsed(oracle_parse_events, path, {"view"})
+    assert "s,30" in got[0][0][1]
+    assert log.count("csv") == 1 and log.count("worker") >= 3 * 4
+    assert "worker" not in log[log.index("csv"):]
+    assert len(workers) == 1 and not alive_workers()
+
+
+@pytest.mark.parametrize("block_bytes", [16, 64])
+def test_blank_and_crlf_lines_on_block_boundaries_with_the_worker(
+    tmp_path, monkeypatch, workers, block_bytes
+):
+    """Blank lines and CRLF line ends give the same tokens with the worker
+    as inline, and the csv loop's results, where they start or end a
+    block."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(ingest, "_tokenize_quoted", None)  # the numpy path only
+    header = b"buyer_id,seller_id,event_kind,timestamp_ms\r\n"
+    lines = [f"b{k},s{k % 7},view,{k}\n".encode() for k in range(12)]
+    path = tmp_path / "events.csv"
+    for special in (b"\n", b"\r\n", b"\n\n", b"b99,s9,view,99\r\n"):
+        placed = {"starts": 0, "ends": 0}
+        for at in range(len(lines) + 1):
+            data = header + b"".join(lines[:at] + [special] + lines[at:])
+            path.write_bytes(data)
+            offset = len(header) + sum(map(len, lines[:at]))
+            starts = block_starts(data, block_bytes)
+            placed["starts"] += offset in starts
+            placed["ends"] += offset + len(special) in starts | {len(data)}
+            _, got = threaded_and_inline(path, monkeypatch, workers)
+            assert got == parsed(oracle_parse_events, path, {"view"}), data
+        assert min(placed.values()) >= 1, (special, placed)
+    assert workers
+
+
+def test_memory_error_in_the_worker_is_one_error_line(tmp_path, monkeypatch, capsys, workers):
+    """An allocation that fails on the worker thread ends `analyze` as one
+    on the main thread does: one error line, exit 1, no output and no
+    thread left running."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 256)
+    codes = ingest._IdCodes.codes
+
+    def out_of_memory(self, *args):
+        if threading.current_thread().name == "ingest-ids":
+            raise MemoryError
+        return codes(self, *args)
+
+    monkeypatch.setattr(ingest._IdCodes, "codes", out_of_memory)
+    monkeypatch.chdir(Path(__file__).parent / "data" / "analyze3")
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    assert main([
+        "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+        "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
+        "--methods", "pairwise", "--allow-missing-outcomes", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not out.exists()
+    assert len(workers) == 1 and not alive_workers()
+    assert threading.active_count() == threads
+
+
+def test_one_block_files_and_tables_start_no_thread(monkeypatch, workers):
+    """Nothing can overlap the coding of a file's only block, and the
+    assignments and outcomes parsers need each block's codes before its
+    values: neither starts a thread. A file of several blocks starts one."""
+    data = Path(__file__).parent / "data" / "analyze3"
+    window = (-2**63, 2**63 - 1)
+    inline_events, _ = parse_events(data / "events.csv", {"view"}, window)
+    assert workers == []
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)
+    assert len(parse_assignments(data / "assignments.csv").buyers) > 0
+    assert len(parse_outcomes(data / "outcomes.csv").sellers) > 0
+    assert workers == []
+    events, _ = parse_events(data / "events.csv", {"view"}, window)
+    assert len(workers) == 1 and not alive_workers()
+    assert event_rows(events) == event_rows(inline_events)
