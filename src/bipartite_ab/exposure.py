@@ -74,16 +74,14 @@ def design_moments(
     """Closed-form (E[H], Var[H]) per seller under independent Bernoulli
     assignment with the design's treatment probability."""
     p = effective_treatment_prob(assignments, treatment, control)
-    e_h = p * graph.row_sums()
-    var_h = p * (1.0 - p) * graph.row_sumsq()
-    return e_h, var_h
+    return p * graph.row_sums(), p * (1.0 - p) * graph.row_sumsq()
 
 
 @dataclass
 class ExposurePanel:
-    """Per-seller vectors, index-aligned with `graph_rows` into the source graph."""
+    """Per-seller vectors, index-aligned with `graph_rows` into the source
+    graph; unit k's id is `graph.sellers[panel.graph_rows[k]]`."""
 
-    seller_ids: list[str]
     h: np.ndarray
     e_h: np.ndarray
     var_h: np.ndarray
@@ -93,22 +91,18 @@ class ExposurePanel:
     graph_rows: np.ndarray
 
     def __post_init__(self):
-        n = len(self.seller_ids)
-        for name in ("h", "e_h", "var_h", "y_in", "graph_rows"):
-            if len(getattr(self, name)) != n:
+        for name in ("e_h", "var_h", "y_in", "y_pre", "graph_rows"):
+            if getattr(self, name) is not None and len(getattr(self, name)) != self.n:
                 raise ExposureError(f"panel vector {name} has wrong length")
-        if self.y_pre is not None and len(self.y_pre) != n:
-            raise ExposureError("panel vector y_pre has wrong length")
         if np.any(self.h < -1e-12) or np.any(self.h > 1.0 + 1e-12):
             raise ExposureError("exposure outside [0,1]")
 
     @property
     def n(self) -> int:
-        return len(self.seller_ids)
+        return len(self.h)
 
     def subset(self, idx: np.ndarray) -> "ExposurePanel":
         return ExposurePanel(
-            seller_ids=[self.seller_ids[i] for i in idx],
             h=self.h[idx],
             e_h=self.e_h[idx],
             var_h=self.var_h[idx],
@@ -157,8 +151,6 @@ def assemble_panel(
         raise ExposureError("no usable outcome units after exclusions")
     y_in, y_pre = outcomes.y[rows[rows_arr]].T.copy()
     panel = ExposurePanel(
-        # from the codes: graph.sellers would list every seller of the graph
-        seller_ids=graph.seller_vocabulary.ids_at(graph.seller_codes[rows_arr]),
         h=h[rows_arr],
         e_h=e_h[rows_arr],
         var_h=var_h[rows_arr],
@@ -173,8 +165,9 @@ def assemble_panel(
 def exposure_histogram(
     h: Sequence[float], bins: int = 50
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over `bins` uniform bins on [0,1]; h == 1 lands in the last bin."""
-    return np.histogram(np.asarray(h), bins=bins, range=(0.0, 1.0))
+    """Counts over `bins` uniform bins on [0,1], h clipped to it first: h == 1,
+    or a fully treated seller's sum of weights rounded above 1, is in the last bin."""
+    return np.histogram(np.clip(h, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
 
 
 def write_exposure_histogram(counts: np.ndarray, edges: np.ndarray, path):

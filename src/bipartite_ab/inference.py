@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -586,10 +586,13 @@ def check_pairwise_size(n: int):
 
 @dataclass
 class PairwiseVariance:
+    """`degenerate_pairs`, int64 (k, 2), and `degenerate_units`, int64, hold
+    panel positions: position k's id is `graph.sellers[panel.graph_rows[k]]`."""
+
     value: float
     n_pairs_evaluated: int
-    degenerate_pairs: list[tuple[str, str]]
-    degenerate_units: list[str] = field(default_factory=list)
+    degenerate_pairs: np.ndarray
+    degenerate_units: np.ndarray
 
 
 def pairwise_variance(
@@ -600,20 +603,19 @@ def pairwise_variance(
     Each unit's weighting is a closed form in its cumulants. A unit whose
     exposure takes only two values (a single-buyer seller) cannot match all
     three of its conditions; it gets the weighting that misses its two
-    conflicting ones by equal halves and is listed as degenerate. Each
-    pair's weighting is a closed form in its joint cumulants. Pairs whose
-    exposure covariance matrix is (near) singular, e.g. two sellers with
-    identically weighted edges, or whose weighting is not finite, are listed
-    in (i, j) order and add the conservative bound 2 sd_i sd_j in place of
-    their matched term. The quadratic worst case is guarded by
-    PAIRWISE_N_MAX.
+    conflicting ones by equal halves, and its position is a degenerate unit.
+    Each pair's weighting is a closed form in its joint cumulants. Pairs
+    whose exposure covariance matrix is (near) singular, e.g. two sellers
+    with identically weighted edges, or whose weighting is not finite, add
+    the conservative bound 2 sd_i sd_j in place of their matched term; their
+    positions (i, j), in the table's order, are the degenerate pairs. The
+    quadratic worst case is guarded by PAIRWISE_N_MAX.
     """
     n = panel.n
     check_pairwise_size(n)
     m, var, k3 = joint_moments.mean, joint_moments.var, joint_moments.k3
     if len(m) != n:
         raise InferenceError("moment table does not match panel size")
-    ids = panel.seller_ids
     y = panel.y_in
     h = panel.h
 
@@ -646,7 +648,7 @@ def pairwise_variance(
     # The terms are evaluated a block of pairs at a time, each written to its
     # slot, and summed once: the value does not depend on the block size.
     terms = np.empty(len(joint_moments.pair_i))
-    degenerate = []
+    ok = np.empty(len(terms), dtype=bool)
     size = max(1, PAIR_BLOCK_BYTES // (8 * 16))
     for start in range(0, len(terms), size):
         block = slice(start, start + size)
@@ -661,14 +663,14 @@ def pairwise_variance(
             rho = joint_moments.k22[block] + vi * vj + c * c - alpha * a - beta * b
             uv = u * v
             R = uv / (vi * vj) - (uv - c - alpha * u - beta * v) / rho
-        ok = (det > EPS_DET) & np.isfinite(R)
-        terms[block] = np.where(ok, 2.0 * y[i] * y[j] * R, 2.0 * unit_sd[i] * unit_sd[j])
-        degenerate += [(ids[s], ids[r]) for s, r in zip(i[~ok].tolist(), j[~ok].tolist())]
+        ok[block] = (det > EPS_DET) & np.isfinite(R)
+        terms[block] = np.where(ok[block], 2.0 * y[i] * y[j] * R, 2.0 * unit_sd[i] * unit_sd[j])
+    bad = np.flatnonzero(~ok)
     return PairwiseVariance(
         value=float(diag.sum() + terms.sum()) / (n * n),
-        n_pairs_evaluated=len(terms) - len(degenerate),
-        degenerate_pairs=degenerate,
-        degenerate_units=[ids[t] for t in singular.tolist()],
+        n_pairs_evaluated=len(terms) - len(bad),
+        degenerate_pairs=np.stack((joint_moments.pair_i[bad], joint_moments.pair_j[bad]), axis=1),
+        degenerate_units=singular,
     )
 
 

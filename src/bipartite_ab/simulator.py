@@ -85,11 +85,12 @@ SIZE_MAX = 10_000_000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of a simulated experiment; numbers are checked finite and
-    cast to their type. m, n and n times the degree (k, or ZipfDegree's
-    k_max) may not exceed SIZE_MAX, checked before anything is allocated:
-    the simulator builds an id string per buyer and seller and up to n times
-    the degree views, about a gigabyte at the bound."""
+    """Parameters of a simulated experiment; numbers are checked finite, cast
+    to their type and held to their ranges, a value out of range naming its
+    field. m, n and n times the degree (k, or ZipfDegree's k_max) may not
+    exceed SIZE_MAX, checked before anything is allocated: the simulator
+    builds an id string per buyer and seller and up to n times the degree
+    views, about a gigabyte at the bound."""
 
     m: int = 200
     n: int = 150
@@ -112,18 +113,27 @@ class SimConfig:
         if self.favorite_rates is not None:
             rates = _pair(self.favorite_rates, "favorite_rates")
             object.__setattr__(self, "favorite_rates", rates)
-        if self.m < 1 or self.n < 1:
-            raise SimulationError("m and n must be >= 1")
-        degree = self.degree.k if isinstance(self.degree, FixedDegree) else self.degree.k_max
+        fixed = isinstance(self.degree, FixedDegree)
+        degree, s = (self.degree.k, None) if fixed else (self.degree.k_max, self.degree.s)
+        sd, unit, rates = "an sd of at least 0", "values in [0, 1]", self.favorite_rates or ()
+        for where, key, value, ok, want in (
+            ("config", "m", self.m, self.m >= 1, "at least 1"),
+            ("config", "n", self.n, self.n >= 1, "at least 1"),
+            ("degree", "k" if fixed else "k_max", degree, degree >= 1, "at least 1"),
+            ("degree", "k", degree, not fixed or degree <= self.m, f"at most m = {self.m}"),
+            ("degree", "s", s, fixed or s > 1.0, "above 1"),
+            ("config", "p_treat", self.p_treat, 0.0 < self.p_treat < 1.0, "a value in (0, 1)"),
+            ("config", "pre_corr", self.pre_corr, 0.0 <= self.pre_corr <= 1.0, unit),
+            ("config", "alpha", self.alpha_sd, self.alpha_sd >= 0.0, sd),
+            ("config", "beta", self.beta_sd, self.beta_sd >= 0.0, sd),
+            ("config", "noise_sd", self.noise_sd, self.noise_sd >= 0.0, sd),
+            ("config", "favorite_rates", rates, all(0.0 <= r <= 1.0 for r in rates), unit),
+        ):
+            if not ok:
+                raise SimulationError(f"{where} field {key!r}: expected {want}, got {value!r}")
         for name, size in (("m", self.m), ("n", self.n), ("n times the degree", self.n * degree)):
             if size > SIZE_MAX:
                 raise SimulationError(f"{name} is {size}, above the limit {SIZE_MAX}")
-        if not 0.0 < self.p_treat < 1.0:
-            raise SimulationError("p_treat must lie in (0,1)")
-        if not 0.0 <= self.pre_corr <= 1.0:
-            raise SimulationError("pre_corr must lie in [0,1]")
-        if isinstance(self.degree, FixedDegree) and self.degree.k > self.m:
-            raise SimulationError("fixed degree k cannot exceed buyer count m")
         if self.noise_mode not in ("homoskedastic", "exposure_scaled"):
             raise SimulationError(f"unknown noise_mode {self.noise_mode!r}")
         if self.violation is not None:
@@ -253,8 +263,8 @@ def simulate_experiment(
     # noise is part of the potential outcomes: drawn once, fixed across Z
     h0 = realized_exposure(graph, assignments, "On")
     eps_graph = _draw_noise(rng, config, h0)
-    # graph sellers are "s%06d" ids, so row i's id gives its seller number
-    number = np.array([int(s[1:]) for s in graph.sellers], dtype=np.int64)
+    # the log's sellers are those with views, in number order
+    number = np.flatnonzero(np.bincount(view_seller, minlength=config.n))[graph.seller_codes]
     eps = np.zeros(config.n)
     eps[number] = eps_graph
 
@@ -351,17 +361,11 @@ class ValidationTable:
     rows: list[ValidationRow] = field(default_factory=list)
 
     def to_csv(self, path):
+        """One line per row, the fields in order; a float's str is its repr."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                "estimator,method,n_ok,n_failed,mean_tau,bias,mc_sd,"
-                "coverage,median_ci_width\n"
-            )
+            fh.write(",".join(f.name for f in fields(ValidationRow)) + "\n")
             for r in self.rows:
-                fh.write(
-                    f"{r.estimator},{r.method},{r.n_ok},{r.n_failed},"
-                    f"{r.mean_tau!r},{r.bias!r},{r.mc_sd!r},"
-                    f"{r.coverage!r},{r.median_ci_width!r}\n"
-                )
+                fh.write(",".join(map(str, vars(r).values())) + "\n")
 
     def __str__(self):
         header = (

@@ -234,7 +234,6 @@ def oracle_assemble_panel(graph, assignments, outcomes, treatment, control=None)
     kept = [graph.sellers[i] for i in rows]
     pre = [entries[s][1] for s in kept]
     panel = ExposurePanel(
-        seller_ids=kept,
         h=h[rows],
         e_h=e_h[rows],
         var_h=var_h[rows],
@@ -258,7 +257,6 @@ def excluded_counts(excluded):
 
 
 def assert_same_panel(got, want):
-    assert got.seller_ids == want.seller_ids
     for name in ("h", "e_h", "var_h", "y_in", "y_pre", "graph_rows"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name

@@ -445,6 +445,29 @@ class TestAnalyze:
         forest = ET.fromstring(forest_plot_svg(EstimateReport({}, [failed])))
         assert "error: no 'a<b&c>'" in {t.text for t in forest.iter(f"{SVG_NS}text")}
 
+    def test_fully_treated_seller_is_in_the_histogram(self, tmp_path, monkeypatch):
+        """s0's buyers are all treated, and its weights 14/50, 15/50, 17/50
+        and 4/50 sum to just above 1: the histogram still counts it, in the
+        top bin, beside s1."""
+        views = {("b0", "s0"): 14, ("b1", "s0"): 15, ("b2", "s0"): 17, ("b3", "s0"): 4,
+                 ("b0", "s1"): 1, ("b4", "s1"): 1}
+        lines = [f"{b},{s},view,{t}" for t, (b, s) in enumerate(
+            key for key, count in views.items() for _ in range(count))]
+        (tmp_path / "events.csv").write_text(
+            "\n".join(["buyer_id,seller_id,event_kind,timestamp_ms", *lines, ""]))
+        (tmp_path / "assignments.csv").write_text(
+            "buyer_id,variant\nb0,On\nb1,On\nb2,On\nb3,On\nb4,Off\n")
+        (tmp_path / "assignments.design.json").write_text(json.dumps({"variants": [
+            {"label": "Off", "probability": 0.5, "control": True},
+            {"label": "On", "probability": 0.5, "control": False}]}))
+        (tmp_path / "outcomes.csv").write_text("seller_id,y_in,y_pre\ns0,1.0,0.5\ns1,2.0,0.5\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(analyze_args(Path("."), Path("out"), "--estimators", "erl",
+                                 "--methods", "bootstrap", "--replications", "200")) == 0
+        rows = (tmp_path / "out" / "exposure_hist_view.csv").read_text().splitlines()[1:]
+        counts = [int(row.rsplit(",", 1)[1]) for row in rows]
+        assert sum(counts) == 2 and counts[-1] == 1
+
     def test_window_filter_drops_everything(self, sim_dir, tmp_path, capsys):
         code = main(analyze_args(
             sim_dir, tmp_path / "out", "--window", "999999999999:999999999999",
@@ -485,13 +508,13 @@ class TestJoinOnce:
             "graph_stats"]) == 4
         assert sorted(name for name, _ in joins) == ["AssignmentTable", "OutcomeTable"]
 
-    def test_analyze_never_decodes_the_buyer_vocabulary(self, tmp_path, monkeypatch):
-        """Buyers are joined as packed bytes and never become `str`; the
-        sellers do, for the panels' seller ids."""
+    def test_analyze_decodes_no_buyer_or_seller_vocabulary(self, tmp_path, monkeypatch):
+        """Buyers and sellers are joined as packed bytes and carried as codes
+        and panel row positions: without a graph dump, no id becomes `str`."""
         decoded, parsed, decode = [], [], ingest.Vocabulary.text.func
         text = cached_property(lambda v: decoded.append(v) or decode(v))
         text.__set_name__(ingest.Vocabulary, "text")
-        for name in ("parse_events", "parse_assignments"):
+        for name in ("parse_events", "parse_assignments", "parse_outcomes"):
             parse = getattr(cli, name)
             monkeypatch.setattr(
                 cli, name, lambda *a, parse=parse: parsed.append(parse(*a)) or parsed[-1]
@@ -500,10 +523,9 @@ class TestJoinOnce:
         monkeypatch.chdir(FIXTURE)
         args = [a for a in FIXTURE_ARGS if a != "--dump-graphs"]
         assert main(args + ["--out", str(tmp_path / "out")]) == 2
-        assignments, (events, _) = parsed
-        buyers = (events.buyers, assignments.buyers)
-        assert not [v for v in decoded if any(v is b for b in buyers)]
-        assert any(v is events.sellers for v in decoded)
+        assignments, outcomes, (events, _) = parsed
+        vocabularies = (events.buyers, assignments.buyers, events.sellers, outcomes.sellers)
+        assert not [v for v in decoded if any(v is w for w in vocabularies)]
 
     def test_rows_memo_is_safe(self, joins):
         table = outcome_table({"s1": (1.0, None), "s1\x00": (2.0, None)}, False)

@@ -26,7 +26,6 @@ def make_panel(h, y, y_pre=None, p=0.5, var_h=None):
     if var_h is None:
         var_h = np.full(n, p * (1 - p))
     return ExposurePanel(
-        seller_ids=[f"s{i}" for i in range(n)],
         h=h,
         e_h=np.full(n, p),
         var_h=np.asarray(var_h, dtype=float),

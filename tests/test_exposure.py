@@ -247,7 +247,6 @@ class TestAssemblePanel:
         panel, _ = assemble_panel(graph, assignments, outcomes, "On")
         h_full = realized_exposure(graph, assignments, "On")
         for k, row in enumerate(panel.graph_rows):
-            assert panel.seller_ids[k] == graph.sellers[row]
             assert panel.h[k] == h_full[row]
             assert panel.y_in[k] == float(row)
 
@@ -302,7 +301,7 @@ class TestAssemblePanel:
                 graph, assignments, outcomes, "On", allow_missing_outcomes=True
             )
             assert report == excluded_counts(excluded)
-            assert panel.seller_ids == kept
+            assert [graph.sellers[r] for r in panel.graph_rows] == kept
             np.testing.assert_array_equal(panel.graph_rows, kept_rows)
             np.testing.assert_array_equal(panel.y_in, y_in)
             if y_pre is None:
@@ -406,3 +405,10 @@ class TestHistogram:
         assert [float(lo) for lo, _, _ in rows] == want[:-1].tolist()
         assert [float(hi) for _, hi, _ in rows] == want[1:].tolist()
         assert [int(c) for _, _, c in rows] == counts.tolist()
+
+    def test_rounding_outside_the_unit_interval_is_binned_at_its_end(self):
+        # a fully treated seller's sum of weights can round to above 1
+        h = np.array([14, 15, 17, 4]) / 50
+        assert h.sum() > 1.0
+        counts, _ = exposure_histogram([h.sum(), -1e-13, 0.5], bins=50)
+        assert counts.tolist() == [1] + [0] * 24 + [1] + [0] * 23 + [1]

@@ -270,10 +270,9 @@ class TestPairwiseVariance:
         moments = exposure_moment_table(graph, p, np.arange(3))
         h = csr(graph) @ np.array([1.0, 0.0, 1.0])
         panel = make_panel(h, np.array([1.0, 2.0, 3.0]), p=p, var_h=var_h)
-        panel.seller_ids = list(graph.sellers)
         pv = pairwise_variance(panel, moments)
-        assert pv.degenerate_pairs == [("dup1", "dup2")]
-        assert pv.degenerate_units == ["other"]
+        assert pv.degenerate_pairs.tolist() == [[0, 1]]  # dup1, dup2
+        assert pv.degenerate_units.tolist() == [2]  # other
         assert pv.n_pairs_evaluated == 0
         assert pv.value == pytest.approx(self.merged_by_hand(graph, panel, p), rel=1e-12)
 
@@ -288,9 +287,8 @@ class TestPairwiseVariance:
         moments = exposure_moment_table(graph, p, np.arange(2))
         h = csr(graph) @ np.array([1.0, 0.0])
         panel = make_panel(h, np.array([2.0, -1.0]), p=p, var_h=var_h)
-        panel.seller_ids = list(graph.sellers)
         merged = pairwise_variance(panel, moments)
-        assert merged.degenerate_pairs == [("dup1", "dup2")]
+        assert merged.degenerate_pairs.tolist() == [[0, 1]]
         want = self.merged_by_hand(graph, panel, p)
         assert merged.value == pytest.approx(want, rel=1e-12)
         assert merged.value >= unit_variance_terms(panel, moments).sum() / panel.n**2
@@ -398,10 +396,20 @@ def oracle_pair_weighting(T, mi, mj, vi, vj):
     return sol
 
 
+def assert_same_positions(pv, pairs, units):
+    """`pv`'s degenerate pairs, an int64 (k, 2) array, and degenerate units,
+    an int64 array, hold the panel positions `pairs` and `units`, in order."""
+    got_pairs, got_units = pv.degenerate_pairs, pv.degenerate_units
+    assert (got_pairs.dtype, got_pairs.shape) == (np.int64, (len(pairs), 2))
+    assert (got_units.dtype, got_units.ndim) == (np.int64, 1)
+    assert got_pairs.tolist() == np.reshape(pairs, (-1, 2)).tolist()
+    assert got_units.tolist() == np.asarray(units).tolist()
+
+
 def oracle_pairwise_variance(panel, uni, pairs, eps_det=1e-12):
     """The unit-by-unit, pair-by-pair moment-matching loop, a degenerate
     pair adding 2 sd_i sd_j: (value, n_pairs_evaluated, degenerate_pairs,
-    degenerate_units)."""
+    degenerate_units), the last two as lists of panel positions."""
     n = panel.n
     y, h = panel.y_in, panel.h
     diag_vals = np.empty(n)
@@ -409,7 +417,7 @@ def oracle_pairwise_variance(panel, uni, pairs, eps_det=1e-12):
     for i in range(n):
         (a, b, c), singular = diag_weighting(uni[i])
         if singular:
-            degenerate_units.append(panel.seller_ids[i])
+            degenerate_units.append(i)
         diag_vals[i] = y[i] * y[i] * (a * h[i] * h[i] + b * h[i] + c)
     total = float(np.sum(diag_vals))
     unit_sd = np.sqrt(np.maximum(diag_vals, 0.0))
@@ -423,7 +431,7 @@ def oracle_pairwise_variance(panel, uni, pairs, eps_det=1e-12):
         det = vi * vj - cov * cov
         sol = oracle_pair_weighting(T, mi, mj, vi, vj) if det > eps_det else None
         if sol is None:
-            degenerate.append((panel.seller_ids[i], panel.seller_ids[j]))
+            degenerate.append((i, j))
             total += 2.0 * unit_sd[i] * unit_sd[j]
             continue
         a, b, c, d = sol
@@ -481,19 +489,41 @@ def test_closed_form_table_and_variance_match_recursions(p):
         h = (csr(graph) @ (rng.random(m) < p).astype(float))[rows]
         var_h = p * (1 - p) * graph.row_sumsq()[rows]
         panel = make_panel(h, rng.normal(1.0, 2.0, len(rows)), p=p, var_h=var_h)
-        panel.seller_ids = [graph.sellers[r] for r in rows]
         pv = pairwise_variance(panel, table)
         value, evaluated, degenerate, degenerate_units = oracle_pairwise_variance(
             panel, uni, pairs
         )
         assert pv.value == pytest.approx(value, rel=1e-10, abs=1e-10)
         assert pv.n_pairs_evaluated == evaluated
-        assert pv.degenerate_pairs == degenerate
-        assert pv.degenerate_units == degenerate_units
+        assert_same_positions(pv, degenerate, degenerate_units)
         seen_units += bool(degenerate_units)
         seen_pairs += bool(degenerate)
     # the generator must exercise both degeneracies
     assert seen_units >= 5 and seen_pairs >= 5
+
+
+@pytest.mark.parametrize("treated", [0.0, 1.0])
+def test_all_degenerate_star_matches_recursions(treated):
+    """Every seller's only edge goes to the same buyer, so every unit and
+    every pair is degenerate: the positions are the oracle's, and the value
+    is the oracle's and, bit for bit, the one recorded when degenerate pairs
+    were listed as id tuples."""
+    n, p = 60, 0.5
+    graph = graph_of_rows([(np.array([0]), np.array([1.0]))] * n, 1)
+    rows = np.random.default_rng(5).permutation(n)
+    table = exposure_moment_table(graph, p, rows)
+    h = graph.times(np.array([treated]))[rows]
+    y = np.random.default_rng(3000).normal(1.0, 2.0, n)
+    panel = make_panel(h, y, p=p, var_h=p * (1 - p) * graph.row_sumsq()[rows])
+    pv = pairwise_variance(panel, table)
+    value, evaluated, degenerate, degenerate_units = oracle_pairwise_variance(
+        panel, *oracle_moment_table(graph, p, rows)
+    )
+    assert pv.n_pairs_evaluated == evaluated == 0
+    assert degenerate_units == list(range(n)) and len(degenerate) == n * (n - 1) // 2
+    assert_same_positions(pv, degenerate, degenerate_units)
+    assert pv.value == pytest.approx(value, rel=1e-10)
+    assert pv.value.hex() == {0.0: "0x1.880a0e3d5103cp+3", 1.0: "0x1.d672777cc79e0p+2"}[treated]
 
 
 # --- the numpy moment table against the scipy table it replaced -----------
@@ -614,14 +644,15 @@ def test_pairwise_variance_does_not_depend_on_block_size(monkeypatch):
         h = graph.times((rng.random(m) < p).astype(float))[rows]
         var_h = p * (1 - p) * graph.row_sumsq()[rows]
         panel = make_panel(h, rng.normal(1.0, 2.0, n), p=p, var_h=var_h)
-        panel.seller_ids = [graph.sellers[r] for r in rows]
         want = pairwise_variance(panel, table)
         assert len(table.pairs) > 3
         for pairs in (1, 2, 3):
             monkeypatch.setattr(inference, "PAIR_BLOCK_BYTES", pairs * 8 * 16)
-            assert pairwise_variance(panel, table) == want
+            got = pairwise_variance(panel, table)
+            assert (got.value, got.n_pairs_evaluated) == (want.value, want.n_pairs_evaluated)
+            assert_same_positions(got, want.degenerate_pairs, want.degenerate_units)
         monkeypatch.undo()
-        seen += bool(want.degenerate_pairs)
+        seen += bool(len(want.degenerate_pairs))
     assert seen >= 3
 
 
@@ -699,8 +730,9 @@ def solved_pairwise_variance(panel, table):
     its condition number is below COND_MAX and by least squares (listing
     the unit as degenerate) otherwise, and one 4x4 system per overlapping
     pair, built from its 3x3 table T and solved in one batch; (value,
-    n_pairs_evaluated, degenerate_pairs, degenerate_units)."""
-    uni, y, h, ids = raw_moments(table), panel.y_in, panel.h, panel.seller_ids
+    n_pairs_evaluated, degenerate_pairs, degenerate_units), the last two as
+    arrays of panel positions."""
+    uni, y, h = raw_moments(table), panel.y_in, panel.h
     M, rhs = _diag_system(uni)
     regular = np.linalg.cond(M) < COND_MAX
     coef = _solve_where(M, rhs, regular)
@@ -724,10 +756,9 @@ def solved_pairwise_variance(panel, table):
         coef[:, 0] * hi * hj + coef[:, 1] * hi + coef[:, 2] * hj + coef[:, 3]
     )
     terms = np.where(ok, matched, 2.0 * unit_sd[i] * unit_sd[j])
-    degenerate = [(ids[a], ids[b]) for a, b in zip(i[~ok].tolist(), j[~ok].tolist())]
     n = panel.n
-    return (float(diag.sum() + terms.sum()) / (n * n), int(ok.sum()), degenerate,
-            [ids[t] for t in singular.tolist()])
+    return (float(diag.sum() + terms.sum()) / (n * n), int(ok.sum()),
+            np.column_stack((i[~ok], j[~ok])), singular)
 
 
 def closed_form_cases():
@@ -757,7 +788,6 @@ def closed_form_cases():
             if draw == 2:
                 y[rng.random(len(rows)) < 0.3] = 0.0
             panel = make_panel(h, y, p=p, var_h=var_h)
-            panel.seller_ids = [graph.sellers[r] for r in rows]
             yield f"{name}/{draw}", panel, table
 
 
@@ -771,11 +801,10 @@ def test_closed_form_pair_weighting_matches_4x4_solves():
         got = pairwise_variance(panel, table)
         value, evaluated, degenerate, degenerate_units = solved_pairwise_variance(panel, table)
         assert got.value == pytest.approx(value, rel=1e-10, abs=1e-300), name
-        assert got.degenerate_pairs == degenerate, name
-        assert got.degenerate_units == degenerate_units, name
+        assert_same_positions(got, degenerate, degenerate_units)
         assert got.n_pairs_evaluated == evaluated, name
-        seen_units += bool(degenerate_units)
-        seen_pairs += bool(degenerate)
+        seen_units += bool(len(degenerate_units))
+        seen_pairs += bool(len(degenerate))
     # the cases must exercise both degeneracies
     assert seen_units >= 20 and seen_pairs >= 20
 
@@ -791,7 +820,7 @@ def test_unit_weighting_is_exact_at_high_degree():
     h = graph.times((np.random.default_rng(3).random(m) < p).astype(float))
     panel = make_panel(h, [y], p=p, var_h=p * (1 - p) * graph.row_sumsq())
     pv = pairwise_variance(panel, exposure_moment_table(graph, p, np.arange(1)))
-    assert pv.degenerate_units == [] and pv.n_pairs_evaluated == 0
+    assert len(pv.degenerate_units) == 0 and pv.n_pairs_evaluated == 0
 
     P, w = Fraction(p), Fraction(graph.weights[0])
     pq = P * (1 - P)
@@ -830,7 +859,7 @@ def test_pairwise_variance_calls_no_linear_algebra(monkeypatch):
         for panel, table in cases:
             pv = pairwise_variance(panel, table)
             assert np.isfinite(pv.value)
-            seen += bool(pv.degenerate_units)
+            seen += bool(len(pv.degenerate_units))
     assert seen >= 5
 
 
@@ -878,7 +907,7 @@ def oracle_randomization_ci(graph, assignments, outcomes, estimator_id,
     for r, rng in enumerate(oracle_rngs(seed, replications)):
         z = (rng.random(graph.n_buyers) < p).astype(np.float64)
         draw = ExposurePanel(
-            seller_ids=panel.seller_ids, h=(matrix @ z)[panel.graph_rows],
+            h=(matrix @ z)[panel.graph_rows],
             e_h=panel.e_h, var_h=panel.var_h, y_in=panel.y_in, y_pre=panel.y_pre,
             p=panel.p, graph_rows=panel.graph_rows,
         )

@@ -52,6 +52,22 @@ NAMED_CONFIG_ERRORS = [
     ({"m": 10, "n": 10, "favorite_rates": [float("nan"), 0.2]}, "'favorite_rates'"),
     ({"m": 10, "n": 10, "noise_sd": "1.5"}, "'noise_sd'"),
     ({"m": 10, "n": 10, "degree": {"kind": "zipf", "s": 10**400, "k_max": 5}}, "'s'"),
+    # values outside a field's range, refused before numpy draws with them
+    ({"m": 0, "n": 5}, "'m'"),
+    ({"m": 10, "n": 0}, "'n'"),
+    ({"m": 10, "n": 5, "degree": {"kind": "fixed", "k": 11}}, "'k'"),
+    ({"m": 10, "n": 5, "p_treat": 1.0}, "'p_treat'"),
+    ({"m": 10, "n": 5, "pre_corr": 1.5}, "'pre_corr'"),
+    ({"m": 10, "n": 5, "degree": {"kind": "fixed", "k": -1}}, "'k'"),
+    ({"m": 10, "n": 5, "degree": {"kind": "fixed", "k": 0}}, "'k'"),
+    ({"m": 10, "n": 5, "degree": {"kind": "zipf", "s": 2.0, "k_max": -2}}, "'k_max'"),
+    ({"m": 10, "n": 5, "degree": {"kind": "zipf", "s": 2.0, "k_max": 0}}, "'k_max'"),
+    ({"m": 10, "n": 5, "degree": {"kind": "zipf", "s": 1.0, "k_max": 5}}, "'s'"),
+    ({"m": 10, "n": 5, "alpha": [0, -1]}, "'alpha'"),
+    ({"m": 10, "n": 5, "beta": [1, -0.25]}, "'beta'"),
+    ({"m": 10, "n": 5, "noise_sd": -1}, "'noise_sd'"),
+    ({"m": 10, "n": 5, "favorite_rates": [1.5, -0.2]}, "'favorite_rates'"),
+    ({"m": 10, "n": 5, "favorite_rates": [0.2, -0.2]}, "'favorite_rates'"),
 ]
 
 
@@ -64,8 +80,7 @@ class TestSimulateExperiment:
         exp = simulate_experiment(config)
         assert exp.truth.true_tau == pytest.approx(2.5, abs=1e-12)
         panel = experiment_panel(exp)
-        order = [int(s[1:]) for s in panel.seller_ids]
-        alpha = exp.truth.alpha[order]
+        alpha = exp.truth.alpha[exp.seller_number[panel.graph_rows]]
         assert np.allclose(panel.y_in - alpha, 2.5 * panel.h, atol=1e-12)
 
     def test_true_tau_is_mean_beta(self):
@@ -245,7 +260,8 @@ class TestSimulateExperiment:
         violation = payload.get("violation")
         kwargs = {
             "m": payload["m"], "n": payload["n"],
-            **{key: payload[key] for key in ("noise_sd", "p_treat", "seed") if key in payload},
+            **{key: payload[key] for key in ("noise_sd", "p_treat", "pre_corr", "seed")
+               if key in payload},
             **{f"{key}_{part}": value for key in ("alpha", "beta") if key in payload
                for part, value in zip(("mean", "sd"), payload[key])},
             "favorite_rates": payload.get("favorite_rates"),
@@ -294,8 +310,7 @@ class TestViolationModes:
         )
         exp = simulate_experiment(config)
         panel = experiment_panel(exp)
-        order = [int(s[1:]) for s in panel.seller_ids]
-        alpha = exp.truth.alpha[order]
+        alpha = exp.truth.alpha[exp.seller_number[panel.graph_rows]]
         jumps = np.round(panel.y_in - alpha, 9)
         assert set(jumps) <= {0.0, 1.0}
         assert np.all((panel.h > 0.5) == (jumps == 1.0))
