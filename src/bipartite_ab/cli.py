@@ -7,7 +7,6 @@ Exit codes for `analyze`: 0 = all estimator/method pairs succeeded,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation that failed; a bare one
         # has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -38,10 +38,12 @@ The bootstrap's draws do not depend on the estimator, so `intervals` draws
 each block once for all estimators and computes each point estimate once:
 every interval is the one a single-estimator call returns.
 
-This module loads no scipy. The graph products of the randomization
-interval and the sums of the pairwise moment table are bit-equal to
-scipy's sparse products, and `_ndtri`, the normal quantile, is a port of
-Cephes ndtri bit-equal to scipy.special.ndtri.
+The package loads no scipy, for any estimator or method: REG shares its
+centred sums with the resampling kernel and settles what they leave open
+with a numpy pivoted QR (see estimators). The graph products of the
+randomization interval and the sums of the pairwise moment table are
+bit-equal to scipy's sparse products, and `_ndtri`, the normal quantile, is
+a port of Cephes ndtri bit-equal to scipy.special.ndtri.
 """
 
 from __future__ import annotations
@@ -57,11 +59,14 @@ import numpy as np
 # wraps them under this module's name, so they stay importable from inference.
 from .estimators import (
     EPS_COVARIATE_VAR,
+    EPS_MACH,
     ESTIMATOR_IDS,
-    EstimationError,
     PointEstimate,
+    centred,
     crerl_estimate,  # noqa: F401
+    ols_design,
     point_estimate,
+    weighted_mean,
 )
 from .exposure import ExposurePanel, assemble_panel  # noqa: F401
 from .graph import BipartiteGraph
@@ -71,7 +76,6 @@ MIN_REPLICATIONS = 200
 DEFAULT_REPLICATIONS = 1000
 PAIRWISE_N_MAX = 5000
 EPS_DET = 1e-12
-EPS_MACH = float(np.finfo(float).eps)
 # A block of resampling replicates holds as many as fit this many bytes of
 # float64 rows, one per replicate and as wide as the panel (bootstrap) or
 # the buyer set (randomization); the kernels keep a few such arrays alive,
@@ -87,12 +91,6 @@ np.empty(BLOCK_BYTES)
 # The pairwise variance evaluates its pair terms in blocks of as many pairs
 # as fit this many bytes at 16 float64 temporaries per pair.
 PAIR_BLOCK_BYTES = 1 << 22
-# A least-squares replicate is handed to the estimator itself when its
-# design is within this factor of the pivoted-QR rank tolerance ...
-QR_MARGIN = 1e6
-# ... or when h and y_pre are so nearly collinear within it that the 2x2
-# centred solve would lose more than ~eps / GRAM_REL of its precision.
-GRAM_REL = 1e-4
 
 
 class InferenceError(ValueError):
@@ -210,34 +208,23 @@ def _replicate_taus(panel, estimator_id, c, h, shared=None):
     (the pivoted-QR rank test, the CR-ERL variance floor) to be settled
     from these sums, and `lam0` those where CR-ERL falls back to lambda = 0.
     """
-    n = panel.n
     y, f = panel.y_in, panel.y_pre
     shared = {} if shared is None else shared
-
-    # 1.0 * x == x, so unit weights need no multiply
-    def mean(x):
-        return (x if c is None else c * x).sum(axis=-1) / n
-
-    def centred(x):
-        m = mean(x)
-        d = x - m[..., None]
-        return m, d, d if c is None else c * d
-
     with np.errstate(divide="ignore", invalid="ignore"):
         if estimator_id in ("erl", "crerl"):
             if "erl" not in shared:
                 w = (h - panel.e_h) / panel.var_h
                 a = y * w
-                shared["erl"] = w, a, mean(a)
+                shared["erl"] = w, a, weighted_mean(a, c)
             w, a, tau = shared["erl"]
             if estimator_id == "erl":
                 # a copy: the exact-replicate fallback writes to what is returned
                 return tau.copy(), np.zeros(len(tau), bool), np.zeros(len(tau), bool)
             b = f * w
             da = a - tau[:, None]
-            m_b, db, cdb = centred(b)
+            m_b, db, cdb = centred(b, c)
             s_bb = (cdb * db).sum(axis=-1)
-            var_b = s_bb / (n - 1) if n > 1 else np.zeros(len(s_bb))
+            var_b = s_bb / (panel.n - 1) if panel.n > 1 else np.zeros(len(s_bb))
             lam0 = var_b < EPS_COVARIATE_VAR
             lam = np.where(lam0, 0.0, (cdb * da).sum(axis=-1) / s_bb)
             # near the floor, rounding could put np.var on the other side
@@ -246,40 +233,10 @@ def _replicate_taus(panel, estimator_id, c, h, shared=None):
             )
             exact = np.abs(var_b - EPS_COVARIATE_VAR) <= slack
             return tau - lam * m_b, exact, lam0
-
-        # OLS of y on [1, h (, y_pre)], centred: the exposure slope solves the
-        # 1x1 or 2x2 system of centred cross products; the design's squared
-        # column norms are n, q_h (and q_f)
-        m_h, dh, cdh = centred(h)
-        s_hh = (cdh * dh).sum(axis=-1)
-        s_hy = (cdh * y).sum(axis=-1)
-        q_h = n * m_h**2 + s_hh
-        if estimator_id == "reg":
-            tau, det, accurate, q_f = s_hy / s_hh, s_hh, True, None
-        else:
-            m_f, df, cdf = centred(f)
-            s_ff = (cdf * df).sum(axis=-1)
-            s_hf = (cdh * df).sum(axis=-1)
-            det = s_hh * s_ff - s_hf**2
-            tau = (s_ff * s_hy - s_hf * (cdf * y).sum(axis=-1)) / det
-            # h and y_pre all but collinear: the 2x2 solve would lose digits
-            accurate = det > GRAM_REL * s_hh * s_ff
-            q_f = n * m_f**2 + s_ff
-        exact = ~(accurate & (n * det > _rank_bound(n, q_h, q_f)))
+        # the OLS of y on [1, h (, y_pre)]: the exposure slope of the centred sums
+        exact, slopes = ols_design(h, f if estimator_id == "reg_pre" else None, c)
+        tau = slopes(y)[0]
         return tau, exact, np.zeros(len(tau), bool)
-
-
-# Pivoted QR takes |r_11| = the largest column norm, its |r_jj| do not
-# increase, and prod r_jj^2 = det(X'X) = n * det. With q_1 >= q_2 >= ... the
-# squared column norms, the last |r_kk|^2 is at least
-# n * det / (q_1 ... q_{k-1}); the rank test fails at |r_kk| <= sqrt(q_1) * n * eps.
-def _rank_bound(n, q_h, q_f=None):
-    """(QR_MARGIN n eps)^2 q_1 (q_1 ... q_{k-1}) of the squared column norms n, q_h (, q_f)."""
-    q_1 = q_prod = np.maximum(n, q_h)
-    if q_f is not None:
-        q_1, q_2 = np.maximum(q_1, q_f), np.maximum(np.minimum(n, q_h), np.minimum(q_1, q_f))
-        q_prod = q_1 * q_2
-    return (QR_MARGIN * n * EPS_MACH) ** 2 * q_1 * q_prod
 
 
 def bootstrap_ci(
@@ -341,7 +298,7 @@ def _bootstrap_cis(panel, live, replications, seed, level) -> dict:
                     warnings.simplefilter("always")
                     try:
                         tau[k] = point_estimate(panel.subset(idx[k]), est).tau_hat
-                    except (EstimationError, ValueError):
+                    except ValueError:  # an EstimationError among them
                         tau[k] = np.nan
                         failures[est] += 1
                 lam0[k] = est == "crerl" and bool(caught)

@@ -913,7 +913,10 @@ def default_design_path(assignments_path) -> Path:
 
 def parse_design(path) -> list[Variant]:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # malformed JSON or UTF-8
+            raise IngestError(f"{path}: design file is not valid JSON: {exc}") from None
     raw = payload.get("variants") if isinstance(payload, dict) else None
     if not isinstance(raw, list):
         raise IngestError(f"{path}: design JSON must contain a 'variants' list")

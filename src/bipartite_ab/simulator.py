@@ -38,17 +38,17 @@ class SimulationError(ValueError):
 
 
 def _number(value, cast, key: str, where: str = "config"):
-    """`value` as `cast` (int or float) gives it; a boolean, a string, a fraction
-    where an int is due or a non-finite number is a SimulationError naming `key`.
-    An integer too large for a float is refused with the OverflowError's text."""
+    """`value` as `cast` (int or float) gives it. Anything but a finite real number
+    (a boolean, a string, None: refused before the cast) or a fraction where an int is
+    due is a SimulationError naming `key`; a number too large for a float, its text."""
     try:
-        number = cast(value)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or (cast is int and number != value) or not math.isfinite(number)):
-            raise ValueError(f"expected a finite {cast.__name__}, got {value!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value) and (cast is float or int(value) == value)):
+            return cast(value)
+    except OverflowError as exc:
         raise SimulationError(f"{where} field {key!r}: {exc}") from None
-    return number
+    want = f"expected a finite {cast.__name__}, got {value!r}"
+    raise SimulationError(f"{where} field {key!r}: {want}")
 
 
 def _check_numbers(obj, where: str = "config"):
@@ -119,6 +119,7 @@ class SimConfig:
         for where, key, value, ok, want in (
             ("config", "m", self.m, self.m >= 1, "at least 1"),
             ("config", "n", self.n, self.n >= 1, "at least 1"),
+            ("config", "seed", self.seed, self.seed >= 0, "at least 0"),
             ("degree", "k" if fixed else "k_max", degree, degree >= 1, "at least 1"),
             ("degree", "k", degree, not fixed or degree <= self.m, f"at most m = {self.m}"),
             ("degree", "s", s, fixed or s > 1.0, "above 1"),
@@ -507,4 +508,7 @@ def sim_config_from_dict(payload: dict) -> SimConfig:
 
 def load_sim_config(path) -> SimConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return sim_config_from_dict(json.load(fh))
+        try:
+            return sim_config_from_dict(json.load(fh))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SimulationError(f"{path}: config file is not valid JSON: {exc}") from None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bipartite_ab import exposure
+from bipartite_ab.estimators import CollinearDesignError, EstimationError, PointEstimate
 from bipartite_ab.exposure import (
     DegenerateReport,
     ExposureError,
@@ -392,3 +393,43 @@ def unit_variance_terms(panel, joint_moments):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240819)
+
+
+# --- scipy's pivoted QR, kept as the oracle for REG -------------------------
+
+
+def scipy_ols(X, y):
+    """(coef, resid, r^2) of the OLS of y on X by scipy's pivoted QR, the
+    way REG computed it before its centred sums: a design with some
+    |r_jj| <= max |r_jj| max(n, k) eps is a CollinearDesignError."""
+    import scipy.linalg
+
+    n, k = X.shape
+    if n <= k:
+        raise EstimationError(f"need more than {k} units, got {n}")
+    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max() * max(n, k) * np.finfo(float).eps
+    if np.any(diag <= tol):
+        raise CollinearDesignError("no exposure variation (collinear design matrix)")
+    coef = np.empty(k)
+    coef[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
+    resid = y - X @ coef
+    tss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
+    return coef, resid, r2
+
+
+def scipy_regression_estimate(panel, use_pre=False):
+    """regression_estimate by scipy's pivoted QR: one QR for the fit and a
+    second for the Breusch-Pagan regression of the squared residuals."""
+    cols = [np.ones(panel.n), panel.h] + ([panel.y_pre] if use_pre else [])
+    X = np.column_stack(cols)
+    coef, resid, r2 = scipy_ols(X, panel.y_in)
+    u2 = resid**2
+    bp = len(resid) * scipy_ols(X, u2)[2] if float(np.sum((u2 - u2.mean()) ** 2)) > 0 else 0.0
+    diagnostics = {"alpha": float(coef[0]), "r_squared": r2, "breusch_pagan": bp}
+    if use_pre:
+        diagnostics["psi"] = float(coef[2])
+    return PointEstimate("reg_pre" if use_pre else "reg", float(coef[1]), panel.n,
+                         diagnostics=diagnostics)

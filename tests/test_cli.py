@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from functools import cached_property
 from pathlib import Path
@@ -83,6 +86,18 @@ def fixture_args(out_dir, *kinds):
         *(arg for k in kinds for arg in ("--kinds", k)), "--estimators", "erl",
         "--methods", "pairwise", "--allow-missing-outcomes", "--out", str(out_dir),
     ]
+
+
+def run_cli(argv, cwd, block_scipy=False):
+    """The console script in a fresh interpreter: (exit code, stderr lines).
+    With block_scipy, `import scipy` fails there, as with scipy not installed."""
+    code = "import sys\n"
+    code += "sys.modules['scipy'] = None\n" if block_scipy else ""
+    code += f"from bipartite_ab.cli import main\nsys.exit(main({[str(a) for a in argv]!r}))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr.splitlines()
 
 
 def load_report(out_dir):
@@ -371,6 +386,34 @@ class TestAnalyze:
         code = main(analyze_args(sim_dir, tmp_path / "out", "--design", str(design)))
         assert code == 1
         assert "has no label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"{", b"", b'{"variants": [', b"\xff{}"])
+    def test_malformed_design_json_names_the_file(self, tmp_path, content):
+        fixture_copy(tmp_path, (FIXTURE / "events.csv").read_text(encoding="utf-8"))
+        (tmp_path / "assignments.design.json").write_bytes(content)
+        code, err = run_cli(fixture_args(tmp_path / "out", "view"), tmp_path)
+        assert code == 1
+        assert len(err) == 1, err
+        assert err[0].startswith(
+            "error: assignments.design.json: design file is not valid JSON: "
+        ), err
+        assert not (tmp_path / "out").exists()
+
+    def test_reg_runs_without_scipy(self, tmp_path):
+        """REG and REG_PRE under both resampling methods where scipy cannot
+        be imported."""
+        fixture_copy(tmp_path, (FIXTURE / "events.csv").read_text(encoding="utf-8"))
+        # REG_PRE needs a pre-period outcome for every seller
+        outcomes = (FIXTURE / "outcomes.csv").read_text(encoding="utf-8")
+        (tmp_path / "outcomes.csv").write_text(outcomes.replace(",\n", ",0\n"))
+        argv = fixture_args(tmp_path / "out", "view")
+        argv[argv.index("erl")] = "reg,reg_pre"
+        argv[argv.index("pairwise")] = "bootstrap,randomization"
+        assert run_cli(argv + ["--replications", "200"], tmp_path, block_scipy=True) == (0, [])
+        assert {(e["estimator"], e["method"]) for e in load_report(tmp_path / "out")["entries"]
+                if e["status"] == "ok"} == {
+            (e, m) for e in ("reg", "reg_pre") for m in ("bootstrap", "randomization")
+        }
 
     def test_bootstrap_without_a_finite_replicate_is_one_error_line(
         self, sim_dir, tmp_path, capsys
@@ -702,6 +745,28 @@ class TestValidateCommand:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_malformed_config_json_names_the_file(self, tmp_path, command):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b"{")
+        code, err = run_cli([command, "--config", config_path, "--out", tmp_path / "out"],
+                            tmp_path)
+        assert (code, err) == (1, [
+            f"error: {config_path}: config file is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ])
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_runs_reg_without_scipy(self, tmp_path):
+        """Every estimator, REG and REG_PRE among them, validated where scipy
+        cannot be imported."""
+        argv = ["validate", "--config", DATA / "validate" / "config.json",
+                "--estimators", "erl,reg,reg_pre,crerl", "--replications", "3",
+                "--ci-replications", "200", "--out", tmp_path / "out"]
+        assert run_cli(argv, tmp_path, block_scipy=True) == (0, [])
+        rows = (tmp_path / "out" / "validation.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1::2]] == ["erl", "reg", "reg_pre", "crerl"]
 
     def test_non_finite_config_is_one_error_line(self, tmp_path, capsys):
         # json writes NaN, which json reads back as a float

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipartite_ab import estimators
 from bipartite_ab.estimators import (
     COMPENSATED_SUM_THRESHOLD,
     CollinearDesignError,
@@ -17,7 +18,7 @@ from bipartite_ab.estimators import (
 )
 from bipartite_ab.exposure import ExposurePanel
 
-from conftest import csr, random_sparse_graph
+from conftest import csr, random_sparse_graph, scipy_ols, scipy_regression_estimate
 
 
 def make_panel(h, y, y_pre=None, p=0.5, var_h=None):
@@ -276,3 +277,103 @@ def test_erl_scale_equivariance_property(scale, data):
     base = erl_estimate(make_panel(h, y)).tau_hat
     scaled = erl_estimate(make_panel(h, scale * y)).tau_hat
     assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-9)
+
+
+# --- REG from centred sums and a numpy QR against scipy's pivoted QR ---------
+
+
+def regression_designs():
+    """(family, panel, use_pre): random designs with heteroskedastic noise,
+    exposures all but constant, y_pre all but collinear with h (the 2x2
+    centred solve hands these to the QR), and the designs that are
+    collinear or too small: constant h, y_pre a copy of h, an affine
+    function of it, constant or zero, and n <= k."""
+    rng = np.random.default_rng(26)
+    for k in range(32):
+        n = int(rng.integers(4, 300))
+        h = rng.random(n)
+        f = rng.normal(size=n)
+        family = ("random", "simulated", "near-constant h", "near-collinear y_pre")[k % 4]
+        if family == "simulated":
+            panel, *_ = simulated_panel(rng, m=2 * n + 8, n=n)
+            h, f = panel.h, panel.y_pre
+        elif family == "near-constant h":
+            h = 0.5 + 1e-2 * h
+        elif family == "near-collinear y_pre":
+            f = 0.3 + 1.5 * h + 1e-3 * f
+        y = 1.0 + 2.0 * h + 0.5 * f + (0.5 + h) * rng.normal(size=n)
+        for use_pre in (False, True):
+            yield family, make_panel(h, y, y_pre=f), use_pre
+    h = np.array([0.1, 0.5, 0.9, 0.3, 0.7, 0.2])
+    y = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 0.5])
+    for use_pre in (False, True):
+        yield "constant h", make_panel(np.full(6, 0.4), y, y_pre=h), use_pre
+        yield "n <= k", make_panel(h[:2], y[:2], y_pre=y[:2]), use_pre
+        yield "n <= k", make_panel(h[:1], y[:1], y_pre=y[:1]), use_pre
+    for f in (h, 2.0 * h + 1.0, np.full(6, 3.0), np.zeros(6), 0.1 * h - 7.0, 1e200 * y):
+        yield "collinear y_pre", make_panel(h, y, y_pre=f), True
+    yield "n <= k", make_panel(h[:3], y[:3], y_pre=y[:3] ** 2), True
+
+
+def estimate_or_error(fn, panel, use_pre):
+    try:
+        return fn(panel, use_pre=use_pre)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("qr_only", [False, True])
+def test_regression_matches_scipy_qr(qr_only, monkeypatch):
+    """Slopes, intercept, r^2 and Breusch-Pagan agree with scipy's pivoted
+    QR within 1e-10 relative, and every design that QR refuses is refused
+    with the same error. The centred sums settle most designs and the
+    numpy QR the rest; with qr_only every design goes to the numpy QR."""
+    if qr_only:
+        monkeypatch.setattr(estimators, "QR_MARGIN", np.inf)
+    paths, refused = set(), set()
+    for k, (family, panel, use_pre) in enumerate(regression_designs()):
+        want = estimate_or_error(scipy_regression_estimate, panel, use_pre)
+        got = estimate_or_error(regression_estimate, panel, use_pre)
+        if isinstance(want, tuple):
+            assert got == want, (k, family)
+            refused.add(family)
+            continue
+        assert (got.estimator, got.n_units) == (want.estimator, want.n_units)
+        assert set(got.diagnostics) == set(want.diagnostics)
+        for name, value in [("tau", want.tau_hat), *want.diagnostics.items()]:
+            value_got = got.tau_hat if name == "tau" else got.diagnostics[name]
+            assert abs(value_got - value) <= 1e-10 * abs(value), (k, family, name)
+        f = panel.y_pre if use_pre else None
+        paths.add((family, bool(estimators.ols_design(panel.h, f, None)[0])))
+    assert refused == {"constant h", "collinear y_pre", "n <= k"}
+    assert ("random", qr_only) in paths and ("near-collinear y_pre", True) in paths
+    assert qr_only or ("near-constant h", False) in paths
+
+
+def test_numpy_qr_rank_decision_matches_scipy(rng):
+    """On designs an O(eps) step from collinear and on designs an O(1e-6)
+    step from it, the numpy QR and scipy refuse the same ones."""
+    decided = []
+    for k in range(60):
+        n = int(rng.integers(4, 200))
+        h = rng.random(n)
+        step = (1e-15, 1e-6)[k % 2]
+        cols = [np.ones(n), h]
+        if k % 3:
+            cols.append(3.0 * h - 1.0 + step * rng.normal(size=n))
+        else:
+            cols[1] = 0.25 + step * h
+        X = np.column_stack(cols)
+        try:
+            scipy_ols(X, h)
+            want = None
+        except CollinearDesignError as exc:
+            want = str(exc)
+        try:
+            estimators._qr_slopes(X, h)
+            got = None
+        except CollinearDesignError as exc:
+            got = str(exc)
+        assert got == want, (k, step)
+        decided.append(want is None)
+    assert 0 < sum(decided) < len(decided)

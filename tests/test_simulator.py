@@ -68,6 +68,9 @@ NAMED_CONFIG_ERRORS = [
     ({"m": 10, "n": 5, "noise_sd": -1}, "'noise_sd'"),
     ({"m": 10, "n": 5, "favorite_rates": [1.5, -0.2]}, "'favorite_rates'"),
     ({"m": 10, "n": 5, "favorite_rates": [0.2, -0.2]}, "'favorite_rates'"),
+    ({"m": 10, "n": 5, "seed": -1}, "'seed'"),
+    ({"m": 10, "n": 5, "pre_corr": None}, "'pre_corr'"),
+    ({"m": 10, "n": 5, "seed": None}, "'seed'"),
 ]
 
 
@@ -241,6 +244,22 @@ class TestSimulateExperiment:
             with pytest.raises(SimulationError) as caught:
                 sim_config_from_dict({"m": 10, "n": 10, **payload})
             assert str(caught.value) == f"{message}: int too large to convert to float"
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"seed": -1}, "config field 'seed': expected at least 0, got -1"),
+        ({"pre_corr": None}, "config field 'pre_corr': expected a finite float, got None"),
+        ({"m": None}, "config field 'm': expected a finite int, got None"),
+        ({"noise_sd": [1.0]}, "config field 'noise_sd': expected a finite float, got [1.0]"),
+        ({"degree": {"kind": "fixed", "k": None}},
+         "degree field 'k': expected a finite int, got None"),
+        ({"n": float("inf")}, "config field 'n': expected a finite int, got inf"),
+    ])
+    def test_number_error_names_field_and_type(self, payload, message):
+        """A value of the wrong type is refused before the cast, with the
+        field's name and the type expected; a negative seed by its range."""
+        with pytest.raises(SimulationError) as caught:
+            sim_config_from_dict({"m": 10, "n": 5, **payload})
+        assert str(caught.value) == message
 
     def test_config_json_round_trip(self):
         config = SimConfig(
