@@ -124,8 +124,9 @@ class BipartiteGraph:
         """W x, or W x_k for each row x_k of a 2-D `x`: each sum runs from 0
         along the row's edges in order, bit-equal to a scipy CSR product."""
         k = len(x) if x.ndim == 2 else 1
-        product = np.asarray(x, dtype=np.float64).take(self.buyer_idx, axis=-1)
-        product *= self.weights
+        # the edges' columns are gathered first, so a bool block is never
+        # made float64 whole
+        product = np.asarray(x).take(self.buyer_idx, axis=-1) * self.weights
         sums = np.bincount(self._edge_bins(k), product.ravel(), k * self.n_sellers)
         return sums.reshape(*x.shape[:-1], -1)
 

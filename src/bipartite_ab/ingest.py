@@ -36,26 +36,22 @@ the same results and errors: errors are decided in file order, and a line
 is checked for invalid UTF-8, then its column count, then empty ids, then
 a repeated id, then its values from left to right.
 
-The numpy path works on two threads, with at most one block in flight.
-A worker thread codes block k's ids (`_IdCodes.codes`, whose sorts,
-searches and gathers release the GIL) while the main thread converts
-block k's values, then reads, scans and splits block k+1. Block k is
-appended when block k+1 is handed over, or when the file ends. Each
-column's `_IdCodes` is used by one thread at a time, in block order, so
-every code, vocabulary, warning and error is the same as when each block
-is coded in turn. A block is coded inline, and no thread is started for
-it, when nothing could overlap it: the file's last block (so the only
-block of a small file), a block that holds an error, and every block of
-the assignments and outcomes files, whose repeated-id check needs a
-block's codes before its values. The worker is started once per file
-that needs it, and is joined before the parser returns or raises.
+The numpy path codes block k's ids on a one-thread executor
+(`_IdCodes.codes`, whose sorts, searches and gathers release the GIL)
+while the main thread converts block k's values and reads block k+1, so
+at most one block is in flight. Each column's `_IdCodes` is used by one
+thread at a time, in block order, so every code, vocabulary, warning and
+error is that of coding each block in turn. The file's last block, a
+block that holds an error and every block of the assignments and
+outcomes files (whose repeated-id check needs the codes first) are coded
+inline, so a one-block file starts no thread. The executor is shut down,
+waiting for the block in hand, before the parser returns or raises.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import threading
 import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -363,52 +359,15 @@ class _Columns:
     optional: tuple[str, ...] = ()
 
 
-class _Worker:
-    """A thread that makes one call at a time: `start` hands it a call, and
-    `result` waits for the call's value or raises what it raised."""
-
-    def __init__(self):
-        self.call = self.out = None
-        self.todo, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        self.thread = threading.Thread(target=self._run, name="ingest-ids")
-        self.thread.start()
-
-    def _run(self):
-        while self.todo.acquire() and self.call is not None:
-            try:
-                self.out = self.call(), None
-            except BaseException as exc:  # raised again by `result`
-                self.out = None, exc
-            self.done.release()
-
-    def start(self, call):
-        self.call = call
-        self.todo.release()
-
-    def result(self):
-        self.done.acquire()
-        (value, exc), self.call, self.out = self.out, None, None
-        if exc is not None:
-            raise exc
-        return value
-
-    def stop(self):
-        """End the thread once the call in hand, if any, has returned; its
-        result is dropped."""
-        if self.call is not None:
-            self.done.acquire()
-        self.call = self.out = None
-        self.todo.release()
-        self.thread.join()
-
-
 class _Tokens:
     """The rows of a file before its first malformed one: `codes` into the
     vocabularies `ids` (made by `_tokenize`), one pair per coded column, and
     `values` (rows x value columns); `blank_rows[j]` is the number of rows
-    before the j-th blank line, and `error` the malformed row's ParseError."""
+    before the j-th blank line, and `error` the malformed row's ParseError.
+    `pool`, a one-thread executor, codes the ids of the blocks that `add`
+    hands over."""
 
-    def __init__(self, path, spec: _Columns, header: list[str] | None):
+    def __init__(self, path, spec: _Columns, header: list[str] | None, pool=None):
         expected = list(spec.header)
         if header is None:
             raise ParseError(path, 1, "empty file, expected header")
@@ -425,9 +384,9 @@ class _Tokens:
         self.out = [bytearray() for _ in range(spec.n_coded + 2)]
         self.rows = 0
         self.error: ParseError | None = None
-        self.worker: _Worker | None = None
+        self.pool = pool
         # (codes, rows, values, blank) of the block not yet appended, codes
-        # None while the worker makes them
+        # the Future that makes them while the pool does
         self.pending = None
 
     def add(self, data, start, end, line_no, blank, error, last=True):
@@ -435,9 +394,9 @@ class _Tokens:
         numbered `line_no`, with a blank line after the first `blank[j]`
         rows, and then `error`, the ParseError that ended them or None.
         When another block may follow (not `last`, no error) and the spec
-        checks no repeated id, the worker thread codes the ids while the
-        values are converted here, and the block is appended by the next
-        `add` or by `collect`."""
+        checks no repeated id, the pool codes the ids while the values are
+        converted here, and the block is appended by the next `add` or by
+        `collect`."""
         spec = self.spec
         rows = len(line_no)
 
@@ -457,13 +416,11 @@ class _Tokens:
             return [ids.codes(words, *b) for ids, b in zip(self.columns, bounds)]
 
         self.collect()
-        codes = None
         if last or error is not None or spec.repeated is not None:
             seen = self.columns[0].count
             codes = code()
         else:
-            self.worker = self.worker or _Worker()
-            self.worker.start(code)
+            codes = self.pool.submit(code)
         if spec.repeated is not None:
             again = np.ones(rows, dtype=bool)
             again[np.unique(codes[0], return_index=True)[1]] = False
@@ -481,28 +438,23 @@ class _Tokens:
                 fail(bad, message)
         self.pending = codes, rows, values, blank[blank <= rows]
         self.error = error
-        if codes is not None:
+        if isinstance(codes, list):
             self.collect()
 
     def collect(self):
-        """Append the block in hand, waiting for the worker's codes."""
+        """Append the block in hand, waiting for the pool's codes (or what
+        making them raised)."""
         if self.pending is None:
             return
         codes, rows, values, blank = self.pending
         self.pending = None
-        if codes is None:
-            codes = self.worker.result()
+        if not isinstance(codes, list):
+            codes = codes.result()
         for target, column in zip(
             self.out, (*(c[:rows] for c in codes), values[:rows], self.rows + blank)
         ):
             target.extend(np.ascontiguousarray(column))
         self.rows += rows
-
-    def close(self):
-        """End the worker thread, if one was started; a block it still
-        codes is dropped."""
-        if self.worker is not None:
-            self.worker.stop()
 
     @property
     def codes(self) -> list[np.ndarray]:
@@ -667,57 +619,57 @@ def _tokenize_unquoted(path, spec: _Columns) -> _Tokens | None:
     """Split with numpy over the file's bytes, BLOCK_BYTES of whole lines
     at a time: a cell ends at a separator, LF or comma, found by one scan,
     and starts after the one before. None when `_csv_safe` does not hold."""
+    # imported here: it loads logging, 5-7 ms that `import bipartite_ab` would pay
+    from concurrent.futures import ThreadPoolExecutor
+
     line0 = 2  # file line of the block's first line
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, ThreadPoolExecutor(1, "ingest-ids") as pool:
         header = fh.readline()
         if not header:
             raise ParseError(path, 1, "empty file, expected header")
         if not _csv_safe(header, len(header)):
             return None
-        tokens = _Tokens(path, spec, _header(path, header))
+        tokens = _Tokens(path, spec, _header(path, header), pool)
         width = tokens.width
-        try:
-            while tokens.error is None and (block := fh.read(BLOCK_BYTES)):
-                if not block.endswith(b"\n"):  # read to the end of the line
-                    block = (block + fh.readline()).removesuffix(b"\n") + b"\n"
-                data = block + bytes(8)
-                a = np.frombuffer(data, dtype=np.uint8)[: len(block)]
-                end = np.flatnonzero((a == ord("\n")) | (a == ord(",")))
-                start = np.concatenate(([0], end[:-1] + 1))
-                lf = np.flatnonzero(a[end] == ord("\n"))  # the cells that end lines
-                fields = np.diff(lf, prepend=-1)
-                starts = start[lf - fields + 1]  # where each line starts
-                if not _csv_safe(block, int((end[lf] - starts).max())):
-                    return None
-                if b"\r" in block:
-                    end[lf] -= a[end[lf] - 1] == ord("\r")
-                # `bad` is the block's first line with invalid UTF-8 or the
-                # wrong number of fields; the rows before it go to `add`
-                bad, error = len(lf), None
-                if not block.isascii():
-                    try:
-                        block.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        bad = int(np.searchsorted(starts, exc.start, side="right")) - 1
-                        error = _utf8_error(path, line0 + bad, exc)
-                nonblank = end[lf[:bad]] > starts[:bad]
-                wrong = np.flatnonzero(nonblank & (fields[:bad] != width))
-                if len(wrong):
-                    bad = int(wrong[0])
-                    message = f"expected {width} columns, got {fields[bad]}"
-                    error = ParseError(path, line0 + bad, message)
-                line = np.flatnonzero(nonblank[:bad])
-                blank = np.flatnonzero(~nonblank[:bad])
-                # the cells of the lines before `bad`, less a blank line's one
-                cells = lf[bad - 1] + 1 if bad else 0
-                start, end = (np.delete(x[:cells], lf[blank]) for x in (start, end))
-                start, end = start.reshape(-1, width), end.reshape(-1, width)
-                blank -= np.arange(len(blank))  # rows before each blank line
-                tokens.add(data, start, end, line0 + line, blank, error, not fh.peek(1))
-                line0 += len(lf)
-            tokens.collect()
-        finally:
-            tokens.close()
+        while tokens.error is None and (block := fh.read(BLOCK_BYTES)):
+            if not block.endswith(b"\n"):  # read to the end of the line
+                block = (block + fh.readline()).removesuffix(b"\n") + b"\n"
+            data = block + bytes(8)
+            a = np.frombuffer(data, dtype=np.uint8)[: len(block)]
+            end = np.flatnonzero((a == ord("\n")) | (a == ord(",")))
+            start = np.concatenate(([0], end[:-1] + 1))
+            lf = np.flatnonzero(a[end] == ord("\n"))  # the cells that end lines
+            fields = np.diff(lf, prepend=-1)
+            starts = start[lf - fields + 1]  # where each line starts
+            if not _csv_safe(block, int((end[lf] - starts).max())):
+                return None
+            if b"\r" in block:
+                end[lf] -= a[end[lf] - 1] == ord("\r")
+            # `bad` is the block's first line with invalid UTF-8 or the
+            # wrong number of fields; the rows before it go to `add`
+            bad, error = len(lf), None
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    bad = int(np.searchsorted(starts, exc.start, side="right")) - 1
+                    error = _utf8_error(path, line0 + bad, exc)
+            nonblank = end[lf[:bad]] > starts[:bad]
+            wrong = np.flatnonzero(nonblank & (fields[:bad] != width))
+            if len(wrong):
+                bad = int(wrong[0])
+                message = f"expected {width} columns, got {fields[bad]}"
+                error = ParseError(path, line0 + bad, message)
+            line = np.flatnonzero(nonblank[:bad])
+            blank = np.flatnonzero(~nonblank[:bad])
+            # the cells of the lines before `bad`, less a blank line's one
+            cells = lf[bad - 1] + 1 if bad else 0
+            start, end = (np.delete(x[:cells], lf[blank]) for x in (start, end))
+            start, end = start.reshape(-1, width), end.reshape(-1, width)
+            blank -= np.arange(len(blank))  # rows before each blank line
+            tokens.add(data, start, end, line0 + line, blank, error, not fh.peek(1))
+            line0 += len(lf)
+        tokens.collect()
     return tokens
 
 

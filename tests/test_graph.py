@@ -479,7 +479,9 @@ def product_graphs(rng):
 
 def test_products_match_scipy(rng):
     """W x, a block of W z_k and W'v over a row subset equal scipy's CSR
-    products bit for bit."""
+    products bit for bit. A bool block of draws, as REG's randomization
+    passes, gives the products of its float64 copy, as a block and row by
+    row."""
     compared = 0
     for graph in product_graphs(rng):
         W = csr(graph)
@@ -488,7 +490,10 @@ def test_products_match_scipy(rng):
         Z = rng.random((7, graph.n_buyers)) < 0.4
         want = np.ascontiguousarray((W @ Z.T).T)
         assert graph.times(Z).tobytes() == want.tobytes()
+        assert graph.times(Z.astype(np.float64)).tobytes() == want.tobytes()
         assert graph.times(Z[:1]).tobytes() == want[:1].tobytes()
+        assert graph.times(Z[1]).tobytes() == want[1].tobytes()
+        assert graph.times(Z[1].astype(np.float64)).tobytes() == want[1].tobytes()
         for rows in (
             np.arange(graph.n_sellers),
             np.flatnonzero(rng.random(graph.n_sellers) < 0.6),

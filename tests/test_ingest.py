@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -1094,21 +1096,26 @@ def test_special_lines_on_block_boundaries(tmp_path, monkeypatch, block_bytes):
 # --- the id-coding worker thread ---
 
 
+def is_worker(thread):
+    return thread.name.startswith("ingest-ids")
+
+
 def alive_workers():
-    return [t for t in threading.enumerate() if t.name == "ingest-ids"]
+    return [t for t in threading.enumerate() if is_worker(t)]
 
 
 @pytest.fixture
 def workers(monkeypatch):
-    """The id-coding workers started during a test, in order."""
+    """The id-coding threads started during a test, in order."""
     started = []
+    start = threading.Thread.start
 
-    class Counted(ingest._Worker):
-        def __init__(self):
-            super().__init__()
-            started.append(self)
+    def counted(thread):
+        start(thread)
+        if is_worker(thread):
+            started.append(thread)
 
-    monkeypatch.setattr(ingest, "_Worker", Counted)
+    monkeypatch.setattr(threading.Thread, "start", counted)
     return started
 
 
@@ -1230,7 +1237,7 @@ def test_late_quote_waits_for_then_drops_the_work_in_flight(tmp_path, monkeypatc
     codes, quoted = ingest._IdCodes.codes, ingest._tokenize_quoted
 
     def slow_codes(self, *args):
-        worker = threading.current_thread().name == "ingest-ids"
+        worker = is_worker(threading.current_thread())
         if worker:
             time.sleep(0.01)
         out = codes(self, *args)
@@ -1290,7 +1297,7 @@ def test_memory_error_in_the_worker_is_one_error_line(tmp_path, monkeypatch, cap
     codes = ingest._IdCodes.codes
 
     def out_of_memory(self, *args):
-        if threading.current_thread().name == "ingest-ids":
+        if is_worker(threading.current_thread()):
             raise MemoryError
         return codes(self, *args)
 
@@ -1324,3 +1331,21 @@ def test_one_block_files_and_tables_start_no_thread(monkeypatch, workers):
     events, _ = parse_events(data / "events.csv", {"view"}, window)
     assert len(workers) == 1 and not alive_workers()
     assert event_rows(events) == event_rows(inline_events)
+
+
+def test_import_leaves_the_thread_executor_unloaded():
+    """A fresh `import bipartite_ab.cli` loads no concurrent.futures module:
+    ingest imports it on first parse, as it loads logging, which would add
+    milliseconds to every start-up."""
+    code = (
+        "import json, sys, bipartite_ab.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'concurrent.futures'"
+        " or m.startswith('concurrent.futures.'))))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == []
