@@ -105,7 +105,7 @@ class BipartiteGraph:
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise GraphError(
-                f"row weights for {self.sellers[bad]!r} sum to {sums[bad]!r}"
+                f"row weights for {self.sellers[bad]!r} sum to {float(sums[bad])!r}"
             )
 
     @property

@@ -14,9 +14,9 @@ Each file enters once as integer-coded columns: an `EventLog` of codes
 into sorted buyer, seller and kind vocabularies, in file order; an
 `AssignmentTable` of a sorted buyer vocabulary and a variant code per
 buyer; an `OutcomeTable` of a sorted seller vocabulary and a (y_in, y_pre)
-row per seller. A `Vocabulary` holds its ids as packed bytes, decoded to
-`str` only on first text access. Ids are joined to table rows once per
-table per run, by `np.searchsorted` on those bytes.
+row per seller. Ids stay UTF-8 bytes (data, start, length) from block to
+`Vocabulary`, decoded to `str` only on first text access, and are joined
+to table rows once per table per run, by `np.searchsorted` on their keys.
 
 One tokenizer, driven by a column spec (`_Columns`), reads all three files
 as bytes, BLOCK_BYTES of whole lines at a time, and splits them with numpy
@@ -44,8 +44,8 @@ thread at a time, in block order, so every code, vocabulary, warning and
 error is that of coding each block in turn. The file's last block, a
 block that holds an error and every block of the assignments and
 outcomes files (whose repeated-id check needs the codes first) are coded
-inline, so a one-block file starts no thread. The executor is shut down,
-waiting for the block in hand, before the parser returns or raises.
+inline, so the executor opens on the first hand-over only; it is shut
+down, waiting for the block in hand, before the parser returns or raises.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ import json
 import math
 import warnings
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -86,22 +87,26 @@ class ParseError(IngestError):
         self.line_no = line_no
 
 
-def _n_words(length):  # the words that hold ids of `length` bytes, zero-padded
-    return np.maximum(1, -(-length // 8))
+def _words(data) -> np.ndarray:
+    """The unaligned little-endian uint64 view of `data`: word k packs bytes k..k+7."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    return np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
 
 
-def _gather(words, first, length, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(words, first, length) of the packed ids at the positions `index`."""
-    length = length[index]
-    n_words = _n_words(length)
-    at = np.cumsum(n_words) - n_words
-    return words[np.repeat(first[index] - at, n_words) + np.arange(n_words.sum())], at, length
+def _keys(words, start, size) -> np.ndarray:
+    """The ids of `size` bytes at `start` in the word view `words` as keys,
+    zeroed past their end: a uint64 up to 8 bytes, else a void of words."""
+    n_words = max(1, -(-size // 8))
+    keys = words[start[:, None] + 8 * np.arange(n_words)]
+    keys[:, -1] &= _WORD_MASK[size - 8 * (n_words - 1)]
+    return (keys.view(f"V{8 * n_words}") if n_words > 1 else keys).reshape(-1)
 
 
 class Vocabulary(Sequence):
     """An immutable sequence of ids as `packed` UTF-8 bytes: id p is the
-    first `length[p]` bytes of the uint64 words `words[first[p]:]`. Its
-    `text` is decoded once, on first text access (indexing, iteration,
+    `length[p]` bytes from `start[p]` of the uint8 array `data`, which holds
+    8 bytes from an id's start and from every eighth byte after it, in it.
+    Its `text` is decoded once, on first text access (indexing, iteration,
     equality). Ids given as `str` keep their order and are encoded once, on
     first join. `ordered` tells that the ids are in `str` order."""
 
@@ -118,50 +123,39 @@ class Vocabulary(Sequence):
 
     @cached_property
     def text(self) -> tuple[str, ...]:
-        words, first, length = self.packed
-        data = words.tobytes()  # decoded at once, padding included
-        text = data.decode("utf-8", "surrogatepass")
-        bounds = np.stack((8 * first, 8 * first + length))
-        if not data.isascii():  # to characters: bytes that do not continue one
-            chars = np.cumsum(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
-            bounds = np.concatenate(([0], chars))[bounds]
+        data, start, length = self.packed
+        raw = data.tobytes()  # decoded at once, bytes between ids included
+        text = raw.decode("utf-8", "surrogatepass")
+        bounds = np.stack((start, start + length))
+        if not raw.isascii():  # to characters: bytes that do not continue one
+            bounds = np.concatenate(([0], np.cumsum(data & 0xC0 != 0x80)))[bounds]
         return tuple(text[s:e] for s, e in zip(*bounds.tolist()))
 
     @cached_property
     def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        data = "".join(self.text).encode("utf-8", "surrogatepass")
-        a = np.frombuffer(data, dtype=np.uint8)
+        raw = "".join(self.text).encode("utf-8", "surrogatepass")
+        data = np.frombuffer(raw + bytes(8), dtype=np.uint8)
         length = np.fromiter(map(len, self.text), np.int64, len(self.text))
-        if len(a) != length.sum():  # to bytes: where each id's characters end
-            lead = np.append(np.flatnonzero(a & 0xC0 != 0x80), len(a))
+        if len(raw) != length.sum():  # to bytes: where each id's characters end
+            lead = np.flatnonzero(data & 0xC0 != 0x80)
             length = np.diff(lead[np.cumsum(length)], prepend=0)
-        n_words = _n_words(length)
-        first = np.cumsum(n_words) - n_words
-        padded = np.zeros(8 * n_words.sum(), dtype=np.uint8)
-        padded[np.repeat(8 * first + length - np.cumsum(length), length)
-               + np.arange(len(a))] = a
-        return padded.view("<u8"), first, length
+        return data, np.cumsum(length) - length, length
 
     @cached_property
     def order(self) -> np.ndarray:
         """The positions of the ids in `str` order."""
-        words, first, length = self.packed
-        if self.ordered:
-            return np.arange(len(length))
-        return _bytewise_order(words.byteswap(), first, _n_words(length), length)
+        return np.arange(len(self)) if self.ordered else _bytewise_order(*self.packed)
 
     @cached_property
     def _groups(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Byte length -> (its ids' packed words as sorted keys, their
-        positions): a big-endian number for one word, memcmp'd void beyond."""
-        words, first, length = self.packed
-        sizes, groups = length[self.order], {}
+        """Byte length -> (its ids as sorted keys, their positions): a
+        big-endian number for one word, memcmp'd void beyond."""
+        data, start, length = self.packed
+        words, sizes, groups = _words(data), length[self.order], {}
         for size in np.flatnonzero(np.bincount(length)).tolist():
             at = self.order[sizes == size]
-            n_words = max(1, -(-size // 8))
-            keys = words[first[at, None] + np.arange(n_words)]
-            keys = keys.view(f"V{8 * n_words}") if n_words > 1 else keys.byteswap()
-            groups[size] = keys.reshape(-1), at
+            keys = _keys(words, start[at], size)
+            groups[size] = (keys if size > 8 else keys.byteswap()), at
         return groups
 
     def ids_at(self, codes: np.ndarray) -> list[str]:
@@ -187,7 +181,8 @@ def _trimmed(vocabulary: Vocabulary, codes: np.ndarray) -> tuple[Vocabulary, np.
     # in place, so that no second copy of the code column is made (np.take
     # copies `out` first in its default mode="raise")
     np.take(rank, codes, out=codes, mode="clip")
-    return Vocabulary(packed=_gather(*vocabulary.packed, order), ordered=True), codes
+    data, start, length = vocabulary.packed
+    return Vocabulary(packed=(data, start[order], length[order]), ordered=True), codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,10 +359,10 @@ class _Tokens:
     vocabularies `ids` (made by `_tokenize`), one pair per coded column, and
     `values` (rows x value columns); `blank_rows[j]` is the number of rows
     before the j-th blank line, and `error` the malformed row's ParseError.
-    `pool`, a one-thread executor, codes the ids of the blocks that `add`
-    hands over."""
+    `pool`, a one-thread executor entered into the ExitStack `stack` on
+    first use, codes the ids of the blocks that `add` hands over."""
 
-    def __init__(self, path, spec: _Columns, header: list[str] | None, pool=None):
+    def __init__(self, path, spec: _Columns, header: list[str] | None, stack=None):
         expected = list(spec.header)
         if header is None:
             raise ParseError(path, 1, "empty file, expected header")
@@ -384,7 +379,7 @@ class _Tokens:
         self.out = [bytearray() for _ in range(spec.n_coded + 2)]
         self.rows = 0
         self.error: ParseError | None = None
-        self.pool = pool
+        self.stack = stack
         # (codes, rows, values, blank) of the block not yet appended, codes
         # the Future that makes them while the pool does
         self.pending = None
@@ -408,8 +403,7 @@ class _Tokens:
         no_id = np.logical_or.reduce([start[:, c] == end[:, c] for c in range(spec.n_ids)])
         if no_id.any():
             fail(int(np.argmax(no_id)), spec.empty_id)
-        a = np.frombuffer(data, dtype=np.uint8)
-        words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=a, strides=(1,))
+        words = _words(data)
         bounds = [(start[:rows, c], end[:rows, c]) for c in range(spec.n_coded)]
 
         def code():
@@ -440,6 +434,13 @@ class _Tokens:
         self.error = error
         if isinstance(codes, list):
             self.collect()
+
+    @cached_property
+    def pool(self):
+        # imported here: it loads logging, 5-7 ms that `import bipartite_ab` would pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        return self.stack.enter_context(ThreadPoolExecutor(1, "ingest-ids"))
 
     def collect(self):
         """Append the block in hand, waiting for the pool's codes (or what
@@ -485,10 +486,10 @@ def _utf8_error(path, line_no, exc: UnicodeDecodeError) -> ParseError:
 
 class _IdCodes:
     """Integer codes for the byte-string ids of one column, a block at a
-    time. Ids are packed into little-endian uint64 words and kept in sorted
-    runs per byte length: a numpy `S` array drops trailing NULs and would
-    merge "b1" and "b1\\x00". A code is given to an id when it is first
-    seen; when the file ends, `vocabulary` holds the ids in code order."""
+    time. Ids are made `_keys` and kept in sorted runs per byte length: a
+    numpy `S` array drops trailing NULs and would merge "b1" and "b1\\x00".
+    A code is given to an id when it is first seen; when the file ends,
+    `vocabulary` holds the ids in code order, over the runs' bytes."""
 
     def __init__(self):
         self.count = 0  # codes given
@@ -504,11 +505,7 @@ class _IdCodes:
         count = np.bincount(length)
         for size in np.flatnonzero(count).tolist():
             rows = np.flatnonzero(length == size) if count[size] < len(length) else slice(None)
-            n_words = max(1, -(-size // 8))
-            packed = words[start[rows, None] + 8 * np.arange(n_words)]
-            packed[:, -1] &= _WORD_MASK[size - 8 * (n_words - 1)]
-            keys = packed.view(f"V{8 * n_words}") if n_words > 1 else packed
-            keys, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+            keys, inverse = np.unique(_keys(words, start[rows], size), return_inverse=True)
             codes[rows] = self._lookup(size, keys)[inverse.reshape(-1)]
         return codes
 
@@ -542,30 +539,32 @@ class _IdCodes:
         self.seen = {}
         if not runs:
             return Vocabulary()
-        length = np.concatenate([np.full(len(keys), size) for size, keys, _ in runs])
-        words = np.concatenate([keys.view(np.uint64) for _, keys, _ in runs])
-        n_words = _n_words(length)
-        at = np.empty(len(length), dtype=np.int64)  # where each code's id is
-        at[np.concatenate([codes for _, _, codes in runs])] = np.arange(len(length))
-        return Vocabulary(packed=_gather(words, np.cumsum(n_words) - n_words, length, at))
+        data = np.concatenate([keys.view(np.uint8) for _, keys, _ in runs])
+        width = np.concatenate([np.full(len(keys), keys.itemsize) for _, keys, _ in runs])
+        start, length = np.empty((2, len(width)), dtype=np.int64)
+        codes = np.concatenate([codes for _, _, codes in runs])
+        start[codes] = np.cumsum(width) - width
+        length[codes] = np.concatenate([np.full(len(keys), size) for size, keys, _ in runs])
+        return Vocabulary(packed=(data, start, length))
 
 
-def _bytewise_order(words, first, n_words, length) -> np.ndarray:
-    """The order of byte strings by their bytes, string p having `length[p]`
-    bytes held zero-padded in the big-endian words
-    `words[first[p]:first[p] + n_words[p]]`. Strings are sorted a word at a
-    time, each pass only among the strings that all earlier words leave
-    tied, and the ones still tied after their last word (they differ only
-    by trailing NULs) shortest first. So no string is padded to the length
-    of the longest, and ids of up to 8 bytes take one sort."""
-    order = np.arange(len(length))
+def _bytewise_order(data, start, length) -> np.ndarray:
+    """The order of byte strings by their bytes, string p being the
+    `length[p]` bytes from `start[p]` of the uint8 array `data`. Strings are
+    sorted a word at a time, masked to their remaining bytes and read
+    big-endian, each pass only among the strings that all earlier words
+    leave tied, and the ones still tied after their last word (they differ
+    only by trailing NULs) shortest first. So no string is padded to the
+    length of the longest, and ids of up to 8 bytes take one sort."""
+    words, order = _words(data), np.arange(len(length))
     tie = np.zeros(len(length), dtype=np.int64)  # by place: where its tie starts
     at = np.arange(len(length))  # the places in ties of more than one string
     depth = 0
     while len(at) and 8 * depth < length[order[at]].max():
         ids = order[at]
-        word = words[first[ids] + np.minimum(depth, n_words[ids] - 1)]
-        word[depth >= n_words[ids]] = 0
+        # a string with no bytes left may point past `words`: clipped, masked
+        word = words[np.minimum(start[ids] + 8 * depth, len(words) - 1)]
+        word = (word & _WORD_MASK[np.clip(length[ids] - 8 * depth, 0, 8)]).byteswap()
         group = tie[at]
         sub = np.lexsort((word, group)) if depth else np.argsort(word)  # all one tie
         order[at], word = ids[sub], word[sub]
@@ -619,17 +618,14 @@ def _tokenize_unquoted(path, spec: _Columns) -> _Tokens | None:
     """Split with numpy over the file's bytes, BLOCK_BYTES of whole lines
     at a time: a cell ends at a separator, LF or comma, found by one scan,
     and starts after the one before. None when `_csv_safe` does not hold."""
-    # imported here: it loads logging, 5-7 ms that `import bipartite_ab` would pay
-    from concurrent.futures import ThreadPoolExecutor
-
     line0 = 2  # file line of the block's first line
-    with open(path, "rb") as fh, ThreadPoolExecutor(1, "ingest-ids") as pool:
+    with open(path, "rb") as fh, ExitStack() as stack:
         header = fh.readline()
         if not header:
             raise ParseError(path, 1, "empty file, expected header")
         if not _csv_safe(header, len(header)):
             return None
-        tokens = _Tokens(path, spec, _header(path, header), pool)
+        tokens = _Tokens(path, spec, _header(path, header), stack)
         width = tokens.width
         while tokens.error is None and (block := fh.read(BLOCK_BYTES)):
             if not block.endswith(b"\n"):  # read to the end of the line

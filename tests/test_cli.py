@@ -527,6 +527,68 @@ class TestAnalyze:
         assert len(dump) > 1
 
 
+    def test_every_target_failing_exits_1_with_the_failures_reported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Without --allow-missing-outcomes every fixture target fails on
+        the two sellers that have no outcome row: analyze names the first
+        failure on one error line, exits 1, and report.json lists one error
+        entry per target, estimator and method."""
+        monkeypatch.chdir(FIXTURE)
+        out = tmp_path / "out"
+        argv = [a for a in FIXTURE_ARGS if a != "--allow-missing-outcomes"]
+        assert main(argv + ["--out", str(out)]) == 1
+        missing = ("2 graph sellers have no outcome row: s13, s7; "
+                   "pass allow_missing_outcomes=True to drop them")
+        assert capsys.readouterr().err == (
+            f"error: every estimate failed, the first: {missing}\n"
+        )
+        entries = load_report(out)["entries"]
+        targets = [f"{group}/{kind}" for group in ("view", "favorite+view")
+                   for kind in ("separate_graph", "normalized")]
+        assert sorted((e["graph"], e["estimator"], e["method"]) for e in entries) == sorted(
+            (target, estimator, method) for target in targets
+            for estimator in ("erl", "crerl")
+            for method in ("bootstrap", "randomization", "pairwise")
+        )
+        assert {(e["status"], e["error"]) for e in entries} == {("error", missing)}
+
+    def test_one_target_failing_beside_one_that_succeeds_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A seller whose views all come from B buyers and that has no
+        outcome row leaves the A-vs-Off graph, so that target succeeds,
+        while the full graph's fails: exit 2, no error line, and both
+        outcomes in report.json."""
+        with open(FIXTURE / "events.csv", encoding="utf-8", newline="") as fh:
+            events = list(csv.reader(fh))[1:]
+        with open(FIXTURE / "assignments.csv", encoding="utf-8", newline="") as fh:
+            variant = dict(list(csv.reader(fh))[1:])
+        touched = {}
+        for buyer, seller, kind, _ in events:
+            if kind == "view" and buyer in variant:
+                touched.setdefault(seller, set()).add(variant[buyer])
+        b_only = sorted(s for s, variants in touched.items() if variants == {"B"})
+        assert b_only
+        fixture_copy(tmp_path, (FIXTURE / "events.csv").read_text(encoding="utf-8"))
+        (tmp_path / "outcomes.csv").write_text("seller_id,y_in\n" + "".join(
+            f"{seller},{0.25 * k}\n" for k, seller in enumerate(sorted(touched))
+            if seller != b_only[0]
+        ))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        argv = [a for a in fixture_args(out, "view") if a != "--allow-missing-outcomes"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ""
+        entries = {e["graph"]: e for e in load_report(out)["entries"]}
+        assert entries["view/separate_graph"]["status"] == "ok"
+        assert entries["view/normalized"]["status"] == "error"
+        assert entries["view/normalized"]["error"] == (
+            f"1 graph sellers have no outcome row: {b_only[0]}; "
+            "pass allow_missing_outcomes=True to drop them"
+        )
+
+
 class TestJoinOnce:
     """An analyze run joins each table to the ids once: the graphs share the
     event log's vocabularies, and `rows` keeps its result for a tuple."""

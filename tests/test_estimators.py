@@ -377,3 +377,25 @@ def test_numpy_qr_rank_decision_matches_scipy(rng):
         assert got == want, (k, step)
         decided.append(want is None)
     assert 0 < sum(decided) < len(decided)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: estimators.PointEstimate("erl", 0.0, n_units=0), "estimate over an empty panel"),
+    (lambda: estimators.PointEstimate("erl", 0.0, 1, lam=0.5),
+     "lambda is set iff the estimator is crerl"),
+    (lambda: estimators.PointEstimate("crerl", 0.0, 1),
+     "lambda is set iff the estimator is crerl"),
+    (lambda: estimators.stable_mean(np.empty(0)), "mean of empty vector"),
+    (lambda: erl_estimate(make_panel([0.3, 0.6], [1.0, 2.0], var_h=[0.25, 0.0])),
+     "panel contains units with non-positive Var[H]"),
+    (lambda: crerl_estimate(make_panel([0.3, 0.6], [1.0, 2.0], var_h=[-0.25, 0.25])),
+     "panel contains units with non-positive Var[H]"),
+    (lambda: point_estimate(make_panel([0.3, 0.6], [1.0, 2.0]), "ERL"),
+     "unknown estimator 'ERL'"),
+])
+def test_invalid_estimates_and_panels_are_refused(make, message):
+    """The input checks that no analyze or validate run reaches raise
+    EstimationError with their message."""
+    with pytest.raises(EstimationError) as caught:
+        make()
+    assert type(caught.value) is EstimationError and str(caught.value) == message

@@ -412,3 +412,42 @@ class TestHistogram:
         assert h.sum() > 1.0
         counts, _ = exposure_histogram([h.sum(), -1e-13, 0.5], bins=50)
         assert counts.tolist() == [1] + [0] * 24 + [1] + [0] * 23 + [1]
+
+
+def tiny_control_assignments():
+    """A design whose control probability vanishes beside the treatment's:
+    p_t / (p_t + p_c) rounds to exactly 1."""
+    return assignment_table({"a": "Off", "b": "A", "c": "B"}, [
+        Variant("Off", 1e-17, control=True), Variant("A", 0.5), Variant("B", 0.5),
+    ])
+
+
+def two_unit_panel(**change):
+    return exposure.ExposurePanel(**{
+        "h": np.array([0.25, 0.75]), "e_h": np.full(2, 0.5), "var_h": np.full(2, 0.25),
+        "y_in": np.ones(2), "y_pre": None, "p": 0.5, "graph_rows": np.arange(2), **change,
+    })
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: effective_treatment_prob(two_variant_assignments(["a"], ["b"]), "On", "On"),
+     "control and treatment must differ"),
+    (lambda: effective_treatment_prob(tiny_control_assignments(), "A", "Off"),
+     "treatment probability 1.0 outside (0,1)"),
+    (lambda: two_unit_panel(e_h=np.full(3, 0.5)), "panel vector e_h has wrong length"),
+    (lambda: two_unit_panel(var_h=np.full(1, 0.25)), "panel vector var_h has wrong length"),
+    (lambda: two_unit_panel(y_in=np.ones(3)), "panel vector y_in has wrong length"),
+    (lambda: two_unit_panel(y_pre=np.ones(1)), "panel vector y_pre has wrong length"),
+    (lambda: two_unit_panel(graph_rows=np.arange(1)),
+     "panel vector graph_rows has wrong length"),
+    (lambda: two_unit_panel(h=np.array([0.25, 1.0 + 1e-9])), "exposure outside [0,1]"),
+    (lambda: two_unit_panel(h=np.array([-1e-9, 0.75])), "exposure outside [0,1]"),
+])
+def test_invalid_probabilities_and_panels_are_refused(make, message):
+    """The checks of `effective_treatment_prob` and `ExposurePanel` that no
+    assembled panel reaches raise ExposureError with their message; h may
+    leave [0, 1] by rounding only, up to 1e-12."""
+    two_unit_panel(h=np.array([-1e-13, 1.0 + 1e-13]))
+    with pytest.raises(ExposureError) as caught:
+        make()
+    assert type(caught.value) is ExposureError and str(caught.value) == message

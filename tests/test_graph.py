@@ -679,3 +679,35 @@ def test_default_analyze_leaves_numpy_ma_unloaded(tmp_path):
     assert json.loads(done.stdout) == []
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {e["method"] for e in report["entries"]} == {"bootstrap"}
+
+
+# a valid two-seller graph: s1 with buyers a and b, s2 with buyer c
+VALID_CSR = {"sellers": ["s1", "s2"], "indptr": [0, 2, 3], "buyer_idx": [0, 1, 2],
+             "weights": [0.5, 0.5, 1.0]}
+
+
+@pytest.mark.parametrize("change, error, message", [
+    ({"sellers": [], "indptr": [0], "buyer_idx": [], "weights": []},
+     EmptyGraphError, "empty graph: no outcome units"),
+    ({"indptr": [0, 3]}, GraphError, "indptr length mismatch"),
+    ({"indptr": [1, 2, 3]}, GraphError, "indptr, buyer indices and weights disagree"),
+    ({"indptr": [0, 2, 2]}, GraphError, "indptr, buyer indices and weights disagree"),
+    ({"weights": [0.5, 0.5]}, GraphError, "indptr, buyer indices and weights disagree"),
+    ({"weights": [1.5, -0.5, 1.0]}, GraphError, "all edge weights must be strictly positive"),
+    ({"weights": [1.0, 0.0, 1.0]}, GraphError, "all edge weights must be strictly positive"),
+    ({"buyer_idx": [0, 1, 3]}, GraphError, "buyer index out of range"),
+    ({"buyer_idx": [-1, 1, 2]}, GraphError, "buyer index out of range"),
+    ({"indptr": [0, 3, 3], "weights": [0.25, 0.25, 0.5]},
+     GraphError, "outcome unit 's2' has no edges"),
+    ({"buyer_idx": [1, 0, 2]}, GraphError, "duplicate or unsorted buyer indices in a row"),
+    ({"buyer_idx": [1, 1, 2]}, GraphError, "duplicate or unsorted buyer indices in a row"),
+    ({"weights": [0.5, 0.25, 1.0]}, GraphError, "row weights for 's1' sum to 0.75"),
+    ({"weights": [0.5, 0.5, 1.0 + 1e-8]}, GraphError, "row weights for 's2' sum to 1.00000001"),
+])
+def test_invalid_csr_arrays_are_refused(change, error, message):
+    """Each check of `BipartiteGraph._validate` names what is wrong with
+    arrays that no build produces; the valid graph they alter passes."""
+    BipartiteGraph(["a", "b", "c"], **VALID_CSR)
+    with pytest.raises(error) as caught:
+        BipartiteGraph(["a", "b", "c"], **{**VALID_CSR, **change})
+    assert type(caught.value) is error and str(caught.value) == message

@@ -1774,3 +1774,29 @@ def test_shared_bootstrap_matches_single_estimator_calls():
                 assert (type(got), str(got)) == (type(want), str(want)), (k, est)
             else:
                 assert got == want, (k, est)
+
+
+def table_of_other_size():
+    """A moment table of a 3-seller graph beside the 2-unit panel it is
+    handed with."""
+    graph = BipartiteGraph(["a", "b", "c"], ["s1", "s2", "s3"], [0, 2, 3, 4],
+                           [0, 1, 1, 2], [0.5, 0.5, 1.0, 1.0])
+    return pairwise_variance(make_panel([0.5, 1.0], [1.0, 2.0]),
+                             exposure_moment_table(graph, 0.5, np.arange(3)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: inference.IntervalEstimate(
+        erl_estimate(make_panel([0.3, 0.6], [1.0, 2.0])), 1.0, 0.5, 0.95, "bootstrap", 10, 0,
+    ), "ci_low exceeds ci_high"),
+    (table_of_other_size, "moment table does not match panel size"),
+])
+def test_invalid_intervals_and_moment_tables_are_refused(make, message):
+    """The checks that no interval the package builds reaches raise
+    InferenceError with their message; an interval of zero width is valid."""
+    inference.IntervalEstimate(
+        erl_estimate(make_panel([0.3, 0.6], [1.0, 2.0])), 0.5, 0.5, 0.95, "bootstrap", 10, 0,
+    )
+    with pytest.raises(InferenceError) as caught:
+        make()
+    assert type(caught.value) is InferenceError and str(caught.value) == message

@@ -1053,6 +1053,62 @@ def test_packed_joins_match_the_dict_join(rng, tmp_path):
                 )
 
 
+@pytest.mark.parametrize("last", ["a" * 8, "é" * 4, "b" * 9, "中" * 3, "ab\x00" * 3,
+                                  "c" * 16, "😀" * 4])
+def test_str_vocabulary_whose_last_id_ends_its_last_word(last):
+    """A Vocabulary made of `str` ids whose last id has 8, 9 or 16 bytes, so
+    that the last word read of it ends where its bytes end: the text
+    decoded from its bytes, its order and the joins on it are those of the
+    ids, `sorted` and the dict join."""
+    # last + NULs ties with `last` past its end, so that the sort reads on
+    ids = ["b1", "b1\x00", "é", "", "a" * 17, last + "\x00" * 9, "中", last]
+    assert len(last.encode()) in (8, 9, 16)
+    vocabulary = Vocabulary(ids)
+    assert Vocabulary(packed=vocabulary.packed).text == tuple(ids)
+    assert [ids[p] for p in vocabulary.order.tolist()] == sorted(ids)
+    keyed = ingest.OutcomeTable(vocabulary, np.zeros((len(ids), 2)), False)
+    table = outcome_table({k: (1.0, None) for k in ids}, False)
+    queries = [*ids, last + "\x00", last[:-1], "a" * 16]
+    np.testing.assert_array_equal(keyed.rows(queries), dict_rows(ids, queries))
+    np.testing.assert_array_equal(table.rows(vocabulary), dict_rows(table.sellers.text, ids))
+    codes = np.array([7, 1, 7, 5, 4])
+    events = EventLog.from_codes(vocabulary, ["s"], ["v"], codes, *np.zeros((2, 5), int),
+                                 np.arange(5))
+    assert events.buyers == tuple(sorted({ids[c] for c in codes.tolist()}))
+
+
+def test_trimmed_vocabulary_selects_over_the_coded_bytes(tmp_path):
+    """A parsed vocabulary trimmed to the ids its kept rows use is a
+    selection over the bytes its ids were coded into, which still hold the
+    unused ids, NUL-ending and non-ASCII ones among them: its text, order
+    and joins are those of `sorted` and the dict join, also when its ids
+    are re-sorted from those bytes."""
+    buyers = ["b1\x00", "b1", "é", "e", "a" * 16 + "\x00", "a" * 16, "中文", "😀" * 2,
+              "z" * 9, "z" * 8, "x", "\x00"]
+    path = tmp_path / "events.csv"
+    # odd rows are favorites, which the parse drops
+    path.write_text("buyer_id,seller_id,event_kind,timestamp_ms\n" + "".join(
+        f"{b},s{k % 3},{('view', 'favorite')[k % 2]},{k}\n" for k, b in enumerate(buyers)
+    ))
+    kept = sorted(buyers[::2])
+    events, _ = parse_events(path, {"view"}, WINDOW)
+    assert events.buyers == tuple(kept) and events.buyers.ordered
+    tokens = ingest._tokenize(path, ingest._EVENTS)
+    coded = tokens.ids[0]
+    assert sorted(coded) == sorted(buyers)
+    trimmed, _ = ingest._trimmed(coded, tokens.codes[0][::2].copy())
+    assert trimmed == tuple(kept) and trimmed.packed[0] is coded.packed[0]
+    data, start, length = trimmed.packed
+    backwards = Vocabulary(packed=(data, start[::-1], length[::-1]))
+    assert backwards.text == tuple(kept[::-1])
+    assert backwards.order.tolist() == list(range(len(kept)))[::-1]
+    table = outcome_table({k: (1.0, None) for k in buyers[::3]}, False)
+    for ids in (events.buyers, trimmed, backwards):
+        np.testing.assert_array_equal(table.rows(ids), dict_rows(table.sellers.text, ids.text))
+        keyed = ingest.OutcomeTable(ids, np.zeros((len(ids), 2)), False)
+        np.testing.assert_array_equal(keyed.rows(buyers), dict_rows(ids.text, buyers))
+
+
 def block_starts(data: bytes, block_bytes: int) -> set[int]:
     """Where `_tokenize_unquoted` starts its blocks: each block is
     `block_bytes` bytes, read on to the end of its last line."""
@@ -1349,3 +1405,60 @@ def test_import_leaves_the_thread_executor_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert json.loads(done.stdout) == []
+
+
+def test_one_block_parses_leave_the_thread_executor_unloaded():
+    """Parsing the fixture's three one-block files in a fresh process loads
+    no concurrent.futures module: the executor is opened on the first block
+    handed over. An events file of several blocks loads it."""
+    code = "\n".join([
+        "import json, sys",
+        "from bipartite_ab import ingest",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m == 'concurrent.futures' or m.startswith('concurrent.futures.'))",
+        "window = (-2**63, 2**63 - 1)",
+        "ingest.parse_assignments('assignments.csv')",
+        "ingest.parse_outcomes('outcomes.csv')",
+        "ingest.parse_events('events.csv', {'view'}, window)",
+        "one_block = loaded()",
+        "ingest.BLOCK_BYTES = 64",
+        "ingest.parse_events('events.csv', {'view'}, window)",
+        "print(json.dumps([one_block, 'concurrent.futures' in loaded()]))",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+        cwd=Path(__file__).parent / "data" / "analyze3",
+    )
+    assert json.loads(done.stdout) == [[], True]
+
+
+@pytest.mark.parametrize("variants, message", [
+    ([("Off", 0.5, True), ("Off", 0.5, False)], "duplicate variant labels in design"),
+    ([("Off", 1.0, True), ("A", 0.0, False)], "variant 'Off' has probability 1.0 outside (0,1)"),
+    ([("Off", 0.0, True), ("A", 1.0, False)], "variant 'Off' has probability 0.0 outside (0,1)"),
+])
+def test_design_checks_end_parse_and_analyze(tmp_path, monkeypatch, capsys, variants, message):
+    """A design that repeats a label, or whose probabilities sum to 1 with
+    one of exactly 0 or 1, is an IngestError from parse_assignments, and
+    analyze prints it as its one error line and exits 1, writing nothing."""
+    data = Path(__file__).parent / "data" / "analyze3"
+    for name in ("events.csv", "assignments.csv", "outcomes.csv"):
+        (tmp_path / name).write_bytes((data / name).read_bytes())
+    (tmp_path / "assignments.design.json").write_text(json.dumps({"variants": [
+        {"label": label, "probability": p, "control": control} for label, p, control in variants
+    ]}))
+    with pytest.raises(IngestError) as caught:
+        parse_assignments(tmp_path / "assignments.csv")
+    assert type(caught.value) is IngestError and str(caught.value) == message
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "analyze", "--events", "events.csv", "--assignments", "assignments.csv",
+        "--outcomes", "outcomes.csv", "--treatment", "A", "--control", "Off",
+        "--allow-missing-outcomes", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
