@@ -13,13 +13,12 @@ by it and the pairwise moment table need no scipy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ingest import AssignmentTable, EventLog, Vocabulary
+from .ingest import AssignmentTable, EventLog, Vocabulary, write_csv
 
 ROW_SUM_TOL = 1e-9
 
@@ -172,6 +171,12 @@ class BipartiteGraph:
     def seller_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def edges(self) -> list:
+        """Each edge's seller, buyer and weight, in order, as `ingest.csv_rows` columns."""
+        sellers = np.repeat(self.seller_codes, self.seller_degrees())
+        buyers = self.buyer_codes[self.buyer_idx]
+        return [(self.seller_vocabulary, sellers), (self.buyer_vocabulary, buyers), self.weights]
+
 
 @dataclass
 class GraphBuildReport:
@@ -228,8 +233,9 @@ def build_graph(
     if not report.events_used:
         raise EmptyGraphError("empty graph: no qualifying events")
 
-    # the key cannot overflow int64: the vocabularies hold only ids some
-    # event uses, so seller * m + buyer < len(events) ** 2. Names are reused
+    # the key cannot overflow int64: a parsed log's vocabularies hold only
+    # ids some event uses, so seller * m + buyer < len(events) ** 2, and a
+    # simulated log's at most simulator.SIZE_MAX ids each. Names are reused
     # so that each full-size array is freed as soon as it is replaced.
     m = len(events.buyers)
     key = events.seller * m
@@ -308,11 +314,4 @@ def dump_graph(graph: BipartiteGraph, path):
     """Audit dump: `seller_id,buyer_id,weight`, one line per edge in the
     graph's order, which is seller then buyer lexicographic for a built or
     restricted graph (ids sorted, buyer indices ascending within a row)."""
-    sellers = np.repeat(np.array(graph.sellers, dtype=object), graph.seller_degrees())
-    buyers = np.array(graph.buyers, dtype=object)[graph.buyer_idx]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seller_id", "buyer_id", "weight"])
-        writer.writerows(
-            zip(sellers.tolist(), buyers.tolist(), map(repr, graph.weights.tolist()))
-        )
+    write_csv(path, ["seller_id", "buyer_id", "weight"], graph.edges())

@@ -53,11 +53,12 @@ import csv
 import json
 import math
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,6 +168,9 @@ class Vocabulary(Sequence):
     def __getitem__(self, index):
         return self.text[index]
 
+    def __iter__(self):
+        return iter(self.text)
+
     def __eq__(self, other):
         return self.text == (other.text if isinstance(other, Vocabulary) else other)
 
@@ -191,7 +195,8 @@ class EventLog:
 
     Event k is buyer `buyers[buyer[k]]` interacting with seller
     `sellers[seller[k]]` by kind `kinds[kind[k]]` at `timestamp[k]` ms.
-    The vocabularies are sorted and hold only ids some event uses.
+    The vocabularies are sorted; a parsed log's hold only ids some event
+    uses, a simulated one's every buyer, seller and kind of the experiment.
     """
 
     buyers: Vocabulary
@@ -935,45 +940,66 @@ def parse_outcomes(path) -> OutcomeTable:
     return OutcomeTable(sellers, y, has_pre=tokens.width == 3)
 
 
-# --- writers (used by the simulator and for round-trip tests) ---
+# --- one CSV writer: the simulator's three files and graph dumps ---
+
+
+def _quoted(cells: Sequence[str]) -> list[str]:
+    """Each of the str `cells` as the csv module writes it in a row of two
+    or more fields: each row (cell, "") is written whole by one `write`."""
+    rows = []
+    csv.writer(SimpleNamespace(write=rows.append)).writerows((cell, "") for cell in cells)
+    return [row[:-3] for row in rows]
+
+
+def _distinct(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """A 1-D column of numbers as (cells, codes): the repr of each distinct
+    value once, as a Python int or float, by its bits (so -0.0 keeps its
+    sign), and an empty cell for NaN."""
+    values = values.astype(np.float64 if values.dtype.kind == "f" else np.int64, copy=False)
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    return [repr(x) if x == x else "" for x in bits.view(values.dtype).tolist()], codes
+
+
+def csv_rows(columns: Sequence, end: str = "\r\n") -> Iterator[str]:
+    """The text of CSV rows, 65536 rows at a time. A column is a (cells,
+    codes) pair, row k's cell being `cells[codes[k]]`, each distinct cell
+    quoted once, or a column of numbers (see `_distinct`), whose reprs need
+    no quotes. Cells are joined by commas and each row ends with `end`."""
+    columns = [(np.array(cells, dtype=object), codes) for cells, codes in (
+        _distinct(c) if isinstance(c, np.ndarray) else (_quoted(c[0]), c[1]) for c in columns)]
+    n, step = len(columns[0][1]), 1 << 16
+    for lo in range(0, n, step):
+        block = np.empty((min(step, n - lo), 2 * len(columns)), dtype=object)
+        block[:, 1::2] = [","] * (len(columns) - 1) + [end]
+        for j, (cells, codes) in enumerate(columns):
+            block[:, 2 * j] = cells[codes[lo : lo + step]]
+        yield "".join(block.ravel().tolist())
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence):
+    """The CSV file of `header` and `csv_rows(columns)`, byte for byte what
+    the csv module writes for the same rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(csv_rows(columns))
 
 
 def write_events(path, events: EventLog):
-    ids = [
-        vocabulary.ids_at(codes) for vocabulary, codes in zip(
-            (events.buyers, events.sellers, events.kinds),
-            (events.buyer, events.seller, events.kind),
-        )
-    ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        writer.writerows(zip(*ids, events.timestamp.tolist()))
+    write_csv(path, EVENTS_HEADER, [(events.buyers, events.buyer), (events.sellers, events.seller),
+                                    (events.kinds, events.kind), events.timestamp])
 
 
 def write_assignments(path, table: AssignmentTable):
     """The assignments CSV and, beside it, its design JSON sidecar."""
-    labels = np.array(table.labels, dtype=object)[table.variant]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ASSIGNMENTS_HEADER)
-        writer.writerows(zip(table.buyers, labels.tolist()))
-    payload = {
-        "variants": [
-            {"label": v.label, "probability": v.probability, "control": v.control}
-            for v in table.variants
-        ]
-    }
+    buyers = (table.buyers, np.arange(len(table.buyers)))
+    write_csv(path, ASSIGNMENTS_HEADER, [buyers, (table.labels, table.variant)])
     with open(default_design_path(path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"variants": list(map(asdict, table.variants))}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_outcomes(path, table: OutcomeTable):
     """Floats are written as `repr(float(x))`, an empty cell for no y_pre."""
-    columns = ["seller_id", "y_in", "y_pre"][: 3 if table.has_pre else 2]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for seller, row in zip(table.sellers, table.y[:, : len(columns) - 1].tolist()):
-            writer.writerow([seller, *("" if math.isnan(x) else repr(x) for x in row)])
+    header = ["seller_id", "y_in", "y_pre"][: 3 if table.has_pre else 2]
+    sellers = (table.sellers, np.arange(len(table.sellers)))
+    write_csv(path, header, [sellers, *table.y.T[: len(header) - 1]])

@@ -21,12 +21,14 @@ import numpy as np
 
 from . import inference
 from .exposure import ExposurePanel, assemble_panel, realized_exposure
-from .graph import BipartiteGraph, GraphBuildConfig, build_graph
+from .graph import BipartiteGraph, build_graph
 from .ingest import (
     AssignmentTable,
     EventLog,
     OutcomeTable,
     Variant,
+    Vocabulary,
+    csv_rows,
     write_assignments,
     write_events,
     write_outcomes,
@@ -89,8 +91,8 @@ class SimConfig:
     to their type and held to their ranges, a value out of range naming its
     field. m, n and n times the degree (k, or ZipfDegree's k_max) may not
     exceed SIZE_MAX, checked before anything is allocated: the simulator
-    builds an id string per buyer and seller and up to n times the degree
-    views, about a gigabyte at the bound."""
+    builds an id string per buyer and seller (`_numbered`, in number order at
+    any size) and up to n times the degree views, a gigabyte at the bound."""
 
     m: int = 200
     n: int = 150
@@ -155,7 +157,10 @@ class SimTruth:
 
 @dataclass
 class SimulatedExperiment:
-    """One synthetic experiment plus the internals needed to re-randomize."""
+    """One synthetic experiment plus the internals needed to re-randomize.
+    Every seller has a view and every buyer is assigned, so graph row k is
+    seller number k, which indexes eps, y_pre and the truth. The log, the
+    assignments and the outcomes share one vocabulary per side."""
 
     config: SimConfig
     events: EventLog
@@ -165,8 +170,6 @@ class SimulatedExperiment:
     graph: BipartiteGraph
     eps: np.ndarray
     y_pre: np.ndarray
-    # the seller number of each graph row, which indexes eps, y_pre and truth
-    seller_number: np.ndarray
     omitted_sellers: int = 0
 
 
@@ -190,14 +193,24 @@ def _draw_noise(rng, config, h):
 # a config whose scales overflow float64 is refused once its outcomes are
 # drawn, before anything is written: the overflow is an error, not a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _make_outcomes(config, graph, number, assignments, truth, eps, y_pre):
+def _make_outcomes(config, graph, assignments, truth, eps, y_pre):
     h = realized_exposure(graph, assignments, "On")
-    y_in = _seller_response(config, truth.alpha[number], truth.beta[number], h, eps[number])
-    y = np.column_stack((y_in, y_pre[number]))
+    y = np.column_stack((_seller_response(config, truth.alpha, truth.beta, h, eps), y_pre))
     if not np.isfinite(y).all():
         raise SimulationError("a simulated outcome or covariate is not finite: the "
                               "config's scales overflow float64")
-    return OutcomeTable(graph.sellers, y, has_pre=True)
+    return OutcomeTable(graph.seller_vocabulary, y, has_pre=True)
+
+
+def _numbered(prefix: str, count: int) -> Vocabulary:
+    """The ids `prefix` + k for k < count, k zero-padded to 6 digits or to
+    those of count - 1 when it has more: one width, so `str` order is number
+    order."""
+    width = max(6, len(str(count - 1)))
+    return Vocabulary([f"{prefix}{k:0{width}d}" for k in range(count)], ordered=True)
+
+
+_KINDS = Vocabulary(["favorite", "view"], ordered=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -207,8 +220,7 @@ def simulate_experiment(
     """Generate one experiment; optionally write the three ingest files plus
     truth.json into `out_dir`. Fully deterministic given config.seed."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    buyers = [f"b{i:06d}" for i in range(config.m)]
-    sellers = [f"s{i:06d}" for i in range(config.n)]
+    buyers, sellers = _numbered("b", config.m), _numbered("s", config.n)
 
     # interaction multigraph: one "view" per (seller, chosen buyer), in
     # seller order, timestamped 0, 1, 2, ...
@@ -239,65 +251,34 @@ def simulate_experiment(
         max(0.0, 1.0 - config.pre_corr**2)
     ) * rng.normal(0.0, 1.0, config.n)
 
-    events = EventLog.from_codes(
-        buyers, sellers, ["view"], view_buyer, view_seller,
-        np.zeros(views, dtype=np.int64), np.arange(views),
-    )
-    graph, _ = build_graph(
-        events, assignments, GraphBuildConfig(kind_filter=frozenset({"view"}))
-    )
-    omitted = config.n - graph.n_sellers
+    events = EventLog(buyers, sellers, _KINDS, view_buyer, view_seller,
+                      np.ones(views, dtype=np.int64), np.arange(views))
+    graph, _ = build_graph(events, assignments)  # of the views
 
-    # "seller,buyer,weight;" per edge in the graph's order, hashed as one
-    # string; tolist() gives Python floats, whose repr is the shortest one
-    edges = zip(np.repeat(graph.sellers, graph.seller_degrees()).tolist(),
-                np.array(graph.buyers)[graph.buyer_idx].tolist(), graph.weights.tolist())
+    # "seller,buyer,weight;" per edge in the graph's order, the weight's
+    # shortest repr, hashed as one string
     edge_digest = hashlib.sha256()
-    edge_digest.update("".join(f"{s},{b},{w!r};" for s, b, w in edges).encode())
-    truth = SimTruth(
-        true_tau=float(np.mean(beta)),
-        alpha=alpha,
-        beta=beta,
-        graph_seed_digest=edge_digest.hexdigest(),
-    )
+    for text in csv_rows(graph.edges(), ";"):
+        edge_digest.update(text.encode())
+    truth = SimTruth(true_tau=float(np.mean(beta)), alpha=alpha, beta=beta,
+                     graph_seed_digest=edge_digest.hexdigest())
 
     # noise is part of the potential outcomes: drawn once, fixed across Z
-    h0 = realized_exposure(graph, assignments, "On")
-    eps_graph = _draw_noise(rng, config, h0)
-    # the log's sellers are those with views, in number order
-    number = np.flatnonzero(np.bincount(view_seller, minlength=config.n))[graph.seller_codes]
-    eps = np.zeros(config.n)
-    eps[number] = eps_graph
-
-    outcomes = _make_outcomes(config, graph, number, assignments, truth, eps, y_pre)
+    eps = _draw_noise(rng, config, realized_exposure(graph, assignments, "On"))
+    outcomes = _make_outcomes(config, graph, assignments, truth, eps, y_pre)
 
     if config.favorite_rates is not None:
         # each view turns into a favorite with its buyer's variant's rate;
         # favorites follow the views, timestamped on from them
         rate_c, rate_t = config.favorite_rates
         rate = np.where(treated[view_buyer], rate_t, rate_c)
-        fav = rng.random(views) < rate
-        n_fav = int(fav.sum())
-        events = EventLog.from_codes(
-            buyers, sellers, ["view", "favorite"],
-            np.concatenate([view_buyer, view_buyer[fav]]),
-            np.concatenate([view_seller, view_seller[fav]]),
-            np.repeat([0, 1], [views, n_fav]),
-            np.arange(views + n_fav),
-        )
+        rows = np.concatenate((np.arange(views), np.flatnonzero(rng.random(views) < rate)))
+        events = EventLog(buyers, sellers, _KINDS, view_buyer[rows], view_seller[rows],
+                          np.repeat([1, 0], [views, len(rows) - views]), np.arange(len(rows)))
 
-    exp = SimulatedExperiment(
-        config=config,
-        events=events,
-        assignments=assignments,
-        outcomes=outcomes,
-        truth=truth,
-        graph=graph,
-        eps=eps,
-        y_pre=y_pre,
-        seller_number=number,
-        omitted_sellers=omitted,
-    )
+    exp = SimulatedExperiment(config=config, events=events, assignments=assignments,
+                              outcomes=outcomes, truth=truth, graph=graph, eps=eps, y_pre=y_pre,
+                              omitted_sellers=config.n - graph.n_sellers)
     if out_dir is not None:
         write_experiment(exp, out_dir)
     return exp
@@ -328,9 +309,7 @@ def rerandomize(exp: SimulatedExperiment, seed: int) -> SimulatedExperiment:
     rng = np.random.default_rng(np.random.SeedSequence((exp.config.seed, seed)))
     treated = rng.random(exp.config.m) < exp.config.p_treat
     assignments = replace(exp.assignments, variant=treated)
-    outcomes = _make_outcomes(
-        exp.config, exp.graph, exp.seller_number, assignments, exp.truth, exp.eps, exp.y_pre
-    )
+    outcomes = _make_outcomes(exp.config, exp.graph, assignments, exp.truth, exp.eps, exp.y_pre)
     return replace(exp, assignments=assignments, outcomes=outcomes)
 
 

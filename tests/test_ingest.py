@@ -28,10 +28,20 @@ from bipartite_ab.ingest import (
     parse_assignments,
     parse_events,
     parse_outcomes,
+    write_assignments,
+    write_events,
     write_outcomes,
 )
+from bipartite_ab.graph import GraphBuildConfig, build_graph, dump_graph
 
-from conftest import dict_rows, event_rows, outcome_entries, outcome_table
+from conftest import (
+    assignment_entries,
+    assignment_table,
+    dict_rows,
+    event_rows,
+    outcome_entries,
+    outcome_table,
+)
 
 WINDOW = (0, 10_000)
 
@@ -1462,3 +1472,77 @@ def test_design_checks_end_parse_and_analyze(tmp_path, monkeypatch, capsys, vari
     ]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# --- the shared CSV writer against csv.writer row by row ---
+
+# ids that csv.writer quotes, or leaves as they are though they look special
+AWKWARD_IDS = ["a,b", 'q"uote', "cr\rid", "lf\nid", "crlf\r\nid", " lead", "trail ",
+               "ünïcødé", "12345", "plain"]
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """The file csv.writer writes for `header` and `rows`, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("ids", [AWKWARD_IDS, ["b1", "b2", "b10"]], ids=["quoted", "plain"])
+def test_writers_match_csv_writer_and_round_trip(tmp_path, ids):
+    """write_events, write_assignments, write_outcomes and dump_graph write
+    the bytes csv.writer writes for the same rows, and each file parses back
+    to what was written: ids that need quotes (a comma, a quote, CR, LF,
+    CRLF) and ids that do not (spaces, non-ASCII text, only digits), a
+    variant label and an event kind that need quotes, and a NaN y_pre."""
+    n, kinds = len(ids), ["view", 'fav,"orite"']
+    k = np.arange(3 * n)
+    timestamps = np.array([-5, 0, 10**15, 2**63 - 1] * n)[: 3 * n]
+    events = EventLog.from_codes(ids, ids[::-1], kinds, k % n, (7 * k + 1) % n, k % 2, timestamps)
+    path = tmp_path / "events.csv"
+    write_events(path, events)
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "want", EVENTS_HEADER, event_rows(events))
+    parsed, report = parse_events(path, kinds, (-(2**63), 2**63 - 1))
+    assert report.rows_kept == len(events) and event_rows(parsed) == event_rows(events)
+
+    variants = [Variant("Off", 0.5, control=True), Variant('On, "B"\r\n', 0.5)]
+    labels = [v.label for v in variants]
+    assignments = assignment_table({b: labels[j % 2] for j, b in enumerate(ids)}, variants)
+    path = tmp_path / "assignments.csv"
+    write_assignments(path, assignments)
+    rows = assignment_entries(assignments).items()
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "want", ["buyer_id", "variant"], rows)
+    parsed = parse_assignments(path)
+    assert assignment_entries(parsed) == assignment_entries(assignments)
+    assert parsed.variants == variants
+
+    values = [1.5, -0.0, 0.0, 0.1, -2.5e17, 5e-324, 1e300]
+    entries = {s: (values[j % 7], None if j == 1 else values[(j + 2) % 7])
+               for j, s in enumerate(ids)}
+    for has_pre in (True, False):
+        table = outcome_table(entries, has_pre)
+        path = tmp_path / "outcomes.csv"
+        write_outcomes(path, table)
+        header = ["seller_id", "y_in", "y_pre"][: 2 + has_pre]
+        rows = [(s, repr(y_in), "" if y_pre is None else repr(y_pre))[: 2 + has_pre]
+                for s, (y_in, y_pre) in outcome_entries(table).items()]
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "want", header, rows)
+        parsed = parse_outcomes(path)
+        assert parsed.has_pre == has_pre
+        assert outcome_entries(parsed) == {
+            s: (y_in, y_pre if has_pre else None) for s, (y_in, y_pre) in entries.items()
+        }
+
+    graph, _ = build_graph(events, assignments, GraphBuildConfig(kind_filter=frozenset(kinds)))
+    path = tmp_path / "graph.csv"
+    dump_graph(graph, path)
+    rows = list(zip(np.repeat(graph.sellers, graph.seller_degrees()).tolist(),
+                    [graph.buyers[j] for j in graph.buyer_idx.tolist()],
+                    map(repr, graph.weights.tolist())))
+    header = ["seller_id", "buyer_id", "weight"]
+    assert path.read_bytes() == csv_writer_bytes(tmp_path / "want", header, rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert [tuple(row) for row in csv.reader(fh)] == [tuple(header), *rows]

@@ -83,7 +83,7 @@ class TestSimulateExperiment:
         exp = simulate_experiment(config)
         assert exp.truth.true_tau == pytest.approx(2.5, abs=1e-12)
         panel = experiment_panel(exp)
-        alpha = exp.truth.alpha[exp.seller_number[panel.graph_rows]]
+        alpha = exp.truth.alpha[panel.graph_rows]
         assert np.allclose(panel.y_in - alpha, 2.5 * panel.h, atol=1e-12)
 
     def test_true_tau_is_mean_beta(self):
@@ -162,6 +162,42 @@ class TestSimulateExperiment:
         # the same text under numpy 1 and 2: no "np.float64(...)" wrapper
         assert weights and all(repr(float(w)) == w for w in weights)
         assert exp.truth.graph_seed_digest == hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(m=90, n=60, degree=FixedDegree(3), seed=41),
+        SimConfig(m=90, n=60, degree=ZipfDegree(1.5, 30), seed=42),
+        SimConfig(m=90, n=60, degree=FixedDegree(2), favorite_rates=(0.2, 0.6), seed=43),
+    ], ids=["fixed", "zipf", "favorite_rates"])
+    def test_graph_row_k_is_seller_number_k(self, config, tmp_path):
+        """Every seller has a view and every buyer is assigned, so graph row
+        k is seller number k: its id is s<k>, its edges are seller k's views,
+        and the written outcomes give seller k the outcome table's row k. The
+        log, the assignments and the outcomes share one vocabulary per side."""
+        exp = simulate_experiment(config, out_dir=tmp_path)
+        graph, events, m, n = exp.graph, exp.events, config.m, config.n
+        assert events.sellers is exp.outcomes.sellers is graph.seller_vocabulary
+        assert events.buyers is exp.assignments.buyers is graph.buyer_vocabulary
+        assert list(events.sellers) == [f"s{k:06d}" for k in range(n)]
+        assert list(events.buyers) == [f"b{k:06d}" for k in range(m)]
+        assert np.array_equal(graph.seller_codes, np.arange(n))
+        views = events.kind == list(events.kinds).index("view")
+        pairs = np.unique(events.seller[views] * m + events.buyer[views])
+        edges = np.repeat(np.arange(n), graph.seller_degrees()) * m
+        assert np.array_equal(edges + graph.buyer_codes[graph.buyer_idx], pairs)
+        outcomes = parse_outcomes(tmp_path / "outcomes.csv")
+        assert outcomes.sellers == events.sellers
+        assert np.array_equal(outcomes.y, exp.outcomes.y)
+
+    def test_numbered_ids_sort_in_number_order(self):
+        """Ids are padded to one width, 6 digits up to 10^6 of them (the ids
+        written before the width grew) and more beyond, so that `str` order
+        is number order at every size."""
+        assert list(simulator._numbered("b", 1000)) == [f"b{k:06d}" for k in range(1000)]
+        assert simulator._numbered("s", 10**6)[-1] == "s999999"
+        ids = simulator._numbered("s", 10**6 + 1)
+        assert {len(i) for i in ids} == {8} and ids.ordered
+        assert list(ids) == sorted(ids)
+        assert (ids[0], ids[100_001], ids[10**6]) == ("s0000000", "s0100001", "s1000000")
 
     def test_noiseless_regression_recovers_truth(self):
         config = SimConfig(
@@ -329,7 +365,7 @@ class TestViolationModes:
         )
         exp = simulate_experiment(config)
         panel = experiment_panel(exp)
-        alpha = exp.truth.alpha[exp.seller_number[panel.graph_rows]]
+        alpha = exp.truth.alpha[panel.graph_rows]
         jumps = np.round(panel.y_in - alpha, 9)
         assert set(jumps) <= {0.0, 1.0}
         assert np.all((panel.h > 0.5) == (jumps == 1.0))
