@@ -273,17 +273,16 @@ class _Keyed:
             found[at[hit]] = rows[k[hit]]
         return found
 
-    def rows(self, ids: Sequence[str]) -> np.ndarray:
+    def rows(self, ids: Vocabulary) -> np.ndarray:
         """The row of each of `ids`, -1 for an id the table lacks. The result
-        for a Vocabulary or tuple is kept, read-only, till another is joined."""
+        is kept, read-only, till another Vocabulary is joined: the same
+        object is joined once."""
         last = self.__dict__.get("_last")
-        if last is not None and last[0] is ids:
-            return last[1]
-        found = self._join(Vocabulary.of(ids))
-        if isinstance(ids, (tuple, Vocabulary)):
+        if last is None or last[0] is not ids:
+            found = self._join(ids)
             found.flags.writeable = False
-            self.__dict__["_last"] = (ids, found)
-        return found
+            last = self.__dict__["_last"] = (ids, found)
+        return last[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -866,8 +865,8 @@ def default_design_path(assignments_path) -> Path:
 
 def parse_design(path) -> list[Variant]:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
+        try:  # every number a float: an integer beyond a float's range is inf
+            payload = json.load(fh, parse_int=float)
         except ValueError as exc:  # malformed JSON or UTF-8
             raise IngestError(f"{path}: design file is not valid JSON: {exc}") from None
     raw = payload.get("variants") if isinstance(payload, dict) else None
@@ -880,19 +879,15 @@ def parse_design(path) -> list[Variant]:
         missing = [key for key in ("label", "probability") if key not in entry]
         if missing:
             raise IngestError(f"{path}: variant {k} has no {' or '.join(missing)}")
-        try:
-            probability = float(entry["probability"])
-        except (TypeError, ValueError):
-            raise IngestError(
-                f"{path}: variant {k} has non-numeric probability "
-                f"{entry['probability']!r}"
-            ) from None
+        label, probability = entry["label"], entry["probability"]
+        if not isinstance(label, str):
+            raise IngestError(f"{path}: variant {k} has non-string label {label!r}")
+        if not isinstance(probability, float):  # a bool or a numeric string is not
+            raise IngestError(f"{path}: variant {k} has non-numeric probability {probability!r}")
         control = entry.get("control", False)
         if not isinstance(control, bool):
             raise IngestError(f"{path}: variant {k} has non-boolean control {control!r}")
-        variants.append(
-            Variant(label=str(entry["label"]), probability=probability, control=control)
-        )
+        variants.append(Variant(label, probability, control))
     return variants
 
 

@@ -158,9 +158,10 @@ class SimTruth:
 @dataclass
 class SimulatedExperiment:
     """One synthetic experiment plus the internals needed to re-randomize.
-    Every seller has a view and every buyer is assigned, so graph row k is
-    seller number k, which indexes eps, y_pre and the truth. The log, the
-    assignments and the outcomes share one vocabulary per side."""
+    Every seller has a view and every buyer is assigned, so the graph holds
+    every seller and its row k is seller number k, which indexes eps, y_pre
+    and the truth. The log, the assignments and the outcomes share one
+    vocabulary per side."""
 
     config: SimConfig
     events: EventLog
@@ -170,7 +171,6 @@ class SimulatedExperiment:
     graph: BipartiteGraph
     eps: np.ndarray
     y_pre: np.ndarray
-    omitted_sellers: int = 0
 
 
 def _seller_response(config, alpha, beta, h, eps):
@@ -277,8 +277,7 @@ def simulate_experiment(
                           np.repeat([1, 0], [views, len(rows) - views]), np.arange(len(rows)))
 
     exp = SimulatedExperiment(config=config, events=events, assignments=assignments,
-                              outcomes=outcomes, truth=truth, graph=graph, eps=eps, y_pre=y_pre,
-                              omitted_sellers=config.n - graph.n_sellers)
+                              outcomes=outcomes, truth=truth, graph=graph, eps=eps, y_pre=y_pre)
     if out_dir is not None:
         write_experiment(exp, out_dir)
     return exp
@@ -293,7 +292,6 @@ def write_experiment(exp: SimulatedExperiment, out_dir):
     payload = {
         "true_tau": exp.truth.true_tau,
         "graph_seed_digest": exp.truth.graph_seed_digest,
-        "omitted_sellers": exp.omitted_sellers,
         "config": sim_config_to_dict(exp.config),
     }
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
@@ -361,6 +359,15 @@ class ValidationTable:
         return "\n".join(lines)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array bit for bit, without the
+    numpy.ma import it makes under numpy 2: the mean of the middle one or
+    two values of the partition np.median makes, NaN if one is last."""
+    n = len(x)
+    x = np.partition(x, [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1])
+    return float(x[-1] if np.isnan(x[-1]) else x[(n - 1) // 2 : n // 2 + 1].mean())
+
+
 def run_validation(
     config: SimConfig,
     estimator_ids: Sequence[str],
@@ -402,7 +409,7 @@ def run_validation(
             mc_sd=float(taus.std(ddof=1)) if n_ok > 1 else nan,
             coverage=float(np.mean([ci.ci_low <= true_tau <= ci.ci_high for ci in ok]))
             if n_ok else nan,
-            median_ci_width=float(np.median([ci.width for ci in ok])) if n_ok else nan,
+            median_ci_width=_median(np.array([ci.width for ci in ok])) if n_ok else nan,
         ))
     return table
 
@@ -482,7 +489,7 @@ def sim_config_from_dict(payload: dict) -> SimConfig:
         if key in payload:
             settings[f"{key}_mean"], settings[f"{key}_sd"] = _pair(payload[key], key)
     return SimConfig(m=_field(payload, "m"), n=_field(payload, "n"),
-                     favorite_rates=payload.get("favorite_rates") or None, **settings)
+                     favorite_rates=payload.get("favorite_rates"), **settings)
 
 
 def load_sim_config(path) -> SimConfig:

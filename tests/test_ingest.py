@@ -279,6 +279,15 @@ class TestParseAssignments:
             ({"variants": [{"label": "Off", "probability": "half"}]}, "non-numeric"),
             ({"variants": [{"label": "Off", "probability": None}]}, "non-numeric"),
             ({"variants": [{"label": "Off", "probability": [0.5]}]}, "non-numeric"),
+            ({"variants": [{"label": "Off", "probability": "0.5"}]}, "variant 0 has non-numeric"),
+            ({"variants": [{"label": "Off", "probability": True}]}, "variant 0 has non-numeric"),
+            ({"variants": [{"label": "Off", "probability": 0.5, "control": True},
+                           {"label": None, "probability": 0.5}]}, "variant 1 has non-string"),
+            ({"variants": [{"label": 1, "probability": 0.5}]}, "variant 0 has non-string"),
+            ({"variants": [{"label": ["On"], "probability": 0.5}]}, "non-string label"),
+            # an integer beyond a float's range is inf, not an OverflowError
+            ({"variants": [{"label": "Off", "probability": 10**400, "control": True}]},
+             "sum to inf"),
             ({"variants": [{"label": "On", "probability": 0.5, "control": "false"}]},
              "non-boolean control"),
         ],
@@ -1037,8 +1046,9 @@ def random_ids(rng, count, longest):
 
 def test_packed_joins_match_the_dict_join(rng, tmp_path):
     """`rows` finds each id among a table's packed keys as a dict of the
-    `str` ids did: for parsed and hand-made tables, against lists, tuples
-    and vocabularies, with the two sides' longest ids of different lengths."""
+    `str` ids did: for parsed and hand-made tables, against vocabularies of
+    `str` ids and of coded bytes, with the two sides' longest ids of
+    different lengths."""
     path = tmp_path / "outcomes.csv"
     for _ in range(40):
         longest = [int(rng.integers(1, 4)), int(rng.integers(4, 14))]
@@ -1052,7 +1062,7 @@ def test_packed_joins_match_the_dict_join(rng, tmp_path):
         path.write_text("seller_id,y_in\n" + "".join(f"{k},1.0\n" for k in keys))
         parsed = parse_outcomes(path)
         assert parsed.sellers == tuple(sorted(keys))
-        queries = [ids, tuple(ids), Vocabulary(ids),
+        queries = [Vocabulary(ids),
                    EventLog.from_codes(ids, ["s"], ["v"], np.arange(len(ids)),
                                        *np.zeros((2, len(ids)), int), np.arange(len(ids))
                                        ).buyers]
@@ -1079,7 +1089,7 @@ def test_str_vocabulary_whose_last_id_ends_its_last_word(last):
     keyed = ingest.OutcomeTable(vocabulary, np.zeros((len(ids), 2)), False)
     table = outcome_table({k: (1.0, None) for k in ids}, False)
     queries = [*ids, last + "\x00", last[:-1], "a" * 16]
-    np.testing.assert_array_equal(keyed.rows(queries), dict_rows(ids, queries))
+    np.testing.assert_array_equal(keyed.rows(Vocabulary(queries)), dict_rows(ids, queries))
     np.testing.assert_array_equal(table.rows(vocabulary), dict_rows(table.sellers.text, ids))
     codes = np.array([7, 1, 7, 5, 4])
     events = EventLog.from_codes(vocabulary, ["s"], ["v"], codes, *np.zeros((2, 5), int),
@@ -1116,7 +1126,8 @@ def test_trimmed_vocabulary_selects_over_the_coded_bytes(tmp_path):
     for ids in (events.buyers, trimmed, backwards):
         np.testing.assert_array_equal(table.rows(ids), dict_rows(table.sellers.text, ids.text))
         keyed = ingest.OutcomeTable(ids, np.zeros((len(ids), 2)), False)
-        np.testing.assert_array_equal(keyed.rows(buyers), dict_rows(ids.text, buyers))
+        np.testing.assert_array_equal(keyed.rows(Vocabulary(buyers)),
+                                      dict_rows(ids.text, buyers))
 
 
 def block_starts(data: bytes, block_bytes: int) -> set[int]:

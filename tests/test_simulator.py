@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,9 @@ NAMED_CONFIG_ERRORS = [
     ({"m": 10, "n": 10, "violation": {"kind": "quadratic", "gamma": float("inf")}},
      "'gamma'"),
     ({"m": 10, "n": 10, "favorite_rates": [float("nan"), 0.2]}, "'favorite_rates'"),
+    # only a missing key or null means no favorites, not any falsy value
+    *(({"m": 10, "n": 10, "favorite_rates": rates}, "'favorite_rates' must be a list of two")
+      for rates in ([], 0, False, "", {}, 5, [1])),
     ({"m": 10, "n": 10, "noise_sd": "1.5"}, "'noise_sd'"),
     ({"m": 10, "n": 10, "degree": {"kind": "zipf", "s": 10**400, "k_max": 5}}, "'s'"),
     # values outside a field's range, refused before numpy draws with them
@@ -435,3 +442,48 @@ class TestRunValidation:
         assert rows["erl"].median_ci_width > 0
         assert (rows["reg"].n_ok, rows["reg"].n_failed) == (0, 4)
         assert np.isnan(rows["reg"].coverage)
+
+    def test_median_matches_np_median_bit_for_bit(self, rng):
+        """The validation table's median against np.median: odd and even
+        lengths, ties of 0.0 and -0.0, infinities, values whose sum
+        overflows, and a NaN, which np.median returns."""
+        for trial in range(2000):
+            n = int(rng.integers(1, 40))
+            x = rng.normal(size=n)
+            if trial % 4 == 1:
+                x = rng.choice([0.0, -0.0, 1.0, np.inf], size=n)
+            elif trial % 4 == 2:
+                x = rng.uniform(1.0, 1.7, size=n) * 1e308
+            elif trial % 4 == 3:
+                x[rng.integers(0, n)] = np.nan
+            with np.errstate(over="ignore"):
+                want = np.median(x)
+                got = simulator._median(x.copy())
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.0.0",
+        reason="numpy 1 imports numpy.ma with numpy itself",
+    )
+    def test_validate_leaves_numpy_ma_unloaded(self, tmp_path):
+        """A validate run on the tests/data config loads no numpy.ma: the
+        median CI width comes from np.partition, not np.median, which
+        imports it on first use under numpy 2."""
+        data = Path(__file__).parent / "data" / "validate"
+        argv = ["validate", "--config", str(data / "config.json"),
+                "--estimators", "erl,reg,crerl", "--methods", "bootstrap,randomization",
+                "--replications", "5", "--ci-replications", "200", "--seed", "3",
+                "--out", str(tmp_path / "out")]
+        code = "\n".join([
+            "import json, sys",
+            "from bipartite_ab.cli import main",
+            f"assert main({argv!r}) == 0",
+            "print(json.dumps(sorted(m for m in sys.modules",
+            "                        if m == 'numpy.ma' or m.startswith('numpy.ma.'))))",
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(done.stdout.splitlines()[-1]) == []
