@@ -64,8 +64,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except ValueError:
             window = ()
         if len(window) != 2 or window[0] > window[1]:
-            raise ValueError("--window must be 't0:t1' with integers "
-                             f"t0 <= t1, got {args.window!r}")
+            raise ValueError("--window must be given as --window=t0:t1 with "
+                             f"integers t0 <= t1, got {args.window!r}")
     estimators, methods = _split(args.estimators), _split(args.methods)
     inference.check_request(estimators, methods, args.replications, args.level, args.seed)
     if args.treatment == args.control:
@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--replications", type=int, default=1000)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--window", default=None,
-                    help="inclusive timestamp window 't0:t1' in ms")
+                    help="inclusive timestamp window in ms, as --window=t0:t1 "
+                         "(so that a negative t0 is not read as an option)")
     pa.add_argument("--allow-missing-outcomes", action="store_true")
     pa.add_argument("--dump-graphs", action="store_true")
     pa.add_argument("--out", required=True)

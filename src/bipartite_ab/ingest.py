@@ -22,36 +22,37 @@ One tokenizer, driven by a column spec (`_Columns`), reads all three files
 as bytes, BLOCK_BYTES of whole lines at a time, and splits them with numpy
 and no Python per row: one scan finds a block's separators (LF and comma)
 and every cell bound is read off that index. LF or CRLF line ends, blank
-lines skipped, as many fields per line as the header has. Ids are keyed by
-their bytes and, when the file ends, sorted bytewise with numpy. That is
-`str` order: UTF-8 writes a code point's bits most significant first, and
-a longer sequence starts with a larger lead byte, so comparing two ids'
-bytes compares their code points, as Python compares `str`. Value cells go
-through the spec's converter (timestamps by numpy where they are plain
-digits, else by `int()`; outcomes by `float()` on each cell's decoded
-text). A file holding a quote, a CR that does not end a CRLF or a line
-longer than the csv module's field_size_limit is split by the csv module
-instead, one decoded line at a time, with the same checks. Both paths give
-the same results and errors: errors are decided in file order, and a line
-is checked for invalid UTF-8, then its column count, then empty ids, then
-a repeated id, then its values from left to right.
+lines skipped, as many fields per line as the header has. A column's ids
+are coded by a hash table of their bytes (`_IdCodes`), the codes and the
+values written into numpy arrays sized from the file, and the ids sorted
+bytewise with numpy when the file ends: `str` order, as UTF-8 writes a code
+point's bits most significant first and a longer sequence starts with a
+larger lead byte. Value cells go through the spec's converter (timestamps
+by numpy where they are plain digits, else by `int()`; outcomes by
+`float()` on each cell's decoded text). A file holding a quote, a CR that
+does not end a CRLF or a line longer than the csv module's field_size_limit
+is split by the csv module instead, one decoded line at a time, with the
+same checks and errors: they are decided in file order, and a line is
+checked for invalid UTF-8, then its column count, then empty ids, then a
+repeated id, then its values from left to right.
 
-The numpy path codes block k's ids on a one-thread executor
-(`_IdCodes.codes`, whose sorts, searches and gathers release the GIL)
-while the main thread converts block k's values and reads block k+1, so
-at most one block is in flight. Each column's `_IdCodes` is used by one
-thread at a time, in block order, so every code, vocabulary, warning and
-error is that of coding each block in turn. The file's last block, a
-block that holds an error and every block of the assignments and
-outcomes files (whose repeated-id check needs the codes first) are coded
-inline, so the executor opens on the first hand-over only; it is shut
-down, waiting for the block in hand, before the parser returns or raises.
+The numpy path codes block k's ids on a one-thread executor (numpy's
+gathers and sorts release the GIL) while the main thread converts block
+k's values and reads block k+1, so at most one block is in flight. Each
+column's `_IdCodes` is used by one thread at a time, in block order, so
+every code, vocabulary, warning and error is that of coding each block in
+turn. The file's last block, a block that holds an error and every block
+of the assignments and outcomes files (whose repeated-id check needs the
+codes first) are coded inline, so the executor opens on the first
+hand-over only; it is shut down, waiting for the block in hand, before the
+parser returns or raises.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import mmap
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
@@ -75,6 +76,14 @@ BLOCK_BYTES = 1 << 20  # bytes of whole lines tokenized at a time
 _TS_DIGITS = 18  # at most 18 decimal digits always fit in an int64
 # _WORD_MASK[k] keeps the first k bytes of a little-endian uint64 word
 _WORD_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+# '0', 0xF0 and 0x06 in each byte of a word; then the (mask, multiplier,
+# shift) steps that sum a word of 8 ASCII digits, most significant first, as
+# pairs, then fours, then the eight (see _plain_timestamps)
+_ZEROS, _HIGH_NIBBLES, _SIXES = (np.uint64(b * 0x0101010101010101) for b in (0x30, 0xF0, 0x06))
+_DIGIT_STEPS = [tuple(map(np.uint64, step)) for step in ((0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
+                (0x00FF00FF00FF00FF, 100 << 16 | 1, 16), (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32))]
+# splitmix64's multipliers, then the golden-ratio one that weighs an id's rest
+_MIX = np.array([0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15], dtype=np.uint64)
 
 
 class IngestError(ValueError):
@@ -361,8 +370,9 @@ class _Columns:
 class _Tokens:
     """The rows of a file before its first malformed one: `codes` into the
     vocabularies `ids` (made by `_tokenize`), one pair per coded column, and
-    `values` (rows x value columns); `blank_rows[j]` is the number of rows
-    before the j-th blank line, and `error` the malformed row's ParseError.
+    `values` (rows x value columns), numpy arrays; `blank_rows[j]` is the
+    number of rows before the j-th blank line, and `error` the malformed
+    row's ParseError.
     `pool`, a one-thread executor entered into the ExitStack `stack` on
     first use, codes the ids of the blocks that `add` hands over."""
 
@@ -378,9 +388,13 @@ class _Tokens:
         self.path, self.spec, self.width = path, spec, len(header)
         self.names = header[spec.n_coded:]
         self.columns = [_IdCodes() for _ in range(spec.n_coded)]
-        # codes, values, blank rows; a bytearray grows in place, unlike a
-        # concatenation
-        self.out = [bytearray() for _ in range(spec.n_coded + 2)]
+        # the code columns and the values, with room for as many rows as the
+        # file can hold (a row takes at least its commas and its LF): the
+        # pages no row reaches are never touched
+        rows = Path(path).stat().st_size // self.width
+        self.out = [_mapped((rows,), np.int64) for _ in range(spec.n_coded)]
+        self.out.append(_mapped((rows, self.width - spec.n_coded), spec.dtype))
+        self.blank = [np.empty(0, dtype=np.int64)]  # blank_rows, a block at a time
         self.rows = 0
         self.error: ParseError | None = None
         self.stack = stack
@@ -420,9 +434,10 @@ class _Tokens:
         else:
             codes = self.pool.submit(code)
         if spec.repeated is not None:
-            again = np.ones(rows, dtype=bool)
-            again[np.unique(codes[0], return_index=True)[1]] = False
-            again |= codes[0] < seen
+            # the first row of each id; a code below `seen` was given before
+            first = np.full(self.columns[0].count, rows)
+            np.minimum.at(first, codes[0], np.arange(rows))
+            again = (first[codes[0]] != np.arange(rows)) | (codes[0] < seen)
             if again.any():
                 k = int(np.argmax(again))
                 fail(k, spec.repeated.format(data[start[k, 0]:end[k, 0]].decode("utf-8")))
@@ -455,24 +470,25 @@ class _Tokens:
         self.pending = None
         if not isinstance(codes, list):
             codes = codes.result()
-        for target, column in zip(
-            self.out, (*(c[:rows] for c in codes), values[:rows], self.rows + blank)
-        ):
-            target.extend(np.ascontiguousarray(column))
-        self.rows += rows
+        end = self.rows + rows
+        if end > len(self.out[0]):  # the file grew as it was read
+            self.out = [np.resize(column, (2 * end, *column.shape[1:])) for column in self.out]
+        for column, block in zip(self.out, (*codes, values)):
+            column[self.rows:end] = block[:rows]
+        self.blank.append(self.rows + blank)
+        self.rows = end
 
     @property
     def codes(self) -> list[np.ndarray]:
-        return [np.frombuffer(c, dtype=np.int64) for c in self.out[:-2]]
+        return [column[: self.rows] for column in self.out[:-1]]
 
     @property
     def values(self) -> np.ndarray:
-        values = np.frombuffer(self.out[-2], dtype=self.spec.dtype)
-        return values.reshape(self.rows, self.width - self.spec.n_coded)
+        return self.out[-1][: self.rows]
 
     @property
     def blank_rows(self) -> np.ndarray:
-        return np.frombuffer(self.out[-1], dtype=np.int64)
+        return np.concatenate(self.blank)
 
 
 def _tokenize(path, spec: _Columns) -> _Tokens:
@@ -490,66 +506,115 @@ def _utf8_error(path, line_no, exc: UnicodeDecodeError) -> ParseError:
 
 class _IdCodes:
     """Integer codes for the byte-string ids of one column, a block at a
-    time. Ids are made `_keys` and kept in sorted runs per byte length: a
-    numpy `S` array drops trailing NULs and would merge "b1" and "b1\\x00".
-    A code is given to an id when it is first seen; when the file ends,
-    `vocabulary` holds the ids in code order, over the runs' bytes."""
+    time, from a linear-probing hash table run as whole-array numpy rounds.
+    An id's key is its first 8 bytes zeroed past its end (its head) and its
+    byte length plus, past 8 bytes, 2^32 times one more than the code of the
+    rest in a second coder, `tails` (its rest). `keys[:, k]` is code k's key;
+    `slots`, a code or -1 each, are at least twice as many as the codes. A
+    block's new ids get the codes `count, count+1, ...` in key order."""
 
     def __init__(self):
-        self.count = 0  # codes given
-        self.seen = {}  # byte length -> sorted runs [(packed ids, their codes)]
+        self.count, self.tails = 0, None  # codes given; the tails' coder
+        self.keys = np.empty((2, 0), dtype=np.uint64)
+        self._rehash(1 << 10)
+
+    def _rehash(self, size):
+        """Rebuild the table with `size` slots, a power of two."""
+        keys, self.keys = self.keys, _mapped((2, size // 2), np.uint64)
+        self.keys[:, : self.count] = keys[:, : self.count]
+        self.slots = _mapped((size,), np.int64)
+        self.slots.fill(-1)
+        self.shift = np.uint64(65 - size.bit_length())  # a hash's top bits pick a slot
+        self._place(np.arange(self.count))
+
+    def _home(self, head, rest) -> np.ndarray:
+        """The slots of keys: splitmix64's finalizer of head + rest * _MIX[2]."""
+        h = rest * _MIX[2]
+        h += head
+        for shift, multiplier in ((30, _MIX[0]), (27, _MIX[1])):
+            h ^= h >> np.uint64(shift)
+            h *= multiplier
+        h ^= h >> np.uint64(31)
+        return (h >> self.shift).astype(np.intp)
 
     def codes(self, words, start, end) -> np.ndarray:
         """Codes of the ids `bytes[start:end]` of a block whose unaligned
         uint64 view is `words` (`words[k]` packs bytes k..k+7)."""
         length = end - start
-        codes = np.empty(len(start), dtype=np.int64)
-        # lengths are at most csv.field_size_limit() characters (see
-        # `_csv_safe` and the csv module), so the bincount stays small
-        count = np.bincount(length)
-        for size in np.flatnonzero(count).tolist():
-            rows = np.flatnonzero(length == size) if count[size] < len(length) else slice(None)
-            keys, inverse = np.unique(_keys(words, start[rows], size), return_inverse=True)
-            codes[rows] = self._lookup(size, keys)[inverse.reshape(-1)]
+        head = words[start] & _WORD_MASK[np.minimum(length, 8)]
+        rest = length.astype(np.uint64)
+        if len(long := np.flatnonzero(length > 8)):
+            self.tails = self.tails or _IdCodes()
+            tail = self.tails.codes(words, start[long] + 8, end[long]).astype(np.uint64)
+            rest[long] += (tail + 1) << 32
+        codes, rows = np.full(len(start), -1), np.empty(0, dtype=np.intp)
+        if self.count:  # a row at an empty slot reads the key of code -1, the
+            # last there is room for: a match there leaves the code -1
+            codes = self.slots[at := self._home(head, rest)]
+            rows = np.flatnonzero((self.keys[0, codes] != head) | (self.keys[1, codes] != rest))
+        while len(rows := rows[codes[rows] >= 0]):  # each row probes on past other ids
+            at[rows] = slot = (at[rows] + 1) & (len(self.slots) - 1)
+            codes[rows] = code = self.slots[slot]
+            rows = rows[(self.keys[0, code] != head[rows]) | (self.keys[1, code] != rest[rows])]
+        if not len(new := np.flatnonzero(codes < 0)):
+            return codes
+
+        def firsts(rows):  # is each row's id not the one of the row before?
+            after, before = rows[1:], rows[:-1]
+            return np.append(True, (head[after] != head[before]) | (rest[after] != rest[before]))
+
+        new = new[np.argsort(head[new].byteswap())]  # bytewise order of the heads,
+        if ((first := firsts(new))[1:] & (head[new[1:]] == head[new[:-1]])).any():
+            new = new[np.lexsort((rest[new], head[new].byteswap()))]  # then of the rests
+            first = firsts(new)
+        codes[new] = self.count + np.cumsum(first) - 1
+        new = new[first]
+        count = self.count + len(new)
+        if 2 * count > len(self.slots):
+            self._rehash(1 << (2 * count - 1).bit_length())
+        self.keys[:, self.count : count] = head[new], rest[new]
+        self._place(np.arange(self.count, count))
+        self.count = count
         return codes
 
-    def _lookup(self, size, keys):
-        """Codes of the sorted distinct packed ids `keys` of `size` bytes,
-        numbering the ones not seen before."""
-        runs = self.seen.setdefault(size, [])
-        codes = np.full(len(keys), -1, dtype=np.int64)
-        for run, run_codes in runs:
-            todo = np.flatnonzero(codes < 0)
-            at = np.minimum(np.searchsorted(run, keys[todo]), len(run) - 1)
-            hit = run[at] == keys[todo]
-            codes[todo[hit]] = run_codes[at[hit]]
-        new = np.flatnonzero(codes < 0)
-        if not len(new):
-            return codes
-        codes[new] = self.count + np.arange(len(new))
-        self.count += len(new)
-        # merge runs of similar length (as in a binary counter), so that each
-        # id is copied O(log n) times in all rather than once per block
-        runs.append((keys[new], codes[new]))
-        while len(runs) > 1 and 2 * len(runs[-1][0]) >= len(runs[-2][0]):
-            (a, a_codes), (b, b_codes) = runs.pop(-2), runs.pop()
-            at = np.searchsorted(a, b)
-            runs.append((np.insert(a, at, b), np.insert(a_codes, at, b_codes)))
-        return codes
+    def _place(self, codes):
+        """Put `codes` in the first empty slot from their keys' homes on:
+        the codes at an empty slot claim it, one stays, the others move on."""
+        at = self._home(*self.keys[:, codes]) if len(codes) else codes
+        while len(codes):
+            free = self.slots[at] < 0
+            self.slots[at[free]] = codes[free]
+            lost = self.slots[at] != codes
+            codes, at = codes[lost], (at[lost] + 1) & (len(self.slots) - 1)
 
     def vocabulary(self) -> Vocabulary:
-        """The ids, id k having code k. The runs are dropped."""
-        runs = [(size, *run) for size, group in self.seen.items() for run in group]
-        self.seen = {}
-        if not runs:
+        """The ids, id k having code k, each its head's and its tail's words."""
+        if not self.count:
             return Vocabulary()
-        data = np.concatenate([keys.view(np.uint8) for _, keys, _ in runs])
-        width = np.concatenate([np.full(len(keys), keys.itemsize) for _, keys, _ in runs])
-        start, length = np.empty((2, len(width)), dtype=np.int64)
-        codes = np.concatenate([codes for _, _, codes in runs])
-        start[codes] = np.cumsum(width) - width
-        length[codes] = np.concatenate([np.full(len(keys), size) for size, keys, _ in runs])
-        return Vocabulary(packed=(data, start, length))
+        words, rest = self.keys[:, : self.count].copy()
+        del self.slots, self.keys
+        size = np.ones(self.count, dtype=np.int64)  # words an id takes
+        if len(long := np.flatnonzero(rest >> 32)):
+            data, tail_start, tail_length = self.tails.vocabulary().packed
+            tail = (rest[long] >> 32) - 1
+            size[long] += (k := (tail_length[tail] + 7) >> 3)
+            place = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+            tails = data.view(np.uint64)[np.repeat(tail_start[tail] // 8, k) + place]
+            words = np.insert(tails, np.cumsum(size) - size - np.arange(self.count), words)
+        length = (rest & 0xFFFFFFFF).astype(np.int64)
+        return Vocabulary(packed=(words.view(np.uint8), 8 * (np.cumsum(size) - size), length))
+
+
+def _mapped(shape, dtype) -> np.ndarray:
+    """An array to be written before it is read; from 1 MiB on over a
+    private anonymous map, whose pages are taken when first written and go
+    back to the system, not to a heap, when it is dropped (a smaller map
+    costs more time than it saves memory)."""
+    n, size = math.prod(shape), math.prod(shape) * np.dtype(dtype).itemsize
+    if size < 1 << 20:
+        return np.empty(shape, dtype)
+    buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buffer, dtype=dtype, count=n).reshape(shape)
 
 
 def _bytewise_order(data, start, length) -> np.ndarray:
@@ -585,17 +650,29 @@ def _bytewise_order(data, start, length) -> np.ndarray:
 def _plain_timestamps(a, start, end):
     """(values, other): the int64 value of each cell `a[start:end]` that is
     an optional '-' and 1 to 18 ASCII digits, and a mask of the other cells,
-    whose values are left undefined."""
+    whose values are left undefined. Digits are read 8 to a word, bytes
+    before them set to '0', and each word checked (a digit's high nibble is
+    3, also after adding 6) and summed in place. A cell too close to the
+    start of `a` for its words is other."""
     negative = (end > start) & (a.take(start, mode="clip") == ord("-"))
     digits = end - start - negative
-    offset = np.arange(-min(int(digits.max(initial=0)), _TS_DIGITS), 0)[:, None]
-    cell = a.take(end + offset, mode="clip") - np.uint8(ord("0"))
-    cell[offset < -digits] = 0  # bytes before the digits count as leading zeros
-    other = (digits < 1) | (digits > _TS_DIGITS) | (cell > 9).any(axis=0)
-    values = np.zeros(len(end), dtype=np.int64)
-    for digit in cell:  # most significant first
-        values *= 10
-        values += digit
+    other = (digits < 1) | (digits > _TS_DIGITS)
+    n_words = -(-min(int(digits.max(initial=0)), _TS_DIGITS) // 8)
+    other |= end < 8 * n_words
+    words, values = _words(a), np.zeros(len(end), dtype=np.uint64)
+    for k in range(n_words - 1, -1, -1):  # most significant first
+        # the bytes of the word before the cell's last 8k + 8 become '0'
+        before = _WORD_MASK[8 - np.clip(digits - 8 * k, 0, 8)]
+        word = words[np.maximum(end - 8 * (k + 1), 0)]
+        word ^= (word ^ _ZEROS) & before
+        other |= ((word & _HIGH_NIBBLES) != _ZEROS) | (((word + _SIXES) & _HIGH_NIBBLES) != _ZEROS)
+        for mask, multiplier, shift in _DIGIT_STEPS:
+            word &= mask
+            word *= multiplier
+            word >>= shift
+        values *= np.uint64(10**8)
+        values += word
+    values = values.view(np.int64)
     return np.where(negative, -values, values), other
 
 
@@ -632,25 +709,26 @@ def _tokenize_unquoted(path, spec: _Columns) -> _Tokens | None:
         tokens = _Tokens(path, spec, _header(path, header), stack)
         width = tokens.width
         while tokens.error is None and (block := fh.read(BLOCK_BYTES)):
-            if not block.endswith(b"\n"):  # read to the end of the line
-                block = (block + fh.readline()).removesuffix(b"\n") + b"\n"
-            data = block + bytes(8)
-            a = np.frombuffer(data, dtype=np.uint8)[: len(block)]
+            # to the end of the line, with an LF, and 8 bytes for `_words`
+            line = b"" if block.endswith(b"\n") else fh.readline()
+            eol = b"" if (line or block).endswith(b"\n") else b"\n"
+            data = b"".join((block, line, eol, bytes(8)))
+            a = np.frombuffer(data, dtype=np.uint8)[:-8]
             end = np.flatnonzero((a == ord("\n")) | (a == ord(",")))
             start = np.concatenate(([0], end[:-1] + 1))
             lf = np.flatnonzero(a[end] == ord("\n"))  # the cells that end lines
             fields = np.diff(lf, prepend=-1)
             starts = start[lf - fields + 1]  # where each line starts
-            if not _csv_safe(block, int((end[lf] - starts).max())):
+            if not _csv_safe(data, int((end[lf] - starts).max())):
                 return None
-            if b"\r" in block:
+            if b"\r" in data:
                 end[lf] -= a[end[lf] - 1] == ord("\r")
             # `bad` is the block's first line with invalid UTF-8 or the
             # wrong number of fields; the rows before it go to `add`
             bad, error = len(lf), None
-            if not block.isascii():
+            if not data.isascii():
                 try:
-                    block.decode("utf-8")
+                    data.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     bad = int(np.searchsorted(starts, exc.start, side="right")) - 1
                     error = _utf8_error(path, line0 + bad, exc)
@@ -664,7 +742,9 @@ def _tokenize_unquoted(path, spec: _Columns) -> _Tokens | None:
             blank = np.flatnonzero(~nonblank[:bad])
             # the cells of the lines before `bad`, less a blank line's one
             cells = lf[bad - 1] + 1 if bad else 0
-            start, end = (np.delete(x[:cells], lf[blank]) for x in (start, end))
+            start, end = start[:cells], end[:cells]
+            if len(blank):
+                start, end = np.delete(start, lf[blank]), np.delete(end, lf[blank])
             start, end = start.reshape(-1, width), end.reshape(-1, width)
             blank -= np.arange(len(blank))  # rows before each blank line
             tokens.add(data, start, end, line0 + line, blank, error, not fh.peek(1))
@@ -827,7 +907,7 @@ def parse_events(
     tokens = _tokenize(path, _EVENTS)
     (buyer, seller, kind), kinds = tokens.codes, tokens.ids[2]
     timestamp = tokens.values[:, 0]
-    is_known = np.isin(kind, [c for c, k in enumerate(kinds) if k in known])
+    is_known = np.array([k in known for k in kinds], dtype=bool)[kind]
     # one warning per unknown kind, in order of first appearance, at its
     # first line
     codes, first, count = np.unique(kind[~is_known], return_index=True, return_counts=True)
@@ -841,7 +921,7 @@ def parse_events(
         )
     if tokens.error is not None:
         raise tokens.error
-    selected = np.isin(kind, [c for c, k in enumerate(kinds) if k in kind_filter])
+    selected = np.array([k in kind_filter for k in kinds], dtype=bool)[kind]
     in_window = (t0 <= timestamp) & (timestamp <= t1)
     keep = selected & in_window
     report = EventParseReport(
@@ -851,10 +931,13 @@ def parse_events(
         dropped_window=int((selected & ~in_window).sum()),
         dropped_unknown_kind=int((~is_known).sum()),
     )
-    vocabularies, codes = zip(*(
-        _trimmed(ids, c[keep]) for ids, c in zip(tokens.ids, (buyer, seller, kind))
-    ))
-    return EventLog(*vocabularies, *codes, timestamp[keep]), report
+    # each column's tokens are dropped once its kept rows are copied, so
+    # that one column at a time is held twice
+    columns, ids = [buyer, seller, kind, timestamp], tokens.ids
+    del tokens, buyer, seller, kind, timestamp
+    kept = [columns.pop(0)[keep] for _ in range(4)]
+    vocabularies, codes = zip(*map(_trimmed, ids, kept[:3]))
+    return EventLog(*vocabularies, *codes, kept[3]), report
 
 
 def default_design_path(assignments_path) -> Path:

@@ -308,7 +308,8 @@ class TestAnalyze:
         out = tmp_path / "out"
         flags = ["--level", "2", "--treatment", "On", "--control", "On"]
         for extra, message in [
-            (["--window", "x"], "--window must be 't0:t1' with integers t0 <= t1, got 'x'"),
+            (["--window", "x"],
+             "--window must be given as --window=t0:t1 with integers t0 <= t1, got 'x'"),
             ([], "level 2.0 outside (0,1)"),
             (["--level", "0.9"], "treatment and control are both 'On'"),
         ]:
@@ -348,7 +349,8 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert main(analyze_args(sim_dir, out, "--window", window)) == 1
         assert capsys.readouterr().err == (
-            f"error: --window must be 't0:t1' with integers t0 <= t1, got '{window}'\n"
+            "error: --window must be given as --window=t0:t1 with integers "
+            f"t0 <= t1, got '{window}'\n"
         )
         assert not out.exists()
 
@@ -466,6 +468,23 @@ class TestAnalyze:
         assert main(window) == 0
         report = load_report(tmp_path / "window")
         assert report["config"]["events_dropped_rows"] == messages + moved
+
+    def test_window_with_a_negative_start(self, tmp_path, monkeypatch):
+        """`--window=-7:10` keeps the selected rows stamped -7 to 10, the
+        negative ones among them, and drops the others."""
+        header, *lines = (FIXTURE / "events.csv").read_text(encoding="utf-8").splitlines()
+        lines = [f"{line.rsplit(',', 1)[0]},{r % 22 - 9}" for r, line in enumerate(lines)]
+        rows = list(csv.reader(lines))
+        fixture_copy(tmp_path, "\n".join([header, *lines, ""]))
+        monkeypatch.chdir(tmp_path)
+        selected = [int(row[3]) for row in rows if row[2] != "message"]
+        kept = sum(-7 <= t <= 10 for t in selected)
+        assert sum(-7 <= t < 0 for t in selected) and kept < len(selected)
+
+        args = fixture_args(tmp_path / "out", "view", "view,favorite")
+        assert main([*args, "--window=-7:10"]) == 0
+        report = load_report(tmp_path / "out")
+        assert report["config"]["events_dropped_rows"] == len(rows) - kept
 
     def test_svg_text_is_escaped(self, tmp_path, monkeypatch):
         """Kinds, and so graph labels, may hold XML's special characters:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1168,6 +1169,112 @@ def test_special_lines_on_block_boundaries(tmp_path, monkeypatch, block_bytes):
             assert got_report == want_report and got[1] == want[1], data
             assert event_rows(got_events) == event_rows(want_events), data
         assert min(placed.values()) >= 1, (special, placed)
+
+
+# --- the id coder's hash table against a dict ---
+
+
+def coded_block(coder, ids: list[bytes]) -> list[int]:
+    """`coder.codes` on the ids laid out as in a tokenized block: a comma
+    after each and eight zero bytes at the end."""
+    data = b"".join(i + b"," for i in ids) + bytes(8)
+    length = np.array([len(i) for i in ids], dtype=np.int64)
+    end = np.cumsum(length + 1) - 1
+    return coder.codes(ingest._words(data), end - length, end).tolist()
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "one-hash"])
+def test_id_coder_splits_rows_as_a_dict(rng, monkeypatch, collide):
+    """Block after block, the codes split the rows exactly as a dict of the
+    ids does: ids of 1 to 17 bytes, NUL-ending and non-ASCII ones among
+    them, in empty, all-new, all-seen and repeating blocks. New ids get the
+    codes from the count before the block on, which the repeated-id check
+    relies on, and the vocabulary holds each id's bytes at its code. With
+    one hash for every id, each probe passes every id in the table."""
+    if collide:
+        monkeypatch.setattr(ingest, "_MIX", np.zeros(3, dtype=np.uint64))
+    pool = [b"b1", b"b1\x00", b"a" * 8, b"a" * 8 + b"\x00", b"a" * 16, b"a" * 17,
+            b"seller_000001", b"seller_000002", b"seller_000001\x00"]
+    pool += [i.encode() for i in random_ids(rng, 500, 6)]
+    pool = list(dict.fromkeys(i for i in pool if 1 <= len(i) <= 17))
+    assert b"\x00" in {i[-1:] for i in pool} and max(map(len, pool)) == 17
+    half = len(pool) // 2
+    blocks = [
+        [],
+        pool[:half],
+        [pool[k] for k in rng.integers(0, half, 300)],
+        [pool[k] for k in rng.integers(0, len(pool), 400)],
+        [],
+        pool[half:] * 2,
+    ]
+    coder, oracle = ingest._IdCodes(), {}
+    for block in blocks:
+        count, codes = coder.count, coded_block(coder, block)
+        assert len(codes) == len(block)
+        assert [oracle[i] for i in block if i in oracle] == [
+            c for i, c in zip(block, codes) if i in oracle
+        ]
+        pairs = {(i, c) for i, c in zip(block, codes) if i not in oracle}
+        new = dict(pairs)
+        assert len(new) == len(pairs)  # one code for each new id
+        assert sorted(new.values()) == list(range(count, count + len(new)))
+        assert coder.count == count + len(new)
+        oracle.update(new)
+    data, start, length = coder.vocabulary().packed
+    raw = data.tobytes()
+    assert [raw[s:s + n] for s, n in zip(start.tolist(), length.tolist())] == sorted(
+        oracle, key=oracle.get
+    )
+
+
+def test_id_coder_rebuilds_its_table_only_as_it_doubles(monkeypatch):
+    """2^17 distinct ids in blocks of 512: the table is rebuilt at most
+    log2(2^17) + 2 times, each time at least twice as large, so that no
+    block copies every id coded before it."""
+    sizes = []
+    rehash = ingest._IdCodes._rehash
+
+    def spy(self, size, *args):
+        sizes.append(size)
+        rehash(self, size, *args)
+
+    monkeypatch.setattr(ingest._IdCodes, "_rehash", spy)
+    n, block = 1 << 17, 512
+    data = b"".join(b"i%06d," % k for k in range(n)) + bytes(8)
+    words, start = ingest._words(data), 8 * np.arange(n)
+    coder = ingest._IdCodes()
+    for lo in range(0, n, block):
+        codes = coder.codes(words, start[lo:lo + block], start[lo:lo + block] + 7)
+        assert sorted(codes.tolist()) == list(range(lo, lo + block))
+    assert coder.count == n
+    assert len(sizes) <= 17 + 2
+    assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_plain_timestamps_match_int(rng):
+    """A cell that is an optional '-' and 1 to 18 ASCII digits reads as
+    int() reads it, whatever its length and the bytes before it; every
+    other cell, and only such a cell or one within 24 bytes of the data's
+    start, is left to int()."""
+    cells = ["0", "-0", "5", "-", "", "+5", " 5", "5 ", ":", "/", "1_0", "١٢٣",
+             "9" * 18, "-" + "9" * 18, "1" + "0" * 18, "0" * 20 + "1", "99999999",
+             "100000000", "-12345678", "1700000000004"]
+    cells += [str(int(rng.integers(-10**18 + 1, 10**18))) for _ in range(2000)]
+    cells += ["".join(rng.choice(list("0123456789-:/a"), int(rng.integers(0, 21))))
+              for _ in range(2000)]
+    for before in ("x", "y" * 30):
+        order = rng.permutation(len(cells))
+        text = "".join(f"{before},{cells[k]}\n" for k in order).encode()
+        ends = np.cumsum([len(before) + len(cells[k].encode()) + 2 for k in order]) - 1
+        length = np.array([len(cells[k].encode()) for k in order])
+        a = np.frombuffer(text + bytes(8), dtype=np.uint8)
+        values, other = ingest._plain_timestamps(a, ends - length, ends)
+        for k, value, left, end in zip(order, values.tolist(), other.tolist(), ends.tolist()):
+            cell = cells[k]
+            plain = re.fullmatch(r"-?[0-9]{1,18}", cell) is not None
+            assert left == (not plain or end < 24), cell
+            if not left:
+                assert value == int(cell), cell
 
 
 # --- the id-coding worker thread ---
